@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when an audit or assertion fails, 2 for
-configuration problems (bad config file, unknown key, malformed input).
+configuration problems (bad config file, unknown key, malformed input,
+a scan limit below the minimum, a sample too large for the dense path).
 """
 
 from __future__ import annotations
@@ -15,18 +16,17 @@ from .experiments import (
     ConfigError,
     ExperimentResult,
     load_config,
-    rows_to_csv,
-    rows_to_json,
+    render_summary,
     run_bound_table,
     run_concentration_suite,
     run_pac_experiment,
     run_validity_experiment,
     write_outputs,
 )
-from .learner import GuaranteeInputs, MPacNotFound, azuma_bound, m_pac
+from .learner import MIN_SCAN_LIMIT, GuaranteeInputs, MPacNotFound, azuma_bound, m_pac
 from .samples import labeled_sample_from_json
 from .experiments import build_all
-from .indexing import SENTINEL
+from .indexing import SENTINEL, CellBudgetError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,12 +85,10 @@ def _load_config(args):
 
 
 def _finish(result: ExperimentResult, cfg, fmt: str) -> int:
-    if fmt == "csv":
-        sys.stdout.write(rows_to_csv(result.columns, result.rows))
-    else:
-        sys.stdout.write(rows_to_json(result.columns, result.rows))
+    summary = render_summary(result, fmt)
+    sys.stdout.write(summary)
     if cfg.out:
-        write_outputs(result, cfg.out, fmt)
+        write_outputs(result, cfg.out, fmt, summary=summary)
     for note in result.notes:
         print(f"note: {note}", file=sys.stderr)
     if not result.passed:
@@ -186,10 +184,20 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    scan_limit = getattr(args, "scan_limit", None)
+    if scan_limit is not None and scan_limit < MIN_SCAN_LIMIT:
+        print(
+            f"{args.command}: --scan-limit must be >= {MIN_SCAN_LIMIT}, got {scan_limit}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except CellBudgetError as exc:
+        print(f"{args.command}: sample too large for the dense path: {exc}", file=sys.stderr)
         return 2
 
 

@@ -657,14 +657,14 @@ def run_concentration_suite(cfg: ExperimentConfig, engine: str = "auto") -> Expe
     cfg.validate()
     mu, klass, loss, scheme = build_all(cfg)
     F = klass.sample_hypothesis(spawn_rng(cfg.seed, 11))
-    h_min = min(scheme.header_size(m) for m in cfg.m_values)
+    h_min = min(int(scheme.header_size(m)) for m in cfg.m_values)
 
     def sigma_fixed(m):
-        return InjectionVector.top(cfg.mode, cfg.k, m, scheme.selection_size(m))
+        return InjectionVector.top(cfg.mode, cfg.k, m, int(scheme.selection_size(m)))
 
     def sigma_random(m):
         return InjectionVector.random(
-            cfg.mode, cfg.k, m, scheme.selection_size(m), spawn_rng(cfg.seed, 13, m)
+            cfg.mode, cfg.k, m, int(scheme.selection_size(m)), spawn_rng(cfg.seed, 13, m)
         )
 
     eta_random = 1 + int(spawn_rng(cfg.seed, 14).integers(2)) if h_min > 1 else 1
@@ -909,10 +909,27 @@ def rows_to_json(columns: Sequence[str], rows: Sequence[dict]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def write_outputs(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> list:
-    """manifest.json + trials.jsonl + summary.(csv|json), byte-deterministic."""
+def render_summary(result: ExperimentResult, fmt: str = "csv") -> str:
+    """The summary table as CSV or JSON text: the bytes of summary.(csv|json)."""
+    if fmt == "csv":
+        return rows_to_csv(result.columns, result.rows)
+    if fmt == "json":
+        return rows_to_json(result.columns, result.rows)
+    raise ValueError(f"unknown output format {fmt!r}")
+
+
+def write_outputs(
+    result: ExperimentResult, out_dir: str, fmt: str = "csv", summary: str | None = None
+) -> list:
+    """manifest.json + trials.jsonl + summary.(csv|json), byte-deterministic.
+
+    summary, when given, must be render_summary(result, fmt), already
+    rendered by the caller; it is written as is instead of rendered again.
+    """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
+    if summary is None:
+        summary = render_summary(result, fmt)
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "command": result.kind,
@@ -937,8 +954,5 @@ def write_outputs(result: ExperimentResult, out_dir: str, fmt: str = "csv") -> l
             json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in result.records
         ),
     )
-    if fmt == "csv":
-        emit(SUMMARY_BASE + ".csv", rows_to_csv(result.columns, result.rows))
-    else:
-        emit(SUMMARY_BASE + ".json", rows_to_json(result.columns, result.rows))
+    emit(f"{SUMMARY_BASE}.{fmt}", summary)
     return paths

@@ -42,6 +42,14 @@ SENTINEL = -1
 class CellBudgetError(ValueError):
     """A dense m**k tensor would exceed the configured cell budget."""
 
+    def __init__(self, m: int, k: int, budget: int):
+        super().__init__(f"m = {m}, k = {k}: m**k = {m**k} exceeds budget {budget}")
+
+
+def check_cell_budget(m: int, k: int, budget: int) -> None:
+    if m**k > budget:
+        raise CellBudgetError(m, k, budget)
+
 
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
@@ -150,8 +158,7 @@ def _index_grids(m: int, k: int) -> tuple[np.ndarray, ...]:
 
 def injective_mask(m: int, k: int, budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
     """Boolean (m,)*k grid, True where all coordinates are pairwise distinct."""
-    if m**k > budget:
-        raise CellBudgetError(f"m**k = {m**k} exceeds budget {budget}")
+    check_cell_budget(m, k, budget)
     grids = _index_grids(m, k)
     mask = np.ones((m,) * k, dtype=bool)
     for i in range(k):
@@ -162,8 +169,7 @@ def injective_mask(m: int, k: int, budget: int = DEFAULT_CELL_BUDGET) -> np.ndar
 
 def increasing_mask(m: int, k: int, budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
     """Boolean (m,)*k grid, True on strictly increasing index tuples."""
-    if m**k > budget:
-        raise CellBudgetError(f"m**k = {m**k} exceeds budget {budget}")
+    check_cell_budget(m, k, budget)
     grids = _index_grids(m, k)
     mask = np.ones((m,) * k, dtype=bool)
     for i in range(k - 1):
@@ -219,8 +225,7 @@ class LabelTensor:
         codes: np.ndarray,
         budget: int = DEFAULT_CELL_BUDGET,
     ) -> "LabelTensor":
-        if m**k > budget:
-            raise CellBudgetError(f"m**k = {m**k} exceeds budget {budget}")
+        check_cell_budget(m, k, budget)
         arr = np.ascontiguousarray(np.asarray(codes, dtype=np.int64))
         return cls(mode, k, m, tuple(alphabet), arr)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -20,7 +19,7 @@ from scipy.special import gammaln
 from .indexing import NONPARTITE, PARTITE, LabeledSample, MODES
 from .losses import LossSpec
 from .samples import Hypothesis
-from .schemes import SelectionScheme, compress, reconstruct
+from .schemes import SelectionScheme, SizeMap, compress, reconstruct
 
 
 def learn(scheme: SelectionScheme, labeled: LabeledSample) -> Hypothesis:
@@ -31,13 +30,20 @@ def learn(scheme: SelectionScheme, labeled: LabeledSample) -> Hypothesis:
 
 @dataclass(frozen=True, eq=False)
 class GuaranteeInputs:
-    """Everything the bounds need: arity, mode, loss bound, scheme sizes, targets."""
+    """Everything the bounds need: arity, mode, loss bound, scheme sizes, targets.
+
+    selection_size and header_size follow the SelectionScheme array
+    contract: called on an ndarray of sample sizes they return the sizes
+    elementwise (a scalar return broadcasts to every m).  The m_pac scan
+    calls each of them once, on the whole window of float sample sizes;
+    the scalar bounds call them on one int m and coerce the result to int.
+    """
 
     mode: str
     k: int
     sup_norm: float
-    selection_size: Callable[[int], int]
-    header_size: Callable[[int], int]
+    selection_size: SizeMap
+    header_size: SizeMap
     epsilon: float
     delta: float
 
@@ -118,7 +124,7 @@ def _safe_exp(x: float) -> float:
 def slack_term(inputs: GuaranteeInputs, m: int) -> float:
     """Loss mass on index tuples that touch a removed index:
     (1 - fraction of surviving tuples) * ||l||."""
-    s = inputs.selection_size(m)
+    s = int(inputs.selection_size(m))
     k = inputs.k
     if s > m:
         raise ValueError(f"selection size s_m={s} exceeds m={m}")
@@ -151,8 +157,8 @@ def azuma_bound(inputs: GuaranteeInputs, m: int) -> BoundBreakdown:
     """
     if m < 1:
         raise ValueError("sample size m must be >= 1")
-    s = inputs.selection_size(m)
-    h = inputs.header_size(m)
+    s = int(inputs.selection_size(m))
+    h = int(inputs.header_size(m))
     if s > m:
         raise ValueError(f"selection size s_m={s} exceeds m={m}")
     if h < 1:
@@ -191,17 +197,18 @@ class MPacNotFound(RuntimeError):
         self.diagnostics = diagnostics
 
 
+MIN_SCAN_LIMIT = 10
+
+
 def _scan_conditions(inputs: GuaranteeInputs, scan_limit: int):
-    """Vectorized condition evaluation over m = 1 .. scan_limit."""
+    """Vectorized condition evaluation over m = 1 .. scan_limit.
+
+    Each size map is called once, on the float array of sample sizes; a
+    scalar result is broadcast as a read-only view, not materialized.
+    """
     m = np.arange(1, scan_limit + 1, dtype=np.float64)
-    s = np.fromiter(
-        (inputs.selection_size(v) for v in range(1, scan_limit + 1)),
-        dtype=np.float64, count=scan_limit,
-    )
-    h = np.fromiter(
-        (inputs.header_size(v) for v in range(1, scan_limit + 1)),
-        dtype=np.float64, count=scan_limit,
-    )
+    s = np.broadcast_to(np.asarray(inputs.selection_size(m), dtype=np.float64), m.shape)
+    h = np.broadcast_to(np.asarray(inputs.header_size(m), dtype=np.float64), m.shape)
     valid = (s <= m) & (s >= 0) & (h >= 1)
     k = inputs.k
     if inputs.mode == PARTITE:
@@ -240,8 +247,8 @@ def m_pac(inputs: GuaranteeInputs, scan_limit: int) -> int:
     eventually analytically decreasing in m, which this check witnesses
     numerically).  Raises MPacNotFound with diagnostics otherwise.
     """
-    if scan_limit < 10:
-        raise ValueError("scan_limit must be >= 10")
+    if scan_limit < MIN_SCAN_LIMIT:
+        raise ValueError(f"scan_limit must be >= {MIN_SCAN_LIMIT}")
     m, cond1, cond2, log_total, s, h = _scan_conditions(inputs, scan_limit)
     both = cond1 & cond2
     suffix_ok = np.logical_and.accumulate(both[::-1])[::-1]
@@ -256,7 +263,6 @@ def m_pac(inputs: GuaranteeInputs, scan_limit: int) -> int:
             "conditions fail at the end of the scanned window", diagnostics
         )
     m0 = int(np.argmax(suffix_ok)) + 1
-    tail = slice(int(scan_limit * 0.9), scan_limit)
     tail_start = max(int(scan_limit * 0.9), m0 - 1)
     tail_total = log_total[tail_start:]
     decreasing = bool((np.diff(tail_total) <= 1e-12).all())

@@ -20,11 +20,11 @@ from .indexing import (
     NONPARTITE,
     PARTITE,
     SENTINEL,
-    CellBudgetError,
     LabelTensor,
     LabeledSample,
     OrderChoice,
     Sample,
+    check_cell_budget,
     increasing_mask,
     injective_mask,
     enumerate_permutations,
@@ -322,8 +322,7 @@ def label_sample(
     if F.k != x.k:
         raise ValueError(f"hypothesis arity {F.k} does not match sample arity {x.k}")
     m, k = x.m, x.k
-    if m**k > budget:
-        raise CellBudgetError(f"m**k = {m**k} exceeds budget {budget}")
+    check_cell_budget(m, k, budget)
     sides = list(x.sides) if x.mode == PARTITE else [x.sides[0]] * k
     if m == 0:
         codes = np.zeros((m,) * k, dtype=np.int64)

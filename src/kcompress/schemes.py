@@ -44,17 +44,29 @@ from .samples import (
 )
 
 
+# sample size m (an int or an ndarray of them) -> size at m, elementwise
+SizeMap = Callable[[int | np.ndarray], int | np.ndarray]
+
+
 @dataclass(frozen=True, eq=False)
 class SelectionScheme:
-    """Bundles (s_m, h_m, selector, header map, reconstructor) for one mode."""
+    """Bundles (s_m, h_m, selector, header map, reconstructor) for one mode.
+
+    selection_size and header_size are size maps with an array contract:
+    given an ndarray of sample sizes they return s_m (resp. h_m)
+    elementwise, and a scalar return value stands for the same size at
+    every m (it broadcasts).  Callers that need one size call the map on
+    one int m and coerce the result with int(), so records and JSON
+    output always carry Python ints.
+    """
 
     scheme_id: str
     mode: str
     k: int
     output_kind: str
     proper: bool
-    selection_size: Callable[[int], int]
-    header_size: Callable[[int], int]
+    selection_size: SizeMap
+    header_size: SizeMap
     select: Callable[[LabeledSample], InjectionVector]
     header: Callable[[LabeledSample], int]
     rebuild: Callable[[LabeledSample, int], Hypothesis]
@@ -64,14 +76,14 @@ def _kappa_full(scheme: SelectionScheme, labeled: LabeledSample):
     if labeled.mode != scheme.mode or labeled.k != scheme.k:
         raise ValueError("scheme does not match the sample's mode or arity")
     m = labeled.m
-    s = scheme.selection_size(m)
+    s = int(scheme.selection_size(m))
     if s > m:
         raise ValueError(f"selection size s_m={s} exceeds sample size m={m}")
     inj = scheme.select(labeled)
     if inj.size != s:
         raise ValueError(f"selector returned size {inj.size}, expected s_m={s}")
     hdr = int(scheme.header(labeled))
-    h = scheme.header_size(m)
+    h = int(scheme.header_size(m))
     if not 1 <= hdr <= h:
         raise ValueError(f"header {hdr} outside [1, h_m={h}]")
     return inj, subsample(labeled, inj), hdr
@@ -121,8 +133,13 @@ def trivial_scheme(klass: HypothesisClass, loss: LossSpec) -> SelectionScheme:
     )
 
 
-def _rect_sizes(m: int) -> int:
-    return 2 if m >= 2 else m
+def _capped_size(m, cap: int):
+    """s_m = min(m, cap), elementwise on an array and an int for an int m."""
+    return np.minimum(m, cap) if isinstance(m, np.ndarray) else min(int(m), cap)
+
+
+def _rect_sizes(m):
+    return _capped_size(m, 2)
 
 
 def _rect_select(labeled: LabeledSample) -> InjectionVector:
@@ -181,8 +198,8 @@ def rectangle_scheme(k: int) -> SelectionScheme:
     )
 
 
-def _thresh_sizes(k: int) -> Callable[[int], int]:
-    return lambda m: k if m >= k else m
+def _thresh_sizes(k: int) -> SizeMap:
+    return lambda m: _capped_size(m, k)
 
 
 def _thresh_positive_sets(labeled: LabeledSample) -> np.ndarray:
@@ -192,7 +209,7 @@ def _thresh_positive_sets(labeled: LabeledSample) -> np.ndarray:
 
 def _thresh_select(labeled: LabeledSample) -> InjectionVector:
     m, k = labeled.m, labeled.k
-    s = k if m >= k else m
+    s = _thresh_sizes(k)(m)
     if m < k:
         return InjectionVector(NONPARTITE, m, (tuple(range(s)),))
     pos_sets = _thresh_positive_sets(labeled)
@@ -425,8 +442,8 @@ def compression_size_and_bitlength(
     """
     if alphabet_size < 1:
         raise ValueError("alphabet size must be >= 1")
-    s = scheme.selection_size(m)
-    h = scheme.header_size(m)
+    s = int(scheme.selection_size(m))
+    h = int(scheme.header_size(m))
     cells = s**scheme.k if scheme.mode == PARTITE else falling_factorial(s, scheme.k)
     bits = math.log2(h) + cells * math.log2(alphabet_size)
     try:

@@ -87,6 +87,32 @@ def test_mpac_not_found_exits_1(tmp_path, capsys):
     assert '"scan_limit": 200' in err
 
 
+@pytest.mark.parametrize("command", ["mpac", "bound-table", "pac"])
+def test_scan_limit_below_minimum_exits_2(cfg_file, command, capsys):
+    assert dispatch([command, "--config", cfg_file, "--scan-limit", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{command}: --scan-limit must be >= 10, got 5"
+    ]
+
+
+def test_generic_engine_beyond_cell_budget_exits_2(tmp_path, capsys):
+    p = tmp_path / "big.cfg"
+    p.write_text(PARTITE_TEXT.replace("m_values = 20, 30", "m_values = 12000"))
+    code = dispatch([
+        "pac", "--config", str(p), "--engine", "generic", "--trials", "1",
+        "--scan-limit", "4000",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert lines[0].startswith("pac: ")
+    assert "m = 12000" in lines[0] and "budget 100000000" in lines[0]
+
+
 def test_validate_scheme_passes(cfg_file, capsys):
     assert dispatch(["validate-scheme", "--config", cfg_file, "--trials", "6"]) == 0
     out = capsys.readouterr().out

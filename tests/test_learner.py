@@ -9,6 +9,7 @@ instead of scipy's gammaln.
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from kcompress.indexing import NONPARTITE, PARTITE
@@ -23,7 +24,7 @@ from kcompress.learner import (
     m_pac,
     slack_term,
 )
-from kcompress.losses import empirical_loss_partite, zero_one_partite
+from kcompress.losses import empirical_loss_partite, zero_one_nonpartite, zero_one_partite
 from kcompress.samples import Hypothesis, HypothesisClass, draw_sample, label_sample, spawn_rng
 from kcompress.schemes import rectangle_scheme, sum_threshold_scheme
 from kcompress.samples import ProductMeasure
@@ -36,7 +37,7 @@ def inputs_const(mode, k, s, h, epsilon, delta, sup_norm=1.0):
         mode=mode,
         k=k,
         sup_norm=sup_norm,
-        selection_size=lambda m: min(s, m),
+        selection_size=lambda m: np.minimum(s, m),
         header_size=lambda m: h,
         epsilon=epsilon,
         delta=delta,
@@ -220,9 +221,9 @@ def scalar_m_pac(mode, k, sup, eps, delta, s_of, h_of, limit):
             applicable = True
         else:
             frac = 1.0
-            for j in range(k):
-                frac *= max(0, m - s - j) / (m - j)
             applicable = m >= k
+            for j in range(k if applicable else 0):
+                frac *= max(0, m - s - j) / (m - j)
         eff = eps - (1.0 - frac) * sup
         c = applicable and eff > 0
         if c:
@@ -252,6 +253,53 @@ def test_m_pac_matches_scalar_rescan():
         s_of=lambda m: 2 if m >= 2 else m, h_of=lambda m: 2, limit=8000,
     )
     assert got == want == 3619
+
+    thresh = GuaranteeInputs.from_scheme(
+        sum_threshold_scheme(2), zero_one_nonpartite(), epsilon=0.2, delta=0.1
+    )
+    got = m_pac(thresh, scan_limit=20000)
+    want = scalar_m_pac(
+        NONPARTITE, 2, thresh.sup_norm, 0.2, 0.1,
+        s_of=lambda m: 2 if m >= 2 else m, h_of=lambda m: 2, limit=20000,
+    )
+    assert got == want
+
+    # sizes that change across the whole window: keeping the whole sample
+    # below m = 1000 fails the slack condition, floor(log2 m) from there
+    # on passes, so m_pac sits exactly where the array call switches maps
+    gi = GuaranteeInputs(
+        mode=PARTITE, k=1, sup_norm=1.0,
+        selection_size=lambda m: np.where(m < 1000, m, np.floor(np.log2(m))),
+        header_size=lambda m: m,
+        epsilon=0.5, delta=0.1,
+    )
+    got = m_pac(gi, scan_limit=8000)
+    want = scalar_m_pac(
+        PARTITE, 1, 1.0, 0.5, 0.1,
+        s_of=lambda m: m if m < 1000 else math.floor(math.log2(m)),
+        h_of=lambda m: m, limit=8000,
+    )
+    assert got == want == 1000
+
+
+def test_m_pac_calls_each_size_map_once():
+    calls = {"s": 0, "h": 0}
+
+    def counted(key, size):
+        def size_map(m):
+            calls[key] += 1
+            return size(m)
+        return size_map
+
+    scheme = rectangle_scheme(2)
+    gi = GuaranteeInputs(
+        mode=PARTITE, k=2, sup_norm=1.0,
+        selection_size=counted("s", scheme.selection_size),
+        header_size=counted("h", scheme.header_size),
+        epsilon=0.2, delta=0.1,
+    )
+    assert m_pac(gi, scan_limit=8000) == 3619
+    assert calls == {"s": 1, "h": 1}
 
 
 def test_m_pac_stable_under_larger_window():
@@ -295,7 +343,7 @@ def test_m_pac_rejects_unstable_tail():
     gi = GuaranteeInputs(
         mode=PARTITE, k=1, sup_norm=1.0,
         selection_size=lambda m: 0,
-        header_size=lambda m: 1 if m % 2 == 0 else math.ceil(math.exp(0.1 * m)),
+        header_size=lambda m: np.where(m % 2 == 0, 1, np.ceil(np.exp(0.1 * m))),
         epsilon=0.9, delta=0.1,
     )
     with pytest.raises(MPacNotFound) as exc:

@@ -43,6 +43,28 @@ def test_builtin_scheme_ids():
     assert BUILTIN_SCHEMES == ("trivial", "rectangle", "sum-threshold")
 
 
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        trivial_scheme(HypothesisClass.rectangles(2), zero_one_partite()),
+        rectangle_scheme(1),
+        rectangle_scheme(2),
+        rectangle_scheme(3),
+        sum_threshold_scheme(2),
+        sum_threshold_scheme(3),
+    ],
+    ids=lambda s: f"{s.scheme_id}-k{s.k}",
+)
+def test_size_maps_accept_arrays(scheme):
+    ms = np.arange(1, 501)
+    for size in (scheme.selection_size, scheme.header_size):
+        per_m = [size(int(m)) for m in ms]
+        assert all(type(v) is int for v in per_m)
+        for arr in (ms, ms.astype(np.float64)):
+            got = np.broadcast_to(size(arr), arr.shape)
+            assert got.tolist() == per_m
+
+
 # ---------------------------------------------------------------------------
 # rectangle scheme
 
