@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when an audit or assertion fails, 2 for
 configuration problems (bad config file, unknown key, malformed input,
-a scan limit below the minimum, a sample too large for the dense path).
+a scan limit below the minimum, a sample too large for the dense path,
+an exact total loss asked for where none is computed in closed form).
 """
 
 from __future__ import annotations

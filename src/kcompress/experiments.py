@@ -9,9 +9,12 @@ Two execution engines produce identical records.  The generic engine
 materializes label tensors and goes through the compression pipeline; the
 fast engine handles the built-in scheme/class/measure combinations with
 factorized counting so sample sizes in the tens of thousands stay cheap.
-Boundary comparisons in the fast nonpartite path are corrected within a
-small window around each threshold so that its counts match the grid
-semantics of the generic path in exact float arithmetic.
+The fast nonpartite path works on the sorted points through exact prefix
+boundaries: rounded addition is monotone, so for each point the partners
+whose float sum with it falls below a threshold are a prefix of the sorted
+points.  Pair counts and the extreme pair sums around a threshold are read
+off those boundaries, so they match the grid semantics of the generic path
+in exact float arithmetic, ties and sums landing on the threshold included.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .losses import (
     LossSpec,
     empirical_loss_nonpartite,
     empirical_loss_partite,
+    exact_total_loss_gap,
     total_loss_exact_rectangles,
     total_loss_exact_sum_threshold,
     total_loss_monte_carlo,
@@ -64,6 +68,7 @@ from .samples import (
     erm_realizability_check,
     label_sample,
     spawn_rng,
+    threshold_of,
 )
 from .schemes import (
     SelectionScheme,
@@ -350,9 +355,6 @@ def _ci_half_width(p_hat: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 # Fast counting kernels for the built-in combinations
 
-_SUM_PAD = 1e-9
-
-
 def _uniform_measure(mu: ProductMeasure) -> bool:
     return all(isinstance(d, Uniform01) for d in mu.distributions)
 
@@ -385,42 +387,58 @@ def _rect_minimal_box(sides, fmasks) -> Hypothesis:
     return Hypothesis.rectangle(intervals)
 
 
-def _ragged_windows(xs: np.ndarray, base: np.ndarray, top: np.ndarray):
-    """Row and column indices of all (i, j) with base[i] <= j < top[i]."""
-    lens = top - base
-    total = int(lens.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    rows = np.repeat(np.arange(len(xs)), lens)
-    starts = np.cumsum(lens) - lens
-    cols = np.arange(total) - np.repeat(starts, lens) + np.repeat(base, lens)
-    return rows, cols
+def _row_boundaries(xs: np.ndarray, t: float, start: np.ndarray | None = None) -> np.ndarray:
+    """p[i] = #{j : float(xs[i] + xs[j]) < t} for sorted xs (j == i included).
+
+    Rounded addition is monotone, so row i's qualifying partners are the
+    prefix xs[:p[i]].  The guess (searchsorted on t - xs, or start) is
+    off only where t - xs[i] rounds.  Rows whose last partner is not
+    below t move down, then rows whose first non-partner is below t move
+    up, each step past the whole run of values equal to the offending
+    partner, until xs[i] + xs[p - 1] < t <= xs[i] + xs[p] on every row.
+    """
+    p = np.searchsorted(xs, t - xs) if start is None else start.copy()
+    # ends[j + 1] = xs[j]; the NaN ends compare false, so p = 0 never
+    # moves down and p = m never moves up
+    ends = np.concatenate(([math.nan], xs, [math.nan]))
+    rows = np.flatnonzero(xs + ends[p] >= t)
+    while len(rows):
+        p[rows] = np.searchsorted(xs, ends[p[rows]], side="left")
+        rows = rows[xs[rows] + ends[p[rows]] >= t]
+    rows = np.flatnonzero(xs + ends[p + 1] < t)
+    while len(rows):
+        p[rows] = np.searchsorted(xs, ends[p[rows] + 1], side="right")
+        rows = rows[xs[rows] + ends[p[rows] + 1] < t]
+    return p
+
+
+def _below_count(xs: np.ndarray, t: float, p: np.ndarray) -> int:
+    """#{(i, j): i != j, float(xs[i] + xs[j]) < t} from the row boundaries p at t."""
+    return int(p.sum()) - int(np.count_nonzero(xs + xs < t))
+
+
+def _boundary_extremes(xs: np.ndarray, p: np.ndarray):
+    """(min pair sum >= t, max pair sum < t) over i != j from the row boundaries
+    p at t, each None when no such pair.  Row i's candidates are its first
+    partner at or above the boundary and its last below it, skipping j == i."""
+    idx = np.arange(len(xs))
+    # ends[j + 1] = xs[j]; the -inf/+inf ends stand for "no partner"
+    ends = np.concatenate(([-math.inf], xs, [math.inf]))
+    up = p + (p == idx)
+    down = p - 1
+    down -= down == idx
+    min_pos = float((xs + ends[up + 1]).min(initial=math.inf))
+    max_neg = float((xs + ends[down + 1]).max(initial=-math.inf))
+    return (
+        None if min_pos == math.inf else min_pos,
+        None if max_neg == -math.inf else max_neg,
+    )
 
 
 def _ordered_pairs_below(xs: np.ndarray, t: float) -> int:
-    """#{(i, j): i != j, float(xs[i] + xs[j]) < t} for sorted xs.
-
-    Pairs far from the threshold are counted through searchsorted; pairs
-    whose partner lands within _SUM_PAD of the boundary are re-checked
-    with the actual float addition, so the count agrees exactly with a
-    dense evaluation of xs[i] + xs[j] < t.
-    """
-    m = len(xs)
-    if m < 2:
-        return 0
-    if t == math.inf:
-        return m * (m - 1)
-    if t == -math.inf:
-        return 0
-    base = np.searchsorted(xs, t - xs - _SUM_PAD, side="left")
-    top = np.searchsorted(xs, t - xs + _SUM_PAD, side="left")
-    count = int(base.sum())
-    rows, cols = _ragged_windows(xs, base, top)
-    if len(rows):
-        count += int(((xs[rows] + xs[cols]) < t).sum())
-    count -= int(((xs + xs) < t).sum())
-    return count
+    """#{(i, j): i != j, float(xs[i] + xs[j]) < t} for sorted xs, exactly as a
+    dense evaluation of xs[i] + xs[j] < t counts it."""
+    return _below_count(xs, t, _row_boundaries(xs, t))
 
 
 def _pairs_in_range(xs: np.ndarray, lo: float, hi: float) -> int:
@@ -433,46 +451,9 @@ def _pairs_in_range(xs: np.ndarray, lo: float, hi: float) -> int:
 def _extreme_pair_sums(xs: np.ndarray, t: float):
     """(min pair sum >= t, max pair sum < t), each None when no such pair.
 
-    Sums are float(xs[i] + xs[j]) over i != j for sorted xs.  Candidates
-    come from the boundary window plus the nearest certainly-classified
-    neighbors on each side, which covers the self-collision case.
+    Sums are float(xs[i] + xs[j]) over i != j for sorted xs.
     """
-    m = len(xs)
-    if m < 2:
-        return None, None
-    idx = np.arange(m)
-    base = np.searchsorted(xs, t - xs - _SUM_PAD, side="left")
-    top = np.searchsorted(xs, t - xs + _SUM_PAD, side="left")
-    rows_w, cols_w = _ragged_windows(xs, base, top)
-    extra_cols = np.concatenate([top, top + 1, base - 1, base - 2])
-    extra_rows = np.concatenate([idx, idx, idx, idx])
-    keep = (extra_cols >= 0) & (extra_cols < m)
-    rows = np.concatenate([rows_w, extra_rows[keep]])
-    cols = np.concatenate([cols_w, extra_cols[keep]])
-    distinct = rows != cols
-    rows, cols = rows[distinct], cols[distinct]
-    if not len(rows):
-        return None, None
-    sums = xs[rows] + xs[cols]
-    above = sums >= t
-    min_pos = float(sums[above].min()) if above.any() else None
-    below = ~above
-    max_neg = float(sums[below].max()) if below.any() else None
-    return min_pos, max_neg
-
-
-def _threshold_value(H: Hypothesis) -> float:
-    if H.kind == "sum-threshold":
-        return float(H.threshold)
-    if H.kind == "constant" and H.const_value == 0:
-        return math.inf
-    if H.kind == "constant" and H.const_value == 1:
-        return -math.inf
-    raise ValueError(f"not a threshold-like hypothesis: {H.describe()}")
-
-
-def _pair_disagreement_count(xs: np.ndarray, t_a: float, t_b: float) -> int:
-    return _pairs_in_range(xs, min(t_a, t_b), max(t_a, t_b))
+    return _boundary_extremes(xs, _row_boundaries(xs, t))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +478,13 @@ def _resolve_engine(cfg, scheme, mu, engine: str) -> str:
     if engine == "fast" and not _fast_supported(cfg, scheme, mu):
         raise ValueError("fast engine does not support this configuration")
     return engine
+
+
+def _check_total_loss(cfg: ExperimentConfig, mu: ProductMeasure) -> None:
+    """Refuse, before any trial runs, an exact estimator that cannot cover mu."""
+    gap = exact_total_loss_gap(mu) if cfg.estimator == "exact" else None
+    if gap:
+        raise ConfigError(f"{gap}; use estimator = monte-carlo")
 
 
 def _total_loss(cfg, mu, loss, F, H, mc_seed: int) -> float:
@@ -538,8 +526,8 @@ def _concentration_trial(
         else:
             kept = pts[list(sigma.maps[0])]
             H = Hypothesis.sum_threshold(cfg.k, float(np.asarray(kept, dtype=float).sum()))
-        xs = np.sort(pts)
-        count = _pair_disagreement_count(xs, _threshold_value(F), _threshold_value(H))
+        t_f, t_h = threshold_of(F), threshold_of(H)
+        count = _pairs_in_range(np.sort(pts), min(t_f, t_h), max(t_f, t_h))
         emp = count / math.comb(m, cfg.k)
     else:
         labeled = label_sample(F, x)
@@ -584,6 +572,7 @@ def run_concentration_experiment(
     if variant not in _VARIANT_SALT:
         raise ValueError(f"variant must be one of {sorted(_VARIANT_SALT)}")
     mu, klass, loss, scheme = build_all(cfg)
+    _check_total_loss(cfg, mu)
     eng = _resolve_engine(cfg, scheme, mu, engine)
     inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
     result = ExperimentResult(
@@ -673,7 +662,7 @@ def run_concentration_suite(cfg: ExperimentConfig, engine: str = "auto") -> Expe
     return merge_results([fixed, rand])
 
 
-def _pac_trial_fast_partite(cfg, mu, loss, F, m, x, mc_seed):
+def _pac_trial_fast_partite(cfg, F, m, x):
     fmasks = _rect_masks(F, x.sides)
     positive = all(bool(fm.any()) for fm in fmasks)
     header = 1 if positive else 2
@@ -690,23 +679,28 @@ def _pac_trial_fast_partite(cfg, mu, loss, F, m, x, mc_seed):
     return H, header, emp, realizable
 
 
-def _pac_trial_fast_nonpartite(cfg, mu, loss, F, m, x, mc_seed):
+def _pac_trial_fast_nonpartite(cfg, F, m, x):
     xs = np.sort(x.sides[0])
-    t_f = _threshold_value(F)
-    min_pos, max_neg = _extreme_pair_sums(xs, t_f)
+    t_f = threshold_of(F)
+    p_f = _row_boundaries(xs, t_f)
+    min_pos, max_neg = _boundary_extremes(xs, p_f)
     if min_pos is None:
         header = 2
         H = Hypothesis.constant(cfg.k, 0)
     else:
         header = 1
         H = Hypothesis.sum_threshold(cfg.k, min_pos)
-    count = _pair_disagreement_count(xs, t_f, _threshold_value(H))
+    # no pair of distinct points sums into [t_f, t_h), so the boundaries at
+    # t_h are those at t_f moved past at most one self-sum per row
+    t_h = threshold_of(H)
+    p_h = _row_boundaries(xs, t_h, start=p_f)
+    count = (_below_count(xs, t_h, p_h) - _below_count(xs, t_f, p_f)) // 2
     emp = count / math.comb(m, cfg.k)
     realizable = min_pos is None or max_neg is None or max_neg < min_pos
     return H, header, emp, realizable
 
 
-def _pac_trial_generic(cfg, klass, loss, scheme, F, x, mc_seed):
+def _pac_trial_generic(klass, loss, scheme, F, x):
     labeled = label_sample(F, x)
     sub, header = compress(scheme, labeled)
     H = reconstruct(scheme, sub, header)
@@ -736,6 +730,7 @@ def run_pac_experiment(
     """
     cfg.validate()
     mu, klass, loss, scheme = build_all(cfg)
+    _check_total_loss(cfg, mu)
     eng = _resolve_engine(cfg, scheme, mu, engine)
     inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
     window = scan_limit if scan_limit is not None else max(4 * max(cfg.m_values), 20000)
@@ -754,17 +749,11 @@ def run_pac_experiment(
         x = draw_sample(mu, m, derive_seed(cfg.seed, mi, t, 1))
         mc_seed = derive_seed(cfg.seed, mi, t, 7)
         if eng == "generic":
-            H, header, emp, realizable = _pac_trial_generic(
-                cfg, klass, loss, scheme, F, x, mc_seed
-            )
+            H, header, emp, realizable = _pac_trial_generic(klass, loss, scheme, F, x)
         elif cfg.mode == PARTITE:
-            H, header, emp, realizable = _pac_trial_fast_partite(
-                cfg, mu, loss, F, m, x, mc_seed
-            )
+            H, header, emp, realizable = _pac_trial_fast_partite(cfg, F, m, x)
         else:
-            H, header, emp, realizable = _pac_trial_fast_nonpartite(
-                cfg, mu, loss, F, m, x, mc_seed
-            )
+            H, header, emp, realizable = _pac_trial_fast_nonpartite(cfg, F, m, x)
         if not realizable:
             # samples are labeled by a class member, so a failed
             # certificate means the harness itself is broken

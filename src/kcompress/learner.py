@@ -125,9 +125,14 @@ def slack_term(inputs: GuaranteeInputs, m: int) -> float:
     """Loss mass on index tuples that touch a removed index:
     (1 - fraction of surviving tuples) * ||l||."""
     s = int(inputs.selection_size(m))
-    k = inputs.k
     if s > m:
         raise ValueError(f"selection size s_m={s} exceeds m={m}")
+    return _slack(inputs, m, s)
+
+
+def _slack(inputs: GuaranteeInputs, m: int, s: int) -> float:
+    """slack_term at m for the selection size s = s_m, already checked <= m."""
+    k = inputs.k
     if inputs.mode == PARTITE:
         frac = 1.0 - ((m - s) / m) ** k if m > 0 else 1.0
         return frac * inputs.sup_norm
@@ -163,7 +168,7 @@ def azuma_bound(inputs: GuaranteeInputs, m: int) -> BoundBreakdown:
         raise ValueError(f"selection size s_m={s} exceeds m={m}")
     if h < 1:
         raise ValueError("header count must be >= 1")
-    slack = slack_term(inputs, m)
+    slack = _slack(inputs, m, s)
     eff = inputs.epsilon - slack
     log_mult = _log_multiplier(inputs, m, s, h)
     condition_ok = eff > 0 and not (inputs.mode == NONPARTITE and m < inputs.k)

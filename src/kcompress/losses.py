@@ -27,7 +27,14 @@ from .indexing import (
     increasing_mask,
     injective_mask,
 )
-from .samples import Hypothesis, ProductMeasure, Uniform01, encode_labels, spawn_rng
+from .samples import (
+    Hypothesis,
+    ProductMeasure,
+    Uniform01,
+    encode_labels,
+    spawn_rng,
+    threshold_of,
+)
 
 #: Two-sided 99% normal quantile used for every confidence interval here.
 CI99_MULTIPLIER = 2.576
@@ -223,12 +230,25 @@ def _box_lengths(H: Hypothesis) -> list[float]:
     return [max(0.0, min(hi, 1.0) - max(lo, 0.0)) for lo, hi in H.intervals]
 
 
+def exact_total_loss_gap(mu: ProductMeasure) -> str | None:
+    """Why the closed-form total loss of mu's family does not cover mu, or
+    None when it does: boxes (partite) and sum thresholds (nonpartite, k = 2),
+    both under the uniform measure."""
+    uniform = all(isinstance(d, Uniform01) for d in mu.distributions)
+    if mu.mode == PARTITE:
+        return None if uniform else "exact rectangle loss requires uniform sides"
+    if mu.k != 2:
+        return "exact sum-threshold loss covers nonpartite k=2 only"
+    return None if uniform else "exact sum-threshold loss requires the uniform measure"
+
+
 def total_loss_exact_rectangles(mu: ProductMeasure, F: Hypothesis, H: Hypothesis) -> float:
     """Symmetric-difference volume of two boxes under the uniform product measure."""
     if mu.mode != PARTITE:
         raise ValueError("exact rectangle loss is a partite computation")
-    if not all(isinstance(d, Uniform01) for d in mu.distributions):
-        raise ValueError("exact rectangle loss requires uniform sides")
+    gap = exact_total_loss_gap(mu)
+    if gap:
+        raise ValueError(gap)
     vol_f = math.prod(_box_lengths(F))
     vol_h = math.prod(_box_lengths(H))
     if F.intervals is None or H.intervals is None:
@@ -252,17 +272,6 @@ def _pair_sum_upper_tail(t: float) -> float:
     return 0.0
 
 
-def _threshold_of(H: Hypothesis) -> float:
-    if H.kind == "sum-threshold":
-        return float(H.threshold)
-    if H.kind == "constant":
-        if H.const_value == 0:
-            return math.inf
-        if H.const_value == 1:
-            return -math.inf
-    raise ValueError("expected a sum-threshold or constant 0/1 hypothesis")
-
-
 def total_loss_exact_sum_threshold(
     mu: ProductMeasure, F: Hypothesis, H: Hypothesis
 ) -> float:
@@ -272,8 +281,9 @@ def total_loss_exact_sum_threshold(
     draw disagrees exactly when the pointwise predictions do, which
     happens when the coordinate sum falls between the two thresholds.
     """
-    if mu.mode != NONPARTITE or mu.k != 2:
+    if mu.mode != NONPARTITE:
         raise ValueError("exact sum-threshold loss covers nonpartite k=2 only")
-    if not isinstance(mu.distributions[0], Uniform01):
-        raise ValueError("exact sum-threshold loss requires the uniform measure")
-    return abs(_pair_sum_upper_tail(_threshold_of(F)) - _pair_sum_upper_tail(_threshold_of(H)))
+    gap = exact_total_loss_gap(mu)
+    if gap:
+        raise ValueError(gap)
+    return abs(_pair_sum_upper_tail(threshold_of(F)) - _pair_sum_upper_tail(threshold_of(H)))

@@ -278,6 +278,17 @@ class Hypothesis:
         return f"table(k={self.k})"
 
 
+def threshold_of(H: Hypothesis) -> float:
+    """The sum threshold of H, with constant 0 as +inf and constant 1 as -inf."""
+    if H.kind == "sum-threshold":
+        return float(H.threshold)
+    if H.kind == "constant" and H.const_value == 0:
+        return math.inf
+    if H.kind == "constant" and H.const_value == 1:
+        return -math.inf
+    raise ValueError(f"not a threshold-like hypothesis: {H.describe()}")
+
+
 def _axis_shape(i: int, k: int, n: int) -> tuple[int, ...]:
     shape = [1] * k
     shape[i] = n

@@ -63,8 +63,6 @@ class SelectionScheme:
     scheme_id: str
     mode: str
     k: int
-    output_kind: str
-    proper: bool
     selection_size: SizeMap
     header_size: SizeMap
     select: Callable[[LabeledSample], InjectionVector]
@@ -121,8 +119,6 @@ def trivial_scheme(klass: HypothesisClass, loss: LossSpec) -> SelectionScheme:
         scheme_id="trivial",
         mode=klass.mode,
         k=klass.k,
-        output_kind=klass.class_id,
-        proper=True,
         selection_size=lambda m: m,
         header_size=lambda m: 1,
         select=lambda labeled: InjectionVector.identity(
@@ -186,8 +182,6 @@ def rectangle_scheme(k: int) -> SelectionScheme:
         scheme_id="rectangle",
         mode=PARTITE,
         k=k,
-        output_kind="rectangle",
-        proper=True,
         selection_size=_rect_sizes,
         header_size=lambda m: 2,
         select=_rect_select,
@@ -247,8 +241,6 @@ def sum_threshold_scheme(k: int) -> SelectionScheme:
         scheme_id="sum-threshold",
         mode=NONPARTITE,
         k=k,
-        output_kind="sum-threshold",
-        proper=True,
         selection_size=_thresh_sizes(k),
         header_size=lambda m: 2,
         select=_thresh_select,

@@ -113,6 +113,34 @@ def test_generic_engine_beyond_cell_budget_exits_2(tmp_path, capsys):
     assert "m = 12000" in lines[0] and "budget 100000000" in lines[0]
 
 
+UNCOVERED_EXACT_LOSS = {
+    "discrete-measure": (
+        PARTITE_TEXT + "measure = discrete:0.25@0.5,0.75@0.5\n",
+        "exact rectangle loss requires uniform sides",
+    ),
+    "nonpartite-k3": (
+        PARTITE_TEXT.replace("mode = partite", "mode = nonpartite").replace("k = 2", "k = 3")
+        + "scheme_id = sum-threshold\nclass_id = sum-threshold\n",
+        "exact sum-threshold loss covers nonpartite k=2 only",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["concentration", "pac"])
+@pytest.mark.parametrize("name", sorted(UNCOVERED_EXACT_LOSS))
+def test_exact_loss_beyond_its_cover_exits_2(tmp_path, capsys, name, command):
+    text, reason = UNCOVERED_EXACT_LOSS[name]
+    p = tmp_path / "run.cfg"
+    p.write_text(text)
+    # refused before the m_pac scan and before any trial
+    assert dispatch([command, "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert lines[0] == f"config error: {reason}; use estimator = monte-carlo"
+
+
 def test_validate_scheme_passes(cfg_file, capsys):
     assert dispatch(["validate-scheme", "--config", cfg_file, "--trials", "6"]) == 0
     out = capsys.readouterr().out

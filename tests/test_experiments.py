@@ -24,6 +24,7 @@ from kcompress.experiments import (
     _rect_masks,
     _rect_minimal_box,
     _rect_xor_count,
+    _row_boundaries,
     build_all,
     build_class,
     build_measure,
@@ -277,6 +278,71 @@ def test_extreme_pair_sums_match_bruteforce(data):
 
 def test_extreme_pair_sums_tiny():
     assert _extreme_pair_sums(np.array([0.5]), 1.0) == (None, None)
+
+
+def brute_row_boundaries(xs, t):
+    return np.array([sum(1 for y in xs if x + y < t) for x in xs], dtype=np.intp)
+
+
+# magnitudes far apart make t - xs[i] round, so searchsorted on it guesses wrong
+_ADVERSARIAL_ATOMS = (
+    0.0, 1e-17, 3e-17, 0.1, float(np.nextafter(0.1, 1.0)), 0.2,
+    float(np.nextafter(0.2, 0.0)), 0.30000000000000004, 0.7, 0.9,
+)
+
+
+@st.composite
+def adversarial_points(draw):
+    """Sorted points with long runs of a few tied atoms and mixed magnitudes."""
+    n = draw(st.integers(1, 60))
+    atoms = draw(st.lists(
+        st.sampled_from(_ADVERSARIAL_ATOMS), min_size=1, max_size=4, unique=True
+    ))
+    picks = draw(st.lists(st.integers(0, len(atoms) - 1), min_size=n, max_size=n))
+    return np.sort(np.asarray([atoms[i] for i in picks], dtype=float))
+
+
+@st.composite
+def boundary_thresholds(draw, xs):
+    """A realized sum (self-sums included), or its float neighbor on either side."""
+    i = draw(st.integers(0, len(xs) - 1))
+    j = draw(st.integers(0, len(xs) - 1))
+    s = xs[i] + xs[j]
+    return float(draw(st.sampled_from([s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)])))
+
+
+def test_row_boundaries_fix_wrong_guesses():
+    xs = np.array([0.0, 1e-17, 1e-17, 0.1, 0.2])
+    t = 0.1 + 0.2
+    # the plain guess is wrong on the last two rows; the fix must correct them
+    assert np.searchsorted(xs, t - xs).tolist() == [5, 5, 5, 5, 4]
+    assert _row_boundaries(xs, t).tolist() == [5, 5, 5, 4, 3]
+    assert _row_boundaries(xs, math.inf).tolist() == [5] * 5
+    assert _row_boundaries(xs, -math.inf).tolist() == [0] * 5
+    assert _row_boundaries(np.zeros(0), 1.0).tolist() == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_boundaries_match_bruteforce(data):
+    xs = data.draw(adversarial_points())
+    t = data.draw(boundary_thresholds(xs))
+    p = _row_boundaries(xs, t)
+    assert np.array_equal(p, brute_row_boundaries(xs, t))
+    assert _ordered_pairs_below(xs, t) == brute_ordered_below(xs, t)
+    assert _extreme_pair_sums(xs, t) == brute_extremes(xs, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_row_boundaries_warm_start_equals_cold(data):
+    xs = data.draw(adversarial_points())
+    a = data.draw(boundary_thresholds(xs))
+    b = data.draw(st.one_of(boundary_thresholds(xs), st.just(math.inf)))
+    lo, hi = min(a, b), max(a, b)
+    warm = _row_boundaries(xs, hi, start=_row_boundaries(xs, lo))
+    assert np.array_equal(warm, _row_boundaries(xs, hi))
+    assert np.array_equal(warm, brute_row_boundaries(xs, hi))
 
 
 # ---------------------------------------------------------------------------
