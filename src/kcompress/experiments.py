@@ -61,6 +61,7 @@ from .samples import (
     FiniteDiscrete,
     Hypothesis,
     HypothesisClass,
+    KeyedGenerator,
     ProductMeasure,
     Uniform01,
     derive_seed,
@@ -68,6 +69,7 @@ from .samples import (
     erm_realizability_check,
     label_sample,
     spawn_rng,
+    stream_keys,
     threshold_of,
 )
 from .schemes import (
@@ -88,6 +90,10 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Configuration
+
+
+# trial indices go into the batched seed derivation as one 32-bit word
+MAX_TRIALS = 2**32 // 5
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,11 @@ class ExperimentConfig:
                 )
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise ConfigError(
+                f"trials must be <= {MAX_TRIALS}, got {self.trials}: a re-measured cell "
+                "numbers its trials up to 5 * trials - 1, and a trial index must fit 32 bits"
+            )
         if self.estimator not in ("exact", "monte-carlo"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.n_draws < 1:
@@ -487,7 +498,7 @@ def _check_total_loss(cfg: ExperimentConfig, mu: ProductMeasure) -> None:
         raise ConfigError(f"{gap}; use estimator = monte-carlo")
 
 
-def _total_loss(cfg, mu, loss, F, H, mc_seed: int) -> float:
+def _total_loss(cfg, mu, loss, F, H, mc_seed: int | None) -> float:
     if cfg.estimator == "exact":
         if cfg.mode == PARTITE:
             return total_loss_exact_rectangles(mu, F, H)
@@ -504,13 +515,22 @@ def _empirical_loss_generic(labeled, H, loss) -> float:
     )
 
 
+def _side_keys(mu: ProductMeasure, seeds: np.ndarray) -> list:
+    """Per trial, the Philox keys of its sample's side streams (seed, side)."""
+    return stream_keys(seeds[:, None], np.arange(len(mu.distributions))).tolist()
+
+
+def _mc_seeds(cfg: ExperimentConfig, prefix: tuple, ts: np.ndarray) -> list:
+    """Per trial t, the seed (*prefix, t, 7) of its Monte Carlo total loss;
+    the exact estimator reads none, so none is derived for it."""
+    if cfg.estimator != "monte-carlo":
+        return [None] * len(ts)
+    return derive_seed(cfg.seed, *prefix, ts, 7).tolist()
+
+
 def _concentration_trial(
-    cfg, mu, loss, scheme, F, sigma, eta, variant, m, mi, t, engine
+    cfg, mu, loss, scheme, F, sigma, eta, variant, m, t, x, mc_seed, engine
 ) -> TrialRecord:
-    vsalt = _VARIANT_SALT[variant]
-    sample_seed = derive_seed(cfg.seed, vsalt, mi, t)
-    mc_seed = derive_seed(cfg.seed, vsalt, mi, t, 7)
-    x = draw_sample(mu, m, sample_seed)
     if engine == "fast" and cfg.mode == PARTITE:
         fmasks = _rect_masks(F, x.sides)
         if eta == 2:
@@ -580,12 +600,20 @@ def run_concentration_experiment(
         rows=[], records=[], passed=True,
     )
 
+    vsalt = _VARIANT_SALT[variant]
+    rng = KeyedGenerator()
+
     def batch(m, mi, sigma_m, t0, count):
+        ts = np.arange(t0, t0 + count)
+        seeds = derive_seed(cfg.seed, vsalt, mi, ts)
+        keys = _side_keys(mu, seeds)
+        mc_seeds = _mc_seeds(cfg, (vsalt, mi), ts)
         recs = [
             _concentration_trial(
-                cfg, mu, loss, scheme, F, sigma_m, eta, variant, m, mi, t0 + j, eng
+                cfg, mu, loss, scheme, F, sigma_m, eta, variant, m, t0 + j,
+                draw_sample(mu, m, seed, keys[j], rng), mc_seeds[j], eng,
             )
-            for j in range(count)
+            for j, seed in enumerate(seeds.tolist())
         ]
         exceed = sum(r.exceeded for r in recs)
         return recs, exceed
@@ -709,6 +737,25 @@ def _pac_trial_generic(klass, loss, scheme, F, x):
     return H, header, emp, realizable
 
 
+def _pac_trial(cfg, mu, klass, loss, scheme, m, t, F, x, mc_seed, engine) -> TrialRecord:
+    if engine == "generic":
+        H, header, emp, realizable = _pac_trial_generic(klass, loss, scheme, F, x)
+    elif cfg.mode == PARTITE:
+        H, header, emp, realizable = _pac_trial_fast_partite(cfg, F, m, x)
+    else:
+        H, header, emp, realizable = _pac_trial_fast_nonpartite(cfg, F, m, x)
+    if not realizable:
+        # samples are labeled by a class member, so a failed
+        # certificate means the harness itself is broken
+        raise RuntimeError(f"realizability certification failed at m={m}, trial={t}")
+    total = _total_loss(cfg, mu, loss, F, H, mc_seed)
+    return TrialRecord(
+        variant="pac", m=m, trial=t, empirical_loss=emp, total_loss=total,
+        gap=total - emp, exceeded=total > cfg.epsilon, header=header,
+        hypothesis=H.describe(), realizable=realizable,
+    )
+
+
 PAC_COLUMNS = [
     "m", "epsilon", "delta", "trials", "fail_count", "q_hat", "ci_half_width",
     "m_pac", "applies", "rerun", "passed", "note",
@@ -744,31 +791,22 @@ def run_pac_experiment(
         m0 = None
         result.notes.append(f"no guaranteed sample size within {window}: {exc}")
 
-    def one_trial(m, mi, t):
-        F = klass.sample_hypothesis(spawn_rng(cfg.seed, mi, t, 0))
-        x = draw_sample(mu, m, derive_seed(cfg.seed, mi, t, 1))
-        mc_seed = derive_seed(cfg.seed, mi, t, 7)
-        if eng == "generic":
-            H, header, emp, realizable = _pac_trial_generic(klass, loss, scheme, F, x)
-        elif cfg.mode == PARTITE:
-            H, header, emp, realizable = _pac_trial_fast_partite(cfg, F, m, x)
-        else:
-            H, header, emp, realizable = _pac_trial_fast_nonpartite(cfg, F, m, x)
-        if not realizable:
-            # samples are labeled by a class member, so a failed
-            # certificate means the harness itself is broken
-            raise RuntimeError(
-                f"realizability certification failed at m={m}, trial={t}"
-            )
-        total = _total_loss(cfg, mu, loss, F, H, mc_seed)
-        return TrialRecord(
-            variant="pac", m=m, trial=t, empirical_loss=emp, total_loss=total,
-            gap=total - emp, exceeded=total > cfg.epsilon, header=header,
-            hypothesis=H.describe(), realizable=realizable,
-        )
+    rng = KeyedGenerator()
 
     def batch(m, mi, t0, count):
-        recs = [one_trial(m, mi, t0 + j) for j in range(count)]
+        ts = np.arange(t0, t0 + count)
+        target_keys = stream_keys(cfg.seed, mi, ts, 0).tolist()
+        seeds = derive_seed(cfg.seed, mi, ts, 1)
+        keys = _side_keys(mu, seeds)
+        mc_seeds = _mc_seeds(cfg, (mi,), ts)
+        recs = []
+        for j, seed in enumerate(seeds.tolist()):
+            # the target's stream is drawn in full before the sample re-keys rng
+            F = klass.sample_hypothesis(rng.at(target_keys[j]))
+            x = draw_sample(mu, m, seed, keys[j], rng)
+            recs.append(
+                _pac_trial(cfg, mu, klass, loss, scheme, m, t0 + j, F, x, mc_seeds[j], eng)
+            )
         return recs, sum(r.exceeded for r in recs)
 
     for mi, m in enumerate(cfg.m_values):
@@ -886,10 +924,26 @@ def _cell_text(v) -> str:
     return str(v)
 
 
+# _cell_text of a value of exactly one of these types is one method call;
+# subclasses (bool, np.float64) still go through _cell_text
+_CELL_METHOD = {float: float.__repr__, int: int.__repr__, str: str.__str__}
+# rows are formatted a block at a time, column by column, so the cell
+# strings of one block only are alive at once
+_CSV_BLOCK = 256
+
+
+def _column_text(values: list) -> list:
+    kinds = set(map(type, values))
+    method = _CELL_METHOD.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(method or _cell_text, values))
+
+
 def rows_to_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell_text(row[c]) for c in columns))
+    for start in range(0, len(rows), _CSV_BLOCK):
+        block = rows[start:start + _CSV_BLOCK]
+        cells = [_column_text([row[c] for row in block]) for c in columns]
+        lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 

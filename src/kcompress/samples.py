@@ -2,7 +2,23 @@
 
 Randomness is counter-based: every stream is a Philox generator keyed by
 a master seed plus an integer path, so any draw is reproducible from
-(seed, path) alone and independent streams never overlap.
+(seed, path) alone and independent streams never overlap.  The key of
+the stream (seed, path) is np.random.SeedSequence(seed, spawn_key=path)
+.generate_state(2, np.uint64).
+
+A batch of trials derives its seeds and keys at once.  SeedSequence is a
+fixed sequence of uint32 operations on the words of its entropy, so
+derive_seed and stream_keys run the same operations elementwise on
+uint32 arrays (_mirror_state) whenever an argument is an ndarray: the
+entropy is assembled exactly as numpy assembles it (one word per 32 bits
+of the seed, 0 taking one word, zero-padded to the pool size, then one
+word per path element), so every result equals the scalar SeedSequence
+one bit for bit.  An array path element must therefore lie in
+[0, 2**32): a larger one would take more than one word, and is refused
+rather than hashed differently.  Draws then go through one
+KeyedGenerator, a Philox generator re-keyed in place, instead of a new
+SeedSequence, Philox and Generator per stream; a Philox stream is fixed
+by its key and counter alone, so the draws are unchanged.
 """
 
 from __future__ import annotations
@@ -33,16 +49,162 @@ from .indexing import (
 BINARY_ALPHABET = (0, 1)
 
 
+def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
+    return np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
+
+
+def _batched(seed, path) -> bool:
+    return isinstance(seed, np.ndarray) or any(isinstance(p, np.ndarray) for p in path)
+
+
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:
     """Independent generator derived from (seed, path), counter-based."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
-def derive_seed(seed: int, *path: int) -> int:
-    """A 64-bit child seed derived from (seed, path)."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, np.uint64)[0])
+def derive_seed(seed, *path):
+    """A 64-bit child seed derived from (seed, path).
+
+    Scalar arguments give a Python int.  With ndarray arguments (seeds
+    below 2**64, path elements below 2**32) the derivation is elementwise
+    over their broadcast shape and returns a uint64 array equal, element
+    by element, to the scalar result.
+    """
+    if _batched(seed, path):
+        return _mirror_state(seed, path, 1)[..., 0]
+    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+
+
+def stream_keys(seed, *path) -> np.ndarray:
+    """The Philox key of the stream (seed, path), a (2,) uint64 array.
+
+    spawn_rng(seed, *path) draws from the stream with this key, as does
+    KeyedGenerator().at(key).  ndarray arguments are elementwise, as in
+    derive_seed, and give shape (..., 2).
+    """
+    if _batched(seed, path):
+        return _mirror_state(seed, path, 2)
+    return _seed_sequence(seed, path).generate_state(2, np.uint64)
+
+
+class KeyedGenerator:
+    """One Philox generator, re-keyed in place for each stream it draws.
+
+    at(key) resets it to the start of the stream with that Philox key
+    (counter 0, empty buffer) and returns it, so it draws what
+    np.random.Generator(np.random.Philox(key=key)) draws.  Each stream
+    must be drawn in full before the next at().
+    """
+
+    def __init__(self):
+        self._generator = np.random.Generator(np.random.Philox(0))
+        self._stream = {"counter": [0, 0, 0, 0], "key": [0, 0]}
+        self._state = {
+            "bit_generator": "Philox", "state": self._stream,
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+
+    def at(self, key) -> np.random.Generator:
+        self._stream["key"] = key
+        self._generator.bit_generator.state = self._state
+        return self._generator
+
+
+# np.random.SeedSequence's constants: a pool of four uint32 words, the
+# multiplicative hash of its entropy mixing and of generate_state
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _int_words(n: int) -> list:
+    """The 32-bit words of a nonnegative int, low word first; 0 is one word."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _checked_array(a: np.ndarray, bits: int, what: str) -> np.ndarray:
+    if a.dtype.kind not in "iu":
+        raise TypeError(f"{what} must be an integer array, got dtype {a.dtype}")
+    if a.size and (int(a.min()) < 0 or int(a.max()) >= 1 << bits):
+        raise ValueError(f"{what} must lie in [0, 2**{bits}) in a batched derivation")
+    return a.astype(np.uint64)
+
+
+def _entropy_words(seed, path) -> list:
+    """SeedSequence's assembled entropy, one np.uint32 or uint32 array per word.
+
+    The seed's words are zero-padded to the pool size: numpy pads them
+    when a spawn key is present, and without one a missing word mixes in
+    exactly as a zero word does.
+    """
+    if isinstance(seed, np.ndarray):
+        s = _checked_array(seed, 64, "seed")
+        words = [(s & _MASK32).astype(np.uint32), (s >> 32).astype(np.uint32)]
+    else:
+        words = [np.uint32(w) for w in _int_words(int(seed))]
+    words += [np.uint32(0)] * (_POOL_SIZE - len(words))
+    for p in path:
+        if isinstance(p, np.ndarray):
+            words.append(_checked_array(p, 32, "path element").astype(np.uint32))
+        else:
+            words.extend(np.uint32(w) for w in _int_words(int(p)))
+    return words
+
+
+def _hashmix(value, h: int):
+    """SeedSequence's hashmix of one word: (hashed word, next hash constant)."""
+    h_next = (h * _MULT_A) & _MASK32
+    value = (value ^ h) * h_next
+    return value ^ (value >> 16), h_next
+
+
+def _mix(x, y):
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> 16)
+
+
+def _mirror_state(seed, path, n_words: int) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=path).generate_state(n_words, np.uint64),
+    elementwise over the ndarray arguments: shape (..., n_words).
+
+    Every word is a np.uint32 or a uint32 array, so the words shared by
+    the whole batch (the seed, a scalar path prefix) are hashed once, and
+    uint32 arithmetic wraps as SeedSequence's does.
+    """
+    words = _entropy_words(seed, path)
+    with np.errstate(over="ignore"):
+        h = _INIT_A
+        pool = []
+        for w in words[:_POOL_SIZE]:
+            v, h = _hashmix(w, h)
+            pool.append(v)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    v, h = _hashmix(pool[src], h)
+                    pool[dst] = _mix(pool[dst], v)
+        for w in words[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                v, h = _hashmix(w, h)
+                pool[dst] = _mix(pool[dst], v)
+        h = _INIT_B
+        state = []
+        for i in range(2 * n_words):
+            v = pool[i % _POOL_SIZE] ^ h
+            h = (h * _MULT_B) & _MASK32
+            v = v * h
+            state.append(np.asarray(v ^ (v >> 16), dtype=np.uint64))
+    state = np.stack(np.broadcast_arrays(*state), axis=-1)
+    # little-endian pairs of uint32 words make each uint64
+    return state[..., 0::2] | (state[..., 1::2] << 32)
 
 
 @dataclass(frozen=True)
@@ -100,20 +262,31 @@ class ProductMeasure:
         return self.distributions[0]
 
 
-def draw_sample(mu: ProductMeasure, m: int, seed: int) -> Sample:
+def draw_sample(
+    mu: ProductMeasure,
+    m: int,
+    seed: int,
+    keys: Sequence | None = None,
+    rng: KeyedGenerator | None = None,
+) -> Sample:
     """m independent points per side (partite) or m points total (nonpartite).
 
     Side i draws from the stream (seed, i), so the draw is fully
-    determined by the seed and point index.
+    determined by the seed and point index.  A batch of trials passes
+    keys, the side streams' keys stream_keys(seed, i) for each side i
+    worked out for the whole batch, and rng, a KeyedGenerator shared by
+    the batch; the points are the same as without them.
     """
     if m < 0:
         raise ValueError("sample size m must be >= 0")
-    if mu.mode == PARTITE:
-        sides = tuple(
-            mu.distributions[i].draw(spawn_rng(seed, i), m) for i in range(mu.k)
-        )
+    n_sides = len(mu.distributions)
+    if keys is None:
+        streams = (spawn_rng(seed, i) for i in range(n_sides))
     else:
-        sides = (mu.distributions[0].draw(spawn_rng(seed, 0), m),)
+        if len(keys) != n_sides:
+            raise ValueError(f"expected {n_sides} side keys, got {len(keys)}")
+        streams = map((rng if rng is not None else KeyedGenerator()).at, keys)
+    sides = tuple(d.draw(g, m) for d, g in zip(mu.distributions, streams))
     return Sample(mu.mode, mu.k, sides)
 
 

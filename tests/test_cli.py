@@ -141,6 +141,17 @@ def test_exact_loss_beyond_its_cover_exits_2(tmp_path, capsys, name, command):
     assert lines[0] == f"config error: {reason}; use estimator = monte-carlo"
 
 
+@pytest.mark.parametrize("command", ["concentration", "pac"])
+def test_trials_beyond_32_bit_trial_indices_exit_2(cfg_file, capsys, command):
+    # a re-measured cell would number trials up to 5 * trials - 1 >= 2**32
+    assert dispatch([command, "--config", cfg_file, "--trials", "858993460"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert lines[0].startswith("config error: trials must be <= 858993459, got 858993460")
+
+
 def test_validate_scheme_passes(cfg_file, capsys):
     assert dispatch(["validate-scheme", "--config", cfg_file, "--trials", "6"]) == 0
     out = capsys.readouterr().out

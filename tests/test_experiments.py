@@ -10,16 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcompress import experiments
 from kcompress.experiments import (
     BOUND_TABLE_COLUMNS,
     CONCENTRATION_COLUMNS,
     PAC_COLUMNS,
+    MAX_TRIALS,
     VALIDITY_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    _VARIANT_SALT,
     _ci_half_width,
+    _concentration_trial,
     _extreme_pair_sums,
     _ordered_pairs_below,
+    _pac_trial,
     _pairs_in_range,
     _rect_masks,
     _rect_minimal_box,
@@ -132,6 +137,7 @@ def test_validate_rejects_bad_fields():
         "delta = 0\n",
         "m_values =\n",
         "trials = 0\n",
+        f"trials = {MAX_TRIALS + 1}\n",
         "estimator = guess\n",
         "n_draws = 0\n",
         "seed = -1\n",
@@ -407,6 +413,85 @@ def test_pac_engines_agree(cfg):
     assert fast.rows == slow.rows
 
 
+def force_reruns(monkeypatch):
+    """Make every cell fail its first pass, so each m also runs the
+    re-measured block of trials cfg.trials .. 5 * cfg.trials - 1: a
+    confidence half-width of -2 puts every frequency above its bound, and
+    a guaranteed size of 1 makes the PAC bound apply at every m."""
+    monkeypatch.setattr(experiments, "_ci_half_width", lambda p_hat, n: -2.0)
+    monkeypatch.setattr(experiments, "m_pac", lambda inputs, window: 1)
+
+
+def trial_numbers_per_m(cfg, records):
+    return {m: [r.trial for r in records if r.m == m] for m in cfg.m_values}
+
+
+# ten atoms, so that boxes disagree on some and the Monte Carlo total
+# loss depends on its seed
+MC_DISCRETE_CFG = dataclasses.replace(
+    PARTITE_CFG, measure="discrete:" + ",".join(f"{0.05 + 0.1 * i:.2f}@0.1" for i in range(10)),
+    estimator="monte-carlo", n_draws=300, m_values=(30, 45), trials=6,
+)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [PARTITE_CFG, NONPARTITE_CFG, MC_DISCRETE_CFG],
+    ids=["partite", "nonpartite", "discrete-monte-carlo"],
+)
+def test_batched_concentration_equals_trial_by_trial(cfg, monkeypatch):
+    force_reruns(monkeypatch)
+    cfg = dataclasses.replace(cfg, trials=5)
+    mu, klass, loss, scheme = build_all(cfg)
+    F = klass.sample_hypothesis(spawn_rng(cfg.seed, 11))
+    sel = int(scheme.selection_size(min(cfg.m_values)))
+
+    def sigma(m):
+        return InjectionVector.top(cfg.mode, cfg.k, m, sel)
+
+    for variant, eta in (("fixed", 1), ("random", 2)):
+        result = run_concentration_experiment(cfg, sigma, eta, F, variant)
+        assert all(row["rerun"] for row in result.rows)
+        assert trial_numbers_per_m(cfg, result.records) == {
+            m: list(range(5 * cfg.trials)) for m in cfg.m_values
+        }
+        engine = "generic" if cfg.estimator == "monte-carlo" else "fast"
+        vsalt = _VARIANT_SALT[variant]
+        for r in result.records:
+            mi = cfg.m_values.index(r.m)
+            x = draw_sample(mu, r.m, derive_seed(cfg.seed, vsalt, mi, r.trial))
+            mc_seed = derive_seed(cfg.seed, vsalt, mi, r.trial, 7)
+            want = _concentration_trial(
+                cfg, mu, loss, scheme, F, sigma(r.m), eta, variant, r.m, r.trial,
+                x, mc_seed, engine,
+            )
+            assert r == want
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [PARTITE_CFG, NONPARTITE_CFG, MC_DISCRETE_CFG],
+    ids=["partite", "nonpartite", "discrete-monte-carlo"],
+)
+def test_batched_pac_equals_trial_by_trial(cfg, monkeypatch):
+    force_reruns(monkeypatch)
+    cfg = dataclasses.replace(cfg, trials=5)
+    result = run_pac_experiment(cfg)
+    assert all(row["rerun"] for row in result.rows)
+    assert trial_numbers_per_m(cfg, result.records) == {
+        m: list(range(5 * cfg.trials)) for m in cfg.m_values
+    }
+    mu, klass, loss, scheme = build_all(cfg)
+    engine = "generic" if cfg.estimator == "monte-carlo" else "fast"
+    for r in result.records:
+        mi = cfg.m_values.index(r.m)
+        F = klass.sample_hypothesis(spawn_rng(cfg.seed, mi, r.trial, 0))
+        x = draw_sample(mu, r.m, derive_seed(cfg.seed, mi, r.trial, 1))
+        mc_seed = derive_seed(cfg.seed, mi, r.trial, 7)
+        want = _pac_trial(cfg, mu, klass, loss, scheme, r.m, r.trial, F, x, mc_seed, engine)
+        assert r == want
+
+
 def test_fast_engine_refuses_unsupported_configs():
     cfg = dataclasses.replace(PARTITE_CFG, scheme_id="trivial")
     with pytest.raises(ValueError, match="fast engine"):
@@ -584,6 +669,42 @@ def test_validity_runner_rows():
 def test_cell_formatting_in_csv():
     text = rows_to_csv(["a", "b", "c"], [{"a": True, "b": 1 / 3, "c": "x"}])
     assert text == "a,b,c\ntrue,0.3333333333333333,x\n"
+
+
+def test_rows_to_csv_pins_mixed_cells():
+    class Half(float):
+        pass
+
+    columns = ["flag", "count", "x", "blank", "np64", "mixed", "npint"]
+    rows = [
+        {"flag": True, "count": 3, "x": 0.1, "blank": "", "np64": np.float64(0.25),
+         "mixed": "", "npint": np.int64(7)},
+        {"flag": False, "count": -12, "x": 1e-300, "blank": "", "np64": np.float64(1 / 3),
+         "mixed": 16852, "npint": np.int64(-1)},
+        {"flag": True, "count": 0, "x": float("inf"), "blank": "", "np64": np.float64(-0.0),
+         "mixed": 2.5, "npint": np.int64(0)},
+        {"flag": False, "count": 2**70, "x": -0.0, "blank": "", "np64": np.float64(1e22),
+         "mixed": True, "npint": np.int64(2**40)},
+        {"flag": True, "count": 1, "x": Half(0.5), "blank": "", "np64": np.float64(3.0),
+         "mixed": Half(0.75), "npint": np.int32(5)},
+    ]
+    # bool before float, float subclasses (np.float64 too) through repr
+    np64 = [repr(r["np64"]) for r in rows]
+    header = "flag,count,x,blank,np64,mixed,npint\n"
+    body = (
+        f"true,3,0.1,,{np64[0]},,7\n"
+        f"false,-12,1e-300,,{np64[1]},16852,-1\n"
+        f"true,0,inf,,{np64[2]},2.5,0\n"
+        f"false,1180591620717411303424,-0.0,,{np64[3]},true,1099511627776\n"
+        f"true,1,0.5,,{np64[4]},0.75,5\n"
+    )
+    assert rows_to_csv(columns, rows) == header + body
+    assert rows_to_csv(columns, []) == header
+    # long enough to span several formatting blocks; compared line by line,
+    # which keeps a failure report short
+    long_text = rows_to_csv(columns, rows * 211)
+    assert long_text.endswith("\n")
+    assert long_text.splitlines() == (header + body * 211).splitlines()
 
 
 def test_rows_to_json_parses_back():

@@ -23,6 +23,7 @@ from kcompress.samples import (
     FiniteDiscrete,
     Hypothesis,
     HypothesisClass,
+    KeyedGenerator,
     ProductMeasure,
     Uniform01,
     derive_seed,
@@ -34,6 +35,7 @@ from kcompress.samples import (
     labeled_sample_to_json,
     minimal_enclosing_box,
     spawn_rng,
+    stream_keys,
 )
 
 
@@ -53,6 +55,109 @@ def test_derive_seed_deterministic():
     assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
     assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
     assert 0 <= derive_seed(0) < 2**64
+
+
+def seed_sequence_state(seed, path, n_words):
+    ss = np.random.SeedSequence(seed, spawn_key=tuple(path))
+    return ss.generate_state(n_words, np.uint64)
+
+
+@st.composite
+def batched_paths(draw):
+    """(seed, prefix, column, suffix): a column of 32-bit path words that
+    holds both extremes, between scalar path words up to 2**40."""
+    seed = draw(st.integers(0, 2**70 - 1))
+    prefix = draw(st.lists(st.integers(0, 2**40), max_size=3))
+    column = draw(st.lists(st.integers(0, 2**32 - 1), max_size=6)) + [0, 2**32 - 1]
+    suffix = draw(st.lists(st.integers(0, 2**40), max_size=1))
+    return seed, prefix, draw(st.permutations(column)), suffix
+
+
+@settings(max_examples=60, deadline=None)
+@given(batched_paths())
+def test_batched_derivation_matches_seed_sequence(case):
+    seed, prefix, column, suffix = case
+    col = np.asarray(column, dtype=np.int64)
+    seeds = derive_seed(seed, *prefix, col, *suffix)
+    keys = stream_keys(seed, *prefix, col, *suffix)
+    assert seeds.dtype == np.uint64 and seeds.shape == (len(column),)
+    assert keys.dtype == np.uint64 and keys.shape == (len(column), 2)
+    for j, c in enumerate(column):
+        path = [*prefix, c, *suffix]
+        assert int(seeds[j]) == int(seed_sequence_state(seed, path, 1)[0])
+        assert int(seeds[j]) == derive_seed(seed, *path)
+        assert keys[j].tolist() == seed_sequence_state(seed, path, 2).tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8), st.integers(1, 4))
+def test_batched_side_keys_match_seed_sequence(seeds, n_sides):
+    seeds = [0, 1, 2**32 - 1, 2**32, *seeds]
+    arr = np.asarray(seeds, dtype=np.uint64)
+    keys = stream_keys(arr[:, None], np.arange(n_sides))
+    assert keys.shape == (len(seeds), n_sides, 2)
+    for j, s in enumerate(seeds):
+        for i in range(n_sides):
+            assert keys[j, i].tolist() == seed_sequence_state(s, [i], 2).tolist()
+    # a seed array without a path is a batch of root seeds
+    assert derive_seed(arr).tolist() == [derive_seed(s) for s in seeds]
+
+
+def test_batched_derivation_refuses_words_it_would_hash_differently():
+    for bad in ([2**32], [-1], [0, 2**32 + 5]):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            derive_seed(7, 1, np.asarray(bad, dtype=np.int64))
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            stream_keys(7, np.asarray(bad, dtype=np.int64), 0)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        derive_seed(np.asarray([-3]), 1)
+    with pytest.raises(TypeError):
+        derive_seed(7, np.asarray([0.5]))
+    with pytest.raises(ValueError):
+        derive_seed(-1, np.arange(3))
+    # the largest word is still accepted, the scalar path takes any size
+    assert derive_seed(7, np.asarray([2**32 - 1]))[0] == derive_seed(7, 2**32 - 1)
+    assert derive_seed(7, 2**32) == int(seed_sequence_state(7, [2**32], 1)[0])
+
+
+def test_keyed_generator_replays_spawned_streams():
+    rng = KeyedGenerator()
+    d = FiniteDiscrete((0.1, 0.5, 0.9), (0.2, 0.3, 0.5))
+    for seed, path in [(0, (0,)), (31, (1, 2, 5)), (2**40 + 3, (7,))]:
+        key = stream_keys(seed, *path)
+        assert np.array_equal(rng.at(key).random(9), spawn_rng(seed, *path).random(9))
+        # a half-used 64-bit word and a partly read buffer do not leak
+        # into the next stream
+        rng.at(key).integers(0, 2**32, 3, dtype=np.uint32)
+        assert np.array_equal(
+            rng.at(key.tolist()).integers(0, 2**32, 5, dtype=np.uint32),
+            spawn_rng(seed, *path).integers(0, 2**32, 5, dtype=np.uint32),
+        )
+        # FiniteDiscrete.draw goes through Generator.choice
+        assert np.array_equal(d.draw(rng.at(key), 40), d.draw(spawn_rng(seed, *path), 40))
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        ProductMeasure.uniform(PARTITE, 3),
+        ProductMeasure.uniform(NONPARTITE, 2),
+        ProductMeasure(PARTITE, 2, (FiniteDiscrete((0.25, 0.75), (0.5, 0.5)),) * 2),
+    ],
+    ids=["partite-k3", "nonpartite", "discrete"],
+)
+def test_draw_sample_with_batch_keys_equals_spawned_draw(mu):
+    n_sides = mu.k if mu.mode == PARTITE else 1
+    seeds = derive_seed(5, 0, np.arange(4))
+    keys = stream_keys(seeds[:, None], np.arange(n_sides)).tolist()
+    rng = KeyedGenerator()
+    for j, seed in enumerate(seeds.tolist()):
+        want = draw_sample(mu, 12, seed)
+        for got in (draw_sample(mu, 12, seed, keys[j], rng), draw_sample(mu, 12, seed, keys[j])):
+            assert all(np.array_equal(a, b) for a, b in zip(got.sides, want.sides))
+            assert len(got.sides) == len(want.sides)
+    with pytest.raises(ValueError, match="side keys"):
+        draw_sample(mu, 12, 0, keys[0] + [[1, 2]], rng)
 
 
 def test_draw_sample_deterministic_and_per_side():
