@@ -35,7 +35,6 @@ from .samples import (
     FiniteDiscrete,
     Hypothesis,
     HypothesisClass,
-    KeyedGenerator,
     ProductMeasure,
     Uniform01,
     derive_seed,
@@ -46,7 +45,6 @@ from .samples import (
     labeled_sample_to_json,
     minimal_enclosing_box,
     spawn_rng,
-    stream_keys,
 )
 from .losses import (
     CI99_MULTIPLIER,

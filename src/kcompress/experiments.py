@@ -92,8 +92,11 @@ class ConfigError(ValueError):
 # Configuration
 
 
+# a cell whose first pass fails is re-measured with RERUN_FACTOR times
+# as many fresh trials, numbered on from the first pass's
+RERUN_FACTOR = 4
 # trial indices go into the batched seed derivation as one 32-bit word
-MAX_TRIALS = 2**32 // 5
+MAX_TRIALS = 2**32 // (1 + RERUN_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,8 @@ class ExperimentConfig:
         if self.trials > MAX_TRIALS:
             raise ConfigError(
                 f"trials must be <= {MAX_TRIALS}, got {self.trials}: a re-measured cell "
-                "numbers its trials up to 5 * trials - 1, and a trial index must fit 32 bits"
+                f"numbers its trials up to {1 + RERUN_FACTOR} * trials - 1, and a trial "
+                "index must fit 32 bits"
             )
         if self.estimator not in ("exact", "monte-carlo"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
@@ -605,15 +609,14 @@ def run_concentration_experiment(
 
     def batch(m, mi, sigma_m, t0, count):
         ts = np.arange(t0, t0 + count)
-        seeds = derive_seed(cfg.seed, vsalt, mi, ts)
-        keys = _side_keys(mu, seeds)
+        keys = _side_keys(mu, derive_seed(cfg.seed, vsalt, mi, ts))
         mc_seeds = _mc_seeds(cfg, (vsalt, mi), ts)
         recs = [
             _concentration_trial(
                 cfg, mu, loss, scheme, F, sigma_m, eta, variant, m, t0 + j,
-                draw_sample(mu, m, seed, keys[j], rng), mc_seeds[j], eng,
+                draw_sample(mu, m, keys=side_keys, rng=rng), mc_seeds[j], eng,
             )
-            for j, seed in enumerate(seeds.tolist())
+            for j, side_keys in enumerate(keys)
         ]
         exceed = sum(r.exceeded for r in recs)
         return recs, exceed
@@ -647,9 +650,9 @@ def run_concentration_experiment(
         rerun = False
         if not ok:
             rerun = True
-            recs2, exceed2 = batch(m, mi, sigma_m, cfg.trials, 4 * cfg.trials)
+            recs2, exceed2 = batch(m, mi, sigma_m, cfg.trials, RERUN_FACTOR * cfg.trials)
             result.records.extend(recs2)
-            trials = 4 * cfg.trials
+            trials = RERUN_FACTOR * cfg.trials
             p_hat = exceed2 / trials
             exceed = exceed2
             ci = _ci_half_width(p_hat, trials)
@@ -796,14 +799,13 @@ def run_pac_experiment(
     def batch(m, mi, t0, count):
         ts = np.arange(t0, t0 + count)
         target_keys = stream_keys(cfg.seed, mi, ts, 0).tolist()
-        seeds = derive_seed(cfg.seed, mi, ts, 1)
-        keys = _side_keys(mu, seeds)
+        keys = _side_keys(mu, derive_seed(cfg.seed, mi, ts, 1))
         mc_seeds = _mc_seeds(cfg, (mi,), ts)
         recs = []
-        for j, seed in enumerate(seeds.tolist()):
+        for j, side_keys in enumerate(keys):
             # the target's stream is drawn in full before the sample re-keys rng
             F = klass.sample_hypothesis(rng.at(target_keys[j]))
-            x = draw_sample(mu, m, seed, keys[j], rng)
+            x = draw_sample(mu, m, keys=side_keys, rng=rng)
             recs.append(
                 _pac_trial(cfg, mu, klass, loss, scheme, m, t0 + j, F, x, mc_seeds[j], eng)
             )
@@ -820,9 +822,9 @@ def run_pac_experiment(
         rerun = False
         if applies and not ok:
             rerun = True
-            recs2, fails2 = batch(m, mi, cfg.trials, 4 * cfg.trials)
+            recs2, fails2 = batch(m, mi, cfg.trials, RERUN_FACTOR * cfg.trials)
             result.records.extend(recs2)
-            trials = 4 * cfg.trials
+            trials = RERUN_FACTOR * cfg.trials
             q_hat = fails2 / trials
             fails = fails2
             ci = _ci_half_width(q_hat, trials)

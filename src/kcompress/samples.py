@@ -15,10 +15,12 @@ of the seed, 0 taking one word, zero-padded to the pool size, then one
 word per path element), so every result equals the scalar SeedSequence
 one bit for bit.  An array path element must therefore lie in
 [0, 2**32): a larger one would take more than one word, and is refused
-rather than hashed differently.  Draws then go through one
-KeyedGenerator, a Philox generator re-keyed in place, instead of a new
-SeedSequence, Philox and Generator per stream; a Philox stream is fixed
-by its key and counter alone, so the draws are unchanged.
+rather than hashed differently.  Every operand of the mirror, its hash
+constants included, is uint32, so the arithmetic wraps at 32 bits under
+NumPy 1's and NumPy 2's promotion rules alike.  Draws then go through
+one KeyedGenerator, a Philox generator re-keyed in place, instead of a
+new SeedSequence, Philox and Generator per stream; a Philox stream is
+fixed by its key and counter alone, so the draws are unchanged.
 """
 
 from __future__ import annotations
@@ -111,12 +113,17 @@ class KeyedGenerator:
 
 
 # np.random.SeedSequence's constants: a pool of four uint32 words, the
-# multiplicative hash of its entropy mixing and of generate_state
+# multiplicative hash of its entropy mixing and of generate_state.  The
+# hash constants are np.uint32 so that every operation of the mirror is
+# uint32 with uint32, which wraps at 32 bits under NumPy 1's value-based
+# promotion and NumPy 2's NEP 50 alike; a Python int operand would
+# promote a NumPy 1 scalar to int64.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
 
 def _int_words(n: int) -> list:
@@ -147,7 +154,7 @@ def _entropy_words(seed, path) -> list:
     """
     if isinstance(seed, np.ndarray):
         s = _checked_array(seed, 64, "seed")
-        words = [(s & _MASK32).astype(np.uint32), (s >> 32).astype(np.uint32)]
+        words = [s.astype(np.uint32), (s >> np.uint64(32)).astype(np.uint32)]
     else:
         words = [np.uint32(w) for w in _int_words(int(seed))]
     words += [np.uint32(0)] * (_POOL_SIZE - len(words))
@@ -159,16 +166,16 @@ def _entropy_words(seed, path) -> list:
     return words
 
 
-def _hashmix(value, h: int):
+def _hashmix(value, h: np.uint32):
     """SeedSequence's hashmix of one word: (hashed word, next hash constant)."""
-    h_next = (h * _MULT_A) & _MASK32
+    h_next = h * _MULT_A
     value = (value ^ h) * h_next
-    return value ^ (value >> 16), h_next
+    return value ^ (value >> _XSHIFT), h_next
 
 
 def _mix(x, y):
     r = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return r ^ (r >> 16)
+    return r ^ (r >> _XSHIFT)
 
 
 def _mirror_state(seed, path, n_words: int) -> np.ndarray:
@@ -199,12 +206,12 @@ def _mirror_state(seed, path, n_words: int) -> np.ndarray:
         state = []
         for i in range(2 * n_words):
             v = pool[i % _POOL_SIZE] ^ h
-            h = (h * _MULT_B) & _MASK32
+            h = h * _MULT_B
             v = v * h
-            state.append(np.asarray(v ^ (v >> 16), dtype=np.uint64))
+            state.append(np.asarray(v ^ (v >> _XSHIFT), dtype=np.uint64))
     state = np.stack(np.broadcast_arrays(*state), axis=-1)
     # little-endian pairs of uint32 words make each uint64
-    return state[..., 0::2] | (state[..., 1::2] << 32)
+    return state[..., 0::2] | (state[..., 1::2] << np.uint64(32))
 
 
 @dataclass(frozen=True)
@@ -265,7 +272,8 @@ class ProductMeasure:
 def draw_sample(
     mu: ProductMeasure,
     m: int,
-    seed: int,
+    seed: int | None = None,
+    *,
     keys: Sequence | None = None,
     rng: KeyedGenerator | None = None,
 ) -> Sample:
@@ -273,20 +281,24 @@ def draw_sample(
 
     Side i draws from the stream (seed, i), so the draw is fully
     determined by the seed and point index.  A batch of trials passes
-    keys, the side streams' keys stream_keys(seed, i) for each side i
-    worked out for the whole batch, and rng, a KeyedGenerator shared by
-    the batch; the points are the same as without them.
+    keys instead of seed: the side streams' keys stream_keys(seed, i),
+    worked out for the whole batch.  The streams are drawn through rng;
+    a caller that draws many samples passes one KeyedGenerator for all
+    of them, otherwise each call makes its own.
     """
     if m < 0:
         raise ValueError("sample size m must be >= 0")
+    if (seed is None) == (keys is None):
+        raise ValueError("pass exactly one of seed and keys")
     n_sides = len(mu.distributions)
     if keys is None:
-        streams = (spawn_rng(seed, i) for i in range(n_sides))
-    else:
-        if len(keys) != n_sides:
-            raise ValueError(f"expected {n_sides} side keys, got {len(keys)}")
-        streams = map((rng if rng is not None else KeyedGenerator()).at, keys)
-    sides = tuple(d.draw(g, m) for d, g in zip(mu.distributions, streams))
+        keys = [stream_keys(seed, i) for i in range(n_sides)]
+    elif len(keys) != n_sides:
+        raise ValueError(f"expected {n_sides} side keys, got {len(keys)}")
+    if rng is None:
+        rng = KeyedGenerator()
+    # each side's stream is drawn in full before rng is re-keyed
+    sides = tuple(d.draw(rng.at(key), m) for d, key in zip(mu.distributions, keys))
     return Sample(mu.mode, mu.k, sides)
 
 

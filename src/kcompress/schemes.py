@@ -31,6 +31,7 @@ from .losses import LossSpec, empirical_loss_nonpartite, empirical_loss_partite
 from .samples import (
     Hypothesis,
     HypothesisClass,
+    KeyedGenerator,
     ProductMeasure,
     _positive_code,
     _subset_sums,
@@ -340,12 +341,13 @@ def _run_validity(
     records = []
     violations = []
     done = False
+    rng = KeyedGenerator()
     for mi, m in enumerate(m_values):
         if done:
             break
         for t in range(trials):
             F = klass.sample_hypothesis(spawn_rng(seed, mi, t, 0))
-            x = draw_sample(mu, m, derive_seed(seed, mi, t, 1))
+            x = draw_sample(mu, m, derive_seed(seed, mi, t, 1), rng=rng)
             labeled = label_sample(F, x)
             worst, inj, hdr, H = _realizable_trial_losses(
                 scheme, labeled, loss, n_order_choices, derive_seed(seed, mi, t, 2)

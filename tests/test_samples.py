@@ -120,6 +120,20 @@ def test_batched_derivation_refuses_words_it_would_hash_differently():
     assert derive_seed(7, 2**32) == int(seed_sequence_state(7, [2**32], 1)[0])
 
 
+def test_mirror_hashes_only_uint32_operands():
+    # a Python int operand would promote a uint32 scalar to int64 under
+    # NumPy 1's value-based promotion, and the hash would stop wrapping
+    from kcompress import samples
+
+    for c in (samples._INIT_A, samples._MULT_A, samples._INIT_B, samples._MULT_B,
+              samples._MIX_MULT_L, samples._MIX_MULT_R, samples._XSHIFT):
+        assert type(c) is np.uint32
+    with np.errstate(over="ignore"):
+        v, h = samples._hashmix(np.uint32(2**32 - 1), samples._INIT_A)
+        assert type(v) is np.uint32 and type(h) is np.uint32
+        assert type(samples._mix(v, h)) is np.uint32
+
+
 def test_keyed_generator_replays_spawned_streams():
     rng = KeyedGenerator()
     d = FiniteDiscrete((0.1, 0.5, 0.9), (0.2, 0.3, 0.5))
@@ -152,12 +166,19 @@ def test_draw_sample_with_batch_keys_equals_spawned_draw(mu):
     keys = stream_keys(seeds[:, None], np.arange(n_sides)).tolist()
     rng = KeyedGenerator()
     for j, seed in enumerate(seeds.tolist()):
-        want = draw_sample(mu, 12, seed)
-        for got in (draw_sample(mu, 12, seed, keys[j], rng), draw_sample(mu, 12, seed, keys[j])):
-            assert all(np.array_equal(a, b) for a, b in zip(got.sides, want.sides))
-            assert len(got.sides) == len(want.sides)
+        want = [d.draw(spawn_rng(seed, i), 12) for i, d in enumerate(mu.distributions)]
+        for got in (
+            draw_sample(mu, 12, seed),
+            draw_sample(mu, 12, seed, rng=rng),
+            draw_sample(mu, 12, keys=keys[j], rng=rng),
+        ):
+            assert len(got.sides) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got.sides, want))
     with pytest.raises(ValueError, match="side keys"):
-        draw_sample(mu, 12, 0, keys[0] + [[1, 2]], rng)
+        draw_sample(mu, 12, keys=keys[0] + [[1, 2]], rng=rng)
+    for seed, side_keys in ((None, None), (0, keys[0])):
+        with pytest.raises(ValueError, match="exactly one of seed and keys"):
+            draw_sample(mu, 12, seed, keys=side_keys, rng=rng)
 
 
 def test_draw_sample_deterministic_and_per_side():
