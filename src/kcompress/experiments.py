@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,11 +38,11 @@ from .indexing import (
     subsample,
 )
 from .learner import (
-    BoundBreakdown,
     GuaranteeInputs,
     MPacNotFound,
     asymptotic_guarantee_reference,
     azuma_bound,
+    bound_breakdowns,
     m_pac,
 )
 from .losses import (
@@ -63,7 +63,6 @@ from .samples import (
     HypothesisClass,
     KeyedGenerator,
     ProductMeasure,
-    Uniform01,
     derive_seed,
     draw_sample,
     erm_realizability_check,
@@ -74,7 +73,6 @@ from .samples import (
 )
 from .schemes import (
     SelectionScheme,
-    ValidityReport,
     check_compression_validity,
     compress,
     rectangle_scheme,
@@ -370,10 +368,6 @@ def _ci_half_width(p_hat: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 # Fast counting kernels for the built-in combinations
 
-def _uniform_measure(mu: ProductMeasure) -> bool:
-    return all(isinstance(d, Uniform01) for d in mu.distributions)
-
-
 def _rect_masks(H: Hypothesis, sides: Sequence[np.ndarray]):
     """Per-side membership masks of a box hypothesis; all-false when empty."""
     if H.intervals is None:
@@ -478,7 +472,7 @@ _VARIANT_SALT = {"fixed": 0, "random": 1}
 
 
 def _fast_supported(cfg: ExperimentConfig, scheme: SelectionScheme, mu: ProductMeasure) -> bool:
-    if not _uniform_measure(mu) or cfg.loss_id != "zero-one":
+    if not mu.is_uniform or cfg.loss_id != "zero-one":
         return False
     if scheme.mode == PARTITE:
         return scheme.scheme_id == "rectangle"
@@ -489,9 +483,9 @@ def _resolve_engine(cfg, scheme, mu, engine: str) -> str:
     if engine == "auto":
         return "fast" if _fast_supported(cfg, scheme, mu) else "generic"
     if engine not in ("fast", "generic"):
-        raise ValueError(f"unknown engine {engine!r}")
+        raise ConfigError(f"unknown engine {engine!r}")
     if engine == "fast" and not _fast_supported(cfg, scheme, mu):
-        raise ValueError("fast engine does not support this configuration")
+        raise ConfigError("fast engine does not support this configuration")
     return engine
 
 
@@ -865,8 +859,7 @@ def run_bound_table(cfg: ExperimentConfig, scan_limit: int | None = None) -> Exp
         m0 = ""
         result.notes.append(f"no guaranteed sample size within {window}: {exc}")
     ref = asymptotic_guarantee_reference(inputs)
-    for m in cfg.m_values:
-        bd = azuma_bound(inputs, m)
+    for m, bd in zip(cfg.m_values, bound_breakdowns(inputs, cfg.m_values)):
         result.rows.append({
             "mode": cfg.mode, "k": cfg.k, "m": m, "epsilon": cfg.epsilon,
             "delta": cfg.delta, "slack": bd.slack,

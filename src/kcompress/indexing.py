@@ -128,12 +128,6 @@ class Sample:
     def m(self) -> int:
         return len(self.sides[0])
 
-    def side(self, i: int) -> np.ndarray:
-        """Points of side i (partite); the single ground set otherwise."""
-        if self.mode == PARTITE:
-            return self.sides[i]
-        return self.sides[0]
-
 
 def tuple_points(sample: Sample, idx: Sequence[int]) -> tuple:
     """Points selected by an index tuple.
@@ -454,14 +448,6 @@ class OrderChoice:
     def random(cls, m: int, k: int, rng: np.random.Generator) -> "OrderChoice":
         """An independent uniformly random ordering of every subset."""
         return cls(m, k, rng.permuted(_sorted_subsets(m, k), axis=1))
-
-    def order_of(self, subset: Iterable[int]) -> tuple[int, ...]:
-        u = sorted(check_index_tuple(tuple(subset), self.k, self.m, injective=True))
-        # lexicographic rank of u among the k-subsets of range(m)
-        rank = math.comb(self.m, self.k) - 1 - sum(
-            math.comb(self.m - 1 - c, self.k - i) for i, c in enumerate(u)
-        )
-        return tuple(self.orders[rank].tolist())
 
 
 def canonical_order_choice(m: int, k: int) -> OrderChoice:

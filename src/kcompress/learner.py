@@ -6,6 +6,15 @@ fixed selection; the failure bound multiplies it by the number of
 possible selections.  Everything is computed in log space so that
 astronomically small bounds and astronomically large multipliers stay
 finite and comparable.
+
+The bound is written once, in _bound_terms, over an array of sample
+sizes: the m_pac scan evaluates it on its whole window, and every
+reported breakdown (azuma_bound, bound-table rows) comes from the same
+function.  Reported rows take three steps per element in Python instead
+of NumPy: the partite ratio ((m - s)/m)**k with float power, log h with
+math.log, and the exponentials with math.exp.  NumPy's power, log and
+exp miss these in the last bit on some inputs, and the reported bytes
+predate the vectorized form.  The scan keeps NumPy's arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .indexing import NONPARTITE, PARTITE, LabeledSample, MODES
+from .indexing import PARTITE, LabeledSample, MODES
 from .losses import LossSpec
 from .samples import Hypothesis
 from .schemes import SelectionScheme, SizeMap, compress, reconstruct
@@ -33,10 +42,10 @@ class GuaranteeInputs:
     """Everything the bounds need: arity, mode, loss bound, scheme sizes, targets.
 
     selection_size and header_size follow the SelectionScheme array
-    contract: called on an ndarray of sample sizes they return the sizes
-    elementwise (a scalar return broadcasts to every m).  The m_pac scan
-    calls each of them once, on the whole window of float sample sizes;
-    the scalar bounds call them on one int m and coerce the result to int.
+    contract: called on an ndarray of sample sizes they return the
+    integer-valued sizes elementwise (a scalar return broadcasts to every
+    m).  Every bound calls each of them once, on a float array of sample
+    sizes: the m_pac scan on its whole window, a breakdown on its rows.
     """
 
     mode: str
@@ -72,6 +81,17 @@ class GuaranteeInputs:
             epsilon=epsilon,
             delta=delta,
         )
+
+    @property
+    def sides(self) -> int:
+        """Sides a selection removes indices from: k partite, 1 nonpartite."""
+        return self.k if self.mode == PARTITE else 1
+
+    @property
+    def denominator(self) -> float:
+        """The Azuma exponent's denominator 2 k^2 ||l||^2 / sides:
+        2 k ||l||^2 partite, 2 k^2 ||l||^2 nonpartite."""
+        return 2.0 * self.k**2 / self.sides * self.sup_norm**2
 
 
 @dataclass(frozen=True)
@@ -121,33 +141,93 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """f applied to every element of x as a Python float."""
+    return np.array([f(v) for v in x.tolist()], dtype=np.float64)
+
+
+def _bound_terms(inputs: GuaranteeInputs, m: np.ndarray, reported: bool = False):
+    """The bound's terms at every sample size of the float array m.
+
+    Returns the arrays (s, h, slack, eff, ok, log_mult, log_single,
+    log_total); ok is the slack condition, and where it fails log_single
+    and log_total are 0 (the trivial bound 1).  Each size map is called
+    once, on m; a scalar result is broadcast as a read-only view.  Sizes
+    outside s in [0, m], h >= 1 only fail the condition, unless reported
+    is set: then they raise, and the partite ratio and log h are taken
+    per element with Python's float power and math.log, which NumPy's
+    power and log miss in the last bit on some inputs.
+    """
+    s = np.broadcast_to(np.asarray(inputs.selection_size(m), dtype=np.float64), m.shape)
+    h = np.broadcast_to(np.asarray(inputs.header_size(m), dtype=np.float64), m.shape)
+    ok = (s >= 0) & (s <= m) & (h >= 1)
+    if reported and not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"at m={m[i]:g}: selection size s_m={s[i]:g} must lie in [0, m] "
+            f"and header count h_m={h[i]:g} must be >= 1"
+        )
+    k = inputs.k
+    rest = m - s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if inputs.mode == PARTITE:
+            ratio = _each(lambda b: b**k, rest / m) if reported else (rest / m) ** k
+        else:
+            # fraction of k-subsets of distinct indices avoiding the s removed
+            ratio = np.ones_like(m)
+            for j in range(k):
+                ratio *= np.maximum(rest - j, 0.0) / (m - j)
+            # a sample smaller than the arity carries no tuple at all
+            ratio[m < k] = 0.0
+            ok &= m >= k
+        slack = np.subtract(1.0, ratio, out=ratio)
+        slack *= inputs.sup_norm
+        eff = inputs.epsilon - slack
+        ok &= eff > 0
+        log_single = -(eff * eff) * rest / inputs.denominator
+        log_single[~ok] = 0.0
+        # log (m)_s = gammaln(m + 1) - gammaln(m - s + 1), in place: a scan
+        # window holds up to a million sample sizes
+        log_mult = m + 1
+        gammaln(log_mult, out=log_mult)
+        rest += 1
+        log_mult -= gammaln(rest, out=rest)
+        del rest
+        log_mult *= inputs.sides
+        log_mult += _each(math.log, h) if reported else np.log(h)
+        log_total = log_mult + log_single
+        log_total[~ok] = 0.0
+    return s, h, slack, eff, ok, log_mult, log_single, log_total
+
+
 def slack_term(inputs: GuaranteeInputs, m: int) -> float:
     """Loss mass on index tuples that touch a removed index:
     (1 - fraction of surviving tuples) * ||l||."""
-    s = int(inputs.selection_size(m))
-    if s > m:
-        raise ValueError(f"selection size s_m={s} exceeds m={m}")
-    return _slack(inputs, m, s)
+    return azuma_bound(inputs, m).slack
 
 
-def _slack(inputs: GuaranteeInputs, m: int, s: int) -> float:
-    """slack_term at m for the selection size s = s_m, already checked <= m."""
-    k = inputs.k
-    if inputs.mode == PARTITE:
-        frac = 1.0 - ((m - s) / m) ** k if m > 0 else 1.0
-        return frac * inputs.sup_norm
-    if m < k:
-        return inputs.sup_norm
-    ratio = 1.0
-    for j in range(k):
-        ratio *= max(0, m - s - j) / (m - j)
-    return (1.0 - ratio) * inputs.sup_norm
+def bound_breakdowns(inputs: GuaranteeInputs, ms) -> list[BoundBreakdown]:
+    """azuma_bound at every sample size of ms, from one vectorized pass.
 
-
-def _log_multiplier(inputs: GuaranteeInputs, m: int, s: int, h: int) -> float:
-    log_falling = float(gammaln(m + 1) - gammaln(m - s + 1))
-    sides = inputs.k if inputs.mode == PARTITE else 1
-    return sides * log_falling + math.log(h)
+    The exponentials are taken per row with math.exp, which NumPy's exp
+    misses in the last bit on some inputs."""
+    m = np.asarray(ms, dtype=np.float64)
+    if (m < 1).any():
+        raise ValueError("sample size m must be >= 1")
+    terms = _bound_terms(inputs, m, reported=True)
+    return [
+        BoundBreakdown(
+            m=int(mi), selection_size=int(s), header_count=int(h), slack=slack,
+            effective_epsilon=eff, single_event_bound=math.exp(log_single),
+            log_single_event=log_single, multiplier=_safe_exp(log_mult),
+            log_multiplier=log_mult,
+            total_bound=1.0 if log_total >= 0 else math.exp(log_total),
+            log_total=log_total, condition_ok=ok,
+        )
+        for mi, s, h, slack, eff, ok, log_mult, log_single, log_total in zip(
+            m.tolist(), *(t.tolist() for t in terms)
+        )
+    ]
 
 
 def azuma_bound(inputs: GuaranteeInputs, m: int) -> BoundBreakdown:
@@ -160,38 +240,7 @@ def azuma_bound(inputs: GuaranteeInputs, m: int) -> BoundBreakdown:
     [0, 1].  If eff <= 0 (or m < k nonpartite) the slack condition fails
     and both bounds are the trivial 1.
     """
-    if m < 1:
-        raise ValueError("sample size m must be >= 1")
-    s = int(inputs.selection_size(m))
-    h = int(inputs.header_size(m))
-    if s > m:
-        raise ValueError(f"selection size s_m={s} exceeds m={m}")
-    if h < 1:
-        raise ValueError("header count must be >= 1")
-    slack = _slack(inputs, m, s)
-    eff = inputs.epsilon - slack
-    log_mult = _log_multiplier(inputs, m, s, h)
-    condition_ok = eff > 0 and not (inputs.mode == NONPARTITE and m < inputs.k)
-    if not condition_ok:
-        return BoundBreakdown(
-            m=m, selection_size=s, header_count=h, slack=slack,
-            effective_epsilon=eff, single_event_bound=1.0, log_single_event=0.0,
-            multiplier=_safe_exp(log_mult), log_multiplier=log_mult,
-            total_bound=1.0, log_total=0.0, condition_ok=False,
-        )
-    if inputs.mode == PARTITE:
-        denom = 2.0 * inputs.k * inputs.sup_norm**2
-    else:
-        denom = 2.0 * inputs.k**2 * inputs.sup_norm**2
-    log_single = -(eff * eff) * (m - s) / denom
-    log_total = log_mult + log_single
-    return BoundBreakdown(
-        m=m, selection_size=s, header_count=h, slack=slack,
-        effective_epsilon=eff, single_event_bound=math.exp(log_single),
-        log_single_event=log_single, multiplier=_safe_exp(log_mult),
-        log_multiplier=log_mult, total_bound=1.0 if log_total >= 0 else math.exp(log_total),
-        log_total=log_total, condition_ok=condition_ok,
-    )
+    return bound_breakdowns(inputs, [m])[0]
 
 
 class MPacNotFound(RuntimeError):
@@ -203,42 +252,6 @@ class MPacNotFound(RuntimeError):
 
 
 MIN_SCAN_LIMIT = 10
-
-
-def _scan_conditions(inputs: GuaranteeInputs, scan_limit: int):
-    """Vectorized condition evaluation over m = 1 .. scan_limit.
-
-    Each size map is called once, on the float array of sample sizes; a
-    scalar result is broadcast as a read-only view, not materialized.
-    """
-    m = np.arange(1, scan_limit + 1, dtype=np.float64)
-    s = np.broadcast_to(np.asarray(inputs.selection_size(m), dtype=np.float64), m.shape)
-    h = np.broadcast_to(np.asarray(inputs.header_size(m), dtype=np.float64), m.shape)
-    valid = (s <= m) & (s >= 0) & (h >= 1)
-    k = inputs.k
-    if inputs.mode == PARTITE:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = ((m - s) / m) ** k
-        applicable = valid
-    else:
-        ratio = np.ones_like(m)
-        for j in range(k):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio *= np.maximum(m - s - j, 0.0) / (m - j)
-        applicable = valid & (m >= k)
-    slack = (1.0 - ratio) * inputs.sup_norm
-    eff = inputs.epsilon - slack
-    cond1 = applicable & (eff > 0)
-    if inputs.mode == PARTITE:
-        denom = 2.0 * k * inputs.sup_norm**2
-    else:
-        denom = 2.0 * k * k * inputs.sup_norm**2
-    sides = k if inputs.mode == PARTITE else 1
-    log_mult = sides * (gammaln(m + 1) - gammaln(m - s + 1)) + np.log(h)
-    log_single = np.where(cond1, -(eff * eff) * (m - s) / denom, 0.0)
-    log_total = log_mult + log_single
-    cond2 = cond1 & (log_total <= math.log(inputs.delta))
-    return m, cond1, cond2, log_total, s, h
 
 
 def m_pac(inputs: GuaranteeInputs, scan_limit: int) -> int:
@@ -254,14 +267,15 @@ def m_pac(inputs: GuaranteeInputs, scan_limit: int) -> int:
     """
     if scan_limit < MIN_SCAN_LIMIT:
         raise ValueError(f"scan_limit must be >= {MIN_SCAN_LIMIT}")
-    m, cond1, cond2, log_total, s, h = _scan_conditions(inputs, scan_limit)
-    both = cond1 & cond2
-    suffix_ok = np.logical_and.accumulate(both[::-1])[::-1]
+    m = np.arange(1, scan_limit + 1, dtype=np.float64)
+    s, h, _, _, cond1, _, _, log_total = _bound_terms(inputs, m)
+    cond2 = cond1 & (log_total <= math.log(inputs.delta))
+    suffix_ok = np.logical_and.accumulate(cond2[::-1])[::-1]
     diagnostics = {
         "scan_limit": scan_limit,
         "cond1_holds": int(cond1.sum()),
         "cond2_holds": int(cond2.sum()),
-        "holds_at_limit": bool(both[-1]),
+        "holds_at_limit": bool(cond2[-1]),
     }
     if not suffix_ok[-1]:
         raise MPacNotFound(
@@ -292,8 +306,4 @@ def guarantee_conditions(inputs: GuaranteeInputs, m: int) -> tuple[bool, bool]:
 def asymptotic_guarantee_reference(inputs: GuaranteeInputs) -> float:
     """Leading-order reference sample size: (2k ||l||^2 / eps^2) * max(1, ln(1/delta))
     in partite mode, with k^2 replacing k in nonpartite mode."""
-    base = 2.0 * inputs.k if inputs.mode == PARTITE else 2.0 * inputs.k**2
-    return (
-        base * inputs.sup_norm**2 / inputs.epsilon**2
-        * max(1.0, math.log(1.0 / inputs.delta))
-    )
+    return inputs.denominator / inputs.epsilon**2 * max(1.0, math.log(1.0 / inputs.delta))

@@ -19,10 +19,8 @@ import numpy as np
 from .indexing import (
     NONPARTITE,
     PARTITE,
-    SENTINEL,
     LabeledSample,
     OrderChoice,
-    Sample,
     enumerate_permutations,
     increasing_mask,
     injective_mask,
@@ -30,7 +28,6 @@ from .indexing import (
 from .samples import (
     Hypothesis,
     ProductMeasure,
-    Uniform01,
     encode_labels,
     spawn_rng,
     threshold_of,
@@ -234,12 +231,11 @@ def exact_total_loss_gap(mu: ProductMeasure) -> str | None:
     """Why the closed-form total loss of mu's family does not cover mu, or
     None when it does: boxes (partite) and sum thresholds (nonpartite, k = 2),
     both under the uniform measure."""
-    uniform = all(isinstance(d, Uniform01) for d in mu.distributions)
     if mu.mode == PARTITE:
-        return None if uniform else "exact rectangle loss requires uniform sides"
+        return None if mu.is_uniform else "exact rectangle loss requires uniform sides"
     if mu.k != 2:
         return "exact sum-threshold loss covers nonpartite k=2 only"
-    return None if uniform else "exact sum-threshold loss requires the uniform measure"
+    return None if mu.is_uniform else "exact sum-threshold loss requires the uniform measure"
 
 
 def total_loss_exact_rectangles(mu: ProductMeasure, F: Hypothesis, H: Hypothesis) -> float:

@@ -28,13 +28,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .indexing import (
     DEFAULT_CELL_BUDGET,
-    MAX_ARITY,
     NONPARTITE,
     PARTITE,
     SENTINEL,
@@ -263,10 +262,9 @@ class ProductMeasure:
         n = k if mode == PARTITE else 1
         return cls(mode, k, (Uniform01(),) * n)
 
-    def distribution(self, side: int):
-        if self.mode == PARTITE:
-            return self.distributions[side]
-        return self.distributions[0]
+    @property
+    def is_uniform(self) -> bool:
+        return all(isinstance(d, Uniform01) for d in self.distributions)
 
 
 def draw_sample(
@@ -390,30 +388,30 @@ class Hypothesis:
         raise ValueError(f"unknown hypothesis kind {self.kind!r}")
 
     def eval_columns(self, cols: Sequence[np.ndarray]) -> np.ndarray:
-        """Vectorized evaluation on n tuples given as k aligned columns."""
+        """Vectorized evaluation on tuples given as k columns that broadcast
+        together; the labels have the broadcast shape."""
         if len(cols) != self.k:
             raise ValueError(f"expected {self.k} columns, got {len(cols)}")
-        n = len(cols[0])
+        shape = np.broadcast(*cols).shape
         if self.kind == "rectangle":
             if self.intervals is None:
-                return np.zeros(n, dtype=np.int64)
-            out = np.ones(n, dtype=bool)
+                return np.zeros(shape, dtype=np.int64)
+            out = np.ones(shape, dtype=bool)
             for (lo, hi), c in zip(self.intervals, cols):
                 out &= (c >= lo) & (c <= hi)
             return out.astype(np.int64)
         if self.kind == "sum-threshold":
-            total = np.zeros(n, dtype=float)
+            total = np.zeros(shape, dtype=float)
             for c in cols:
                 total = total + np.asarray(c, dtype=float)
             return (total >= self.threshold).astype(np.int64)
         if self.kind == "constant":
-            return np.full(n, self.const_value)
+            return np.full(shape, self.const_value)
         if self.kind == "table":
-            flat = np.zeros(n, dtype=np.int64)
-            for i, c in enumerate(cols):
-                flat = flat * len(self.table_support[i]) + _support_indices(
-                    c, self.table_support[i]
-                )
+            flat = np.zeros(shape, dtype=np.int64)
+            for c, sup in zip(cols, self.table_support):
+                idx = _support_indices(np.ravel(c), sup).reshape(np.shape(c))
+                flat = flat * len(sup) + idx
             return np.asarray(self.table_labels, dtype=object)[flat]
         raise ValueError(f"unknown hypothesis kind {self.kind!r}")
 
@@ -421,34 +419,9 @@ class Hypothesis:
         """Labels on the full product grid of the given sides, shape (m1,...,mk)."""
         if len(sides) != self.k:
             raise ValueError(f"expected {self.k} sides, got {len(sides)}")
-        k = self.k
-        shape = tuple(len(s) for s in sides)
-        if self.kind == "rectangle":
-            if self.intervals is None:
-                return np.zeros(shape, dtype=np.int64)
-            out = np.ones(shape, dtype=bool)
-            for i, ((lo, hi), s) in enumerate(zip(self.intervals, sides)):
-                mask = (s >= lo) & (s <= hi)
-                out &= mask.reshape(_axis_shape(i, k, len(s)))
-            return out.astype(np.int64)
-        if self.kind == "sum-threshold":
-            total = np.zeros(shape, dtype=float)
-            for i, s in enumerate(sides):
-                total = total + np.asarray(s, dtype=float).reshape(
-                    _axis_shape(i, k, len(s))
-                )
-            return (total >= self.threshold).astype(np.int64)
-        if self.kind == "constant":
-            return np.full(shape, self.const_value)
-        if self.kind == "table":
-            flat = np.zeros(shape, dtype=np.int64)
-            for i, s in enumerate(sides):
-                idx = _support_indices(s, self.table_support[i])
-                flat = flat * len(self.table_support[i]) + idx.reshape(
-                    _axis_shape(i, k, len(s))
-                )
-            return np.asarray(self.table_labels, dtype=object)[flat]
-        raise ValueError(f"unknown hypothesis kind {self.kind!r}")
+        return self.eval_columns([
+            np.asarray(s).reshape(_axis_shape(i, self.k, len(s))) for i, s in enumerate(sides)
+        ])
 
     def describe(self) -> str:
         if self.kind == "rectangle":

@@ -10,9 +10,8 @@ realizable sample.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +23,6 @@ from .indexing import (
     LabeledSample,
     OrderChoice,
     falling_factorial,
-    increasing_mask,
     subsample,
 )
 from .losses import LossSpec, empirical_loss_nonpartite, empirical_loss_partite
@@ -296,9 +294,6 @@ class ValidityReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(r.to_json_dict(), sort_keys=True) for r in self.records)
 
 
 def _realizable_trial_losses(

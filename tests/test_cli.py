@@ -152,6 +152,21 @@ def test_trials_beyond_32_bit_trial_indices_exit_2(cfg_file, capsys, command):
     assert lines[0].startswith("config error: trials must be <= 858993459, got 858993460")
 
 
+@pytest.mark.parametrize("command", ["concentration", "pac"])
+def test_fast_engine_on_unsupported_config_exits_2(tmp_path, capsys, command):
+    # the fast kernels cover uniform sides only; a discrete measure is refused
+    p = tmp_path / "run.cfg"
+    p.write_text(
+        PARTITE_TEXT + "measure = discrete:0.25@0.5,0.75@0.5\nestimator = monte-carlo\n"
+    )
+    assert dispatch([command, "--config", str(p), "--engine", "fast"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert lines[0] == "config error: fast engine does not support this configuration"
+
+
 def test_validate_scheme_passes(cfg_file, capsys):
     assert dispatch(["validate-scheme", "--config", cfg_file, "--trials", "6"]) == 0
     out = capsys.readouterr().out

@@ -644,6 +644,22 @@ def test_bound_table_matches_direct_bound():
     assert row["asymptotic_reference"] == pytest.approx(2 * 2 / 0.04 * math.log(10))
 
 
+def test_bound_table_rows_come_from_one_vectorized_call(monkeypatch):
+    from kcompress.learner import bound_breakdowns
+
+    calls = []
+
+    def counted(inputs, ms):
+        calls.append(tuple(ms))
+        return bound_breakdowns(inputs, ms)
+
+    monkeypatch.setattr(experiments, "bound_breakdowns", counted)
+    cfg = dataclasses.replace(PARTITE_CFG, m_values=(1000, 2000, 5000), epsilon=0.2)
+    result = run_bound_table(cfg, scan_limit=8000)
+    assert calls == [(1000, 2000, 5000)]
+    assert [row["m"] for row in result.rows] == [1000, 2000, 5000]
+
+
 def test_bound_table_without_guarantee():
     cfg = dataclasses.replace(PARTITE_CFG, scheme_id="trivial", m_values=(50,))
     result = run_bound_table(cfg, scan_limit=100)

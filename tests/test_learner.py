@@ -6,6 +6,7 @@ cross-checked against a pure-python scalar rewrite using math.lgamma
 instead of scipy's gammaln.
 """
 
+import hashlib
 import math
 
 import mpmath
@@ -17,8 +18,10 @@ from kcompress.learner import (
     BoundBreakdown,
     GuaranteeInputs,
     MPacNotFound,
+    _bound_terms,
     asymptotic_guarantee_reference,
     azuma_bound,
+    bound_breakdowns,
     guarantee_conditions,
     learn,
     m_pac,
@@ -26,7 +29,7 @@ from kcompress.learner import (
 )
 from kcompress.losses import empirical_loss_partite, zero_one_nonpartite, zero_one_partite
 from kcompress.samples import Hypothesis, HypothesisClass, draw_sample, label_sample, spawn_rng
-from kcompress.schemes import rectangle_scheme, sum_threshold_scheme
+from kcompress.schemes import rectangle_scheme, sum_threshold_scheme, trivial_scheme
 from kcompress.samples import ProductMeasure
 
 mpmath.mp.dps = 60
@@ -205,6 +208,92 @@ def test_arity_one_modes_agree():
     gi = inputs_const(PARTITE, 1, 0, 1, 0.3, 0.1)
     bd = azuma_bound(gi, 50)
     assert bd.total_bound == pytest.approx(math.exp(-0.09 * 50 / 2.0), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# byte identity of the vectorized breakdowns
+
+# the (epsilon, delta) grid of scripts/sweep_guaranteed_sizes.py
+SWEEP_GRID = [(eps, delta) for eps in (0.1, 0.05, 0.02) for delta in (0.1, 0.01)]
+# sha256 of the grid's breakdowns as the scalar azuma_bound wrote them
+# before the bound was vectorized (144800 rows)
+PINNED_GRID_SHA256 = "b6f450f2ac009f44831197bee44f4525463c6cbbedf81b2880a30f56ba173d28"
+
+
+def pinned_grid():
+    """(inputs, sample sizes) over both modes, k in {1, 2, 3, 5}, the
+    built-in and trivial schemes and the sweep grid: m = 1..300 plus 1000
+    seeded random m up to 2e6 each, and for the bundled bound tables'
+    inputs (k = 2, epsilon = delta = 0.1) also m = 10, 20, .., 100000,
+    which holds their rows and those of the benchmark's tables."""
+    random_m = np.random.default_rng(1590).integers(1, 2_000_001, size=1000)
+    base = np.concatenate([np.arange(1, 301), random_m])
+    tables = np.concatenate([base, np.arange(10, 100_001, 10)])
+    families = (
+        (rectangle_scheme, HypothesisClass.rectangles, zero_one_partite()),
+        (sum_threshold_scheme, HypothesisClass.sum_thresholds, zero_one_nonpartite()),
+    )
+    for builtin, klass, loss in families:
+        for k in (1, 2, 3, 5):
+            for scheme in (builtin(k), trivial_scheme(klass(k), loss)):
+                for eps, delta in SWEEP_GRID:
+                    gi = GuaranteeInputs.from_scheme(scheme, loss, eps, delta)
+                    bundled = (
+                        k == 2 and scheme.scheme_id != "trivial" and (eps, delta) == (0.1, 0.1)
+                    )
+                    yield gi, tables if bundled else base
+
+
+def test_breakdowns_keep_the_scalar_bytes():
+    digest = hashlib.sha256()
+    rows = 0
+    for gi, ms in pinned_grid():
+        for bd in bound_breakdowns(gi, ms):
+            digest.update(repr(bd.to_json_dict()).encode() + b"\n")
+            rows += 1
+    assert rows == 144800
+    assert digest.hexdigest() == PINNED_GRID_SHA256
+
+
+def test_azuma_bound_is_the_matching_breakdown_row():
+    rng = np.random.default_rng(7)
+    for gi, ms in pinned_grid():
+        pick = rng.choice(len(ms), size=3, replace=False)
+        rows = bound_breakdowns(gi, ms)
+        for i in pick.tolist():
+            assert azuma_bound(gi, int(ms[i])) == rows[i]
+    # 1590 at k = 2 is one of the m where NumPy's power and Python's differ
+    assert azuma_bound(RECT_INPUTS, 1590) == bound_breakdowns(RECT_INPUTS, [1590])[0]
+
+
+def test_reported_terms_take_pythons_power_and_log():
+    # NumPy's power and log miss Python's in the last bit on some of these m
+    m = np.arange(1, 200_001, dtype=np.float64)
+    ms = range(1, 200_001)
+    grow_h = GuaranteeInputs(
+        mode=PARTITE, k=2, sup_norm=1.0,
+        selection_size=lambda m: 0, header_size=lambda m: m,
+        epsilon=0.5, delta=0.1,
+    )
+    log_mult = _bound_terms(grow_h, m, reported=True)[5]
+    assert log_mult.tolist() == [math.log(x) for x in ms]
+    for k in (2, 3):
+        gi = inputs_const(PARTITE, k, 2, 1, 0.5, 0.1)
+        slack = _bound_terms(gi, m, reported=True)[2]
+        assert slack.tolist() == [(1.0 - ((x - min(2, x)) / x) ** k) * 1.0 for x in ms]
+
+
+def test_breakdowns_refuse_sizes_outside_their_range():
+    with pytest.raises(ValueError, match="must be >= 1"):
+        bound_breakdowns(RECT_INPUTS, [5, 0])
+    bad_s = GuaranteeInputs(
+        mode=PARTITE, k=2, sup_norm=1.0,
+        selection_size=lambda m: np.where(m > 20, m + 1, 2), header_size=lambda m: 1,
+        epsilon=0.1, delta=0.1,
+    )
+    with pytest.raises(ValueError, match="at m=30: selection size s_m=31"):
+        bound_breakdowns(bad_s, [10, 20, 30])
+    assert bound_breakdowns(RECT_INPUTS, []) == []
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,9 @@ def test_product_measure_shape():
     with pytest.raises(ValueError):
         ProductMeasure(PARTITE, 2, (Uniform01(),))
     mu = ProductMeasure.uniform(NONPARTITE, 2)
-    assert mu.distribution(0) is mu.distribution(1)
+    assert len(mu.distributions) == 1 and mu.is_uniform
+    coin = FiniteDiscrete((0.25, 0.75), (0.5, 0.5))
+    assert not ProductMeasure(PARTITE, 2, (Uniform01(), coin)).is_uniform
 
 
 # ---------------------------------------------------------------------------
