@@ -14,14 +14,13 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from kcompress.experiments import FAMILIES
 from kcompress.learner import (
     GuaranteeInputs,
     MPacNotFound,
     asymptotic_guarantee_reference,
     m_pac,
 )
-from kcompress.losses import zero_one_nonpartite, zero_one_partite
-from kcompress.schemes import rectangle_scheme, sum_threshold_scheme
 
 
 def main() -> int:
@@ -34,13 +33,10 @@ def main() -> int:
 
     epsilons = [float(p) for p in args.epsilons.split(",")]
     deltas = [float(p) for p in args.deltas.split(",")]
-    schemes = [
-        ("rectangle", rectangle_scheme(args.k), zero_one_partite()),
-        ("sum-threshold", sum_threshold_scheme(args.k), zero_one_nonpartite()),
-    ]
 
     print(f"{'scheme':<14} {'eps':>6} {'delta':>6} {'m_pac':>9} {'reference':>11} {'ratio':>7}")
-    for name, scheme, loss in schemes:
+    for name, family in FAMILIES.items():
+        scheme, loss = family.scheme(args.k), family.loss()
         for eps in epsilons:
             for delta in deltas:
                 inputs = GuaranteeInputs.from_scheme(scheme, loss, eps, delta)

@@ -16,6 +16,7 @@ from dataclasses import replace
 from .experiments import (
     ConfigError,
     ExperimentResult,
+    build_all,
     load_config,
     render_summary,
     run_bound_table,
@@ -26,7 +27,6 @@ from .experiments import (
 )
 from .learner import MIN_SCAN_LIMIT, GuaranteeInputs, MPacNotFound, azuma_bound, m_pac
 from .samples import labeled_sample_from_json
-from .experiments import build_all
 from .indexing import SENTINEL, CellBudgetError
 
 

@@ -5,9 +5,16 @@ config seed plus a structural path (variant, m index, trial index), rows
 and records are emitted in a fixed order, and the writers serialize with
 sorted keys and fixed column sets.
 
+Each built-in family (boxes, partite; sum thresholds, nonpartite) is one
+Family record: its class, scheme and zero-one loss constructors, its
+dense reference empirical loss, its exact total loss, and its fast
+concentration and PAC kernels with the arities they cover.  The runners
+read the record of the configured class instead of comparing mode and
+id strings.
+
 Two execution engines produce identical records.  The generic engine
 materializes label tensors and goes through the compression pipeline; the
-fast engine handles the built-in scheme/class/measure combinations with
+fast engine runs a family's kernels under the uniform measure, with
 factorized counting so sample sizes in the tens of thousands stay cheap.
 The fast nonpartite path works on the sorted points through exact prefix
 boundaries: rounded addition is monotone, so for each point the partners
@@ -24,6 +31,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +43,7 @@ from .indexing import (
     PARTITE,
     InjectionVector,
     canonical_order_choice,
+    side_count,
     subsample,
 )
 from .learner import (
@@ -63,6 +72,7 @@ from .samples import (
     HypothesisClass,
     KeyedGenerator,
     ProductMeasure,
+    coordinate_sum,
     derive_seed,
     draw_sample,
     erm_realizability_check,
@@ -121,9 +131,9 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 1 <= self.k <= MAX_ARITY:
             raise ConfigError(f"k must lie in [1, {MAX_ARITY}], got {self.k}")
-        if self.scheme_id not in ("trivial", "rectangle", "sum-threshold"):
+        if self.scheme_id != "trivial" and self.scheme_id not in FAMILIES:
             raise ConfigError(f"unknown scheme_id {self.scheme_id!r}")
-        if self.class_id not in ("rectangle", "sum-threshold"):
+        if self.class_id not in FAMILIES:
             raise ConfigError(f"unknown class_id {self.class_id!r}")
         if self.loss_id != "zero-one":
             raise ConfigError(f"unknown loss_id {self.loss_id!r}")
@@ -158,7 +168,6 @@ class ExperimentConfig:
 
 _INT_FIELDS = ("k", "trials", "n_draws", "seed")
 _FLOAT_FIELDS = ("epsilon", "delta")
-_STR_FIELDS = ("mode", "scheme_id", "class_id", "measure", "loss_id", "estimator", "out")
 
 
 def _parse_value(key: str, text: str):
@@ -254,45 +263,21 @@ def build_measure(cfg: ExperimentConfig) -> ProductMeasure:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        n = cfg.k if cfg.mode == PARTITE else 1
-        return ProductMeasure(cfg.mode, cfg.k, (dist,) * n)
+        return ProductMeasure(cfg.mode, cfg.k, (dist,) * side_count(cfg.mode, cfg.k))
     raise ConfigError(f"unknown measure {cfg.measure!r}")
 
 
-def build_loss(cfg: ExperimentConfig) -> LossSpec:
-    return zero_one_partite() if cfg.mode == PARTITE else zero_one_nonpartite()
-
-
-def build_class(cfg: ExperimentConfig) -> HypothesisClass:
-    if cfg.class_id == "rectangle":
-        if cfg.mode != PARTITE:
-            raise ConfigError("class_id rectangle requires partite mode")
-        return HypothesisClass.rectangles(cfg.k)
-    if cfg.mode != NONPARTITE:
-        raise ConfigError("class_id sum-threshold requires nonpartite mode")
-    return HypothesisClass.sum_thresholds(cfg.k)
-
-
-def build_scheme(
-    cfg: ExperimentConfig, klass: HypothesisClass, loss: LossSpec
-) -> SelectionScheme:
-    if cfg.scheme_id == "trivial":
-        return trivial_scheme(klass, loss)
-    if cfg.scheme_id == "rectangle":
-        if cfg.mode != PARTITE:
-            raise ConfigError("scheme_id rectangle requires partite mode")
-        return rectangle_scheme(cfg.k)
-    if cfg.mode != NONPARTITE:
-        raise ConfigError("scheme_id sum-threshold requires nonpartite mode")
-    return sum_threshold_scheme(cfg.k)
-
-
 def build_all(cfg: ExperimentConfig):
-    klass = build_class(cfg)
-    loss = build_loss(cfg)
-    scheme = build_scheme(cfg, klass, loss)
-    mu = build_measure(cfg)
-    return mu, klass, loss, scheme
+    """(measure, class, loss, scheme) of a config: the class, its loss and
+    its scheme come from the class's family, or the scheme is trivial."""
+    for key, name in (("class_id", cfg.class_id), ("scheme_id", cfg.scheme_id)):
+        if name in FAMILIES and FAMILIES[name].mode != cfg.mode:
+            raise ConfigError(f"{key} {name} requires {FAMILIES[name].mode} mode")
+    family = FAMILIES[cfg.class_id]
+    klass = family.hypothesis_class(cfg.k)
+    loss = family.loss()
+    scheme = trivial_scheme(klass, loss) if cfg.scheme_id == "trivial" else family.scheme(cfg.k)
+    return build_measure(cfg), klass, loss, scheme
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +351,7 @@ def _ci_half_width(p_hat: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fast counting kernels for the built-in combinations
+# Fast counting kernels for the built-in families
 
 def _rect_masks(H: Hypothesis, sides: Sequence[np.ndarray]):
     """Per-side membership masks of a box hypothesis; all-false when empty."""
@@ -457,12 +442,116 @@ def _pairs_in_range(xs: np.ndarray, lo: float, hi: float) -> int:
     return (_ordered_pairs_below(xs, hi) - _ordered_pairs_below(xs, lo)) // 2
 
 
-def _extreme_pair_sums(xs: np.ndarray, t: float):
-    """(min pair sum >= t, max pair sum < t), each None when no such pair.
+def _box_concentration(k, F, sigma, eta, m, x):
+    fmasks = _rect_masks(F, x.sides)
+    if eta == 2:
+        H = Hypothesis.empty_rectangle(k)
+    else:
+        sel = [side[list(mp)] for side, mp in zip(x.sides, sigma.maps)]
+        H = _rect_minimal_box(sel, _rect_masks(F, sel))
+    return H, _rect_xor_count(fmasks, _rect_masks(H, x.sides)) / m**k
 
-    Sums are float(xs[i] + xs[j]) over i != j for sorted xs.
+
+def _box_pac(k, F, m, x):
+    fmasks = _rect_masks(F, x.sides)
+    positive = all(bool(fm.any()) for fm in fmasks)
+    header = 1 if positive else 2
+    H = _rect_minimal_box(x.sides, fmasks) if positive else Hypothesis.empty_rectangle(k)
+    count = _rect_xor_count(fmasks, _rect_masks(H, x.sides))
+    # H is the minimal box around the positive tuples, so the sample is
+    # realizable iff H holds no negative tuple: iff H and F agree everywhere
+    return H, header, count / m**k, count == 0
+
+
+def _threshold_concentration(k, F, sigma, eta, m, x):
+    pts = x.sides[0]
+    if eta == 2:
+        H = Hypothesis.constant(k, 0)
+    else:
+        H = Hypothesis.sum_threshold(k, float(coordinate_sum(pts[list(sigma.maps[0])])))
+    t_f, t_h = threshold_of(F), threshold_of(H)
+    count = _pairs_in_range(np.sort(pts), min(t_f, t_h), max(t_f, t_h))
+    return H, count / math.comb(m, k)
+
+
+def _threshold_pac(k, F, m, x):
+    xs = np.sort(x.sides[0])
+    t_f = threshold_of(F)
+    p_f = _row_boundaries(xs, t_f)
+    min_pos, max_neg = _boundary_extremes(xs, p_f)
+    if min_pos is None:
+        header = 2
+        H = Hypothesis.constant(k, 0)
+    else:
+        header = 1
+        H = Hypothesis.sum_threshold(k, min_pos)
+    # no pair of distinct points sums into [t_f, t_h), so the boundaries at
+    # t_h are those at t_f moved past at most one self-sum per row
+    t_h = threshold_of(H)
+    p_h = _row_boundaries(xs, t_h, start=p_f)
+    count = (_below_count(xs, t_h, p_h) - _below_count(xs, t_f, p_f)) // 2
+    emp = count / math.comb(m, k)
+    realizable = min_pos is None or max_neg is None or max_neg < min_pos
+    return H, header, emp, realizable
+
+
+# ---------------------------------------------------------------------------
+# The built-in families
+
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """One built-in family: class, scheme, loss, and what the engines run on it.
+
+    name is both its class_id and its scheme_id.  empirical_loss is the
+    dense reference.  The fast engine runs concentration_kernel(k, F,
+    sigma, eta, m, x) -> (H, empirical loss) and pac_kernel(k, F, m, x) ->
+    (H, header, empirical loss, realizable) for k in fast_arities under
+    the uniform measure.  Fields calling another module's function name
+    it inside a lambda, so a wrapper installed at the module attribute
+    (perfbench's tracer) is what they call.
     """
-    return _boundary_extremes(xs, _row_boundaries(xs, t))
+
+    name: str
+    mode: str
+    hypothesis_class: Callable[[int], HypothesisClass]
+    scheme: Callable[[int], SelectionScheme]
+    loss: Callable[[], LossSpec]
+    empirical_loss: Callable[..., float]
+    total_loss_exact: Callable[[ProductMeasure, Hypothesis, Hypothesis], float]
+    concentration_kernel: Callable[..., tuple]
+    pac_kernel: Callable[..., tuple]
+    fast_arities: range
+
+
+BOXES = Family(
+    name="rectangle", mode=PARTITE,
+    hypothesis_class=HypothesisClass.rectangles,
+    scheme=rectangle_scheme,
+    loss=zero_one_partite,
+    empirical_loss=lambda labeled, H, loss: empirical_loss_partite(labeled, H, loss),
+    total_loss_exact=lambda mu, F, H: total_loss_exact_rectangles(mu, F, H),
+    concentration_kernel=_box_concentration,
+    pac_kernel=_box_pac,
+    fast_arities=range(1, MAX_ARITY + 1),
+)
+
+SUM_THRESHOLDS = Family(
+    name="sum-threshold", mode=NONPARTITE,
+    hypothesis_class=HypothesisClass.sum_thresholds,
+    scheme=sum_threshold_scheme,
+    loss=zero_one_nonpartite,
+    empirical_loss=lambda labeled, H, loss: empirical_loss_nonpartite(
+        labeled, H, loss, canonical_order_choice(labeled.m, labeled.k)
+    ),
+    total_loss_exact=lambda mu, F, H: total_loss_exact_sum_threshold(mu, F, H),
+    concentration_kernel=_threshold_concentration,
+    pac_kernel=_threshold_pac,
+    # the kernels count pairs of points
+    fast_arities=range(2, 3),
+)
+
+FAMILIES = {family.name: family for family in (BOXES, SUM_THRESHOLDS)}
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +561,8 @@ _VARIANT_SALT = {"fixed": 0, "random": 1}
 
 
 def _fast_supported(cfg: ExperimentConfig, scheme: SelectionScheme, mu: ProductMeasure) -> bool:
-    if not mu.is_uniform or cfg.loss_id != "zero-one":
-        return False
-    if scheme.mode == PARTITE:
-        return scheme.scheme_id == "rectangle"
-    return scheme.scheme_id == "sum-threshold" and scheme.k == 2
+    family = FAMILIES[cfg.class_id]
+    return mu.is_uniform and scheme.scheme_id == family.name and cfg.k in family.fast_arities
 
 
 def _resolve_engine(cfg, scheme, mu, engine: str) -> str:
@@ -498,19 +584,9 @@ def _check_total_loss(cfg: ExperimentConfig, mu: ProductMeasure) -> None:
 
 def _total_loss(cfg, mu, loss, F, H, mc_seed: int | None) -> float:
     if cfg.estimator == "exact":
-        if cfg.mode == PARTITE:
-            return total_loss_exact_rectangles(mu, F, H)
-        return total_loss_exact_sum_threshold(mu, F, H)
+        return FAMILIES[cfg.class_id].total_loss_exact(mu, F, H)
     est, _ = total_loss_monte_carlo(mu, F, H, loss, cfg.n_draws, mc_seed)
     return est
-
-
-def _empirical_loss_generic(labeled, H, loss) -> float:
-    if labeled.mode == PARTITE:
-        return empirical_loss_partite(labeled, H, loss)
-    return empirical_loss_nonpartite(
-        labeled, H, loss, canonical_order_choice(labeled.m, labeled.k)
-    )
 
 
 def _side_keys(mu: ProductMeasure, seeds: np.ndarray) -> list:
@@ -526,32 +602,50 @@ def _mc_seeds(cfg: ExperimentConfig, prefix: tuple, ts: np.ndarray) -> list:
     return derive_seed(cfg.seed, *prefix, ts, 7).tolist()
 
 
+def _measure_cell(result, batch, trials: int, bound: float | None, m: int, what: str):
+    """Run a cell's trials through batch(first trial, count) -> (records,
+    event count); it passes when the event frequency less its CI99
+    half-width is at most bound (always when bound is None).  A failed
+    first pass is re-measured once, with RERUN_FACTOR times as many fresh
+    trials, which decide.  Returns (trials, event count, frequency,
+    half-width, passed, rerun)."""
+
+    def measure(start, n):
+        recs, count = batch(start, n)
+        result.records.extend(recs)
+        freq = count / n
+        ci = _ci_half_width(freq, n)
+        return n, count, freq, ci, bound is None or freq - ci <= bound
+
+    cell = measure(0, trials)
+    if cell[-1]:
+        return (*cell, False)
+    cell = measure(trials, RERUN_FACTOR * trials)
+    result.notes.append(f"m={m}: first pass exceeded {what}, re-measured with {cell[0]} trials")
+    return (*cell, True)
+
+
+def _scan_m_pac(cfg: ExperimentConfig, inputs, scan_limit: int | None, notes: list):
+    """m_pac within scan_limit (default max(4 max m, 20000)), or None with
+    a note when the window holds no guaranteed sample size."""
+    window = scan_limit if scan_limit is not None else max(4 * max(cfg.m_values), 20000)
+    try:
+        return m_pac(inputs, window)
+    except MPacNotFound as exc:
+        notes.append(f"no guaranteed sample size within {window}: {exc}")
+        return None
+
+
 def _concentration_trial(
     cfg, mu, loss, scheme, F, sigma, eta, variant, m, t, x, mc_seed, engine
 ) -> TrialRecord:
-    if engine == "fast" and cfg.mode == PARTITE:
-        fmasks = _rect_masks(F, x.sides)
-        if eta == 2:
-            H = Hypothesis.empty_rectangle(cfg.k)
-        else:
-            sel = [x.sides[i][list(sigma.maps[i])] for i in range(cfg.k)]
-            H = _rect_minimal_box(sel, _rect_masks(F, sel))
-        emp = _rect_xor_count(fmasks, _rect_masks(H, x.sides)) / m**cfg.k
-    elif engine == "fast":
-        pts = x.sides[0]
-        if eta == 2:
-            H = Hypothesis.constant(cfg.k, 0)
-        else:
-            kept = pts[list(sigma.maps[0])]
-            H = Hypothesis.sum_threshold(cfg.k, float(np.asarray(kept, dtype=float).sum()))
-        t_f, t_h = threshold_of(F), threshold_of(H)
-        count = _pairs_in_range(np.sort(pts), min(t_f, t_h), max(t_f, t_h))
-        emp = count / math.comb(m, cfg.k)
+    family = FAMILIES[cfg.class_id]
+    if engine == "fast":
+        H, emp = family.concentration_kernel(cfg.k, F, sigma, eta, m, x)
     else:
         labeled = label_sample(F, x)
-        sub = subsample(labeled, sigma)
-        H = reconstruct(scheme, sub, eta)
-        emp = _empirical_loss_generic(labeled, H, loss)
+        H = reconstruct(scheme, subsample(labeled, sigma), eta)
+        emp = family.empirical_loss(labeled, H, loss)
     total = _total_loss(cfg, mu, loss, F, H, mc_seed)
     gap = total - emp
     return TrialRecord(
@@ -635,25 +729,10 @@ def run_concentration_experiment(
             # a fixed selection is reusable at any sample size that still
             # contains its indices; rebinding validates the range
             sigma_m = InjectionVector(sigma.mode, m, sigma.maps)
-        recs, exceed = batch(m, mi, sigma_m, 0, cfg.trials)
-        result.records.extend(recs)
-        trials = cfg.trials
-        p_hat = exceed / trials
-        ci = _ci_half_width(p_hat, trials)
-        ok = p_hat - ci <= bd.single_event_bound
-        rerun = False
-        if not ok:
-            rerun = True
-            recs2, exceed2 = batch(m, mi, sigma_m, cfg.trials, RERUN_FACTOR * cfg.trials)
-            result.records.extend(recs2)
-            trials = RERUN_FACTOR * cfg.trials
-            p_hat = exceed2 / trials
-            exceed = exceed2
-            ci = _ci_half_width(p_hat, trials)
-            ok = p_hat - ci <= bd.single_event_bound
-            result.notes.append(
-                f"m={m}: first pass exceeded the bound, re-measured with {trials} trials"
-            )
+        trials, exceed, p_hat, ci, ok, rerun = _measure_cell(
+            result, partial(batch, m, mi, sigma_m), cfg.trials, bd.single_event_bound,
+            m, "the bound",
+        )
         result.rows.append({
             "variant": variant, "m": m, "epsilon": cfg.epsilon, "trials": trials,
             "exceed_count": exceed, "p_hat": p_hat, "ci_half_width": ci,
@@ -687,60 +766,16 @@ def run_concentration_suite(cfg: ExperimentConfig, engine: str = "auto") -> Expe
     return merge_results([fixed, rand])
 
 
-def _pac_trial_fast_partite(cfg, F, m, x):
-    fmasks = _rect_masks(F, x.sides)
-    positive = all(bool(fm.any()) for fm in fmasks)
-    header = 1 if positive else 2
-    H = _rect_minimal_box(x.sides, fmasks) if positive else Hypothesis.empty_rectangle(cfg.k)
-    hmasks = _rect_masks(H, x.sides)
-    emp = _rect_xor_count(fmasks, hmasks) / m**cfg.k
-    # negatives strictly inside the rebuilt box would make the sample
-    # unrealizable; counted exactly through the factorized products
-    cnt_in = cnt_in_pos = 1
-    for fm, hm in zip(fmasks, hmasks):
-        cnt_in *= int(hm.sum())
-        cnt_in_pos *= int((fm & hm).sum())
-    realizable = cnt_in == cnt_in_pos
-    return H, header, emp, realizable
-
-
-def _pac_trial_fast_nonpartite(cfg, F, m, x):
-    xs = np.sort(x.sides[0])
-    t_f = threshold_of(F)
-    p_f = _row_boundaries(xs, t_f)
-    min_pos, max_neg = _boundary_extremes(xs, p_f)
-    if min_pos is None:
-        header = 2
-        H = Hypothesis.constant(cfg.k, 0)
-    else:
-        header = 1
-        H = Hypothesis.sum_threshold(cfg.k, min_pos)
-    # no pair of distinct points sums into [t_f, t_h), so the boundaries at
-    # t_h are those at t_f moved past at most one self-sum per row
-    t_h = threshold_of(H)
-    p_h = _row_boundaries(xs, t_h, start=p_f)
-    count = (_below_count(xs, t_h, p_h) - _below_count(xs, t_f, p_f)) // 2
-    emp = count / math.comb(m, cfg.k)
-    realizable = min_pos is None or max_neg is None or max_neg < min_pos
-    return H, header, emp, realizable
-
-
-def _pac_trial_generic(klass, loss, scheme, F, x):
-    labeled = label_sample(F, x)
-    sub, header = compress(scheme, labeled)
-    H = reconstruct(scheme, sub, header)
-    emp = _empirical_loss_generic(labeled, H, loss)
-    realizable, _ = erm_realizability_check(klass, labeled, loss)
-    return H, header, emp, realizable
-
-
 def _pac_trial(cfg, mu, klass, loss, scheme, m, t, F, x, mc_seed, engine) -> TrialRecord:
-    if engine == "generic":
-        H, header, emp, realizable = _pac_trial_generic(klass, loss, scheme, F, x)
-    elif cfg.mode == PARTITE:
-        H, header, emp, realizable = _pac_trial_fast_partite(cfg, F, m, x)
+    family = FAMILIES[cfg.class_id]
+    if engine == "fast":
+        H, header, emp, realizable = family.pac_kernel(cfg.k, F, m, x)
     else:
-        H, header, emp, realizable = _pac_trial_fast_nonpartite(cfg, F, m, x)
+        labeled = label_sample(F, x)
+        sub, header = compress(scheme, labeled)
+        H = reconstruct(scheme, sub, header)
+        emp = family.empirical_loss(labeled, H, loss)
+        realizable, _ = erm_realizability_check(klass, labeled, loss)
     if not realizable:
         # samples are labeled by a class member, so a failed
         # certificate means the harness itself is broken
@@ -777,16 +812,11 @@ def run_pac_experiment(
     _check_total_loss(cfg, mu)
     eng = _resolve_engine(cfg, scheme, mu, engine)
     inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
-    window = scan_limit if scan_limit is not None else max(4 * max(cfg.m_values), 20000)
     result = ExperimentResult(
         kind="pac", config=cfg, columns=list(PAC_COLUMNS),
         rows=[], records=[], passed=True,
     )
-    try:
-        m0 = m_pac(inputs, window)
-    except MPacNotFound as exc:
-        m0 = None
-        result.notes.append(f"no guaranteed sample size within {window}: {exc}")
+    m0 = _scan_m_pac(cfg, inputs, scan_limit, result.notes)
 
     rng = KeyedGenerator()
 
@@ -806,26 +836,11 @@ def run_pac_experiment(
         return recs, sum(r.exceeded for r in recs)
 
     for mi, m in enumerate(cfg.m_values):
-        recs, fails = batch(m, mi, 0, cfg.trials)
-        result.records.extend(recs)
-        trials = cfg.trials
-        q_hat = fails / trials
-        ci = _ci_half_width(q_hat, trials)
         applies = m0 is not None and m >= m0
-        ok = (not applies) or (q_hat - ci <= cfg.delta)
-        rerun = False
-        if applies and not ok:
-            rerun = True
-            recs2, fails2 = batch(m, mi, cfg.trials, RERUN_FACTOR * cfg.trials)
-            result.records.extend(recs2)
-            trials = RERUN_FACTOR * cfg.trials
-            q_hat = fails2 / trials
-            fails = fails2
-            ci = _ci_half_width(q_hat, trials)
-            ok = q_hat - ci <= cfg.delta
-            result.notes.append(
-                f"m={m}: first pass exceeded delta, re-measured with {trials} trials"
-            )
+        trials, fails, q_hat, ci, ok, rerun = _measure_cell(
+            result, partial(batch, m, mi), cfg.trials, cfg.delta if applies else None,
+            m, "delta",
+        )
         result.rows.append({
             "m": m, "epsilon": cfg.epsilon, "delta": cfg.delta, "trials": trials,
             "fail_count": fails, "q_hat": q_hat, "ci_half_width": ci,
@@ -848,16 +863,11 @@ def run_bound_table(cfg: ExperimentConfig, scan_limit: int | None = None) -> Exp
     cfg.validate()
     mu, klass, loss, scheme = build_all(cfg)
     inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
-    window = scan_limit if scan_limit is not None else max(4 * max(cfg.m_values), 20000)
     result = ExperimentResult(
         kind="bound-table", config=cfg, columns=list(BOUND_TABLE_COLUMNS),
         rows=[], records=[], passed=True,
     )
-    try:
-        m0: object = m_pac(inputs, window)
-    except MPacNotFound as exc:
-        m0 = ""
-        result.notes.append(f"no guaranteed sample size within {window}: {exc}")
+    m0 = _scan_m_pac(cfg, inputs, scan_limit, result.notes)
     ref = asymptotic_guarantee_reference(inputs)
     for m, bd in zip(cfg.m_values, bound_breakdowns(inputs, cfg.m_values)):
         result.rows.append({
@@ -866,7 +876,7 @@ def run_bound_table(cfg: ExperimentConfig, scan_limit: int | None = None) -> Exp
             "effective_epsilon": bd.effective_epsilon,
             "single_event_bound": bd.single_event_bound,
             "multiplier": bd.multiplier, "total_bound": bd.total_bound,
-            "m_pac": m0, "asymptotic_reference": ref,
+            "m_pac": m0 if m0 is not None else "", "asymptotic_reference": ref,
         })
     return result
 

@@ -56,6 +56,11 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
+def side_count(mode: str, k: int) -> int:
+    """Independent point lists of a k-ary sample: k partite, 1 nonpartite."""
+    return k if mode == PARTITE else 1
+
+
 def falling_factorial(n: int, k: int) -> int:
     """Number of injective k-tuples from an n-element set: n(n-1)...(n-k+1).
 
@@ -106,7 +111,7 @@ class Sample:
         _check_mode(self.mode)
         if not 1 <= self.k <= MAX_ARITY:
             raise ValueError(f"arity k={self.k} outside [1, {MAX_ARITY}]")
-        expected = self.k if self.mode == PARTITE else 1
+        expected = side_count(self.mode, self.k)
         if len(self.sides) != expected:
             raise ValueError(
                 f"{self.mode} sample needs {expected} side(s), got {len(self.sides)}"
@@ -128,6 +133,12 @@ class Sample:
     def m(self) -> int:
         return len(self.sides[0])
 
+    @property
+    def axes(self) -> list:
+        """The point list of each tuple coordinate: the sides (partite), or
+        the one ground set k times (nonpartite)."""
+        return list(self.sides) if self.mode == PARTITE else [self.sides[0]] * self.k
+
 
 def tuple_points(sample: Sample, idx: Sequence[int]) -> tuple:
     """Points selected by an index tuple.
@@ -137,10 +148,7 @@ def tuple_points(sample: Sample, idx: Sequence[int]) -> tuple:
     """
     injective = sample.mode == NONPARTITE
     t = check_index_tuple(idx, sample.k, sample.m, injective=injective)
-    if sample.mode == PARTITE:
-        return tuple(sample.sides[i][t[i]] for i in range(sample.k))
-    pts = sample.sides[0]
-    return tuple(pts[e] for e in t)
+    return tuple(axis[e] for axis, e in zip(sample.axes, t))
 
 
 @lru_cache(maxsize=32)
@@ -296,18 +304,14 @@ class InjectionVector:
 
     @classmethod
     def identity(cls, mode: str, k: int, m: int) -> "InjectionVector":
-        n = k if mode == PARTITE else 1
-        ident = tuple(range(m))
-        return cls(mode, m, (ident,) * n)
+        return cls(mode, m, (tuple(range(m)),) * side_count(mode, k))
 
     @classmethod
     def top(cls, mode: str, k: int, m: int, s: int) -> "InjectionVector":
         """Injection onto the s largest indices, ascending, on every side."""
         if not 0 <= s <= m:
             raise ValueError(f"size s={s} outside [0, m={m}]")
-        n = k if mode == PARTITE else 1
-        mp = tuple(range(m - s, m))
-        return cls(mode, m, (mp,) * n)
+        return cls(mode, m, (tuple(range(m - s, m)),) * side_count(mode, k))
 
     @classmethod
     def random(
@@ -315,10 +319,9 @@ class InjectionVector:
     ) -> "InjectionVector":
         if not 0 <= s <= m:
             raise ValueError(f"size s={s} outside [0, m={m}]")
-        n = k if mode == PARTITE else 1
         maps = tuple(
             tuple(int(v) for v in rng.choice(m, size=s, replace=False))
-            for _ in range(n)
+            for _ in range(side_count(mode, k))
         )
         return cls(mode, m, maps)
 
@@ -338,13 +341,9 @@ class InjectionVector:
 
 
 def _subsample_sides(sample: Sample, inj: InjectionVector) -> Sample:
-    if sample.mode == PARTITE:
-        sides = tuple(
-            sample.sides[i][np.asarray(inj.maps[i], dtype=np.intp)]
-            for i in range(sample.k)
-        )
-    else:
-        sides = (sample.sides[0][np.asarray(inj.maps[0], dtype=np.intp)],)
+    sides = tuple(
+        side[np.asarray(mp, dtype=np.intp)] for side, mp in zip(sample.sides, inj.maps)
+    )
     return Sample(sample.mode, sample.k, sides)
 
 
@@ -370,27 +369,20 @@ def subsample(obj, inj: InjectionVector):
     Index v of the result is index inj.maps[i][v] of the input (per side in
     partite mode); label cells pull back coordinatewise the same way.
     """
+    if not isinstance(obj, (LabeledSample, Sample, LabelTensor)):
+        raise TypeError(f"cannot subsample object of type {type(obj).__name__}")
+    what = type(obj).__name__
+    if obj.mode != inj.mode or inj.m != obj.m:
+        raise ValueError(f"injection vector does not match the {what}")
+    if len(inj.maps) != side_count(obj.mode, obj.k):
+        raise ValueError(f"injection vector arity does not match the {what}")
     if isinstance(obj, LabeledSample):
-        if obj.mode != inj.mode or inj.m != obj.m:
-            raise ValueError("injection vector does not match the labeled sample")
-        if obj.mode == PARTITE and len(inj.maps) != obj.k:
-            raise ValueError("injection vector arity does not match the sample")
         return LabeledSample(
             _subsample_sides(obj.sample, inj), _subsample_labels(obj.labels, inj)
         )
     if isinstance(obj, Sample):
-        if obj.mode != inj.mode or inj.m != obj.m:
-            raise ValueError("injection vector does not match the sample")
-        if obj.mode == PARTITE and len(inj.maps) != obj.k:
-            raise ValueError("injection vector arity does not match the sample")
         return _subsample_sides(obj, inj)
-    if isinstance(obj, LabelTensor):
-        if obj.mode != inj.mode or inj.m != obj.m:
-            raise ValueError("injection vector does not match the tensor")
-        if obj.mode == PARTITE and len(inj.maps) != obj.k:
-            raise ValueError("injection vector arity does not match the tensor")
-        return _subsample_labels(obj, inj)
-    raise TypeError(f"cannot subsample object of type {type(obj).__name__}")
+    return _subsample_labels(obj, inj)
 
 
 @lru_cache(maxsize=32)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .indexing import PARTITE, LabeledSample, MODES
+from .indexing import MODES, PARTITE, LabeledSample, side_count
 from .losses import LossSpec
 from .samples import Hypothesis
 from .schemes import SelectionScheme, SizeMap, compress, reconstruct
@@ -85,7 +85,7 @@ class GuaranteeInputs:
     @property
     def sides(self) -> int:
         """Sides a selection removes indices from: k partite, 1 nonpartite."""
-        return self.k if self.mode == PARTITE else 1
+        return side_count(self.mode, self.k)
 
     @property
     def denominator(self) -> float:

@@ -74,9 +74,7 @@ def zero_one_nonpartite() -> LossSpec:
 
 
 def _hypothesis_codes(H: Hypothesis, labeled: LabeledSample) -> np.ndarray:
-    x = labeled.sample
-    sides = list(x.sides) if x.mode == PARTITE else [x.sides[0]] * x.k
-    return encode_labels(H.label_grid(sides), labeled.labels.alphabet)
+    return encode_labels(H.label_grid(labeled.sample.axes), labeled.labels.alphabet)
 
 
 def empirical_loss_partite(labeled: LabeledSample, H: Hypothesis, loss: LossSpec) -> float:
@@ -140,8 +138,6 @@ def _empirical_loss_nonpartite_generic(
 ) -> float:
     """Direct per-subset evaluation through orientation bundles."""
     m, k = labeled.m, labeled.k
-    if m < k:
-        return 0.0
     perms = enumerate_permutations(k)
     pts = labeled.sample.sides[0]
     codes = labeled.labels.codes

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,12 +39,12 @@ from .indexing import (
     SENTINEL,
     LabelTensor,
     LabeledSample,
-    OrderChoice,
     Sample,
     check_cell_budget,
     increasing_mask,
     injective_mask,
     enumerate_permutations,
+    side_count,
 )
 
 BINARY_ALPHABET = (0, 1)
@@ -251,7 +251,7 @@ class ProductMeasure:
     distributions: tuple
 
     def __post_init__(self):
-        expected = self.k if self.mode == PARTITE else 1
+        expected = side_count(self.mode, self.k)
         if len(self.distributions) != expected:
             raise ValueError(
                 f"{self.mode} measure needs {expected} distribution(s), got {len(self.distributions)}"
@@ -259,8 +259,7 @@ class ProductMeasure:
 
     @classmethod
     def uniform(cls, mode: str, k: int) -> "ProductMeasure":
-        n = k if mode == PARTITE else 1
-        return cls(mode, k, (Uniform01(),) * n)
+        return cls(mode, k, (Uniform01(),) * side_count(mode, k))
 
     @property
     def is_uniform(self) -> bool:
@@ -376,7 +375,7 @@ class Hypothesis:
                 return 0
             return int(all(lo <= x <= hi for (lo, hi), x in zip(self.intervals, xs)))
         if self.kind == "sum-threshold":
-            return int(float(sum(xs)) >= self.threshold)
+            return int(float(coordinate_sum(xs)) >= self.threshold)
         if self.kind == "constant":
             return self.const_value
         if self.kind == "table":
@@ -401,10 +400,7 @@ class Hypothesis:
                 out &= (c >= lo) & (c <= hi)
             return out.astype(np.int64)
         if self.kind == "sum-threshold":
-            total = np.zeros(shape, dtype=float)
-            for c in cols:
-                total = total + np.asarray(c, dtype=float)
-            return (total >= self.threshold).astype(np.int64)
+            return (coordinate_sum(cols) >= self.threshold).astype(np.int64)
         if self.kind == "constant":
             return np.full(shape, self.const_value)
         if self.kind == "table":
@@ -434,6 +430,23 @@ class Hypothesis:
         if self.kind == "constant":
             return f"constant({self.const_value!r})"
         return f"table(k={self.k})"
+
+
+def coordinate_sum(cols: Sequence):
+    """Coordinate sums of k-tuples given as k columns that broadcast together.
+
+    Float addition is not associative, so for k > 2 each tuple's
+    coordinates are added in ascending order: every orientation of a
+    tuple, and every site that sums one, gets the same float.  Two are
+    added as given, since a + b == b + a.
+    """
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    if len(cols) > 2:
+        cols = np.sort(np.stack(np.broadcast_arrays(*cols)), axis=0)
+    total = 0.0
+    for c in cols:
+        total = total + c
+    return total
 
 
 def threshold_of(H: Hypothesis) -> float:
@@ -492,11 +505,10 @@ def label_sample(
         raise ValueError(f"hypothesis arity {F.k} does not match sample arity {x.k}")
     m, k = x.m, x.k
     check_cell_budget(m, k, budget)
-    sides = list(x.sides) if x.mode == PARTITE else [x.sides[0]] * k
     if m == 0:
         codes = np.zeros((m,) * k, dtype=np.int64)
     else:
-        codes = encode_labels(F.label_grid(sides), tuple(alphabet))
+        codes = encode_labels(F.label_grid(x.axes), tuple(alphabet))
     if x.mode == NONPARTITE and m > 0:
         codes = codes.copy()
         codes[~injective_mask(m, k)] = SENTINEL
@@ -510,53 +522,66 @@ def label_sample(
 
 @dataclass(frozen=True, eq=False)
 class HypothesisClass:
-    """A family of hypotheses with membership testing and parameter sampling."""
+    """A family of hypotheses, carrying its maps the way a SelectionScheme does.
+
+    sample_hypothesis(rng) draws one random member; is_member(H) tests a
+    hypothesis of the class's arity; erm(labeled) is exact ERM under the
+    zero-one loss, (realizable, witness or None); fallback is the member
+    a learner returns when no member fits.  The constructors set them.
+    """
 
     class_id: str
     mode: str
     k: int
-    members: tuple | None = None
-    threshold_range: tuple | None = None
+    sample_hypothesis: Callable[[np.random.Generator], Hypothesis]
+    is_member: Callable[[Hypothesis], bool]
+    erm: Callable[[LabeledSample], tuple]
+    fallback: Hypothesis
 
     @classmethod
     def rectangles(cls, k: int) -> "HypothesisClass":
         """Closed axis-aligned boxes in the unit cube, plus the empty box."""
-        return cls("rectangle", PARTITE, k)
+        return cls(
+            "rectangle", PARTITE, k,
+            # each side's ends are two uniform draws, so degenerate boxes occur
+            sample_hypothesis=lambda rng: Hypothesis.rectangle(
+                [sorted(rng.random(2)) for _ in range(k)]
+            ),
+            is_member=lambda H: H.kind == "rectangle",
+            erm=_box_erm,
+            fallback=Hypothesis.empty_rectangle(k),
+        )
 
     @classmethod
     def sum_thresholds(cls, k: int) -> "HypothesisClass":
         """Nonpartite rules 1[sum of coordinates >= t], plus the constant 0."""
-        return cls("sum-threshold", NONPARTITE, k, threshold_range=(0.0, float(k)))
+        return cls(
+            "sum-threshold", NONPARTITE, k,
+            sample_hypothesis=lambda rng: Hypothesis.sum_threshold(k, rng.uniform(0.0, float(k))),
+            is_member=lambda H: (
+                H.kind == "sum-threshold" or (H.kind == "constant" and H.const_value == 0)
+            ),
+            erm=_threshold_erm,
+            fallback=Hypothesis.constant(k, 0),
+        )
 
     @classmethod
     def table_list(cls, mode: str, k: int, members) -> "HypothesisClass":
-        """An explicit finite list of hypotheses."""
-        return cls("table-list", mode, k, members=tuple(members))
+        """An explicit finite list of hypotheses; the first is the fallback."""
+        members = tuple(members)
+        return cls(
+            "table-list", mode, k,
+            sample_hypothesis=lambda rng: members[int(rng.integers(len(members)))],
+            is_member=lambda H: any(H is member for member in members),
+            erm=lambda labeled: next(
+                ((True, H) for H in members if _zero_loss_everywhere(H, labeled)),
+                (False, None),
+            ),
+            fallback=members[0],
+        )
 
     def contains(self, H: Hypothesis) -> bool:
-        if H.k != self.k:
-            return False
-        if self.class_id == "rectangle":
-            return H.kind == "rectangle"
-        if self.class_id == "sum-threshold":
-            return H.kind == "sum-threshold" or (
-                H.kind == "constant" and H.const_value == 0
-            )
-        return any(H is member for member in self.members)
-
-    def sample_hypothesis(self, rng: np.random.Generator) -> Hypothesis:
-        """One random member; parameter distributions cover degenerate cases."""
-        if self.class_id == "rectangle":
-            intervals = []
-            for _ in range(self.k):
-                a, b = rng.random(2)
-                intervals.append((min(a, b), max(a, b)))
-            return Hypothesis.rectangle(intervals)
-        if self.class_id == "sum-threshold":
-            lo, hi = self.threshold_range
-            return Hypothesis.sum_threshold(self.k, rng.uniform(lo, hi))
-        idx = int(rng.integers(len(self.members)))
-        return self.members[idx]
+        return H.k == self.k and self.is_member(H)
 
 
 # ---------------------------------------------------------------------------
@@ -603,21 +628,15 @@ def _threshold_set_masks(labeled: LabeledSample):
 
 def _subset_sums(sample: Sample, k: int) -> np.ndarray:
     pts = np.asarray(sample.sides[0], dtype=float)
-    total = np.zeros((len(pts),) * k, dtype=float)
-    for i in range(k):
-        total = total + pts.reshape(_axis_shape(i, k, len(pts)))
-    return total
+    return coordinate_sum([pts.reshape(_axis_shape(i, k, len(pts))) for i in range(k)])
 
 
 def erm_realizability_check(
-    klass: HypothesisClass,
-    labeled: LabeledSample,
-    loss,
-    order: OrderChoice | None = None,
+    klass: HypothesisClass, labeled: LabeledSample, loss
 ) -> tuple[bool, Hypothesis | None]:
     """Exact ERM: is there a member with zero empirical loss, and which one.
 
-    Supports the built-in families under the zero-one loss.  For
+    Runs the class's own ERM, under the zero-one loss only.  For
     rectangles the witness candidate is the minimal enclosing box of the
     positive tuples; the sample is realizable iff no negative tuple falls
     inside it.  For sum thresholds it is realizable iff every orientation
@@ -629,53 +648,41 @@ def erm_realizability_check(
         raise ValueError("exact ERM is only implemented for the zero-one loss")
     if klass.mode != labeled.mode or klass.k != labeled.k:
         raise ValueError("hypothesis class does not match the sample")
+    return klass.erm(labeled)
 
-    if klass.class_id == "rectangle":
-        box = minimal_enclosing_box(labeled)
-        if box.intervals is None:
-            return True, box
-        grid = box.label_grid(list(labeled.sample.sides))
-        mismatch = grid.astype(np.int64) != (
-            labeled.labels.codes == _positive_code(labeled.labels.alphabet)
-        ).astype(np.int64)
-        return (not mismatch.any()), (box if not mismatch.any() else None)
 
-    if klass.class_id == "sum-threshold":
-        m, k = labeled.m, labeled.k
-        if m < k:
-            return True, Hypothesis.constant(k, 0)
-        pos_sets, neg_sets, mixed = _threshold_set_masks(labeled)
-        if mixed.any():
-            return False, None
-        if not pos_sets.any():
-            return True, Hypothesis.constant(k, 0)
-        sums = _subset_sums(labeled.sample, k)
-        min_pos = float(sums[pos_sets].min())
-        if neg_sets.any() and float(sums[neg_sets].max()) >= min_pos:
-            return False, None
-        return True, Hypothesis.sum_threshold(k, min_pos)
+def _box_erm(labeled: LabeledSample) -> tuple[bool, Hypothesis | None]:
+    box = minimal_enclosing_box(labeled)
+    if box.intervals is None:
+        return True, box
+    grid = box.label_grid(list(labeled.sample.sides))
+    mismatch = grid.astype(np.int64) != (
+        labeled.labels.codes == _positive_code(labeled.labels.alphabet)
+    ).astype(np.int64)
+    return (not mismatch.any()), (box if not mismatch.any() else None)
 
-    if klass.class_id == "table-list":
-        for member in klass.members:
-            if _zero_loss_everywhere(member, labeled):
-                return True, member
+
+def _threshold_erm(labeled: LabeledSample) -> tuple[bool, Hypothesis | None]:
+    k = labeled.k
+    pos_sets, neg_sets, mixed = _threshold_set_masks(labeled)
+    if mixed.any():
         return False, None
-
-    raise ValueError(f"unsupported class kind {klass.class_id!r}")
+    if not pos_sets.any():
+        return True, Hypothesis.constant(k, 0)
+    sums = _subset_sums(labeled.sample, k)
+    min_pos = float(sums[pos_sets].min())
+    if neg_sets.any() and float(sums[neg_sets].max()) >= min_pos:
+        return False, None
+    return True, Hypothesis.sum_threshold(k, min_pos)
 
 
 def _zero_loss_everywhere(H: Hypothesis, labeled: LabeledSample) -> bool:
-    m, k = labeled.m, labeled.k
-    if m == 0 or (labeled.mode == NONPARTITE and m < k):
+    """H agrees with every label; sentinel cells (non-injective tuples) carry none."""
+    labeled_cells = labeled.labels.codes != SENTINEL
+    if not labeled_cells.any():
         return True
-    sides = list(labeled.sample.sides) if labeled.mode == PARTITE else [
-        labeled.sample.sides[0]
-    ] * k
-    codes = encode_labels(H.label_grid(sides), labeled.labels.alphabet)
-    if labeled.mode == PARTITE:
-        return bool((codes == labeled.labels.codes).all())
-    inj = injective_mask(m, k)
-    return bool((codes[inj] == labeled.labels.codes[inj]).all())
+    codes = encode_labels(H.label_grid(labeled.sample.axes), labeled.labels.alphabet)
+    return bool((codes[labeled_cells] == labeled.labels.codes[labeled_cells]).all())
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .samples import (
     _positive_code,
     _subset_sums,
     _threshold_set_masks,
+    coordinate_sum,
     derive_seed,
     draw_sample,
     erm_realizability_check,
@@ -106,13 +107,7 @@ def trivial_scheme(klass: HypothesisClass, loss: LossSpec) -> SelectionScheme:
 
     def rebuild(sub: LabeledSample, header: int) -> Hypothesis:
         ok, witness = erm_realizability_check(klass, sub, loss)
-        if ok:
-            return witness
-        if klass.class_id == "rectangle":
-            return Hypothesis.empty_rectangle(klass.k)
-        if klass.class_id == "sum-threshold":
-            return Hypothesis.constant(klass.k, 0)
-        return klass.members[0]
+        return witness if ok else klass.fallback
 
     return SelectionScheme(
         scheme_id="trivial",
@@ -203,8 +198,6 @@ def _thresh_positive_sets(labeled: LabeledSample) -> np.ndarray:
 def _thresh_select(labeled: LabeledSample) -> InjectionVector:
     m, k = labeled.m, labeled.k
     s = _thresh_sizes(k)(m)
-    if m < k:
-        return InjectionVector(NONPARTITE, m, (tuple(range(s)),))
     pos_sets = _thresh_positive_sets(labeled)
     if not pos_sets.any():
         return InjectionVector(NONPARTITE, m, (tuple(range(s)),))
@@ -217,8 +210,6 @@ def _thresh_select(labeled: LabeledSample) -> InjectionVector:
 
 
 def _thresh_header(labeled: LabeledSample) -> int:
-    if labeled.m < labeled.k:
-        return 2
     return 1 if _thresh_positive_sets(labeled).any() else 2
 
 
@@ -226,8 +217,7 @@ def _thresh_rebuild(sub: LabeledSample, header: int) -> Hypothesis:
     k = sub.k
     if header == 2 or sub.m < k:
         return Hypothesis.constant(k, 0)
-    t = float(np.asarray(sub.sample.sides[0], dtype=float).sum())
-    return Hypothesis.sum_threshold(k, t)
+    return Hypothesis.sum_threshold(k, float(coordinate_sum(sub.sample.sides[0])))
 
 
 def sum_threshold_scheme(k: int) -> SelectionScheme:

@@ -1,6 +1,10 @@
 """Exit codes, output shape, and overrides of the command-line front end."""
 
+import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +215,70 @@ def test_cli_outputs_byte_deterministic(cfg_file, tmp_path, capsys):
         capsys.readouterr()
     for name in ("manifest.json", "trials.jsonl", "summary.csv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+# sha256 of every file `scripts/run_audits.py --quick` writes.  A change
+# that alters these bytes on purpose re-pins them and says why.
+QUICK_AUDIT_SHA256 = {
+    "bound-table-rectangle_concentration/manifest.json":
+        "98d328e421fd7860d5a3abdfd19be027d6cd1b727d5d8e6266d337e425b8d7b9",
+    "bound-table-rectangle_concentration/summary.csv":
+        "5b42a5fc3e9f1939362adefbb124148724571e09e6e313b50d49b82a435917e1",
+    "bound-table-rectangle_concentration/trials.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "bound-table-sum_threshold_concentration/manifest.json":
+        "29322b317caacd505404dca13ef58252789f218a162c6c8769ac53c8e08f3c11",
+    "bound-table-sum_threshold_concentration/summary.csv":
+        "3d39668af0e0076d72f7f1f0da7111b214ffc5ef427afd3c7b0f1dcd2006806d",
+    "bound-table-sum_threshold_concentration/trials.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "concentration-rectangle_concentration/manifest.json":
+        "e0fef0702ff8266fa2abdd0389a53192d6d9e5d171b4d892be0c525ed94aac0d",
+    "concentration-rectangle_concentration/summary.csv":
+        "539b09f763337f57cb6df1d1fcd338cfe8beb6205c370bcea8c03c9e498d4f85",
+    "concentration-rectangle_concentration/trials.jsonl":
+        "01ba211a3d04703c0f8198f4b81c86211fc87aa006cb1b31f172c07f2fb5dcc9",
+    "concentration-sum_threshold_concentration/manifest.json":
+        "ef8fd3733774ef343de51e9b672e4bcef4a06e124e41a8e79d7b9566c3d90a72",
+    "concentration-sum_threshold_concentration/summary.csv":
+        "3350050e29bd2e1f0169c44039d56e179187bac6a7fbfcfbee47dd8661787c3b",
+    "concentration-sum_threshold_concentration/trials.jsonl":
+        "55f32d6a0209aeb406a02a1f6fe15bda271a273ff96381eeeff5a16e8350bfdc",
+    "pac-rectangle_pac/manifest.json":
+        "6d50bcca11e02cfa64780299db2f74fe35d90191ddad91b11efd0d416f17d829",
+    "pac-rectangle_pac/summary.csv":
+        "582a7c4df5a5c7ea63a818fcc2d8d199ff5a0a729ee259328dd7ac981dfb615a",
+    "pac-rectangle_pac/trials.jsonl":
+        "bb6b3c1415700ad9dfee0c270c27a5ac3adb77fef3478386dc73f34861c62498",
+    "pac-sum_threshold_pac/manifest.json":
+        "1f4322eb6d06209dbfc93bb69ad4f34b6521734620c0efd0629256c04b81952d",
+    "pac-sum_threshold_pac/summary.csv":
+        "658074fc6e9157f1234d582448d095854f306684e73379ef7d03120e1cc547d6",
+    "pac-sum_threshold_pac/trials.jsonl":
+        "9659270aaf1a5c3105a8308e206634698a95e9b5c062b238dfdc379296a0f9d3",
+    "validate-scheme-validity_sweep/manifest.json":
+        "976cd9a8e5b2cb0b4bb8920cea8c2bf267070a842a8fd05e2ada56842f3fa313",
+    "validate-scheme-validity_sweep/summary.csv":
+        "2253b210ff8703ae9cd656d0792792e0fdfbeb404719667f4c563eddf37b0aaa",
+    "validate-scheme-validity_sweep/trials.jsonl":
+        "c28f4594a30b7957d250de7ebc9d39094c18c062820aa4c32a1801e4739241e3",
+}
+
+
+def test_bundled_configs_quick_outputs_pinned(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_audits.py"
+    spec = importlib.util.spec_from_file_location("run_audits", script)
+    run_audits = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src/
+    spec.loader.exec_module(run_audits)
+    monkeypatch.setattr(sys, "argv", ["run_audits.py", "--quick", "--out", str(tmp_path)])
+    assert run_audits.main() == 0
+    capsys.readouterr()
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*") if path.is_file()
+    }
+    assert digests == QUICK_AUDIT_SHA256
 
 
 def test_inspect_partite_sample(tmp_path, capsys):

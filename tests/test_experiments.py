@@ -20,9 +20,9 @@ from kcompress.experiments import (
     ConfigError,
     ExperimentConfig,
     _VARIANT_SALT,
+    _boundary_extremes,
     _ci_half_width,
     _concentration_trial,
-    _extreme_pair_sums,
     _ordered_pairs_below,
     _pac_trial,
     _pairs_in_range,
@@ -31,9 +31,7 @@ from kcompress.experiments import (
     _rect_xor_count,
     _row_boundaries,
     build_all,
-    build_class,
     build_measure,
-    build_scheme,
     canonical_config_text,
     config_hash,
     config_to_dict,
@@ -54,6 +52,7 @@ from kcompress.indexing import (
     PARTITE,
     InjectionVector,
     OrderChoice,
+    Sample,
 )
 from kcompress.losses import empirical_loss_nonpartite, zero_one_nonpartite
 from kcompress.samples import (
@@ -188,13 +187,10 @@ def test_build_measure_uniform_and_discrete():
 
 
 def test_build_class_and_scheme_mode_consistency():
-    with pytest.raises(ConfigError):
-        build_class(ExperimentConfig(mode=NONPARTITE, class_id="rectangle", m_values=(5,)))
-    with pytest.raises(ConfigError):
-        build_scheme(
-            ExperimentConfig(mode=NONPARTITE, class_id="sum-threshold", m_values=(5,)),
-            None, None,
-        )
+    with pytest.raises(ConfigError, match="class_id rectangle requires partite mode"):
+        build_all(ExperimentConfig(mode=NONPARTITE, class_id="rectangle", m_values=(5,)))
+    with pytest.raises(ConfigError, match="scheme_id rectangle requires partite mode"):
+        build_all(ExperimentConfig(mode=NONPARTITE, class_id="sum-threshold", m_values=(5,)))
     mu, klass, loss, scheme = build_all(ExperimentConfig())
     assert scheme.scheme_id == "rectangle" and klass.class_id == "rectangle"
     assert loss.mode == PARTITE
@@ -279,11 +275,12 @@ def test_pairs_in_range_matches_bruteforce(data):
 def test_extreme_pair_sums_match_bruteforce(data):
     xs = data.draw(sorted_points())
     t = data.draw(thresholds(xs))
-    assert _extreme_pair_sums(xs, t) == brute_extremes(xs, t)
+    assert _boundary_extremes(xs, _row_boundaries(xs, t)) == brute_extremes(xs, t)
 
 
 def test_extreme_pair_sums_tiny():
-    assert _extreme_pair_sums(np.array([0.5]), 1.0) == (None, None)
+    xs = np.array([0.5])
+    assert _boundary_extremes(xs, _row_boundaries(xs, 1.0)) == (None, None)
 
 
 def brute_row_boundaries(xs, t):
@@ -336,7 +333,7 @@ def test_row_boundaries_match_bruteforce(data):
     p = _row_boundaries(xs, t)
     assert np.array_equal(p, brute_row_boundaries(xs, t))
     assert _ordered_pairs_below(xs, t) == brute_ordered_below(xs, t)
-    assert _extreme_pair_sums(xs, t) == brute_extremes(xs, t)
+    assert _boundary_extremes(xs, p) == brute_extremes(xs, t)
 
 
 @settings(max_examples=150, deadline=None)
@@ -411,6 +408,51 @@ def test_pac_engines_agree(cfg):
     slow = run_pac_experiment(cfg, engine="generic")
     assert records_of(fast) == records_of(slow)
     assert fast.rows == slow.rows
+
+
+# a few atoms, so points tie and pair sums tie with each other and with
+# the atoms that box edges and thresholds sit on
+_TIE_ATOMS = (0.0, 0.1, 0.2, 0.25, 0.30000000000000004, 0.5, 0.7, 0.75, 1.0)
+
+
+@st.composite
+def tied_trials(draw, mode):
+    """(m, sample, target) with the points drawn from a few atoms; box edges
+    lie on atoms, thresholds on atoms, on pair sums or next to them."""
+    atoms = draw(st.lists(st.sampled_from(_TIE_ATOMS), min_size=1, max_size=4, unique=True))
+    m = draw(st.integers(2, 10))
+
+    def points():
+        return draw(st.lists(st.sampled_from(atoms), min_size=m, max_size=m))
+
+    if mode == PARTITE:
+        edges = st.lists(st.sampled_from(atoms), min_size=2, max_size=2).map(sorted)
+        return m, Sample.partite([points(), points()]), Hypothesis.rectangle(
+            [draw(edges), draw(edges)]
+        )
+    x = Sample.nonpartite(points(), 2)
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    s = x.sides[0][i] + x.sides[0][j]
+    t = draw(st.sampled_from([*atoms, s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)]))
+    return m, x, Hypothesis.sum_threshold(2, t)
+
+
+@pytest.mark.parametrize("cfg", [PARTITE_CFG, NONPARTITE_CFG], ids=["partite", "nonpartite"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fast_kernels_equal_generic_on_ties(cfg, data):
+    mu, klass, loss, scheme = build_all(cfg)
+    m, x, F = data.draw(tied_trials(cfg.mode))
+    pac = [
+        _pac_trial(cfg, mu, klass, loss, scheme, m, 0, F, x, None, engine)
+        for engine in ("fast", "generic")
+    ]
+    assert pac[0] == pac[1]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    sigma = InjectionVector.random(cfg.mode, cfg.k, m, int(scheme.selection_size(m)), rng)
+    for eta in (1, 2):
+        args = (cfg, mu, loss, scheme, F, sigma, eta, "fixed", m, 0, x, None)
+        assert _concentration_trial(*args, "fast") == _concentration_trial(*args, "generic")
 
 
 def force_reruns(monkeypatch):
@@ -676,6 +718,20 @@ def test_validity_runner_rows():
     for row in result.rows:
         assert row["trials"] == 15 and row["violations"] == 0
         assert row["max_empirical_loss"] == 0.0
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("scheme_id", ["sum-threshold", "trivial"])
+def test_validity_sum_thresholds_beyond_pairs(k, scheme_id):
+    # a rebuilt threshold must label its own kept set positive whatever
+    # order the coordinates of a k-tuple are added in
+    cfg = ExperimentConfig(
+        mode=NONPARTITE, k=k, scheme_id=scheme_id, class_id="sum-threshold",
+        m_values=tuple(range(k, 13)), trials=20, seed=101,
+    )
+    result = run_validity_experiment(cfg)
+    assert [row["violations"] for row in result.rows] == [0] * len(cfg.m_values)
+    assert result.passed
 
 
 # ---------------------------------------------------------------------------
