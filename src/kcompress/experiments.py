@@ -29,9 +29,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -938,6 +940,11 @@ _CSV_BLOCK = 256
 
 
 def _column_text(values: list) -> list:
+    first = values[0]
+    # a column holding one object (a config field, m_pac) is formatted
+    # once; identity, not equality, so 0.0 and -0.0 keep their own text
+    if all(map(operator.is_, values, repeat(first))):
+        return [_cell_text(first)] * len(values)
     kinds = set(map(type, values))
     method = _CELL_METHOD.get(kinds.pop()) if len(kinds) == 1 else None
     return list(map(method or _cell_text, values))

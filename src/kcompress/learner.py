@@ -8,9 +8,10 @@ astronomically small bounds and astronomically large multipliers stay
 finite and comparable.
 
 The bound is written once, in _bound_terms, over an array of sample
-sizes: the m_pac scan evaluates it on its whole window, and every
-reported breakdown (azuma_bound, bound-table rows) comes from the same
-function.  Reported rows take three steps per element in Python instead
+sizes: the m_pac scan evaluates it on chunks of its window from the top
+down, stopping below the last m where a condition fails (a failed scan
+evaluates the whole window for its diagnostics), and every reported
+breakdown (azuma_bound, bound-table rows) comes from the same function.  Reported rows take three steps per element in Python instead
 of NumPy: the partite ratio ((m - s)/m)**k with float power, log h with
 math.log, and the exponentials with math.exp.  NumPy's power, log and
 exp miss these in the last bit on some inputs, and the reported bytes
@@ -44,8 +45,9 @@ class GuaranteeInputs:
     selection_size and header_size follow the SelectionScheme array
     contract: called on an ndarray of sample sizes they return the
     integer-valued sizes elementwise (a scalar return broadcasts to every
-    m).  Every bound calls each of them once, on a float array of sample
-    sizes: the m_pac scan on its whole window, a breakdown on its rows.
+    m).  The bounds call each of them on float arrays of sample sizes:
+    a breakdown once, on its rows; the m_pac scan once per chunk of its
+    window it evaluates.
     """
 
     mode: str
@@ -252,6 +254,39 @@ class MPacNotFound(RuntimeError):
 
 
 MIN_SCAN_LIMIT = 10
+# Sample sizes per evaluation of the bound below the top of the window.
+SCAN_CHUNK = 16384
+
+
+def _scan_terms(inputs: GuaranteeInputs, lo: int, hi: int):
+    """(s, h, cond1, cond2, log_total) at m = lo+1 .. hi: the slack
+    condition, both conditions, and the log total bound."""
+    m = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    s, h, _, _, cond1, _, _, log_total = _bound_terms(inputs, m)
+    cond2 = cond1 & (log_total <= math.log(inputs.delta))
+    return s, h, cond1, cond2, log_total
+
+
+def _not_found(inputs: GuaranteeInputs, scan_limit: int, m0: int | None) -> MPacNotFound:
+    """The MPacNotFound of a failed scan, with diagnostics over the whole
+    window: the conditions fail at the limit when m0 is None, otherwise
+    the total bound is not decreasing over the top decile above m0."""
+    s, h, cond1, cond2, _ = _scan_terms(inputs, 0, scan_limit)
+    diagnostics = {
+        "scan_limit": scan_limit,
+        "cond1_holds": int(cond1.sum()),
+        "cond2_holds": int(cond2.sum()),
+        "holds_at_limit": bool(cond2[-1]),
+    }
+    if m0 is None:
+        return MPacNotFound("conditions fail at the end of the scanned window", diagnostics)
+    diagnostics["tail_monotone"] = False
+    diagnostics["constant_sizes"] = bool(
+        (s[m0 - 1 :] == s[m0 - 1]).all() and (h[m0 - 1 :] == h[m0 - 1]).all()
+    )
+    return MPacNotFound(
+        "total bound is not decreasing over the top decile of the window", diagnostics
+    )
 
 
 def m_pac(inputs: GuaranteeInputs, scan_limit: int) -> int:
@@ -264,36 +299,31 @@ def m_pac(inputs: GuaranteeInputs, scan_limit: int) -> int:
     window (for the built-in constant-size schemes the bound is
     eventually analytically decreasing in m, which this check witnesses
     numerically).  Raises MPacNotFound with diagnostics otherwise.
+
+    The window 1 .. scan_limit is scanned from the top down, in chunks:
+    the first holds the top decile and the top SCAN_CHUNK sizes (or the
+    whole window, if smaller), each later one the SCAN_CHUNK sizes below
+    it.  The scan stops at the first chunk holding an m where a condition
+    fails, so a certified m0 costs the bound at most at
+    scan_limit - m0 + 1 + SCAN_CHUNK sizes, or at the first chunk if that
+    is longer.  A failed scan evaluates the whole window once more for
+    its diagnostics.
     """
     if scan_limit < MIN_SCAN_LIMIT:
         raise ValueError(f"scan_limit must be >= {MIN_SCAN_LIMIT}")
-    m = np.arange(1, scan_limit + 1, dtype=np.float64)
-    s, h, _, _, cond1, _, _, log_total = _bound_terms(inputs, m)
-    cond2 = cond1 & (log_total <= math.log(inputs.delta))
-    suffix_ok = np.logical_and.accumulate(cond2[::-1])[::-1]
-    diagnostics = {
-        "scan_limit": scan_limit,
-        "cond1_holds": int(cond1.sum()),
-        "cond2_holds": int(cond2.sum()),
-        "holds_at_limit": bool(cond2[-1]),
-    }
-    if not suffix_ok[-1]:
-        raise MPacNotFound(
-            "conditions fail at the end of the scanned window", diagnostics
-        )
-    m0 = int(np.argmax(suffix_ok)) + 1
-    tail_start = max(int(scan_limit * 0.9), m0 - 1)
-    tail_total = log_total[tail_start:]
-    decreasing = bool((np.diff(tail_total) <= 1e-12).all())
-    diagnostics["tail_monotone"] = decreasing
-    diagnostics["constant_sizes"] = bool(
-        (s[m0 - 1 :] == s[m0 - 1]).all() and (h[m0 - 1 :] == h[m0 - 1]).all()
-    )
-    if not decreasing:
-        raise MPacNotFound(
-            "total bound is not decreasing over the top decile of the window",
-            diagnostics,
-        )
+    decile = int(scan_limit * 0.9)
+    top = max(0, min(decile, scan_limit - SCAN_CHUNK))
+    _, _, _, cond2, top_total = _scan_terms(inputs, top, scan_limit)
+    if not cond2[-1]:
+        raise _not_found(inputs, scan_limit, None)
+    lo, failing = top, np.flatnonzero(~cond2)
+    while not failing.size and lo > 0:
+        hi, lo = lo, max(0, lo - SCAN_CHUNK)
+        failing = np.flatnonzero(~_scan_terms(inputs, lo, hi)[3])
+    m0 = lo + int(failing[-1]) + 2 if failing.size else 1
+    tail_total = top_total[max(decile, m0 - 1) - top :]
+    if not (np.diff(tail_total) <= 1e-12).all():
+        raise _not_found(inputs, scan_limit, m0)
     return m0
 
 

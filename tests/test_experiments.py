@@ -777,6 +777,13 @@ def test_rows_to_csv_pins_mixed_cells():
     long_text = rows_to_csv(columns, rows * 211)
     assert long_text.endswith("\n")
     assert long_text.splitlines() == (header + body * 211).splitlines()
+    # a column holding one object is formatted once; equal objects that are
+    # not the same one (0.0 and -0.0) keep their own text
+    zero, nan = 0.0, float("nan")
+    same = [{"z": z, "n": nan, "b": True} for z in (zero, zero, -zero, zero)]
+    assert rows_to_csv(["z", "n", "b"], same) == (
+        "z,n,b\n0.0,nan,true\n0.0,nan,true\n-0.0,nan,true\n0.0,nan,true\n"
+    )
 
 
 def test_rows_to_json_parses_back():

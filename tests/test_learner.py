@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from kcompress import learner
 from kcompress.indexing import NONPARTITE, PARTITE
 from kcompress.learner import (
     BoundBreakdown,
@@ -443,6 +444,129 @@ def test_m_pac_rejects_unstable_tail():
 def test_m_pac_scan_limit_guard():
     with pytest.raises(ValueError):
         m_pac(RECT_INPUTS, scan_limit=9)
+
+
+def whole_window_scan(inputs, scan_limit):
+    """The m_pac scan over the whole window in one array: m0, or the
+    message and diagnostics of the MPacNotFound it must raise."""
+    m = np.arange(1, scan_limit + 1, dtype=np.float64)
+    s, h, _, _, cond1, _, _, log_total = _bound_terms(inputs, m)
+    cond2 = cond1 & (log_total <= math.log(inputs.delta))
+    suffix_ok = np.logical_and.accumulate(cond2[::-1])[::-1]
+    diagnostics = {
+        "scan_limit": scan_limit,
+        "cond1_holds": int(cond1.sum()),
+        "cond2_holds": int(cond2.sum()),
+        "holds_at_limit": bool(cond2[-1]),
+    }
+    if not suffix_ok[-1]:
+        return "conditions fail at the end of the scanned window", diagnostics
+    m0 = int(np.argmax(suffix_ok)) + 1
+    tail = log_total[max(int(scan_limit * 0.9), m0 - 1) :]
+    diagnostics["tail_monotone"] = bool((np.diff(tail) <= 1e-12).all())
+    diagnostics["constant_sizes"] = bool(
+        (s[m0 - 1 :] == s[m0 - 1]).all() and (h[m0 - 1 :] == h[m0 - 1]).all()
+    )
+    if not diagnostics["tail_monotone"]:
+        return "total bound is not decreasing over the top decile of the window", diagnostics
+    return m0
+
+
+def scan_outcome(inputs, scan_limit):
+    try:
+        return m_pac(inputs, scan_limit)
+    except MPacNotFound as exc:
+        return str(exc), exc.diagnostics
+
+
+def switch_inputs(at):
+    """Sizes whose m_pac is at: the whole sample below at fails the slack
+    condition, floor(log2 m) from at on passes both conditions."""
+    return GuaranteeInputs(
+        mode=PARTITE, k=1, sup_norm=1.0,
+        selection_size=lambda m: np.where(m < at, m, np.floor(np.log2(m))),
+        header_size=lambda m: m,
+        epsilon=0.5, delta=0.1,
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 16384])
+def test_m_pac_does_not_depend_on_chunk_length(monkeypatch, chunk):
+    monkeypatch.setattr(learner, "SCAN_CHUNK", chunk)
+    cases = [
+        (GuaranteeInputs.from_scheme(scheme(k), loss(), epsilon=0.3, delta=0.1), window)
+        for k, window in ((1, 500), (2, 2000), (3, 8000))
+        for scheme, loss in (
+            (rectangle_scheme, zero_one_partite), (sum_threshold_scheme, zero_one_nonpartite)
+        )
+    ]
+    # every m passes, so the scan walks down to m = 1
+    cases.append((inputs_const(PARTITE, 2, 0, 1, epsilon=0.1, delta=0.5, sup_norm=0.05), 100))
+    cases.append((inputs_const(NONPARTITE, 2, 0, 1, epsilon=0.1, delta=0.5, sup_norm=0.05), 100))
+    # m_pac at, next to and above the top of the second chunk from the top
+    window = 40000
+    edge = min(int(0.9 * window), window - chunk) - chunk
+    for at in (edge, edge + 1, edge + 2):
+        assert whole_window_scan(switch_inputs(at), window) == at
+        cases.append((switch_inputs(at), window))
+    # both failure kinds: conditions failing at the limit, a non-monotone tail
+    whole_sample = GuaranteeInputs(
+        mode=PARTITE, k=2, sup_norm=1.0,
+        selection_size=lambda m: m, header_size=lambda m: 1,
+        epsilon=0.1, delta=0.1,
+    )
+    oscillating = GuaranteeInputs(
+        mode=PARTITE, k=1, sup_norm=1.0,
+        selection_size=lambda m: 0,
+        header_size=lambda m: np.where(m % 2 == 0, 1, np.ceil(np.exp(0.1 * m))),
+        epsilon=0.9, delta=0.1,
+    )
+    assert whole_window_scan(whole_sample, 100)[1]["holds_at_limit"] is False
+    assert whole_window_scan(oscillating, 200)[1]["tail_monotone"] is False
+    cases += [(whole_sample, 100), (oscillating, 200)]
+    for inputs, window in cases:
+        assert scan_outcome(inputs, window) == whole_window_scan(inputs, window)
+
+
+def test_m_pac_stops_below_the_last_failing_m():
+    evaluated = []
+    scheme = rectangle_scheme(2)
+
+    def counted(m):
+        evaluated.append(m.size)
+        return scheme.selection_size(m)
+
+    gi = GuaranteeInputs(
+        mode=PARTITE, k=2, sup_norm=1.0,
+        selection_size=counted, header_size=scheme.header_size,
+        epsilon=0.02, delta=0.1,
+    )
+    assert m_pac(gi, scan_limit=800000) == 559771
+    assert sum(evaluated) <= 800000 - 559771 + 1 + learner.SCAN_CHUNK
+
+
+# windows holding m_pac of both families on the benchmark's epsilon grid
+GRID_WINDOWS = {
+    1: {0.1: 5_000, 0.05: 25_000, 0.02: 200_000},
+    2: {0.1: 50_000, 0.05: 200_000, 0.02: 800_000},
+    3: {0.1: 100_000, 0.05: 400_000, 0.02: 2_500_000},
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "scheme, loss",
+    [(rectangle_scheme, zero_one_partite), (sum_threshold_scheme, zero_one_nonpartite)],
+)
+def test_m_pac_agrees_with_guarantee_conditions(scheme, loss, k):
+    # the scan takes the partite ratio with NumPy's power, the reported
+    # rows with Python's; both must put m_pac at the same place
+    for epsilon, window in GRID_WINDOWS[k].items():
+        for delta in (0.1, 0.01):
+            gi = GuaranteeInputs.from_scheme(scheme(k), loss(), epsilon, delta)
+            m0 = m_pac(gi, window)
+            assert guarantee_conditions(gi, m0) == (True, True)
+            assert not all(guarantee_conditions(gi, m0 - 1))
 
 
 def test_guarantee_conditions_on_violated_point():
