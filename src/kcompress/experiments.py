@@ -14,8 +14,9 @@ id strings.
 
 Two execution engines produce identical records.  The generic engine
 materializes label tensors and goes through the compression pipeline; the
-fast engine runs a family's kernels under the uniform measure, with
-factorized counting so sample sizes in the tens of thousands stay cheap.
+fast engine runs a family's kernels on the drawn points, under any
+measure, with factorized counting so sample sizes in the tens of
+thousands stay cheap.
 The fast nonpartite path works on the sorted points through exact prefix
 boundaries: rounded addition is monotone, so for each point the partners
 whose float sum with it falls below a threshold are a prefix of the sorted
@@ -302,18 +303,7 @@ class TrialRecord:
     realizable: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "m": self.m,
-            "trial": self.trial,
-            "empirical_loss": self.empirical_loss,
-            "total_loss": self.total_loss,
-            "gap": self.gap,
-            "exceeded": self.exceeded,
-            "header": self.header,
-            "hypothesis": self.hypothesis,
-            "realizable": self.realizable,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -508,10 +498,11 @@ class Family:
     name is both its class_id and its scheme_id.  empirical_loss is the
     dense reference.  The fast engine runs concentration_kernel(k, F,
     sigma, eta, m, x) -> (H, empirical loss) and pac_kernel(k, F, m, x) ->
-    (H, header, empirical loss, realizable) for k in fast_arities under
-    the uniform measure.  Fields calling another module's function name
-    it inside a lambda, so a wrapper installed at the module attribute
-    (perfbench's tracer) is what they call.
+    (H, header, empirical loss, realizable) for k in fast_arities, under
+    any measure: the kernels read only the drawn points.  Fields calling
+    another module's function name it inside a lambda, so a wrapper
+    installed at the module attribute (perfbench's tracer) is what they
+    call.
     """
 
     name: str
@@ -562,17 +553,17 @@ FAMILIES = {family.name: family for family in (BOXES, SUM_THRESHOLDS)}
 _VARIANT_SALT = {"fixed": 0, "random": 1}
 
 
-def _fast_supported(cfg: ExperimentConfig, scheme: SelectionScheme, mu: ProductMeasure) -> bool:
+def _fast_supported(cfg: ExperimentConfig, scheme: SelectionScheme) -> bool:
     family = FAMILIES[cfg.class_id]
-    return mu.is_uniform and scheme.scheme_id == family.name and cfg.k in family.fast_arities
+    return scheme.scheme_id == family.name and cfg.k in family.fast_arities
 
 
-def _resolve_engine(cfg, scheme, mu, engine: str) -> str:
+def _resolve_engine(cfg, scheme, engine: str) -> str:
     if engine == "auto":
-        return "fast" if _fast_supported(cfg, scheme, mu) else "generic"
+        return "fast" if _fast_supported(cfg, scheme) else "generic"
     if engine not in ("fast", "generic"):
         raise ConfigError(f"unknown engine {engine!r}")
-    if engine == "fast" and not _fast_supported(cfg, scheme, mu):
+    if engine == "fast" and not _fast_supported(cfg, scheme):
         raise ConfigError("fast engine does not support this configuration")
     return engine
 
@@ -687,7 +678,7 @@ def run_concentration_experiment(
         raise ValueError(f"variant must be one of {sorted(_VARIANT_SALT)}")
     mu, klass, loss, scheme = build_all(cfg)
     _check_total_loss(cfg, mu)
-    eng = _resolve_engine(cfg, scheme, mu, engine)
+    eng = _resolve_engine(cfg, scheme, engine)
     inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
     result = ExperimentResult(
         kind="concentration", config=cfg, columns=list(CONCENTRATION_COLUMNS),
@@ -812,7 +803,7 @@ def run_pac_experiment(
     cfg.validate()
     mu, klass, loss, scheme = build_all(cfg)
     _check_total_loss(cfg, mu)
-    eng = _resolve_engine(cfg, scheme, mu, engine)
+    eng = _resolve_engine(cfg, scheme, engine)
     inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
     result = ExperimentResult(
         kind="pac", config=cfg, columns=list(PAC_COLUMNS),

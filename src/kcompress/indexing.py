@@ -11,6 +11,9 @@ orientation bundles.
 Conventions, fixed here once for the whole package:
 
 * indices are 0-based,
+* k-subsets are enumerated once, by sorted_subsets: ascending rows in
+  itertools.combinations order, which every per-subset computation
+  (order choices, bundles, nonpartite losses, threshold ERM) reads,
 * dense label tensors are stored row-major (last coordinate fastest),
 * nonpartite cells with a repeated index hold the sentinel code -1.
 """
@@ -151,31 +154,15 @@ def tuple_points(sample: Sample, idx: Sequence[int]) -> tuple:
     return tuple(axis[e] for axis, e in zip(sample.axes, t))
 
 
-@lru_cache(maxsize=32)
-def _index_grids(m: int, k: int) -> tuple[np.ndarray, ...]:
-    grids = np.indices((m,) * k)
-    grids.setflags(write=False)
-    return tuple(grids)
-
-
 def injective_mask(m: int, k: int, budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
     """Boolean (m,)*k grid, True where all coordinates are pairwise distinct."""
     check_cell_budget(m, k, budget)
-    grids = _index_grids(m, k)
+    # column i is range(m) along axis i, broadcasting against the others
+    cols = [np.arange(m).reshape((m,) + (1,) * (k - 1 - i)) for i in range(k)]
     mask = np.ones((m,) * k, dtype=bool)
     for i in range(k):
         for j in range(i + 1, k):
-            mask &= grids[i] != grids[j]
-    return mask
-
-
-def increasing_mask(m: int, k: int, budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
-    """Boolean (m,)*k grid, True on strictly increasing index tuples."""
-    check_cell_budget(m, k, budget)
-    grids = _index_grids(m, k)
-    mask = np.ones((m,) * k, dtype=bool)
-    for i in range(k - 1):
-        mask &= grids[i] < grids[i + 1]
+            mask &= cols[i] != cols[j]
     return mask
 
 
@@ -385,9 +372,12 @@ def subsample(obj, inj: InjectionVector):
     return _subsample_labels(obj, inj)
 
 
-@lru_cache(maxsize=32)
-def _sorted_subsets(m: int, k: int) -> np.ndarray:
-    """All k-subsets of range(m) as ascending rows, in itertools.combinations order."""
+# a validity sweep over m = 2..40 cycles through 39 sizes per audit; with
+# fewer entries than that, the cache would miss on every one of them
+@lru_cache(maxsize=64)
+def sorted_subsets(m: int, k: int) -> np.ndarray:
+    """All k-subsets of range(m) as ascending rows, in itertools.combinations
+    order (so lexicographic): a read-only (C(m, k), k) array, cached."""
     rows = np.fromiter(
         itertools.combinations(range(m), k),
         dtype=np.dtype((np.intp, k)),
@@ -420,7 +410,7 @@ class OrderChoice:
                 f"order choice has shape {rows.shape}, expected "
                 f"(C({self.m},{self.k}), {self.k}) = {(expected, self.k)}"
             )
-        subsets = _sorted_subsets(self.m, self.k)
+        subsets = sorted_subsets(self.m, self.k)
         bad = np.flatnonzero((np.sort(rows, axis=1) != subsets).any(axis=1))
         if bad.size:
             r = int(bad[0])
@@ -434,12 +424,12 @@ class OrderChoice:
     @classmethod
     def canonical(cls, m: int, k: int) -> "OrderChoice":
         """Ascending order on every subset."""
-        return cls(m, k, _sorted_subsets(m, k))
+        return cls(m, k, sorted_subsets(m, k))
 
     @classmethod
     def random(cls, m: int, k: int, rng: np.random.Generator) -> "OrderChoice":
         """An independent uniformly random ordering of every subset."""
-        return cls(m, k, rng.permuted(_sorted_subsets(m, k), axis=1))
+        return cls(m, k, rng.permuted(sorted_subsets(m, k), axis=1))
 
 
 def canonical_order_choice(m: int, k: int) -> OrderChoice:
@@ -459,7 +449,7 @@ def bundle_orientations(tensor: LabelTensor, order: OrderChoice) -> dict:
         raise ValueError("order choice shape does not match the tensor")
     perms = enumerate_permutations(tensor.k)
     out = {}
-    subsets = _sorted_subsets(tensor.m, tensor.k).tolist()
+    subsets = sorted_subsets(tensor.m, tensor.k).tolist()
     for u, ordering in zip(subsets, order.orders.tolist()):
         out[tuple(u)] = tuple(
             tensor.alphabet[int(tensor.codes[tuple(ordering[p] for p in perm)])]

@@ -120,20 +120,7 @@ class BoundBreakdown:
     condition_ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "selection_size": self.selection_size,
-            "header_count": self.header_count,
-            "slack": self.slack,
-            "effective_epsilon": self.effective_epsilon,
-            "single_event_bound": self.single_event_bound,
-            "log_single_event": self.log_single_event,
-            "multiplier": self.multiplier,
-            "log_multiplier": self.log_multiplier,
-            "total_bound": self.total_bound,
-            "log_total": self.log_total,
-            "condition_ok": self.condition_ok,
-        }
+        return dict(vars(self))
 
 
 def _safe_exp(x: float) -> float:

@@ -22,8 +22,7 @@ from .indexing import (
     LabeledSample,
     OrderChoice,
     enumerate_permutations,
-    increasing_mask,
-    injective_mask,
+    sorted_subsets,
 )
 from .samples import (
     Hypothesis,
@@ -97,13 +96,6 @@ def empirical_loss_partite(labeled: LabeledSample, H: Hypothesis, loss: LossSpec
     return total / m**k
 
 
-def _any_orientation_differs(neq: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros_like(neq)
-    for perm in enumerate_permutations(k):
-        out |= neq.transpose(perm)
-    return out
-
-
 def empirical_loss_nonpartite(
     labeled: LabeledSample, H: Hypothesis, loss: LossSpec, order: OrderChoice
 ) -> float:
@@ -111,8 +103,9 @@ def empirical_loss_nonpartite(
 
     The zero-one bundle loss does not depend on which ordering the order
     choice picks (a bundle mismatch in any orientation is a mismatch in
-    all of them), so the fast path only validates the order choice.
-    Custom losses are evaluated per subset through the bundles.
+    all of them), so the zero-one path only validates the order choice:
+    it counts the rows of sorted_subsets whose labels differ from H's in
+    some orientation.  Custom losses are evaluated per subset through the bundles.
     """
     if labeled.mode != NONPARTITE or loss.mode != NONPARTITE:
         raise ValueError("empirical_loss_nonpartite expects nonpartite sample and loss")
@@ -124,12 +117,12 @@ def empirical_loss_nonpartite(
     if (order.m, order.k) != (m, k):
         raise ValueError("order choice shape does not match the sample")
     if loss.kind == "zero-one":
-        guess = _hypothesis_codes(H, labeled)
-        inj = injective_mask(m, k)
-        neq = (guess != labeled.labels.codes) & inj
-        differs = _any_orientation_differs(neq, k)
-        count = int(np.count_nonzero(differs & increasing_mask(m, k)))
-        return count / math.comb(m, k)
+        neq = _hypothesis_codes(H, labeled) != labeled.labels.codes
+        subsets = sorted_subsets(m, k)
+        differs = np.zeros(len(subsets), dtype=bool)
+        for perm in enumerate_permutations(k):
+            differs |= neq[tuple(subsets[:, p] for p in perm)]
+        return int(np.count_nonzero(differs)) / math.comb(m, k)
     return _empirical_loss_nonpartite_generic(labeled, H, loss, order)
 
 

@@ -41,10 +41,10 @@ from .indexing import (
     LabeledSample,
     Sample,
     check_cell_budget,
-    increasing_mask,
     injective_mask,
     enumerate_permutations,
     side_count,
+    sorted_subsets,
 )
 
 BINARY_ALPHABET = (0, 1)
@@ -610,25 +610,25 @@ def minimal_enclosing_box(labeled: LabeledSample) -> Hypothesis:
     return Hypothesis.rectangle(intervals)
 
 
-def _threshold_set_masks(labeled: LabeledSample):
-    """Per-k-subset masks over increasing tuples: all-positive, all-negative, mixed."""
-    m, k = labeled.m, labeled.k
-    codes = labeled.labels.codes
+def _subset_label_masks(labeled: LabeledSample):
+    """The k-subsets of the sample (sorted_subsets rows) and, per row, whether
+    its orientations are labeled all positive, all negative, or mixed."""
+    subsets = sorted_subsets(labeled.m, labeled.k)
     pos_code = _positive_code(labeled.labels.alphabet)
-    pos = codes == pos_code
-    neg = (codes != pos_code) & (codes != SENTINEL)
-    any_pos = np.zeros((m,) * k, dtype=bool)
-    any_neg = np.zeros((m,) * k, dtype=bool)
-    for perm in enumerate_permutations(k):
-        any_pos |= pos.transpose(perm)
-        any_neg |= neg.transpose(perm)
-    inc = increasing_mask(m, k)
-    return inc & any_pos & ~any_neg, inc & any_neg & ~any_pos, inc & any_pos & any_neg
+    any_pos = np.zeros(len(subsets), dtype=bool)
+    any_neg = np.zeros(len(subsets), dtype=bool)
+    # subsets are injective, so no gathered cell holds SENTINEL
+    for perm in enumerate_permutations(labeled.k):
+        pos = labeled.labels.codes[tuple(subsets[:, p] for p in perm)] == pos_code
+        any_pos |= pos
+        any_neg |= ~pos
+    return subsets, any_pos & ~any_neg, any_neg & ~any_pos, any_pos & any_neg
 
 
-def _subset_sums(sample: Sample, k: int) -> np.ndarray:
+def _subset_sums(sample: Sample, subsets: np.ndarray) -> np.ndarray:
+    """Coordinate sums of the sample's points over each subset row."""
     pts = np.asarray(sample.sides[0], dtype=float)
-    return coordinate_sum([pts.reshape(_axis_shape(i, k, len(pts))) for i in range(k)])
+    return coordinate_sum([pts[col] for col in subsets.T])
 
 
 def erm_realizability_check(
@@ -664,12 +664,12 @@ def _box_erm(labeled: LabeledSample) -> tuple[bool, Hypothesis | None]:
 
 def _threshold_erm(labeled: LabeledSample) -> tuple[bool, Hypothesis | None]:
     k = labeled.k
-    pos_sets, neg_sets, mixed = _threshold_set_masks(labeled)
+    subsets, pos_sets, neg_sets, mixed = _subset_label_masks(labeled)
     if mixed.any():
         return False, None
     if not pos_sets.any():
         return True, Hypothesis.constant(k, 0)
-    sums = _subset_sums(labeled.sample, k)
+    sums = _subset_sums(labeled.sample, subsets)
     min_pos = float(sums[pos_sets].min())
     if neg_sets.any() and float(sums[neg_sets].max()) >= min_pos:
         return False, None

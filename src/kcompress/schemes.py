@@ -32,8 +32,8 @@ from .samples import (
     KeyedGenerator,
     ProductMeasure,
     _positive_code,
+    _subset_label_masks,
     _subset_sums,
-    _threshold_set_masks,
     coordinate_sum,
     derive_seed,
     draw_sample,
@@ -190,27 +190,20 @@ def _thresh_sizes(k: int) -> SizeMap:
     return lambda m: _capped_size(m, k)
 
 
-def _thresh_positive_sets(labeled: LabeledSample) -> np.ndarray:
-    pos_sets, _, _ = _threshold_set_masks(labeled)
-    return pos_sets
-
-
 def _thresh_select(labeled: LabeledSample) -> InjectionVector:
     m, k = labeled.m, labeled.k
-    s = _thresh_sizes(k)(m)
-    pos_sets = _thresh_positive_sets(labeled)
+    subsets, pos_sets, _, _ = _subset_label_masks(labeled)
     if not pos_sets.any():
-        return InjectionVector(NONPARTITE, m, (tuple(range(s)),))
-    sums = _subset_sums(labeled.sample, k)
-    best = sums[pos_sets].min()
-    # argwhere scans row-major, so the first hit is the lexicographically
-    # smallest index tuple among minimal-sum positive subsets.
-    first = np.argwhere(pos_sets & (sums == best))[0]
-    return InjectionVector(NONPARTITE, m, (tuple(int(v) for v in first),))
+        return InjectionVector(NONPARTITE, m, (tuple(range(_thresh_sizes(k)(m))),))
+    positive = np.flatnonzero(pos_sets)
+    # argmin takes the first minimum and the rows are in lexicographic
+    # order, so ties go to the smallest minimal-sum positive subset.
+    best = positive[np.argmin(_subset_sums(labeled.sample, subsets[positive]))]
+    return InjectionVector(NONPARTITE, m, (tuple(subsets[best].tolist()),))
 
 
 def _thresh_header(labeled: LabeledSample) -> int:
-    return 1 if _thresh_positive_sets(labeled).any() else 2
+    return 1 if _subset_label_masks(labeled)[1].any() else 2
 
 
 def _thresh_rebuild(sub: LabeledSample, header: int) -> Hypothesis:
@@ -260,17 +253,7 @@ class CompressionReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "m": self.m,
-            "selection_size": self.selection_size,
-            "header": self.header,
-            "selected": [list(mp) for mp in self.selected],
-            "hypothesis": self.hypothesis,
-            "empirical_loss": self.empirical_loss,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

@@ -158,11 +158,9 @@ def test_trials_beyond_32_bit_trial_indices_exit_2(cfg_file, capsys, command):
 
 @pytest.mark.parametrize("command", ["concentration", "pac"])
 def test_fast_engine_on_unsupported_config_exits_2(tmp_path, capsys, command):
-    # the fast kernels cover uniform sides only; a discrete measure is refused
+    # the fast kernels cover the family's own scheme only; the trivial one is refused
     p = tmp_path / "run.cfg"
-    p.write_text(
-        PARTITE_TEXT + "measure = discrete:0.25@0.5,0.75@0.5\nestimator = monte-carlo\n"
-    )
+    p.write_text(PARTITE_TEXT + "scheme_id = trivial\n")
     assert dispatch([command, "--config", str(p), "--engine", "fast"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -534,6 +534,26 @@ def test_batched_pac_equals_trial_by_trial(cfg, monkeypatch):
         assert r == want
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dataclasses.replace(
+            cfg, measure=MC_DISCRETE_CFG.measure, estimator="monte-carlo", n_draws=300
+        )
+        for cfg in (PARTITE_CFG, NONPARTITE_CFG)
+    ],
+    ids=["partite", "nonpartite"],
+)
+def test_engines_agree_on_a_discrete_measure(cfg):
+    # the fast kernels read only the drawn points, so atoms (and the ties
+    # they bring) change nothing
+    for run in (run_concentration_suite, run_pac_experiment):
+        fast = run(cfg, engine="fast")
+        slow = run(cfg, engine="generic")
+        assert records_of(fast) == records_of(slow)
+        assert fast.rows == slow.rows
+
+
 def test_fast_engine_refuses_unsupported_configs():
     cfg = dataclasses.replace(PARTITE_CFG, scheme_id="trivial")
     with pytest.raises(ValueError, match="fast engine"):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from kcompress.indexing import (
     check_index_tuple,
     enumerate_permutations,
     falling_factorial,
-    increasing_mask,
     injective_mask,
+    sorted_subsets,
     subsample,
     tuple_points,
 )
@@ -135,7 +136,18 @@ def test_tuple_points_nonpartite_requires_injective():
 @pytest.mark.parametrize("m,k", [(3, 2), (4, 2), (4, 3), (5, 1), (2, 3)])
 def test_mask_counts(m, k):
     assert injective_mask(m, k).sum() == falling_factorial(m, k)
-    assert increasing_mask(m, k).sum() == math.comb(m, k)
+    assert len(sorted_subsets(m, k)) == math.comb(m, k)
+
+
+def test_injective_mask_peak_memory_stays_near_the_mask():
+    # no (k, m, ..., m) index grid: the pairwise comparisons broadcast columns
+    tracemalloc.start()
+    try:
+        mask = injective_mask(2000, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * mask.nbytes
 
 
 def test_mask_budget():

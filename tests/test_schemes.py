@@ -1,6 +1,7 @@
 """Tests for the built-in selection schemes and the validity checkers."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcompress.indexing import NONPARTITE, PARTITE, InjectionVector, Sample
+from kcompress.indexing import (
+    NONPARTITE,
+    PARTITE,
+    SENTINEL,
+    InjectionVector,
+    LabeledSample,
+    LabelTensor,
+    Sample,
+    canonical_order_choice,
+)
 from kcompress.losses import (
     empirical_loss_nonpartite,
     empirical_loss_partite,
@@ -18,7 +28,10 @@ from kcompress.losses import (
 from kcompress.samples import (
     Hypothesis,
     HypothesisClass,
+    _subset_label_masks,
+    _subset_sums,
     draw_sample,
+    erm_realizability_check,
     label_sample,
     labeled_sample_from_json,
     labeled_sample_to_json,
@@ -131,7 +144,7 @@ def test_rectangle_single_point_sample():
 
 def test_threshold_select_lexicographically_first_minimal_pair():
     # pair sums: {0,3} and {1,2} both hit the minimum positive sum 1.0;
-    # row-major scanning must pick (0, 3)
+    # the lexicographically smaller (0, 3) must be picked
     x = Sample.nonpartite([0.5, 0.3, 0.7, 0.5], k=2)
     z = label_sample(Hypothesis.sum_threshold(2, 1.0), x)
     scheme = sum_threshold_scheme(2)
@@ -173,6 +186,92 @@ def test_threshold_all_negative_and_tiny_samples():
     sub, hdr = compress(scheme, tiny)
     assert hdr == 2
     assert reconstruct(scheme, sub, hdr).const_value == 0
+
+
+def test_threshold_select_breaks_triple_ties_lexicographically():
+    # (0,1,5), (0,2,4), (1,2,3) and (2,3,5) all sum to the minimal positive
+    # 0.75; the first positive subset, (0,1,2), sums to 0.875
+    x = Sample.nonpartite([0.5, 0.125, 0.25, 0.375, 0.0, 0.125], k=3)
+    z = label_sample(Hypothesis.sum_threshold(3, 0.75), x)
+    scheme = sum_threshold_scheme(3)
+    assert scheme.select(z).maps == ((0, 1, 5),)
+    H = reconstruct(scheme, *compress(scheme, z))
+    assert H.threshold == 0.75
+    loss = empirical_loss_nonpartite(z, H, zero_one_nonpartite(), canonical_order_choice(6, 3))
+    assert loss == 0.0
+
+
+# a few atoms, dyadic and not, so that subset sums tie with each other
+# and with the thresholds
+_SUM_ATOMS = (0.0, 0.125, 0.25, 0.5, 0.1, 0.2, 0.3, 0.7)
+
+
+@st.composite
+def oriented_labelings(draw):
+    """(labeled, H): a nonpartite sample at k = 1..4, m = 0..k+4, labeled by
+    a sum threshold with some cells flipped, so that the orientations of a
+    subset may disagree; H is a sum threshold or an asymmetric table rule."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(0, k + 4))
+    x = Sample.nonpartite(draw(st.lists(st.sampled_from(_SUM_ATOMS), min_size=m, max_size=m)), k)
+    thresholds = st.sampled_from([0.125 * i for i in range(8 * k + 1)])
+    codes = label_sample(Hypothesis.sum_threshold(k, draw(thresholds)), x).labels.codes.copy()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flip = rng.random(codes.shape) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    codes[flip & (codes != SENTINEL)] ^= 1
+    labeled = LabeledSample(x, LabelTensor.from_codes(NONPARTITE, k, m, (0, 1), codes))
+    if draw(st.booleans()):
+        H = Hypothesis.sum_threshold(k, draw(thresholds))
+    else:
+        labels = rng.integers(0, 2, size=len(_SUM_ATOMS) ** k).tolist()
+        H = Hypothesis.table(k, (_SUM_ATOMS,), labels)
+    return labeled, H
+
+
+@settings(max_examples=150, deadline=None)
+@given(oriented_labelings())
+def test_subset_paths_match_bruteforce_over_orientations(case):
+    labeled, H = case
+    m, k = labeled.m, labeled.k
+    pts, codes = labeled.sample.sides[0], labeled.labels.codes
+    subsets = list(itertools.combinations(range(m), k))
+    orientations = [list(itertools.permutations(u)) for u in subsets]
+    labels = [{int(codes[p]) for p in perms} for perms in orientations]
+    # coordinates added in ascending order, as coordinate_sum adds them
+    sums = [sum(sorted(float(pts[i]) for i in u)) for u in subsets]
+
+    rows, pos, neg, mixed = _subset_label_masks(labeled)
+    assert rows.tolist() == [list(u) for u in subsets]
+    assert pos.tolist() == [ls == {1} for ls in labels]
+    assert neg.tolist() == [ls == {0} for ls in labels]
+    assert mixed.tolist() == [ls == {0, 1} for ls in labels]
+    assert _subset_sums(labeled.sample, rows).tolist() == sums
+
+    wrong = sum(
+        any(H.value(tuple(pts[i] for i in p)) != codes[p] for p in perms)
+        for perms in orientations
+    )
+    loss = empirical_loss_nonpartite(
+        labeled, H, zero_one_nonpartite(), canonical_order_choice(m, k)
+    )
+    assert loss == (wrong / len(subsets) if subsets else 0.0)
+
+    positive = [(s, u) for s, u, ls in zip(sums, subsets, labels) if ls == {1}]
+    scheme = sum_threshold_scheme(k)
+    want = min(positive)[1] if positive else tuple(range(min(m, k)))
+    assert scheme.select(labeled).maps == (want,)
+    assert scheme.header(labeled) == (1 if positive else 2)
+
+    negative = [s for s, ls in zip(sums, labels) if ls == {0}]
+    ok, witness = erm_realizability_check(
+        HypothesisClass.sum_thresholds(k), labeled, zero_one_nonpartite()
+    )
+    if {0, 1} in labels or (positive and negative and max(negative) >= min(positive)[0]):
+        assert (ok, witness) == (False, None)
+    elif not positive:
+        assert ok and witness.kind == "constant" and witness.const_value == 0
+    else:
+        assert ok and witness.threshold == min(positive)[0]
 
 
 # ---------------------------------------------------------------------------
