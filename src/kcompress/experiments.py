@@ -80,6 +80,7 @@ from .samples import (
     draw_sample,
     erm_realizability_check,
     label_sample,
+    side_keys,
     spawn_rng,
     stream_keys,
     threshold_of,
@@ -582,11 +583,6 @@ def _total_loss(cfg, mu, loss, F, H, mc_seed: int | None) -> float:
     return est
 
 
-def _side_keys(mu: ProductMeasure, seeds: np.ndarray) -> list:
-    """Per trial, the Philox keys of its sample's side streams (seed, side)."""
-    return stream_keys(seeds[:, None], np.arange(len(mu.distributions))).tolist()
-
-
 def _mc_seeds(cfg: ExperimentConfig, prefix: tuple, ts: np.ndarray) -> list:
     """Per trial t, the seed (*prefix, t, 7) of its Monte Carlo total loss;
     the exact estimator reads none, so none is derived for it."""
@@ -690,14 +686,14 @@ def run_concentration_experiment(
 
     def batch(m, mi, sigma_m, t0, count):
         ts = np.arange(t0, t0 + count)
-        keys = _side_keys(mu, derive_seed(cfg.seed, vsalt, mi, ts))
+        keys = side_keys(mu, derive_seed(cfg.seed, vsalt, mi, ts))
         mc_seeds = _mc_seeds(cfg, (vsalt, mi), ts)
         recs = [
             _concentration_trial(
                 cfg, mu, loss, scheme, F, sigma_m, eta, variant, m, t0 + j,
-                draw_sample(mu, m, keys=side_keys, rng=rng), mc_seeds[j], eng,
+                draw_sample(mu, m, keys=trial_keys, rng=rng), mc_seeds[j], eng,
             )
-            for j, side_keys in enumerate(keys)
+            for j, trial_keys in enumerate(keys)
         ]
         exceed = sum(r.exceeded for r in recs)
         return recs, exceed
@@ -816,13 +812,13 @@ def run_pac_experiment(
     def batch(m, mi, t0, count):
         ts = np.arange(t0, t0 + count)
         target_keys = stream_keys(cfg.seed, mi, ts, 0).tolist()
-        keys = _side_keys(mu, derive_seed(cfg.seed, mi, ts, 1))
+        keys = side_keys(mu, derive_seed(cfg.seed, mi, ts, 1))
         mc_seeds = _mc_seeds(cfg, (mi,), ts)
         recs = []
-        for j, side_keys in enumerate(keys):
+        for j, trial_keys in enumerate(keys):
             # the target's stream is drawn in full before the sample re-keys rng
             F = klass.sample_hypothesis(rng.at(target_keys[j]))
-            x = draw_sample(mu, m, keys=side_keys, rng=rng)
+            x = draw_sample(mu, m, keys=trial_keys, rng=rng)
             recs.append(
                 _pac_trial(cfg, mu, klass, loss, scheme, m, t0 + j, F, x, mc_seeds[j], eng)
             )

@@ -10,6 +10,7 @@ the built-in families.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,9 +27,10 @@ from .indexing import (
 )
 from .samples import (
     Hypothesis,
+    KeyedGenerator,
     ProductMeasure,
     encode_labels,
-    spawn_rng,
+    stream_keys,
     threshold_of,
 )
 
@@ -170,8 +172,12 @@ def total_loss_monte_carlo(
     k = mu.k
     if F.k != k or H.k != k:
         raise ValueError("hypothesis arity does not match the measure")
+    # column i draws from the stream (seed, i): side i (partite), or the
+    # i-th of k i.i.d. draws from the one ground distribution (nonpartite)
+    rng = KeyedGenerator()
+    keys = stream_keys(seed, np.arange(k))
+    cols = [d.draw(rng.at(key), n_draws) for d, key in zip(itertools.cycle(mu.distributions), keys)]
     if mu.mode == PARTITE:
-        cols = [mu.distributions[i].draw(spawn_rng(seed, i), n_draws) for i in range(k)]
         if loss.kind == "zero-one":
             values = (H.eval_columns(cols) != F.eval_columns(cols)).astype(float)
         else:
@@ -187,7 +193,6 @@ def total_loss_monte_carlo(
                 dtype=float,
             )
     else:
-        cols = [mu.distributions[0].draw(spawn_rng(seed, j), n_draws) for j in range(k)]
         perms = enumerate_permutations(k)
         if loss.kind == "zero-one":
             differs = np.zeros(n_draws, dtype=bool)

@@ -4,23 +4,23 @@ Randomness is counter-based: every stream is a Philox generator keyed by
 a master seed plus an integer path, so any draw is reproducible from
 (seed, path) alone and independent streams never overlap.  The key of
 the stream (seed, path) is np.random.SeedSequence(seed, spawn_key=path)
-.generate_state(2, np.uint64).
+.generate_state(2, np.uint64); numpy's SeedSequence is the tests'
+reference, and no code here builds one.
 
-A batch of trials derives its seeds and keys at once.  SeedSequence is a
-fixed sequence of uint32 operations on the words of its entropy, so
-derive_seed and stream_keys run the same operations elementwise on
-uint32 arrays (_mirror_state) whenever an argument is an ndarray: the
-entropy is assembled exactly as numpy assembles it (one word per 32 bits
-of the seed, 0 taking one word, zero-padded to the pool size, then one
-word per path element), so every result equals the scalar SeedSequence
-one bit for bit.  An array path element must therefore lie in
-[0, 2**32): a larger one would take more than one word, and is refused
-rather than hashed differently.  Every operand of the mirror, its hash
-constants included, is uint32, so the arithmetic wraps at 32 bits under
-NumPy 1's and NumPy 2's promotion rules alike.  Draws then go through
-one KeyedGenerator, a Philox generator re-keyed in place, instead of a
-new SeedSequence, Philox and Generator per stream; a Philox stream is
-fixed by its key and counter alone, so the draws are unchanged.
+_mirror_state is the one derivation of seeds and keys.  SeedSequence is
+a fixed sequence of uint32 operations on the words of its entropy, and
+the mirror runs them elementwise on uint32 arrays, so a batch of trials
+derives its seeds and keys in one call: the entropy is assembled exactly
+as numpy assembles it (one word per 32 bits of the seed or of a scalar
+path element, 0 taking one word, the seed zero-padded to the pool size),
+so every result equals SeedSequence's bit for bit.  An array path
+element must lie in [0, 2**32): a larger one would take more than one
+word, and is refused rather than hashed differently.  Every operand of
+the mirror, its hash constants included, is uint32, so the arithmetic
+wraps at 32 bits under NumPy 1's and NumPy 2's promotion rules alike.
+Draws go through one KeyedGenerator, a Philox generator re-keyed in
+place, instead of a new Philox and Generator per stream; a Philox stream
+is fixed by its key and counter alone, so the draws are unchanged.
 """
 
 from __future__ import annotations
@@ -50,17 +50,9 @@ from .indexing import (
 BINARY_ALPHABET = (0, 1)
 
 
-def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
-    return np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
-
-
-def _batched(seed, path) -> bool:
-    return isinstance(seed, np.ndarray) or any(isinstance(p, np.ndarray) for p in path)
-
-
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator derived from (seed, path), counter-based."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
+    """A new generator at the start of the stream (seed, path)."""
+    return np.random.Generator(np.random.Philox(key=stream_keys(seed, *path)))
 
 
 def derive_seed(seed, *path):
@@ -71,21 +63,18 @@ def derive_seed(seed, *path):
     over their broadcast shape and returns a uint64 array equal, element
     by element, to the scalar result.
     """
-    if _batched(seed, path):
-        return _mirror_state(seed, path, 1)[..., 0]
-    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+    state = _mirror_state(seed, path, 1)[..., 0]
+    return int(state) if state.ndim == 0 else state
 
 
 def stream_keys(seed, *path) -> np.ndarray:
     """The Philox key of the stream (seed, path), a (2,) uint64 array.
 
-    spawn_rng(seed, *path) draws from the stream with this key, as does
-    KeyedGenerator().at(key).  ndarray arguments are elementwise, as in
+    spawn_rng(seed, *path) and KeyedGenerator().at(key) both draw the
+    stream with this key.  ndarray arguments are elementwise, as in
     derive_seed, and give shape (..., 2).
     """
-    if _batched(seed, path):
-        return _mirror_state(seed, path, 2)
-    return _seed_sequence(seed, path).generate_state(2, np.uint64)
+    return _mirror_state(seed, path, 2)
 
 
 class KeyedGenerator:
@@ -266,6 +255,12 @@ class ProductMeasure:
         return all(isinstance(d, Uniform01) for d in self.distributions)
 
 
+def side_keys(mu: ProductMeasure, seeds: np.ndarray) -> list:
+    """Per sample seed, the Philox keys of its side streams (seed, side):
+    nested lists of shape seeds.shape + (n_sides, 2), for draw_sample."""
+    return stream_keys(seeds[..., None], np.arange(len(mu.distributions))).tolist()
+
+
 def draw_sample(
     mu: ProductMeasure,
     m: int,
@@ -277,11 +272,11 @@ def draw_sample(
     """m independent points per side (partite) or m points total (nonpartite).
 
     Side i draws from the stream (seed, i), so the draw is fully
-    determined by the seed and point index.  A batch of trials passes
-    keys instead of seed: the side streams' keys stream_keys(seed, i),
-    worked out for the whole batch.  The streams are drawn through rng;
-    a caller that draws many samples passes one KeyedGenerator for all
-    of them, otherwise each call makes its own.
+    determined by the seed and point index; the side keys come from one
+    stream_keys call.  A batch of trials passes keys instead of seed: the
+    trial's side keys, from side_keys for the whole batch.  The streams
+    are drawn through rng; a caller that draws many samples passes one
+    KeyedGenerator for all of them, otherwise each call makes its own.
     """
     if m < 0:
         raise ValueError("sample size m must be >= 0")
@@ -289,7 +284,8 @@ def draw_sample(
         raise ValueError("pass exactly one of seed and keys")
     n_sides = len(mu.distributions)
     if keys is None:
-        keys = [stream_keys(seed, i) for i in range(n_sides)]
+        # the seed stays a scalar: as an array, one >= 2**64 has dtype object
+        keys = stream_keys(seed, np.arange(n_sides))
     elif len(keys) != n_sides:
         raise ValueError(f"expected {n_sides} side keys, got {len(keys)}")
     if rng is None:

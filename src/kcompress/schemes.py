@@ -10,6 +10,7 @@ realizable sample.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,7 +41,8 @@ from .samples import (
     erm_realizability_check,
     label_sample,
     minimal_enclosing_box,
-    spawn_rng,
+    side_keys,
+    stream_keys,
 )
 
 
@@ -273,8 +275,8 @@ def _realizable_trial_losses(
     scheme: SelectionScheme,
     labeled: LabeledSample,
     loss: LossSpec,
-    n_order_choices: int,
-    order_seed: int,
+    order_keys: Sequence,
+    rng: KeyedGenerator,
 ) -> tuple[float, InjectionVector, int, Hypothesis]:
     inj, sub, hdr = _kappa_full(scheme, labeled)
     H = reconstruct(scheme, sub, hdr)
@@ -283,68 +285,10 @@ def _realizable_trial_losses(
     else:
         m, k = labeled.m, labeled.k
         orders = [OrderChoice.canonical(m, k)]
-        for j in range(n_order_choices):
-            orders.append(OrderChoice.random(m, k, spawn_rng(order_seed, j)))
+        for key in order_keys:
+            orders.append(OrderChoice.random(m, k, rng.at(key)))
         worst = max(empirical_loss_nonpartite(labeled, H, loss, o) for o in orders)
     return worst, inj, hdr, H
-
-
-def _run_validity(
-    scheme: SelectionScheme,
-    klass: HypothesisClass,
-    loss: LossSpec,
-    trials: int,
-    m_values: Sequence[int],
-    seed: int,
-    threshold_for_m: Callable[[int], float],
-    measure: ProductMeasure | None,
-    n_order_choices: int,
-    fail_fast: bool,
-) -> ValidityReport:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if klass.mode != scheme.mode or klass.k != scheme.k:
-        raise ValueError("hypothesis class does not match the scheme")
-    mu = measure if measure is not None else ProductMeasure.uniform(scheme.mode, scheme.k)
-    records = []
-    violations = []
-    done = False
-    rng = KeyedGenerator()
-    for mi, m in enumerate(m_values):
-        if done:
-            break
-        for t in range(trials):
-            F = klass.sample_hypothesis(spawn_rng(seed, mi, t, 0))
-            x = draw_sample(mu, m, derive_seed(seed, mi, t, 1), rng=rng)
-            labeled = label_sample(F, x)
-            worst, inj, hdr, H = _realizable_trial_losses(
-                scheme, labeled, loss, n_order_choices, derive_seed(seed, mi, t, 2)
-            )
-            bound = threshold_for_m(m)
-            rec = CompressionReport(
-                trial=t,
-                m=m,
-                selection_size=inj.size,
-                header=hdr,
-                selected=inj.maps,
-                hypothesis=H.describe(),
-                empirical_loss=worst,
-                threshold=bound,
-                passed=worst <= bound,
-            )
-            records.append(rec)
-            if not rec.passed:
-                violations.append(rec)
-                if fail_fast:
-                    done = True
-                    break
-    return ValidityReport(
-        scheme_id=scheme.scheme_id,
-        trials=trials,
-        m_values=tuple(m_values),
-        records=tuple(records),
-        violations=tuple(violations),
-    )
 
 
 def check_compression_validity(
@@ -363,11 +307,12 @@ def check_compression_validity(
     Labels always come from a sampled class member, so every sample is
     realizable by construction.  Nonpartite losses are additionally
     evaluated under random order choices; a violation is any strictly
-    positive loss.  Violations are report content, not exceptions.
+    positive loss.  Violations are report content, not exceptions.  This
+    is check_approximate_validity with eps_sequence(m) = 0, on the same
+    streams.
     """
-    return _run_validity(
-        scheme, klass, loss, trials, m_values, seed,
-        threshold_for_m=lambda m: 0.0,
+    return check_approximate_validity(
+        scheme, klass, loss, lambda m: 0.0, trials, m_values, seed,
         measure=measure, n_order_choices=n_order_choices, fail_fast=fail_fast,
     )
 
@@ -384,11 +329,58 @@ def check_approximate_validity(
     n_order_choices: int = 5,
     fail_fast: bool = False,
 ) -> ValidityReport:
-    """Like check_compression_validity but tolerating loss up to eps_sequence(m)."""
-    return _run_validity(
-        scheme, klass, loss, trials, m_values, seed,
-        threshold_for_m=lambda m: float(eps_sequence(m)),
-        measure=measure, n_order_choices=n_order_choices, fail_fast=fail_fast,
+    """Like check_compression_validity but tolerating loss up to eps_sequence(m).
+
+    Trial t at the i-th sample size draws its target from the stream
+    (seed, i, t, 0), its sample from the side streams of the seed
+    derive_seed(seed, i, t, 1), and its j-th random order choice from the
+    stream (derive_seed(seed, i, t, 2), j).  The keys of every trial are
+    derived up front in one batch, and every stream is drawn through one
+    KeyedGenerator.  fail_fast stops at the first violation.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if klass.mode != scheme.mode or klass.k != scheme.k:
+        raise ValueError("hypothesis class does not match the scheme")
+    mu = measure if measure is not None else ProductMeasure.uniform(scheme.mode, scheme.k)
+    mis, ts = np.arange(len(m_values))[:, None], np.arange(trials)
+    target_keys = stream_keys(seed, mis, ts, 0).tolist()
+    sample_keys = side_keys(mu, derive_seed(seed, mis, ts, 1))
+    order_seeds = derive_seed(seed, mis, ts, 2)
+    order_keys = stream_keys(order_seeds[..., None], np.arange(n_order_choices)).tolist()
+    rng = KeyedGenerator()
+    records = []
+    violations = []
+    for (mi, m), t in itertools.product(enumerate(m_values), range(trials)):
+        F = klass.sample_hypothesis(rng.at(target_keys[mi][t]))
+        x = draw_sample(mu, m, keys=sample_keys[mi][t], rng=rng)
+        labeled = label_sample(F, x)
+        worst, inj, hdr, H = _realizable_trial_losses(
+            scheme, labeled, loss, order_keys[mi][t], rng
+        )
+        bound = float(eps_sequence(m))
+        rec = CompressionReport(
+            trial=t,
+            m=m,
+            selection_size=inj.size,
+            header=hdr,
+            selected=inj.maps,
+            hypothesis=H.describe(),
+            empirical_loss=worst,
+            threshold=bound,
+            passed=worst <= bound,
+        )
+        records.append(rec)
+        if not rec.passed:
+            violations.append(rec)
+            if fail_fast:
+                break
+    return ValidityReport(
+        scheme_id=scheme.scheme_id,
+        trials=trials,
+        m_values=tuple(m_values),
+        records=tuple(records),
+        violations=tuple(violations),
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for empirical and total loss functionals."""
 
+import itertools
 import math
 
 import numpy as np
@@ -266,6 +267,35 @@ def test_monte_carlo_nonpartite_bundle_semantics():
     H = Hypothesis.sum_threshold(2, -1.0)  # constant 1 on all pairs
     est, _ = total_loss_monte_carlo(mu, F, H, zero_one_nonpartite(), 100, seed=0)
     assert est == 1.0
+
+
+ATOMS = FiniteDiscrete(tuple(0.05 + 0.1 * i for i in range(10)), (0.1,) * 10)
+
+
+@pytest.mark.parametrize(
+    "mode, F, H",
+    [
+        (PARTITE, Hypothesis.rectangle([(0.1, 0.6), (0.3, 0.9), (0.0, 0.5)]),
+         Hypothesis.rectangle([(0.2, 0.7), (0.3, 0.8), (0.1, 0.5)])),
+        (NONPARTITE, Hypothesis.sum_threshold(3, 1.2), Hypothesis.sum_threshold(3, 1.6)),
+    ],
+    ids=["partite", "nonpartite"],
+)
+@pytest.mark.parametrize("seed", [0, 77, 2**64 + 3])
+def test_monte_carlo_equals_numpy_streams(mode, F, H, seed, numpy_stream):
+    # column i is the stream (seed, i) of side i, or of the i-th ground point
+    k, n = 3, 500
+    mu = ProductMeasure(mode, k, (ATOMS,) * (k if mode == PARTITE else 1))
+    loss = zero_one_partite() if mode == PARTITE else zero_one_nonpartite()
+    cols = [ATOMS.draw(numpy_stream(seed, i), n) for i in range(k)]
+    differs = np.zeros(n, dtype=bool)
+    for perm in itertools.permutations(range(k)) if mode == NONPARTITE else [range(k)]:
+        oriented = [cols[p] for p in perm]
+        differs |= H.eval_columns(oriented) != F.eval_columns(oriented)
+    values = differs.astype(float)
+    half = min(CI99_MULTIPLIER * float(values.std(ddof=1)) / math.sqrt(n), 1.0)
+    assert 0.0 < values.mean() < 1.0
+    assert total_loss_monte_carlo(mu, F, H, loss, n, seed) == (float(values.mean()), half)
 
 
 def test_monte_carlo_guards():

@@ -34,6 +34,7 @@ from kcompress.samples import (
     labeled_sample_from_json,
     labeled_sample_to_json,
     minimal_enclosing_box,
+    side_keys,
     spawn_rng,
     stream_keys,
 )
@@ -87,6 +88,7 @@ def test_batched_derivation_matches_seed_sequence(case):
         assert int(seeds[j]) == int(seed_sequence_state(seed, path, 1)[0])
         assert int(seeds[j]) == derive_seed(seed, *path)
         assert keys[j].tolist() == seed_sequence_state(seed, path, 2).tolist()
+        assert stream_keys(seed, *path).tolist() == seed_sequence_state(seed, path, 2).tolist()
 
 
 @settings(max_examples=30, deadline=None)
@@ -134,21 +136,23 @@ def test_mirror_hashes_only_uint32_operands():
         assert type(samples._mix(v, h)) is np.uint32
 
 
-def test_keyed_generator_replays_spawned_streams():
+def test_keyed_generator_replays_spawned_streams(numpy_stream):
     rng = KeyedGenerator()
     d = FiniteDiscrete((0.1, 0.5, 0.9), (0.2, 0.3, 0.5))
-    for seed, path in [(0, (0,)), (31, (1, 2, 5)), (2**40 + 3, (7,))]:
+    for seed, path in [(0, (0,)), (31, (1, 2, 5)), (2**40 + 3, (7,)), (2**64 + 5, (2**32 + 1, 3))]:
         key = stream_keys(seed, *path)
-        assert np.array_equal(rng.at(key).random(9), spawn_rng(seed, *path).random(9))
+        want = numpy_stream(seed, *path).random(9)
+        assert np.array_equal(rng.at(key).random(9), want)
+        assert np.array_equal(spawn_rng(seed, *path).random(9), want)
         # a half-used 64-bit word and a partly read buffer do not leak
         # into the next stream
         rng.at(key).integers(0, 2**32, 3, dtype=np.uint32)
         assert np.array_equal(
             rng.at(key.tolist()).integers(0, 2**32, 5, dtype=np.uint32),
-            spawn_rng(seed, *path).integers(0, 2**32, 5, dtype=np.uint32),
+            numpy_stream(seed, *path).integers(0, 2**32, 5, dtype=np.uint32),
         )
         # FiniteDiscrete.draw goes through Generator.choice
-        assert np.array_equal(d.draw(rng.at(key), 40), d.draw(spawn_rng(seed, *path), 40))
+        assert np.array_equal(d.draw(rng.at(key), 40), d.draw(numpy_stream(seed, *path), 40))
 
 
 @pytest.mark.parametrize(
@@ -160,13 +164,13 @@ def test_keyed_generator_replays_spawned_streams():
     ],
     ids=["partite-k3", "nonpartite", "discrete"],
 )
-def test_draw_sample_with_batch_keys_equals_spawned_draw(mu):
+def test_draw_sample_with_batch_keys_equals_spawned_draw(mu, numpy_stream):
     n_sides = mu.k if mu.mode == PARTITE else 1
     seeds = derive_seed(5, 0, np.arange(4))
-    keys = stream_keys(seeds[:, None], np.arange(n_sides)).tolist()
+    keys = side_keys(mu, seeds)
     rng = KeyedGenerator()
     for j, seed in enumerate(seeds.tolist()):
-        want = [d.draw(spawn_rng(seed, i), 12) for i, d in enumerate(mu.distributions)]
+        want = [d.draw(numpy_stream(seed, i), 12) for i, d in enumerate(mu.distributions)]
         for got in (
             draw_sample(mu, 12, seed),
             draw_sample(mu, 12, seed, rng=rng),
@@ -174,11 +178,17 @@ def test_draw_sample_with_batch_keys_equals_spawned_draw(mu):
         ):
             assert len(got.sides) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got.sides, want))
+    # a scalar seed of any size, beyond the 2**64 of a batch's seed array
+    for seed in (2**64, 2**64 + 9, 2**200 + 1):
+        want = [d.draw(numpy_stream(seed, i), 12) for i, d in enumerate(mu.distributions)]
+        got = draw_sample(mu, 12, seed, rng=rng)
+        assert all(np.array_equal(a, b) for a, b in zip(got.sides, want))
+    assert len(keys[0]) == n_sides
     with pytest.raises(ValueError, match="side keys"):
         draw_sample(mu, 12, keys=keys[0] + [[1, 2]], rng=rng)
-    for seed, side_keys in ((None, None), (0, keys[0])):
+    for seed, trial_keys in ((None, None), (0, keys[0])):
         with pytest.raises(ValueError, match="exactly one of seed and keys"):
-            draw_sample(mu, 12, seed, keys=side_keys, rng=rng)
+            draw_sample(mu, 12, seed, keys=trial_keys, rng=rng)
 
 
 def test_draw_sample_deterministic_and_per_side():

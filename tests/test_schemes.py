@@ -16,10 +16,12 @@ from kcompress.indexing import (
     InjectionVector,
     LabeledSample,
     LabelTensor,
+    OrderChoice,
     Sample,
     canonical_order_choice,
 )
 from kcompress.losses import (
+    LossSpec,
     empirical_loss_nonpartite,
     empirical_loss_partite,
     zero_one_nonpartite,
@@ -40,6 +42,7 @@ from kcompress.samples import (
 )
 from kcompress.schemes import (
     BUILTIN_SCHEMES,
+    CompressionReport,
     check_approximate_validity,
     check_compression_validity,
     compress,
@@ -451,6 +454,82 @@ def test_approximate_validity_tolerates_bounded_error():
     )
     assert report.passed
     assert all(r.threshold == 1.0 for r in report.records)
+
+
+def validity_reference(numpy_seed, numpy_stream, scheme, klass, loss, trials, m_values,
+                       seed, n_order_choices, fail_fast):
+    """check_compression_validity's records, built trial by trial on numpy's
+    own streams: target (seed, i, t, 0), sample side j (s1, j) with
+    s1 = seed (seed, i, t, 1), order choice j (s2, j) with s2 = seed
+    (seed, i, t, 2)."""
+    mu = ProductMeasure.uniform(scheme.mode, scheme.k)
+    records = []
+    for (mi, m), t in itertools.product(enumerate(m_values), range(trials)):
+        F = klass.sample_hypothesis(numpy_stream(seed, mi, t, 0))
+        s1 = numpy_seed(seed, mi, t, 1)
+        x = Sample(mu.mode, mu.k, tuple(
+            d.draw(numpy_stream(s1, j), m) for j, d in enumerate(mu.distributions)
+        ))
+        labeled = label_sample(F, x)
+        inj = scheme.select(labeled)
+        sub, hdr = compress(scheme, labeled)
+        H = reconstruct(scheme, sub, hdr)
+        if scheme.mode == PARTITE:
+            worst = empirical_loss_partite(labeled, H, loss)
+        else:
+            s2 = numpy_seed(seed, mi, t, 2)
+            orders = [canonical_order_choice(m, scheme.k)] + [
+                OrderChoice.random(m, scheme.k, numpy_stream(s2, j))
+                for j in range(n_order_choices)
+            ]
+            worst = max(empirical_loss_nonpartite(labeled, H, loss, o) for o in orders)
+        records.append(CompressionReport(
+            trial=t, m=m, selection_size=inj.size, header=hdr, selected=inj.maps,
+            hypothesis=H.describe(), empirical_loss=worst, threshold=0.0,
+            passed=worst <= 0.0,
+        ))
+        if fail_fast and not records[-1].passed:
+            break
+    return records
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+@pytest.mark.parametrize("broken", [False, True], ids=["valid", "broken"])
+@pytest.mark.parametrize(
+    "family, k",
+    [("boxes", 2), ("boxes", 3), ("thresholds", 2), ("thresholds", 3),
+     ("thresholds-weighted", 2)],
+)
+def test_batched_validity_equals_trial_by_trial(
+    family, k, broken, fail_fast, numpy_seed, numpy_stream
+):
+    if family == "boxes":
+        scheme, klass, loss = rectangle_scheme(k), HypothesisClass.rectangles(k), zero_one_partite()
+        wrong = Hypothesis.empty_rectangle(k)
+    else:
+        scheme = sum_threshold_scheme(k)
+        klass, loss = HypothesisClass.sum_thresholds(k), zero_one_nonpartite()
+        wrong = Hypothesis.constant(k, 1)
+    if family == "thresholds-weighted":
+        # weighting a mismatch by the ordering's first point makes the
+        # loss, and so the records, depend on the random order choices
+        loss = LossSpec(
+            NONPARTITE, "weighted", 1.0,
+            lambda xs, guess, truth: 0.0 if guess == truth else float(xs[0]),
+        )
+    if broken:
+        # a reconstructor that ignores its input fails on most samples
+        scheme = dataclasses.replace(scheme, rebuild=lambda sub, hdr: wrong)
+    args = dict(trials=3, m_values=(k, 4, 6), seed=2**33 + 17, n_order_choices=2)
+    report = check_compression_validity(scheme, klass, loss, fail_fast=fail_fast, **args)
+    want = validity_reference(
+        numpy_seed, numpy_stream, scheme, klass, loss, fail_fast=fail_fast, **args
+    )
+    assert list(report.records) == want
+    assert list(report.violations) == [r for r in want if not r.passed]
+    assert report.passed == (not broken)
+    if broken and fail_fast:
+        assert len(report.violations) == 1 and report.records[-1] is report.violations[0]
 
 
 def test_validity_argument_checks():
