@@ -14,15 +14,17 @@ id strings.
 
 Two execution engines produce identical records.  The generic engine
 materializes label tensors and goes through the compression pipeline; the
-fast engine runs a family's kernels on the drawn points, under any
-measure, with factorized counting so sample sizes in the tens of
-thousands stay cheap.
-The fast nonpartite path works on the sorted points through exact prefix
-boundaries: rounded addition is monotone, so for each point the partners
-whose float sum with it falls below a threshold are a prefix of the sorted
-points.  Pair counts and the extreme pair sums around a threshold are read
-off those boundaries, so they match the grid semantics of the generic path
-in exact float arithmetic, ties and sums landing on the threshold included.
+fast engine runs a family's kernels (the kernels module) on the drawn
+points, under any measure, with factorized counting so sample sizes in
+the tens of thousands stay cheap.  Concentration trials are many and
+small, so the fast engine runs them in blocks: each trial still draws
+its own sample, the samples of up to _BLOCK_POINTS drawn points are
+stacked into one array, and one kernel call per block builds every
+trial's hypothesis and empirical loss.  PAC trials are few and large,
+and their kernels run per trial.
+
+trials.jsonl is formatted a block of records at a time, column by
+column, to the bytes json.dumps(record, sort_keys=True) gives each.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import operator
 import os
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +51,7 @@ from .indexing import (
     side_count,
     subsample,
 )
+from .kernels import box_concentration, box_pac, threshold_concentration, threshold_pac
 from .learner import (
     GuaranteeInputs,
     MPacNotFound,
@@ -75,7 +78,6 @@ from .samples import (
     HypothesisClass,
     KeyedGenerator,
     ProductMeasure,
-    coordinate_sum,
     derive_seed,
     draw_sample,
     erm_realizability_check,
@@ -83,7 +85,6 @@ from .samples import (
     side_keys,
     spawn_rng,
     stream_keys,
-    threshold_of,
 )
 from .schemes import (
     SelectionScheme,
@@ -344,151 +345,6 @@ def _ci_half_width(p_hat: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fast counting kernels for the built-in families
-
-def _rect_masks(H: Hypothesis, sides: Sequence[np.ndarray]):
-    """Per-side membership masks of a box hypothesis; all-false when empty."""
-    if H.intervals is None:
-        return [np.zeros(len(s), dtype=bool) for s in sides]
-    return [(s >= lo) & (s <= hi) for (lo, hi), s in zip(H.intervals, sides)]
-
-
-def _rect_xor_count(fmasks, hmasks) -> int:
-    """Number of grid tuples where the two boxes disagree, via factorized counts."""
-    cf = ch = cfh = 1
-    for fm, hm in zip(fmasks, hmasks):
-        cf *= int(fm.sum())
-        ch *= int(hm.sum())
-        cfh *= int((fm & hm).sum())
-    return cf + ch - 2 * cfh
-
-
-def _rect_minimal_box(sides, fmasks) -> Hypothesis:
-    """Minimal box around the all-positive tuples of the given coordinates."""
-    if not all(bool(fm.any()) for fm in fmasks):
-        return Hypothesis.empty_rectangle(len(sides))
-    intervals = []
-    for s, fm in zip(sides, fmasks):
-        vals = s[fm]
-        intervals.append((float(vals.min()), float(vals.max())))
-    return Hypothesis.rectangle(intervals)
-
-
-def _row_boundaries(xs: np.ndarray, t: float, start: np.ndarray | None = None) -> np.ndarray:
-    """p[i] = #{j : float(xs[i] + xs[j]) < t} for sorted xs (j == i included).
-
-    Rounded addition is monotone, so row i's qualifying partners are the
-    prefix xs[:p[i]].  The guess (searchsorted on t - xs, or start) is
-    off only where t - xs[i] rounds.  Rows whose last partner is not
-    below t move down, then rows whose first non-partner is below t move
-    up, each step past the whole run of values equal to the offending
-    partner, until xs[i] + xs[p - 1] < t <= xs[i] + xs[p] on every row.
-    """
-    p = np.searchsorted(xs, t - xs) if start is None else start.copy()
-    # ends[j + 1] = xs[j]; the NaN ends compare false, so p = 0 never
-    # moves down and p = m never moves up
-    ends = np.concatenate(([math.nan], xs, [math.nan]))
-    rows = np.flatnonzero(xs + ends[p] >= t)
-    while len(rows):
-        p[rows] = np.searchsorted(xs, ends[p[rows]], side="left")
-        rows = rows[xs[rows] + ends[p[rows]] >= t]
-    rows = np.flatnonzero(xs + ends[p + 1] < t)
-    while len(rows):
-        p[rows] = np.searchsorted(xs, ends[p[rows] + 1], side="right")
-        rows = rows[xs[rows] + ends[p[rows] + 1] < t]
-    return p
-
-
-def _below_count(xs: np.ndarray, t: float, p: np.ndarray) -> int:
-    """#{(i, j): i != j, float(xs[i] + xs[j]) < t} from the row boundaries p at t."""
-    return int(p.sum()) - int(np.count_nonzero(xs + xs < t))
-
-
-def _boundary_extremes(xs: np.ndarray, p: np.ndarray):
-    """(min pair sum >= t, max pair sum < t) over i != j from the row boundaries
-    p at t, each None when no such pair.  Row i's candidates are its first
-    partner at or above the boundary and its last below it, skipping j == i."""
-    idx = np.arange(len(xs))
-    # ends[j + 1] = xs[j]; the -inf/+inf ends stand for "no partner"
-    ends = np.concatenate(([-math.inf], xs, [math.inf]))
-    up = p + (p == idx)
-    down = p - 1
-    down -= down == idx
-    min_pos = float((xs + ends[up + 1]).min(initial=math.inf))
-    max_neg = float((xs + ends[down + 1]).max(initial=-math.inf))
-    return (
-        None if min_pos == math.inf else min_pos,
-        None if max_neg == -math.inf else max_neg,
-    )
-
-
-def _ordered_pairs_below(xs: np.ndarray, t: float) -> int:
-    """#{(i, j): i != j, float(xs[i] + xs[j]) < t} for sorted xs, exactly as a
-    dense evaluation of xs[i] + xs[j] < t counts it."""
-    return _below_count(xs, t, _row_boundaries(xs, t))
-
-
-def _pairs_in_range(xs: np.ndarray, lo: float, hi: float) -> int:
-    """Unordered pairs with lo <= float sum < hi, for sorted xs."""
-    if hi <= lo:
-        return 0
-    return (_ordered_pairs_below(xs, hi) - _ordered_pairs_below(xs, lo)) // 2
-
-
-def _box_concentration(k, F, sigma, eta, m, x):
-    fmasks = _rect_masks(F, x.sides)
-    if eta == 2:
-        H = Hypothesis.empty_rectangle(k)
-    else:
-        sel = [side[list(mp)] for side, mp in zip(x.sides, sigma.maps)]
-        H = _rect_minimal_box(sel, _rect_masks(F, sel))
-    return H, _rect_xor_count(fmasks, _rect_masks(H, x.sides)) / m**k
-
-
-def _box_pac(k, F, m, x):
-    fmasks = _rect_masks(F, x.sides)
-    positive = all(bool(fm.any()) for fm in fmasks)
-    header = 1 if positive else 2
-    H = _rect_minimal_box(x.sides, fmasks) if positive else Hypothesis.empty_rectangle(k)
-    count = _rect_xor_count(fmasks, _rect_masks(H, x.sides))
-    # H is the minimal box around the positive tuples, so the sample is
-    # realizable iff H holds no negative tuple: iff H and F agree everywhere
-    return H, header, count / m**k, count == 0
-
-
-def _threshold_concentration(k, F, sigma, eta, m, x):
-    pts = x.sides[0]
-    if eta == 2:
-        H = Hypothesis.constant(k, 0)
-    else:
-        H = Hypothesis.sum_threshold(k, float(coordinate_sum(pts[list(sigma.maps[0])])))
-    t_f, t_h = threshold_of(F), threshold_of(H)
-    count = _pairs_in_range(np.sort(pts), min(t_f, t_h), max(t_f, t_h))
-    return H, count / math.comb(m, k)
-
-
-def _threshold_pac(k, F, m, x):
-    xs = np.sort(x.sides[0])
-    t_f = threshold_of(F)
-    p_f = _row_boundaries(xs, t_f)
-    min_pos, max_neg = _boundary_extremes(xs, p_f)
-    if min_pos is None:
-        header = 2
-        H = Hypothesis.constant(k, 0)
-    else:
-        header = 1
-        H = Hypothesis.sum_threshold(k, min_pos)
-    # no pair of distinct points sums into [t_f, t_h), so the boundaries at
-    # t_h are those at t_f moved past at most one self-sum per row
-    t_h = threshold_of(H)
-    p_h = _row_boundaries(xs, t_h, start=p_f)
-    count = (_below_count(xs, t_h, p_h) - _below_count(xs, t_f, p_f)) // 2
-    emp = count / math.comb(m, k)
-    realizable = min_pos is None or max_neg is None or max_neg < min_pos
-    return H, header, emp, realizable
-
-
-# ---------------------------------------------------------------------------
 # The built-in families
 
 
@@ -497,10 +353,14 @@ class Family:
     """One built-in family: class, scheme, loss, and what the engines run on it.
 
     name is both its class_id and its scheme_id.  empirical_loss is the
-    dense reference.  The fast engine runs concentration_kernel(k, F,
-    sigma, eta, m, x) -> (H, empirical loss) and pac_kernel(k, F, m, x) ->
-    (H, header, empirical loss, realizable) for k in fast_arities, under
-    any measure: the kernels read only the drawn points.  Fields calling
+    dense reference.  For k in fast_arities, the fast engine runs
+    concentration_kernel(k, F, sigma, eta, m, pts) -> (Hs, empirical
+    losses) on a block of trials: pts is their drawn points stacked as a
+    (count, sides, m) array of at most _BLOCK_POINTS points (count may be
+    0), and the two lists hold one entry per trial.  The engine keeps no
+    other reference to pts.  pac_kernel(k, F, m, x) -> (H, header,
+    empirical loss, realizable) runs per trial.  Both work under any
+    measure: the kernels read only the drawn points.  Fields calling
     another module's function name it inside a lambda, so a wrapper
     installed at the module attribute (perfbench's tracer) is what they
     call.
@@ -525,8 +385,8 @@ BOXES = Family(
     loss=zero_one_partite,
     empirical_loss=lambda labeled, H, loss: empirical_loss_partite(labeled, H, loss),
     total_loss_exact=lambda mu, F, H: total_loss_exact_rectangles(mu, F, H),
-    concentration_kernel=_box_concentration,
-    pac_kernel=_box_pac,
+    concentration_kernel=box_concentration,
+    pac_kernel=box_pac,
     fast_arities=range(1, MAX_ARITY + 1),
 )
 
@@ -539,8 +399,8 @@ SUM_THRESHOLDS = Family(
         labeled, H, loss, canonical_order_choice(labeled.m, labeled.k)
     ),
     total_loss_exact=lambda mu, F, H: total_loss_exact_sum_threshold(mu, F, H),
-    concentration_kernel=_threshold_concentration,
-    pac_kernel=_threshold_pac,
+    concentration_kernel=threshold_concentration,
+    pac_kernel=threshold_pac,
     # the kernels count pairs of points
     fast_arities=range(2, 3),
 )
@@ -625,16 +485,36 @@ def _scan_m_pac(cfg: ExperimentConfig, inputs, scan_limit: int | None, notes: li
         return None
 
 
-def _concentration_trial(
-    cfg, mu, loss, scheme, F, sigma, eta, variant, m, t, x, mc_seed, engine
-) -> TrialRecord:
+def _concentration_fits(cfg, loss, scheme, F, sigma, eta, m, samples, engine):
+    """(H, empirical loss) of each sample in order.  The fast engine stacks
+    the samples into blocks of at most _BLOCK_POINTS drawn points and runs
+    the family's concentration kernel once per block."""
     family = FAMILIES[cfg.class_id]
-    if engine == "fast":
-        H, emp = family.concentration_kernel(cfg.k, F, sigma, eta, m, x)
-    else:
-        labeled = label_sample(F, x)
-        H = reconstruct(scheme, subsample(labeled, sigma), eta)
-        emp = family.empirical_loss(labeled, H, loss)
+    if engine == "generic":
+        for x in samples:
+            labeled = label_sample(F, x)
+            H = reconstruct(scheme, subsample(labeled, sigma), eta)
+            yield H, family.empirical_loss(labeled, H, loss)
+        return
+    samples = iter(samples)
+    sides = side_count(cfg.mode, cfg.k)
+    per_block = max(1, _BLOCK_POINTS // (sides * m))
+    points = np.dtype((float, (sides, m)))
+    while True:
+        # each sample's points are copied into the block as it is drawn, and
+        # the block goes to the kernel with no other reference, so a kernel
+        # done with the points may free them; the block after the last
+        # sample is empty
+        Hs, emps = family.concentration_kernel(
+            cfg.k, F, sigma, eta, m,
+            np.fromiter((x.sides for x in islice(samples, per_block)), points),
+        )
+        if not Hs:
+            return
+        yield from zip(Hs, emps)
+
+
+def _concentration_record(cfg, mu, loss, F, eta, variant, m, t, H, emp, mc_seed) -> TrialRecord:
     total = _total_loss(cfg, mu, loss, F, H, mc_seed)
     gap = total - emp
     return TrialRecord(
@@ -687,13 +567,11 @@ def run_concentration_experiment(
     def batch(m, mi, sigma_m, t0, count):
         ts = np.arange(t0, t0 + count)
         keys = side_keys(mu, derive_seed(cfg.seed, vsalt, mi, ts))
-        mc_seeds = _mc_seeds(cfg, (vsalt, mi), ts)
+        samples = (draw_sample(mu, m, keys=trial_keys, rng=rng) for trial_keys in keys)
+        fits = _concentration_fits(cfg, loss, scheme, F, sigma_m, eta, m, samples, eng)
         recs = [
-            _concentration_trial(
-                cfg, mu, loss, scheme, F, sigma_m, eta, variant, m, t0 + j,
-                draw_sample(mu, m, keys=trial_keys, rng=rng), mc_seeds[j], eng,
-            )
-            for j, trial_keys in enumerate(keys)
+            _concentration_record(cfg, mu, loss, F, eta, variant, m, t, H, emp, mc_seed)
+            for t, (H, emp), mc_seed in zip(ts.tolist(), fits, _mc_seeds(cfg, (vsalt, mi), ts))
         ]
         exceed = sum(r.exceeded for r in recs)
         return recs, exceed
@@ -924,17 +802,22 @@ _CELL_METHOD = {float: float.__repr__, int: int.__repr__, str: str.__str__}
 # rows are formatted a block at a time, column by column, so the cell
 # strings of one block only are alive at once
 _CSV_BLOCK = 256
+# the fast concentration engine runs a cell's trials in blocks of at most
+# this many drawn points (128 KiB of float64), so a block's arrays stay in
+# cache
+_BLOCK_POINTS = 2**14
 
 
-def _column_text(values: list) -> list:
+def _column_text(values: list, cell=_cell_text, methods=_CELL_METHOD) -> list:
+    """Texts of a column's values: cell(v), or a method of their one exact type."""
     first = values[0]
     # a column holding one object (a config field, m_pac) is formatted
     # once; identity, not equality, so 0.0 and -0.0 keep their own text
     if all(map(operator.is_, values, repeat(first))):
-        return [_cell_text(first)] * len(values)
+        return [cell(first)] * len(values)
     kinds = set(map(type, values))
-    method = _CELL_METHOD.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(method or _cell_text, values))
+    method = methods.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(method or cell, values))
 
 
 def rows_to_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
@@ -944,6 +827,49 @@ def rows_to_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
         cells = [_column_text([row[c] for row in block]) for c in columns]
         lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
+
+
+def _json_cell(v) -> str:
+    return json.dumps(v, sort_keys=True)
+
+
+# json's text of a value of exactly one of these types; float.__repr__
+# spells the non-finite floats as _JSON_NONFINITE's keys, fixed up after
+_JSON_METHOD = {
+    bool: {True: "true", False: "false"}.__getitem__,
+    float: float.__repr__,
+    int: int.__repr__,
+    str: json.encoder.encode_basestring_ascii,
+}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _jsonl_lines(docs: list) -> list:
+    """json.dumps(d, sort_keys=True) + "\n" per dict, formatted column by
+    column when the dicts share one set of string keys."""
+    keys = docs[0].keys()
+    if not keys or any(type(key) is not str for key in keys) or any(
+        d.keys() != keys for d in docs
+    ):
+        return [_json_cell(d) + "\n" for d in docs]
+    keys = sorted(keys)
+    line = "{" + ", ".join(_json_cell(key).replace("%", "%%") + ": %s" for key in keys) + "}\n"
+    cells = []
+    for key in keys:
+        texts = _column_text([d[key] for d in docs], _json_cell, _JSON_METHOD)
+        if not _JSON_NONFINITE.keys().isdisjoint(texts):
+            texts = [_JSON_NONFINITE.get(t, t) for t in texts]
+        cells.append(texts)
+    return list(map(line.__mod__, zip(*cells)))
+
+
+def records_to_jsonl(records: Sequence) -> str:
+    """json.dumps(r.to_json_dict(), sort_keys=True) + "\n" per record,
+    formatted a block of records at a time, as rows_to_csv formats rows."""
+    return "".join(chain.from_iterable(
+        _jsonl_lines([r.to_json_dict() for r in records[start:start + _CSV_BLOCK]])
+        for start in range(0, len(records), _CSV_BLOCK)
+    ))
 
 
 def rows_to_json(columns: Sequence[str], rows: Sequence[dict]) -> str:
@@ -990,11 +916,6 @@ def write_outputs(
         paths.append(path)
 
     emit(MANIFEST_FILE, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    emit(
-        TRIALS_FILE,
-        "".join(
-            json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in result.records
-        ),
-    )
+    emit(TRIALS_FILE, records_to_jsonl(result.records))
     emit(f"{SUMMARY_BASE}.{fmt}", summary)
     return paths

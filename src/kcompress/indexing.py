@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -172,7 +172,10 @@ class LabelTensor:
 
     codes has shape (m,)*k with dtype int64.  Valid cells hold an index
     into alphabet; in nonpartite mode every non-injective cell holds
-    SENTINEL and every injective cell a valid code.
+    SENTINEL and every injective cell a valid code.  In nonpartite mode,
+    injective holds injective_mask(m, k), which the codes are validated
+    against: a caller that built the mask passes it, otherwise it is built
+    here when m > 0.  Partite tensors hold None.
     """
 
     mode: str
@@ -180,6 +183,7 @@ class LabelTensor:
     m: int
     alphabet: tuple
     codes: np.ndarray
+    injective: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         _check_mode(self.mode)
@@ -197,7 +201,12 @@ class LabelTensor:
                 if self.codes.min(initial=0) < 0 or self.codes.max(initial=0) >= n:
                     raise ValueError("partite tensor has codes outside the alphabet")
             else:
-                inj = injective_mask(self.m, self.k)
+                inj = self.injective
+                if inj is None:
+                    inj = injective_mask(self.m, self.k)
+                    object.__setattr__(self, "injective", inj)
+                elif inj.shape != self.codes.shape:
+                    raise ValueError("injective mask shape does not match the codes")
                 on = self.codes[inj]
                 if on.size and (on.min() < 0 or on.max() >= n):
                     raise ValueError("nonpartite tensor has codes outside the alphabet")
@@ -339,15 +348,14 @@ def _subsample_labels(tensor: LabelTensor, inj: InjectionVector) -> LabelTensor:
         maps = [np.asarray(mp, dtype=np.intp) for mp in inj.maps]
     else:
         maps = [np.asarray(inj.maps[0], dtype=np.intp)] * tensor.k
-    if tensor.m == 0 or inj.size == 0:
-        codes = np.empty((inj.size,) * tensor.k, dtype=np.int64)
-        if tensor.mode == NONPARTITE and inj.size > 0:
-            codes[~injective_mask(inj.size, tensor.k)] = SENTINEL
-    else:
-        codes = tensor.codes[np.ix_(*maps)]
+    cells = np.ix_(*maps)
     # An injective map composed with an injective tuple stays injective, so
-    # sentinels land exactly on the subsample's non-injective cells.
-    return LabelTensor(tensor.mode, tensor.k, inj.size, tensor.alphabet, codes)
+    # the mask pulls back to the subsample's own and the sentinels land
+    # exactly on its non-injective cells.
+    injective = None if tensor.injective is None else tensor.injective[cells]
+    return LabelTensor(
+        tensor.mode, tensor.k, inj.size, tensor.alphabet, tensor.codes[cells], injective
+    )
 
 
 def subsample(obj, inj: InjectionVector):
@@ -372,18 +380,33 @@ def subsample(obj, inj: InjectionVector):
     return _subsample_labels(obj, inj)
 
 
-# a validity sweep over m = 2..40 cycles through 39 sizes per audit; with
-# fewer entries than that, the cache would miss on every one of them
-@lru_cache(maxsize=64)
+# sorted_subsets keeps its arrays up to this many bytes in all: the 39
+# sizes m = 2..40 a validity sweep cycles through take a few hundred KiB
+# at k = 2 or 3, while one large dense call (4.5M rows at m = 3000, k = 2)
+# takes 69 MiB and is not kept
+SUBSET_CACHE_BYTES = 2**24
+_subset_cache: OrderedDict = OrderedDict()
+
+
 def sorted_subsets(m: int, k: int) -> np.ndarray:
     """All k-subsets of range(m) as ascending rows, in itertools.combinations
-    order (so lexicographic): a read-only (C(m, k), k) array, cached."""
+    order (so lexicographic): a read-only (C(m, k), k) array.  Arrays are
+    cached, least recently used first out, up to SUBSET_CACHE_BYTES."""
+    rows = _subset_cache.get((m, k))
+    if rows is not None:
+        _subset_cache.move_to_end((m, k))
+        return rows
     rows = np.fromiter(
         itertools.combinations(range(m), k),
         dtype=np.dtype((np.intp, k)),
         count=math.comb(m, k),
     )
     rows.setflags(write=False)
+    if rows.nbytes <= SUBSET_CACHE_BYTES:
+        _subset_cache[(m, k)] = rows
+        held = sum(r.nbytes for r in _subset_cache.values())
+        while held > SUBSET_CACHE_BYTES:
+            held -= _subset_cache.popitem(last=False)[1].nbytes
     return rows
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -437,12 +438,52 @@ def coordinate_sum(cols: Sequence):
     added as given, since a + b == b + a.
     """
     cols = [np.asarray(c, dtype=float) for c in cols]
-    if len(cols) > 2:
-        cols = np.sort(np.stack(np.broadcast_arrays(*cols)), axis=0)
-    total = 0.0
-    for c in cols:
-        total = total + c
-    return total
+    if len(cols) <= 2:
+        total = 0.0
+        for c in cols:
+            total = total + c
+        return total
+    cols = _ascending_columns(cols)
+    total = np.add(cols[0], 0.0, out=cols[0])
+    for c in cols[1:]:
+        np.add(total, c, out=total)
+    return total if total.ndim else total[()]
+
+
+@lru_cache(maxsize=None)
+def _merge_exchange(n: int) -> tuple:
+    """Batcher's merge exchange (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M;
+    its network in 5.3.4): compare-exchange pairs (i, j), i < j, that sort
+    any n keys when applied in order."""
+    pairs = []
+    t = (n - 1).bit_length()
+    p = 1 << (t - 1) if t else 0
+    while p:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
+            if q == p:
+                break
+            d, q, r = q - p, q // 2, p
+        p //= 2
+    return tuple(pairs)
+
+
+def _ascending_columns(cols: list) -> list:
+    """The columns, broadcast, with each tuple's coordinates put in ascending
+    order by a compare-exchange network.  min and max do not round, so on
+    finite inputs each tuple gets the values np.sort gives it (equal ones,
+    such as 0.0 and -0.0, maybe swapped) and the same ascending sum, bit
+    for bit.  Each exchange writes the smaller values over a column of its
+    own, so at most k + 1 grids are alive at once."""
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    owned = [False] * len(cols)
+    for i, j in _merge_exchange(len(cols)):
+        a, b = cols[i], cols[j]
+        cols[j] = np.maximum(a, b, out=np.empty(shape))
+        cols[i] = np.minimum(a, b, out=a if owned[i] else np.empty(shape))
+        owned[i] = owned[j] = True
+    return cols
 
 
 def threshold_of(H: Hypothesis) -> float:
@@ -505,10 +546,14 @@ def label_sample(
         codes = np.zeros((m,) * k, dtype=np.int64)
     else:
         codes = encode_labels(F.label_grid(x.axes), tuple(alphabet))
+    injective = None
     if x.mode == NONPARTITE and m > 0:
+        # built once per sample: the tensor validates against it and
+        # subsamples pull it back
+        injective = injective_mask(m, k)
         codes = codes.copy()
-        codes[~injective_mask(m, k)] = SENTINEL
-    tensor = LabelTensor(x.mode, k, m, tuple(alphabet), codes)
+        codes[~injective] = SENTINEL
+    tensor = LabelTensor(x.mode, k, m, tuple(alphabet), codes, injective)
     return LabeledSample(x, tensor)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 
@@ -20,16 +21,10 @@ from kcompress.experiments import (
     ConfigError,
     ExperimentConfig,
     _VARIANT_SALT,
-    _boundary_extremes,
     _ci_half_width,
-    _concentration_trial,
-    _ordered_pairs_below,
+    _concentration_fits,
+    _concentration_record,
     _pac_trial,
-    _pairs_in_range,
-    _rect_masks,
-    _rect_minimal_box,
-    _rect_xor_count,
-    _row_boundaries,
     build_all,
     build_measure,
     canonical_config_text,
@@ -38,6 +33,7 @@ from kcompress.experiments import (
     load_config,
     merge_results,
     parse_config,
+    records_to_jsonl,
     rows_to_csv,
     rows_to_json,
     run_bound_table,
@@ -53,6 +49,20 @@ from kcompress.indexing import (
     InjectionVector,
     OrderChoice,
     Sample,
+)
+from kcompress.kernels import (
+    _below_count,
+    _block_box_masks,
+    _block_pairs_below,
+    _boundary_extremes,
+    _box_ends,
+    _padded_sorted,
+    _rect_masks,
+    _rect_minimal_box,
+    _rect_xor_count,
+    _row_boundaries,
+    box_concentration,
+    threshold_concentration,
 )
 from kcompress.losses import empirical_loss_nonpartite, zero_one_nonpartite
 from kcompress.samples import (
@@ -244,30 +254,59 @@ def thresholds(draw, xs):
     return math.inf if choice == 2 else -math.inf
 
 
+@st.composite
+def sorted_point_blocks(draw):
+    """A block of 1 to 4 sorted rows of one length, as sorted_points draws them."""
+    n = draw(st.integers(2, 30))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            vals = draw(st.lists(st.integers(0, 16), min_size=n, max_size=n))
+            rows.append(np.asarray(vals, dtype=float) / 16.0)
+        else:
+            rows.append(np.random.default_rng(draw(st.integers(0, 2**16))).random(n))
+    return np.sort(np.asarray(rows), axis=1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_ordered_pairs_below_matches_bruteforce(data):
-    xs = data.draw(sorted_points())
-    t = data.draw(thresholds(xs))
-    assert _ordered_pairs_below(xs, t) == brute_ordered_below(xs, t)
+    xs = data.draw(sorted_point_blocks())
+    ts = np.asarray([[data.draw(thresholds(row)) for _ in range(2)] for row in xs])
+    ends = _padded_sorted(xs)
+    below = np.stack([_block_pairs_below(ends, ts[:, q]) for q in range(2)], axis=1)
+    assert below.tolist() == [
+        [brute_ordered_below(row, t) for t in row_ts] for row, row_ts in zip(xs, ts)
+    ]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_pairs_in_range_matches_bruteforce(data):
-    xs = data.draw(sorted_points())
-    a = data.draw(thresholds(xs))
-    b = data.draw(thresholds(xs))
-    lo, hi = min(a, b), max(a, b)
-    n = len(xs)
-    want = sum(
-        1
-        for i in range(n)
-        for j in range(i + 1, n)
-        if lo <= xs[i] + xs[j] < hi
+    # the threshold kernel's count of pairs between F's threshold and H's,
+    # H rebuilt from a selected pair of each row, or constant 0 at eta = 2
+    xs = data.draw(sorted_point_blocks())
+    count, n = xs.shape
+    pair = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    sigma = InjectionVector(NONPARTITE, n, (pair,))
+    t_f = data.draw(thresholds(xs[0]))
+    eta = data.draw(st.sampled_from([1, 2]))
+    Hs, emps = threshold_concentration(
+        2, Hypothesis.sum_threshold(2, t_f), sigma, eta, n, xs[:, None, :]
     )
-    assert _pairs_in_range(xs, lo, hi) == want
-    assert _pairs_in_range(xs, hi, lo) == 0 or hi == lo
+    for row, H, emp in zip(xs, Hs, emps):
+        t_h = math.inf if eta == 2 else row[pair[0]] + row[pair[1]]
+        assert H.describe() == (
+            "constant(0)" if eta == 2 else Hypothesis.sum_threshold(2, t_h).describe()
+        )
+        lo, hi = min(t_f, t_h), max(t_f, t_h)
+        want = sum(
+            1
+            for i in range(n)
+            for j in range(i + 1, n)
+            if lo <= row[i] + row[j] < hi
+        )
+        assert emp == want / math.comb(n, 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -332,8 +371,12 @@ def test_row_boundaries_match_bruteforce(data):
     t = data.draw(boundary_thresholds(xs))
     p = _row_boundaries(xs, t)
     assert np.array_equal(p, brute_row_boundaries(xs, t))
-    assert _ordered_pairs_below(xs, t) == brute_ordered_below(xs, t)
+    assert _below_count(xs, t, p) == brute_ordered_below(xs, t)
     assert _boundary_extremes(xs, p) == brute_extremes(xs, t)
+    # the block count's guesses go wrong here, so its fix-ups run
+    assert _block_pairs_below(_padded_sorted(xs[None]), np.array([t])).tolist() == [
+        brute_ordered_below(xs, t)
+    ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -379,6 +422,79 @@ def test_rect_masks_and_minimal_box():
     assert _rect_minimal_box(sides, empty).intervals is None
 
 
+def test_block_box_masks_and_minimal_boxes():
+    pts = np.array([
+        [[0.1, 0.5, 0.9], [0.2, 0.6, 0.4]],
+        [[0.6, 0.7, 0.8], [0.2, 0.6, 0.4]],
+    ])
+    F = Hypothesis.rectangle([(0.0, 0.5), (0.3, 0.7)])
+    masks = _block_box_masks(*_box_ends(F, 2), pts)
+    assert masks[0].tolist() == [[True, True, False], [False, True, True]]
+    assert masks[1].tolist() == [[False, False, False], [False, True, True]]
+    assert not _block_box_masks(*_box_ends(Hypothesis.empty_rectangle(2), 2), pts).any()
+    # the empty box's infinite ends hold no infinite point either
+    assert not _block_box_masks(
+        *_box_ends(Hypothesis.empty_rectangle(1), 1), np.array([[[-np.inf, np.inf]]])
+    ).any()
+    sigma = InjectionVector(PARTITE, 3, ((2, 0), (1, 2)))
+    Hs, emps = box_concentration(2, F, sigma, 1, 3, pts)
+    # trial 0 keeps 0.1 of side 0 and both points of side 1; trial 1 keeps
+    # no point of F on side 0, so its box is empty
+    assert Hs[0].intervals == ((0.1, 0.1), (0.4, 0.6))
+    assert Hs[1].intervals is None
+    assert emps == [2 / 9, 0.0]
+    Hs, emps = box_concentration(2, F, sigma, 2, 3, pts)
+    assert [H.intervals for H in Hs] == [None, None]
+    assert emps == [4 / 9, 0.0]
+
+
+_BOX_ATOMS = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
+
+
+def brute_minimal_box(F, sides, sigma):
+    """Minimal box around the F-positive tuples of the selected points: the
+    extremes, per side, of its selected points inside F's interval."""
+    if F.intervals is None:
+        return Hypothesis.empty_rectangle(len(sides))
+    inside = [
+        [side[i] for i in mp if lo <= side[i] <= hi]
+        for (lo, hi), side, mp in zip(F.intervals, sides, sigma.maps)
+    ]
+    if not all(inside):
+        return Hypothesis.empty_rectangle(len(sides))
+    return Hypothesis.rectangle([(min(v), max(v)) for v in inside])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_box_block_kernel_matches_dense(data):
+    k = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 6))
+    count = data.draw(st.integers(1, 4))
+    n = count * k * m
+    pts = np.asarray(
+        data.draw(st.lists(st.sampled_from(_BOX_ATOMS), min_size=n, max_size=n))
+    ).reshape(count, k, m)
+    edges = st.lists(st.sampled_from(_BOX_ATOMS), min_size=2, max_size=2).map(sorted)
+    F = data.draw(st.one_of(
+        st.just(Hypothesis.empty_rectangle(k)),
+        st.lists(edges, min_size=k, max_size=k).map(Hypothesis.rectangle),
+    ))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    sigma = InjectionVector.random(PARTITE, k, m, data.draw(st.integers(0, m)), rng)
+    eta = data.draw(st.sampled_from([1, 2]))
+    Hs, emps = box_concentration(k, F, sigma, eta, m, pts)
+    assert len(Hs) == len(emps) == count
+    for sides, H, emp in zip(pts, Hs, emps):
+        sides = [side.tolist() for side in sides]
+        want = Hypothesis.empty_rectangle(k) if eta == 2 else brute_minimal_box(F, sides, sigma)
+        assert H.intervals == want.intervals
+        disagree = sum(
+            F.value(tup) != want.value(tup) for tup in itertools.product(*sides)
+        )
+        assert emp == disagree / m**k
+
+
 # ---------------------------------------------------------------------------
 # engine equivalence
 
@@ -392,6 +508,13 @@ NONPARTITE_CFG = ExperimentConfig(
 
 def records_of(result):
     return [r.to_json_dict() for r in result.records]
+
+
+def concentration_trial(cfg, mu, loss, scheme, F, sigma, eta, variant, m, t, x, mc_seed, engine):
+    """The record of one trial, through the engine code of the runner; the
+    fast engine runs its kernel on a block of this one sample."""
+    [(H, emp)] = _concentration_fits(cfg, loss, scheme, F, sigma, eta, m, [x], engine)
+    return _concentration_record(cfg, mu, loss, F, eta, variant, m, t, H, emp, mc_seed)
 
 
 @pytest.mark.parametrize("cfg", [PARTITE_CFG, NONPARTITE_CFG], ids=["partite", "nonpartite"])
@@ -452,7 +575,54 @@ def test_fast_kernels_equal_generic_on_ties(cfg, data):
     sigma = InjectionVector.random(cfg.mode, cfg.k, m, int(scheme.selection_size(m)), rng)
     for eta in (1, 2):
         args = (cfg, mu, loss, scheme, F, sigma, eta, "fixed", m, 0, x, None)
-        assert _concentration_trial(*args, "fast") == _concentration_trial(*args, "generic")
+        assert concentration_trial(*args, "fast") == concentration_trial(*args, "generic")
+
+
+@st.composite
+def tied_blocks(draw, mode):
+    """(m, samples, target) as tied_trials draws them, with 1 to 5 samples
+    of one size sharing the atoms; a threshold may sit on a pair sum of the
+    first sample, or next to it."""
+    atoms = draw(st.lists(st.sampled_from(_TIE_ATOMS), min_size=1, max_size=4, unique=True))
+    m = draw(st.integers(2, 10))
+    count = draw(st.integers(1, 5))
+
+    def points():
+        return draw(st.lists(st.sampled_from(atoms), min_size=m, max_size=m))
+
+    if mode == PARTITE:
+        edges = st.lists(st.sampled_from(atoms), min_size=2, max_size=2).map(sorted)
+        xs = [Sample.partite([points(), points()]) for _ in range(count)]
+        return m, xs, Hypothesis.rectangle([draw(edges), draw(edges)])
+    xs = [Sample.nonpartite(points(), 2) for _ in range(count)]
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    s = xs[0].sides[0][i] + xs[0].sides[0][j]
+    t = draw(st.sampled_from([*atoms, s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)]))
+    return m, xs, Hypothesis.sum_threshold(2, t)
+
+
+@pytest.mark.parametrize("cfg", [PARTITE_CFG, NONPARTITE_CFG], ids=["partite", "nonpartite"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_block_kernels_equal_generic_on_tied_blocks(cfg, data):
+    mu, klass, loss, scheme = build_all(cfg)
+    m, xs, F = data.draw(tied_blocks(cfg.mode))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    sigma = InjectionVector.random(cfg.mode, cfg.k, m, int(scheme.selection_size(m)), rng)
+    for eta in (1, 2):
+        fits = {
+            engine: list(_concentration_fits(cfg, loss, scheme, F, sigma, eta, m, xs, engine))
+            for engine in ("fast", "generic")
+        }
+        assert len(fits["fast"]) == len(xs)
+        records = {
+            engine: [
+                _concentration_record(cfg, mu, loss, F, eta, "fixed", m, t, H, emp, None)
+                for t, (H, emp) in enumerate(fit)
+            ]
+            for engine, fit in fits.items()
+        }
+        assert records["fast"] == records["generic"]
 
 
 def force_reruns(monkeypatch):
@@ -503,11 +673,42 @@ def test_batched_concentration_equals_trial_by_trial(cfg, monkeypatch):
             mi = cfg.m_values.index(r.m)
             x = draw_sample(mu, r.m, derive_seed(cfg.seed, vsalt, mi, r.trial))
             mc_seed = derive_seed(cfg.seed, vsalt, mi, r.trial, 7)
-            want = _concentration_trial(
+            want = concentration_trial(
                 cfg, mu, loss, scheme, F, sigma(r.m), eta, variant, r.m, r.trial,
                 x, mc_seed, engine,
             )
             assert r == want
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        PARTITE_CFG,
+        NONPARTITE_CFG,
+        *(
+            dataclasses.replace(
+                cfg, measure=MC_DISCRETE_CFG.measure, estimator="monte-carlo", n_draws=300
+            )
+            for cfg in (PARTITE_CFG, NONPARTITE_CFG)
+        ),
+    ],
+    ids=["partite", "nonpartite", "partite-discrete", "nonpartite-discrete"],
+)
+def test_block_engine_equals_generic_across_block_edges(cfg, monkeypatch):
+    # blocks of 2 and 1 trials (partite, m = 30 and 60) and of 4 and 2
+    # (nonpartite): 5 first-pass trials and the 20 re-measured ones, which
+    # number on from 5, fill no whole number of blocks
+    force_reruns(monkeypatch)
+    monkeypatch.setattr(experiments, "_BLOCK_POINTS", 130)
+    cfg = dataclasses.replace(cfg, trials=5)
+    fast = run_concentration_suite(cfg, engine="fast")
+    slow = run_concentration_suite(cfg, engine="generic")
+    assert all(row["rerun"] for row in fast.rows)
+    for variant in ("fixed", "random"):
+        recs = [r for r in fast.records if r.variant == variant]
+        assert trial_numbers_per_m(cfg, recs) == {m: list(range(25)) for m in cfg.m_values}
+    assert records_of(fast) == records_of(slow)
+    assert fast.rows == slow.rows
 
 
 @pytest.mark.parametrize(
@@ -754,6 +955,29 @@ def test_validity_sum_thresholds_beyond_pairs(k, scheme_id):
     assert result.passed
 
 
+def test_validity_builds_one_injective_mask_per_trial(monkeypatch):
+    # label_sample builds the mask; the label tensor validates against it
+    # and the subsample's tensor against its pull-back
+    from kcompress import indexing, samples
+
+    calls = []
+    build = indexing.injective_mask
+
+    def counted(m, k, *args, **kwargs):
+        calls.append((m, k))
+        return build(m, k, *args, **kwargs)
+
+    for module in (indexing, samples):
+        monkeypatch.setattr(module, "injective_mask", counted)
+    cfg = ExperimentConfig(
+        mode=NONPARTITE, k=3, scheme_id="sum-threshold", class_id="sum-threshold",
+        m_values=tuple(range(4, 13)), trials=20, seed=101,
+    )
+    result = run_validity_experiment(cfg)
+    assert result.passed and len(result.records) == 180
+    assert calls == [(r.m, 3) for r in result.records]
+
+
 # ---------------------------------------------------------------------------
 # determinism and writers
 
@@ -855,3 +1079,49 @@ def test_write_outputs_json_format(tmp_path):
     assert doc["columns"] == BOUND_TABLE_COLUMNS
     with pytest.raises(ValueError):
         write_outputs(result, str(tmp_path), fmt="yaml")
+
+
+def test_records_to_jsonl_is_json_dumps_per_record(tmp_path):
+    from kcompress.schemes import CompressionReport
+    from kcompress.experiments import TrialRecord
+
+    nan, inf = float("nan"), float("inf")
+    floats = [0.1, nan, inf, -inf, -0.0, 0.0, 5e-324, 1e22, 1 / 3, -2.5e-300]
+    texts = ["rectangle(empty)", 'quote " and \\\\ slash', "tab\tnew\nline", "ünï ☃ \U0001f600", "%s %d %%", ""]
+    trials = [
+        TrialRecord(
+            variant=texts[i % len(texts)], m=[50, 2**70, -3, 0][i % 4], trial=i,
+            empirical_loss=floats[i % len(floats)], total_loss=floats[(i + 3) % len(floats)],
+            gap=floats[(i + 7) % len(floats)], exceeded=i % 3 == 0, header=1 + i % 2,
+            hypothesis=texts[(i + 1) % len(texts)], realizable=i % 5 != 0,
+        )
+        for i in range(40)
+    ]
+    reports = [
+        CompressionReport(
+            trial=i, m=10 + i, selection_size=2, header=1,
+            selected=[((1, 2), (3, 4)), ((),), (), ((5,),)][i % 4],
+            hypothesis=texts[i % len(texts)], empirical_loss=floats[i % len(floats)],
+            threshold=floats[(i + 1) % len(floats)], passed=i % 2 == 0,
+        )
+        for i in range(12)
+    ]
+    mixed_column = [
+        dataclasses.replace(trials[0], m=v, empirical_loss=w)
+        for v, w in [(1, 0.5), (True, 2), (2.5, nan), ("x", True), (None, -0.0)]
+    ]
+    # the same object in a whole column is formatted once
+    shared = [dataclasses.replace(trials[1], gap=nan, total_loss=-0.0)] * 3
+    for records in (trials, reports, mixed_column, shared, trials * 13, []):
+        want = "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records)
+        assert records_to_jsonl(records) == want
+    assert records_to_jsonl([]) == ""
+    result = experiments.ExperimentResult(
+        kind="concentration", config=PARTITE_CFG, columns=[], rows=[],
+        records=reports, passed=True,
+    )
+    write_outputs(result, str(tmp_path))
+    lines = (tmp_path / "trials.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == json.dumps(reports[0].to_json_dict(), sort_keys=True)
+    assert json.loads(lines[0])["selected"] == [[1, 2], [3, 4]]
+    assert len(lines) == len(reports)

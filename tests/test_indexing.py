@@ -3,17 +3,20 @@
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcompress import indexing
 from kcompress.indexing import (
     MAX_ARITY,
     NONPARTITE,
     PARTITE,
     SENTINEL,
+    SUBSET_CACHE_BYTES,
     CellBudgetError,
     InjectionVector,
     LabelTensor,
@@ -148,6 +151,48 @@ def test_injective_mask_peak_memory_stays_near_the_mask():
     finally:
         tracemalloc.stop()
     assert peak < 3 * mask.nbytes
+
+
+def test_sorted_subsets_cache_keeps_sweep_sizes_and_releases_large_ones():
+    sweep = [sorted_subsets(m, 2) for m in range(2, 41)]
+    # about 18 MB, more than the whole cache may hold
+    large = sorted_subsets(1500, 2)
+    assert large.nbytes > SUBSET_CACHE_BYTES
+    alive = weakref.ref(large)
+    del large
+    assert alive() is None
+    # the 39 sizes of a validity sweep are all still cached
+    assert all(sorted_subsets(m, 2) is rows for m, rows in zip(range(2, 41), sweep))
+
+
+def test_sorted_subsets_cache_holds_no_large_size(monkeypatch):
+    # a smaller budget makes the large sizes cheap to build under tracemalloc
+    monkeypatch.setattr(indexing, "SUBSET_CACHE_BYTES", 2**20)
+    tracemalloc.start()
+    try:
+        for m in (400, 401, 402):
+            assert sorted_subsets(m, 2).nbytes > 2**20
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2**16
+
+
+def test_sorted_subsets_cache_drops_least_recently_used(monkeypatch):
+    row = 2 * np.dtype(np.intp).itemsize
+    monkeypatch.setattr(indexing, "_subset_cache", type(indexing._subset_cache)())
+    # room for C(10, 2) + C(11, 2) = 45 + 55 rows, not for C(9, 2) = 36 more
+    monkeypatch.setattr(indexing, "SUBSET_CACHE_BYTES", 110 * row)
+    ten, eleven = sorted_subsets(10, 2), sorted_subsets(11, 2)
+    assert sorted_subsets(10, 2) is ten  # now the most recently used
+    large = sorted_subsets(100, 2)  # 4950 rows: more than the cache holds
+    assert list(indexing._subset_cache) == [(11, 2), (10, 2)]
+    assert sorted_subsets(100, 2) is not large
+    assert np.array_equal(sorted_subsets(100, 2), large)
+    sorted_subsets(9, 2)
+    assert list(indexing._subset_cache) == [(10, 2), (9, 2)]
+    assert sorted_subsets(11, 2) is not eleven
+    assert np.array_equal(sorted_subsets(11, 2), eleven)
 
 
 def test_mask_budget():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcompress.indexing import (
+    MAX_ARITY,
     NONPARTITE,
     PARTITE,
     SENTINEL,
@@ -26,6 +28,8 @@ from kcompress.samples import (
     KeyedGenerator,
     ProductMeasure,
     Uniform01,
+    _ascending_columns,
+    coordinate_sum,
     derive_seed,
     draw_sample,
     encode_labels,
@@ -306,6 +310,65 @@ def test_encode_labels():
         encode_labels(np.array([2]), (0, 1))
     with pytest.raises(ValueError):
         encode_labels(np.array(["c"], dtype=object), ("a", "b"))
+
+
+def sort_coordinate_sum(cols):
+    """The sum of each tuple's coordinates in the order np.sort puts them."""
+    cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in cols))
+    total = 0.0
+    for c in np.sort(np.stack(cols), axis=0):
+        total = total + c
+    return total
+
+
+# ties, signed zeros, and magnitudes far apart, so that the order of the
+# additions changes the rounded sum
+_SUM_ATOMS = (0.0, -0.0, 1e-17, 0.1, 0.2, 0.30000000000000004, 0.7, 1.0, 3.5, -2.25, 1e16, -1e16)
+
+
+@pytest.mark.parametrize("k", range(3, MAX_ARITY + 1))
+def test_coordinate_sum_network_equals_sort(k):
+    rng = np.random.default_rng(k)
+    m = 4 if k <= 6 else 3
+    axes = [(m,) + (1,) * (k - 1 - i) for i in range(k)]
+    cases = [
+        [rng.random(m).reshape(shape) for shape in axes],
+        [rng.choice(_SUM_ATOMS, m).reshape(shape) for shape in axes],
+        [rng.random(3000) for _ in range(k)],
+        [rng.choice(_SUM_ATOMS, 3000) for _ in range(k)],
+        [rng.choice(_SUM_ATOMS[:3], 3000) for _ in range(k)],
+    ]
+    for cols in cases:
+        got, want = coordinate_sum(cols), sort_coordinate_sum(cols)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    scalars = rng.choice(_SUM_ATOMS, k).tolist()
+    got = coordinate_sum(scalars)
+    assert type(got) is np.float64 and got == sort_coordinate_sum(scalars)
+
+
+@pytest.mark.parametrize("k", range(1, MAX_ARITY + 1))
+def test_coordinate_sum_network_sorts_every_zero_one_input(k):
+    # a comparator network that sorts every 0-1 input sorts every input
+    # (Knuth, TAOCP vol. 3, 5.3.4, Theorem Z)
+    bits = np.asarray(list(itertools.product([0.0, 1.0], repeat=k)))
+    out = np.stack(_ascending_columns(list(bits.T)), axis=1)
+    assert np.array_equal(out, np.sort(bits, axis=1))
+
+
+def test_coordinate_sum_peak_memory_at_k3():
+    # no stacked copy of the k grids and no sorted copy of it: the network
+    # holds at most k + 1 grids
+    m = 100
+    cols = [np.random.default_rng(0).random(m).reshape((m,) + (1,) * (2 - i)) for i in range(3)]
+    tracemalloc.start()
+    try:
+        total = coordinate_sum(cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total.shape == (m, m, m)
+    assert peak < 4.5 * total.nbytes
 
 
 # ---------------------------------------------------------------------------
