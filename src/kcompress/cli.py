@@ -9,6 +9,7 @@ an exact total loss asked for where none is computed in closed form).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -30,6 +31,7 @@ from .samples import labeled_sample_from_json
 from .indexing import SENTINEL, CellBudgetError
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kcompress",
@@ -75,21 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    return cfg.validate()
+    flags = {f: getattr(args, f) for f in ("seed", "trials", "out")}
+    overrides = {f: v for f, v in flags.items() if v is not None}
+    return replace(load_config(args.config), **overrides).validate()
 
 
-def _finish(result: ExperimentResult, cfg, fmt: str) -> int:
+def _finish(result: ExperimentResult, fmt: str) -> int:
     summary = render_summary(result, fmt)
     sys.stdout.write(summary)
-    if cfg.out:
-        write_outputs(result, cfg.out, fmt, summary=summary)
+    if result.config.out:
+        write_outputs(result, result.config.out, fmt, summary=summary)
     for note in result.notes:
         print(f"note: {note}", file=sys.stderr)
     if not result.passed:
@@ -99,26 +96,23 @@ def _finish(result: ExperimentResult, cfg, fmt: str) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _load_config(args)
-    result = run_validity_experiment(cfg, fail_fast=args.fail_fast)
+    result = run_validity_experiment(_load_config(args), fail_fast=args.fail_fast)
     if not result.passed:
         first = next(r for r in result.records if not r.passed)
         print(
             "first violation: " + json.dumps(first.to_json_dict(), sort_keys=True),
             file=sys.stderr,
         )
-    return _finish(result, cfg, args.format)
+    return _finish(result, args.format)
 
 
 def _cmd_concentration(args) -> int:
-    cfg = _load_config(args)
-    return _finish(run_concentration_suite(cfg, engine=args.engine), cfg, args.format)
+    return _finish(run_concentration_suite(_load_config(args), engine=args.engine), args.format)
 
 
 def _cmd_pac(args) -> int:
-    cfg = _load_config(args)
-    result = run_pac_experiment(cfg, engine=args.engine, scan_limit=args.scan_limit)
-    return _finish(result, cfg, args.format)
+    result = run_pac_experiment(_load_config(args), engine=args.engine, scan_limit=args.scan_limit)
+    return _finish(result, args.format)
 
 
 def _cmd_mpac(args) -> int:
@@ -137,8 +131,7 @@ def _cmd_mpac(args) -> int:
 
 
 def _cmd_bound_table(args) -> int:
-    cfg = _load_config(args)
-    return _finish(run_bound_table(cfg, scan_limit=args.scan_limit), cfg, args.format)
+    return _finish(run_bound_table(_load_config(args), scan_limit=args.scan_limit), args.format)
 
 
 def _cmd_inspect(args) -> int:

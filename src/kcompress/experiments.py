@@ -23,8 +23,10 @@ stacked into one array, and one kernel call per block builds every
 trial's hypothesis and empirical loss.  PAC trials are few and large,
 and their kernels run per trial.
 
-trials.jsonl is formatted a block of records at a time, column by
-column, to the bytes json.dumps(record, sort_keys=True) gives each.
+Summary tables are held and written by columns; bound-table takes its
+columns whole from learner.bound_columns.  trials.jsonl is formatted a
+block of records at a time, column by column, to the bytes
+json.dumps(record, sort_keys=True) gives each.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .learner import (
     MPacNotFound,
     asymptotic_guarantee_reference,
     azuma_bound,
-    bound_breakdowns,
+    bound_columns,
     m_pac,
 )
 from .losses import (
@@ -154,6 +156,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"m={m} is below the minimum {floor} for {self.mode} mode"
                 )
+            if m > 2**53:
+                raise ConfigError(f"m={m} is above 2**53: bounds are taken at float64 m")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.trials > MAX_TRIALS:
@@ -310,31 +314,44 @@ class TrialRecord:
 
 @dataclass
 class ExperimentResult:
-    """Everything one run produced, ready for the writers."""
+    """Everything one run produced, ready for the writers.  The summary
+    table is held by columns: table maps each name of columns, in order,
+    to the list of its cells; rows is derived from it."""
 
     kind: str
     config: ExperimentConfig
     columns: list
-    rows: list
-    records: list
-    passed: bool
+    records: list = field(default_factory=list)
+    passed: bool = True
     notes: list = field(default_factory=list)
+    table: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.table = {c: [] for c in self.columns}
+
+    def add_row(self, **cells) -> None:
+        self.extend({c: [v] for c, v in cells.items()})
+
+    def extend(self, table: dict) -> None:
+        """Append table[c] to every column c."""
+        for c, cells_of_c in self.table.items():
+            cells_of_c.extend(table[c])
+
+    @property
+    def rows(self) -> list:
+        """The summary table as new dicts, one per row."""
+        return [dict(zip(self.table, row)) for row in zip(*self.table.values())]
 
 
 def merge_results(results: Sequence[ExperimentResult]) -> ExperimentResult:
     first = results[0]
     merged = ExperimentResult(
-        kind=first.kind,
-        config=first.config,
-        columns=list(first.columns),
-        rows=[],
-        records=[],
-        passed=all(r.passed for r in results),
+        first.kind, first.config, list(first.columns), passed=all(r.passed for r in results)
     )
     for r in results:
         if r.kind != first.kind or r.config != first.config:
             raise ValueError("cannot merge results from different runs")
-        merged.rows.extend(r.rows)
+        merged.extend(r.table)
         merged.records.extend(r.records)
         merged.notes.extend(r.notes)
     return merged
@@ -556,10 +573,7 @@ def run_concentration_experiment(
     _check_total_loss(cfg, mu)
     eng = _resolve_engine(cfg, scheme, engine)
     inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
-    result = ExperimentResult(
-        kind="concentration", config=cfg, columns=list(CONCENTRATION_COLUMNS),
-        rows=[], records=[], passed=True,
-    )
+    result = ExperimentResult("concentration", cfg, list(CONCENTRATION_COLUMNS))
 
     vsalt = _VARIANT_SALT[variant]
     rng = KeyedGenerator()
@@ -581,12 +595,12 @@ def run_concentration_experiment(
         if not bd.condition_ok:
             note = f"m={m}: slack condition fails, bound is trivial; skipped"
             result.notes.append(note)
-            result.rows.append({
-                "variant": variant, "m": m, "epsilon": cfg.epsilon, "trials": 0,
-                "exceed_count": 0, "p_hat": 0.0, "ci_half_width": 0.0,
-                "single_event_bound": 1.0, "margin": 1.0, "condition_ok": False,
-                "rerun": False, "passed": True, "note": "condition-violated",
-            })
+            result.add_row(
+                variant=variant, m=m, epsilon=cfg.epsilon, trials=0,
+                exceed_count=0, p_hat=0.0, ci_half_width=0.0,
+                single_event_bound=1.0, margin=1.0, condition_ok=False,
+                rerun=False, passed=True, note="condition-violated",
+            )
             continue
         if callable(sigma):
             sigma_m = sigma(m)
@@ -600,13 +614,13 @@ def run_concentration_experiment(
             result, partial(batch, m, mi, sigma_m), cfg.trials, bd.single_event_bound,
             m, "the bound",
         )
-        result.rows.append({
-            "variant": variant, "m": m, "epsilon": cfg.epsilon, "trials": trials,
-            "exceed_count": exceed, "p_hat": p_hat, "ci_half_width": ci,
-            "single_event_bound": bd.single_event_bound,
-            "margin": bd.single_event_bound - (p_hat - ci), "condition_ok": True,
-            "rerun": rerun, "passed": ok, "note": "",
-        })
+        result.add_row(
+            variant=variant, m=m, epsilon=cfg.epsilon, trials=trials,
+            exceed_count=exceed, p_hat=p_hat, ci_half_width=ci,
+            single_event_bound=bd.single_event_bound,
+            margin=bd.single_event_bound - (p_hat - ci), condition_ok=True,
+            rerun=rerun, passed=ok, note="",
+        )
         result.passed = result.passed and ok
     return result
 
@@ -679,10 +693,7 @@ def run_pac_experiment(
     _check_total_loss(cfg, mu)
     eng = _resolve_engine(cfg, scheme, engine)
     inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
-    result = ExperimentResult(
-        kind="pac", config=cfg, columns=list(PAC_COLUMNS),
-        rows=[], records=[], passed=True,
-    )
+    result = ExperimentResult("pac", cfg, list(PAC_COLUMNS))
     m0 = _scan_m_pac(cfg, inputs, scan_limit, result.notes)
 
     rng = KeyedGenerator()
@@ -708,12 +719,12 @@ def run_pac_experiment(
             result, partial(batch, m, mi), cfg.trials, cfg.delta if applies else None,
             m, "delta",
         )
-        result.rows.append({
-            "m": m, "epsilon": cfg.epsilon, "delta": cfg.delta, "trials": trials,
-            "fail_count": fails, "q_hat": q_hat, "ci_half_width": ci,
-            "m_pac": m0 if m0 is not None else "", "applies": applies,
-            "rerun": rerun, "passed": ok, "note": "",
-        })
+        result.add_row(
+            m=m, epsilon=cfg.epsilon, delta=cfg.delta, trials=trials,
+            fail_count=fails, q_hat=q_hat, ci_half_width=ci,
+            m_pac=m0 if m0 is not None else "", applies=applies,
+            rerun=rerun, passed=ok, note="",
+        )
         result.passed = result.passed and ok
     return result
 
@@ -730,21 +741,18 @@ def run_bound_table(cfg: ExperimentConfig, scan_limit: int | None = None) -> Exp
     cfg.validate()
     mu, klass, loss, scheme = build_all(cfg)
     inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
-    result = ExperimentResult(
-        kind="bound-table", config=cfg, columns=list(BOUND_TABLE_COLUMNS),
-        rows=[], records=[], passed=True,
-    )
+    result = ExperimentResult("bound-table", cfg, list(BOUND_TABLE_COLUMNS))
     m0 = _scan_m_pac(cfg, inputs, scan_limit, result.notes)
     ref = asymptotic_guarantee_reference(inputs)
-    for m, bd in zip(cfg.m_values, bound_breakdowns(inputs, cfg.m_values)):
-        result.rows.append({
-            "mode": cfg.mode, "k": cfg.k, "m": m, "epsilon": cfg.epsilon,
-            "delta": cfg.delta, "slack": bd.slack,
-            "effective_epsilon": bd.effective_epsilon,
-            "single_event_bound": bd.single_event_bound,
-            "multiplier": bd.multiplier, "total_bound": bd.total_bound,
-            "m_pac": m0 if m0 is not None else "", "asymptotic_reference": ref,
-        })
+    # a constant column repeats one object, which the writers format once
+    constant = dict(
+        mode=cfg.mode, k=cfg.k, epsilon=cfg.epsilon, delta=cfg.delta,
+        m_pac=m0 if m0 is not None else "", asymptotic_reference=ref,
+    )
+    result.extend(
+        bound_columns(inputs, cfg.m_values) | {"m": list(cfg.m_values)}
+        | {c: [v] * len(cfg.m_values) for c, v in constant.items()}
+    )
     return result
 
 
@@ -762,19 +770,17 @@ def run_validity_experiment(
         measure=mu, fail_fast=fail_fast,
     )
     result = ExperimentResult(
-        kind="validate-scheme", config=cfg, columns=list(VALIDITY_COLUMNS),
-        rows=[], records=list(report.records), passed=report.passed,
+        "validate-scheme", cfg, list(VALIDITY_COLUMNS), list(report.records), report.passed
     )
     for m in cfg.m_values:
         recs = [r for r in report.records if r.m == m]
         if not recs:
             continue
         bad = [r for r in recs if not r.passed]
-        result.rows.append({
-            "m": m, "trials": len(recs), "violations": len(bad),
-            "max_empirical_loss": max(r.empirical_loss for r in recs),
-            "passed": not bad,
-        })
+        result.add_row(
+            m=m, trials=len(recs), violations=len(bad),
+            max_empirical_loss=max(r.empirical_loss for r in recs), passed=not bad,
+        )
     if not report.passed:
         result.notes.append(f"{len(report.violations)} validity violations")
     return result
@@ -820,13 +826,19 @@ def _column_text(values: list, cell=_cell_text, methods=_CELL_METHOD) -> list:
     return list(map(method or cell, values))
 
 
-def rows_to_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
-    lines = [",".join(columns)]
-    for start in range(0, len(rows), _CSV_BLOCK):
-        block = rows[start:start + _CSV_BLOCK]
-        cells = [_column_text([row[c] for row in block]) for c in columns]
-        lines.extend(map(",".join, zip(*cells)))
+def table_to_csv(table: dict) -> str:
+    """CSV of a table held by columns (name -> list of cells), formatted a
+    block of rows at a time, column by column."""
+    cells = list(table.values())
+    lines = [",".join(table)]
+    for start in range(0, len(cells[0]) if cells else 0, _CSV_BLOCK):
+        block = [_column_text(c[start:start + _CSV_BLOCK]) for c in cells]
+        lines.extend(map(",".join, zip(*block)))
     return "\n".join(lines) + "\n"
+
+
+def rows_to_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
+    return table_to_csv({c: [row[c] for row in rows] for c in columns})
 
 
 def _json_cell(v) -> str:
@@ -865,7 +877,7 @@ def _jsonl_lines(docs: list) -> list:
 
 def records_to_jsonl(records: Sequence) -> str:
     """json.dumps(r.to_json_dict(), sort_keys=True) + "\n" per record,
-    formatted a block of records at a time, as rows_to_csv formats rows."""
+    formatted a block of records at a time, as table_to_csv formats rows."""
     return "".join(chain.from_iterable(
         _jsonl_lines([r.to_json_dict() for r in records[start:start + _CSV_BLOCK]])
         for start in range(0, len(records), _CSV_BLOCK)
@@ -880,7 +892,7 @@ def rows_to_json(columns: Sequence[str], rows: Sequence[dict]) -> str:
 def render_summary(result: ExperimentResult, fmt: str = "csv") -> str:
     """The summary table as CSV or JSON text: the bytes of summary.(csv|json)."""
     if fmt == "csv":
-        return rows_to_csv(result.columns, result.rows)
+        return table_to_csv(result.table)
     if fmt == "json":
         return rows_to_json(result.columns, result.rows)
     raise ValueError(f"unknown output format {fmt!r}")

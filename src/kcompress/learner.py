@@ -11,11 +11,12 @@ The bound is written once, in _bound_terms, over an array of sample
 sizes: the m_pac scan evaluates it on chunks of its window from the top
 down, stopping below the last m where a condition fails (a failed scan
 evaluates the whole window for its diagnostics), and every reported
-breakdown (azuma_bound, bound-table rows) comes from the same function.  Reported rows take three steps per element in Python instead
-of NumPy: the partite ratio ((m - s)/m)**k with float power, log h with
-math.log, and the exponentials with math.exp.  NumPy's power, log and
-exp miss these in the last bit on some inputs, and the reported bytes
-predate the vectorized form.  The scan keeps NumPy's arithmetic.
+breakdown comes from the same function through bound_columns, which
+bound-table reads by column and azuma_bound by row.  Reported rows take
+three steps per element in Python instead of NumPy: the partite ratio
+((m - s)/m)**k with float power, log h with math.log, and the
+exponentials with math.exp; NumPy's power, log and exp miss these in the
+last bit on some inputs.  The scan keeps NumPy's arithmetic.
 """
 
 from __future__ import annotations
@@ -195,28 +196,31 @@ def slack_term(inputs: GuaranteeInputs, m: int) -> float:
     return azuma_bound(inputs, m).slack
 
 
-def bound_breakdowns(inputs: GuaranteeInputs, ms) -> list[BoundBreakdown]:
-    """azuma_bound at every sample size of ms, from one vectorized pass.
+def bound_columns(inputs: GuaranteeInputs, ms) -> dict:
+    """The BoundBreakdown fields at every sample size of ms, from one
+    vectorized pass: one list per field, keyed and ordered as the fields.
 
-    The exponentials are taken per row with math.exp, which NumPy's exp
-    misses in the last bit on some inputs."""
+    The exponentials are taken per element with math.exp, which NumPy's
+    exp misses in the last bit on some inputs."""
     m = np.asarray(ms, dtype=np.float64)
     if (m < 1).any():
         raise ValueError("sample size m must be >= 1")
-    terms = _bound_terms(inputs, m, reported=True)
-    return [
-        BoundBreakdown(
-            m=int(mi), selection_size=int(s), header_count=int(h), slack=slack,
-            effective_epsilon=eff, single_event_bound=math.exp(log_single),
-            log_single_event=log_single, multiplier=_safe_exp(log_mult),
-            log_multiplier=log_mult,
-            total_bound=1.0 if log_total >= 0 else math.exp(log_total),
-            log_total=log_total, condition_ok=ok,
-        )
-        for mi, s, h, slack, eff, ok, log_mult, log_single, log_total in zip(
-            m.tolist(), *(t.tolist() for t in terms)
-        )
-    ]
+    s, h, slack, eff, ok, log_mult, log_single, log_total = (
+        t.tolist() for t in _bound_terms(inputs, m, reported=True)
+    )
+    return dict(
+        m=list(map(int, m.tolist())), selection_size=list(map(int, s)),
+        header_count=list(map(int, h)), slack=slack, effective_epsilon=eff,
+        single_event_bound=list(map(math.exp, log_single)), log_single_event=log_single,
+        multiplier=list(map(_safe_exp, log_mult)), log_multiplier=log_mult,
+        total_bound=[1.0 if x >= 0 else math.exp(x) for x in log_total],
+        log_total=log_total, condition_ok=ok,
+    )
+
+
+def bound_breakdowns(inputs: GuaranteeInputs, ms) -> list[BoundBreakdown]:
+    """azuma_bound at every sample size of ms: bound_columns, row by row."""
+    return list(map(BoundBreakdown, *bound_columns(inputs, ms).values()))
 
 
 def azuma_bound(inputs: GuaranteeInputs, m: int) -> BoundBreakdown:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -251,7 +251,7 @@ class ProductMeasure:
     def uniform(cls, mode: str, k: int) -> "ProductMeasure":
         return cls(mode, k, (Uniform01(),) * side_count(mode, k))
 
-    @property
+    @cached_property
     def is_uniform(self) -> bool:
         return all(isinstance(d, Uniform01) for d in self.distributions)
 

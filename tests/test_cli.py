@@ -13,6 +13,7 @@ from kcompress.experiments import (
     BOUND_TABLE_COLUMNS,
     CONCENTRATION_COLUMNS,
     VALIDITY_COLUMNS,
+    ExperimentConfig,
 )
 from kcompress.indexing import NONPARTITE
 from kcompress.samples import (
@@ -201,6 +202,64 @@ def test_seed_and_trials_overrides_reach_manifest(cfg_file, tmp_path, capsys):
     assert manifest["config"]["trials"] == 5
     assert "out" not in manifest["config"]
     assert (out_dir / "summary.csv").read_text() == stdout
+
+
+def test_dispatch_twice_keeps_no_state(tmp_path, capsys):
+    # the parser is built once per process: one call's flags must not reach the next
+    p = tmp_path / "run.cfg"
+    p.write_text(PARTITE_TEXT.replace("seed = 5", "seed = 0"))
+    table = ["bound-table", "--config", str(p), "--scan-limit", "4000"]
+    assert dispatch(table + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["columns"] == BOUND_TABLE_COLUMNS
+    assert dispatch(table) == 0
+    assert capsys.readouterr().out.splitlines()[0] == ",".join(BOUND_TABLE_COLUMNS)
+    seeds = []
+    for flags in (["--seed", "5"], []):
+        out_dir = tmp_path / f"res{len(seeds)}"
+        assert dispatch(table + flags + ["--out", str(out_dir)]) == 0
+        seeds.append(json.loads((out_dir / "manifest.json").read_text())["seed"])
+    assert seeds == [5, 0]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("m", [10**400, 10**19, 2**53 + 1])
+@pytest.mark.parametrize("command", ["bound-table", "concentration", "pac"])
+def test_m_beyond_float64_integers_exits_2(tmp_path, capsys, command, m):
+    # every bound is evaluated on float64 sample sizes
+    p = tmp_path / "run.cfg"
+    p.write_text(PARTITE_TEXT.replace("m_values = 20, 30", f"m_values = 50, {m}"))
+    assert dispatch([command, "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in captured.err
+    assert lines[0] == f"config error: m={m} is above 2**53: bounds are taken at float64 m"
+    ExperimentConfig(m_values=(50, 2**53)).validate()
+
+
+# sha256 of bound-table stdout at m = 10, 20, .., 50000 (5000 rows),
+# epsilon = delta = 0.1, k = 2, as the tables were written row by row
+LONG_TABLE_SHA256 = {
+    ("partite", "csv"): "e5a2188a44c3594b70a21faf3d52beb0999be8588163676fc3b283a516dc76a9",
+    ("partite", "json"): "6c93787cafe1e334d3845d3c546dee153ee07a6b9db8c39ff618cfe006db68fe",
+    ("nonpartite", "csv"): "7f4354ea26631b3d1cbec0f2449de3603f80bc526e9f1da7416ee1e76f224ee3",
+    ("nonpartite", "json"): "884a30289aabd764c02772be942035685a26a979369e5bb3ff917e32cd62d380",
+}
+
+
+@pytest.mark.parametrize("mode, family", [("partite", "rectangle"), ("nonpartite", "sum-threshold")])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_long_bound_tables_pinned(tmp_path, capsys, mode, family, fmt):
+    p = tmp_path / "table.cfg"
+    p.write_text(
+        f"mode = {mode}\nk = 2\nscheme_id = {family}\nclass_id = {family}\n"
+        "epsilon = 0.1\ndelta = 0.1\ntrials = 1\nseed = 0\n"
+        f"m_values = {', '.join(map(str, range(10, 50001, 10)))}\n"
+    )
+    flags = ["--scan-limit", "50000", "--format", fmt]
+    assert dispatch(["bound-table", "--config", str(p), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_TABLE_SHA256[mode, fmt]
 
 
 def test_cli_outputs_byte_deterministic(cfg_file, tmp_path, capsys):

@@ -908,15 +908,15 @@ def test_bound_table_matches_direct_bound():
 
 
 def test_bound_table_rows_come_from_one_vectorized_call(monkeypatch):
-    from kcompress.learner import bound_breakdowns
+    from kcompress.learner import bound_columns
 
     calls = []
 
     def counted(inputs, ms):
         calls.append(tuple(ms))
-        return bound_breakdowns(inputs, ms)
+        return bound_columns(inputs, ms)
 
-    monkeypatch.setattr(experiments, "bound_breakdowns", counted)
+    monkeypatch.setattr(experiments, "bound_columns", counted)
     cfg = dataclasses.replace(PARTITE_CFG, m_values=(1000, 2000, 5000), epsilon=0.2)
     result = run_bound_table(cfg, scan_limit=8000)
     assert calls == [(1000, 2000, 5000)]
@@ -1117,8 +1117,7 @@ def test_records_to_jsonl_is_json_dumps_per_record(tmp_path):
         assert records_to_jsonl(records) == want
     assert records_to_jsonl([]) == ""
     result = experiments.ExperimentResult(
-        kind="concentration", config=PARTITE_CFG, columns=[], rows=[],
-        records=reports, passed=True,
+        kind="concentration", config=PARTITE_CFG, columns=[], records=reports, passed=True,
     )
     write_outputs(result, str(tmp_path))
     lines = (tmp_path / "trials.jsonl").read_text(encoding="utf-8").splitlines()

@@ -6,6 +6,7 @@ cross-checked against a pure-python scalar rewrite using math.lgamma
 instead of scipy's gammaln.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -14,6 +15,13 @@ import numpy as np
 import pytest
 
 from kcompress import learner
+from kcompress.experiments import (
+    BOUND_TABLE_COLUMNS,
+    ExperimentConfig,
+    render_summary,
+    rows_to_csv,
+    run_bound_table,
+)
 from kcompress.indexing import NONPARTITE, PARTITE
 from kcompress.learner import (
     BoundBreakdown,
@@ -222,11 +230,12 @@ PINNED_GRID_SHA256 = "b6f450f2ac009f44831197bee44f4525463c6cbbedf81b2880a30f56ba
 
 
 def pinned_grid():
-    """(inputs, sample sizes) over both modes, k in {1, 2, 3, 5}, the
-    built-in and trivial schemes and the sweep grid: m = 1..300 plus 1000
-    seeded random m up to 2e6 each, and for the bundled bound tables'
+    """(inputs, sample sizes, config) over both modes, k in {1, 2, 3, 5},
+    the built-in and trivial schemes and the sweep grid: m = 1..300 plus
+    1000 seeded random m up to 2e6 each, and for the bundled bound tables'
     inputs (k = 2, epsilon = delta = 0.1) also m = 10, 20, .., 100000,
-    which holds their rows and those of the benchmark's tables."""
+    which holds their rows and those of the benchmark's tables.  The
+    config has the inputs' mode, k, scheme, class, epsilon and delta."""
     random_m = np.random.default_rng(1590).integers(1, 2_000_001, size=1000)
     base = np.concatenate([np.arange(1, 301), random_m])
     tables = np.concatenate([base, np.arange(10, 100_001, 10)])
@@ -242,13 +251,17 @@ def pinned_grid():
                     bundled = (
                         k == 2 and scheme.scheme_id != "trivial" and (eps, delta) == (0.1, 0.1)
                     )
-                    yield gi, tables if bundled else base
+                    cfg = ExperimentConfig(
+                        mode=scheme.mode, k=k, scheme_id=scheme.scheme_id,
+                        class_id=builtin(k).scheme_id, epsilon=eps, delta=delta,
+                    )
+                    yield gi, tables if bundled else base, cfg
 
 
 def test_breakdowns_keep_the_scalar_bytes():
     digest = hashlib.sha256()
     rows = 0
-    for gi, ms in pinned_grid():
+    for gi, ms, _ in pinned_grid():
         for bd in bound_breakdowns(gi, ms):
             digest.update(repr(bd.to_json_dict()).encode() + b"\n")
             rows += 1
@@ -258,13 +271,45 @@ def test_breakdowns_keep_the_scalar_bytes():
 
 def test_azuma_bound_is_the_matching_breakdown_row():
     rng = np.random.default_rng(7)
-    for gi, ms in pinned_grid():
+    for gi, ms, _ in pinned_grid():
         pick = rng.choice(len(ms), size=3, replace=False)
         rows = bound_breakdowns(gi, ms)
         for i in pick.tolist():
             assert azuma_bound(gi, int(ms[i])) == rows[i]
     # 1590 at k = 2 is one of the m where NumPy's power and Python's differ
     assert azuma_bound(RECT_INPUTS, 1590) == bound_breakdowns(RECT_INPUTS, [1590])[0]
+
+
+def test_bound_table_columns_equal_breakdown_rows():
+    # run_bound_table takes its columns whole from bound_columns; a table
+    # built from one BoundBreakdown per row must have the same bytes
+    seen = dict.fromkeys(
+        ("trivial scheme, no m_pac", "m_pac found", "slack condition fails",
+         "nonpartite m = k", "multiplier overflows"), False,
+    )
+    for gi, ms, cfg in pinned_grid():
+        ms = ms[ms >= (gi.k if gi.mode == NONPARTITE else 1)].tolist()
+        result = run_bound_table(dataclasses.replace(cfg, m_values=tuple(ms)), scan_limit=20000)
+        try:
+            m0 = m_pac(gi, 20000)
+        except MPacNotFound:
+            m0 = ""
+        ref = asymptotic_guarantee_reference(gi)
+        rows = []
+        for m, bd in zip(ms, bound_breakdowns(gi, ms)):
+            rows.append({
+                "mode": cfg.mode, "k": cfg.k, "m": m, "epsilon": cfg.epsilon,
+                "delta": cfg.delta, "slack": bd.slack, "effective_epsilon": bd.effective_epsilon,
+                "single_event_bound": bd.single_event_bound, "multiplier": bd.multiplier,
+                "total_bound": bd.total_bound, "m_pac": m0, "asymptotic_reference": ref,
+            })
+            seen["slack condition fails"] |= not bd.condition_ok
+            seen["multiplier overflows"] |= bd.multiplier == math.inf
+        assert render_summary(result) == rows_to_csv(BOUND_TABLE_COLUMNS, rows)
+        seen["trivial scheme, no m_pac"] |= cfg.scheme_id == "trivial" and m0 == ""
+        seen["m_pac found"] |= m0 != ""
+        seen["nonpartite m = k"] |= cfg.mode == NONPARTITE and ms[0] == cfg.k
+    assert all(seen.values()), seen
 
 
 def test_reported_terms_take_pythons_power_and_log():

@@ -178,6 +178,27 @@ def test_exact_rectangles_guards():
         total_loss_exact_rectangles(mu, UNIT_BOX, HALF_BOX)
 
 
+def test_exact_losses_refuse_a_discrete_measure_on_every_call():
+    # a measure works out is_uniform once; every direct call still checks it
+    coin = FiniteDiscrete((0.25, 0.75), (0.5, 0.5))
+    threshold = Hypothesis.sum_threshold(2, 1.0)
+    cases = [
+        (ProductMeasure(PARTITE, 2, (coin, coin)), total_loss_exact_rectangles, UNIT_BOX,
+         "exact rectangle loss requires uniform sides"),
+        (ProductMeasure(NONPARTITE, 2, (coin,)), total_loss_exact_sum_threshold, threshold,
+         "exact sum-threshold loss requires the uniform measure"),
+    ]
+    for mu, exact, F, reason in cases:
+        assert "is_uniform" not in vars(mu)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=reason):
+                exact(mu, F, F)
+        assert vars(mu)["is_uniform"] is False
+    uniform = ProductMeasure.uniform(PARTITE, 2)
+    assert total_loss_exact_rectangles(uniform, UNIT_BOX, HALF_BOX) == 0.75
+    assert vars(uniform)["is_uniform"] is True
+
+
 def test_pair_sum_upper_tail_values():
     assert _pair_sum_upper_tail(-0.5) == 1.0
     assert _pair_sum_upper_tail(0.0) == 1.0
