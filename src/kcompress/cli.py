@@ -14,6 +14,8 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .experiments import (
     ConfigError,
     ExperimentResult,
@@ -77,16 +79,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    flags = {f: getattr(args, f) for f in ("seed", "trials", "out")}
+    flags = {f: getattr(args, f) for f in ("seed", "trials")}
     overrides = {f: v for f, v in flags.items() if v is not None}
     return replace(load_config(args.config), **overrides).validate()
 
 
-def _finish(result: ExperimentResult, fmt: str) -> int:
-    summary = render_summary(result, fmt)
+def _finish(result: ExperimentResult, args) -> int:
+    summary = render_summary(result, args.format)
     sys.stdout.write(summary)
-    if result.config.out:
-        write_outputs(result, result.config.out, fmt, summary=summary)
+    if args.out:
+        write_outputs(result, args.out, args.format, summary=summary)
     for note in result.notes:
         print(f"note: {note}", file=sys.stderr)
     if not result.passed:
@@ -103,16 +105,16 @@ def _cmd_validate(args) -> int:
             "first violation: " + json.dumps(first.to_json_dict(), sort_keys=True),
             file=sys.stderr,
         )
-    return _finish(result, args.format)
+    return _finish(result, args)
 
 
 def _cmd_concentration(args) -> int:
-    return _finish(run_concentration_suite(_load_config(args), engine=args.engine), args.format)
+    return _finish(run_concentration_suite(_load_config(args), engine=args.engine), args)
 
 
 def _cmd_pac(args) -> int:
     result = run_pac_experiment(_load_config(args), engine=args.engine, scan_limit=args.scan_limit)
-    return _finish(result, args.format)
+    return _finish(result, args)
 
 
 def _cmd_mpac(args) -> int:
@@ -131,7 +133,7 @@ def _cmd_mpac(args) -> int:
 
 
 def _cmd_bound_table(args) -> int:
-    return _finish(run_bound_table(_load_config(args), scan_limit=args.scan_limit), args.format)
+    return _finish(run_bound_table(_load_config(args), scan_limit=args.scan_limit), args)
 
 
 def _cmd_inspect(args) -> int:
@@ -142,14 +144,10 @@ def _cmd_inspect(args) -> int:
         print(f"inspect: cannot read sample: {exc}", file=sys.stderr)
         return 2
     t = labeled.labels
-    counts: dict = {}
-    sentinel = 0
-    for c in t.codes.ravel().tolist():
-        if c == SENTINEL:
-            sentinel += 1
-        else:
-            key = repr(t.alphabet[c])
-            counts[key] = counts.get(key, 0) + 1
+    codes, totals = np.unique(t.codes, return_counts=True)
+    counts = dict(zip(codes.tolist(), totals.tolist()))
+    sentinel = counts.pop(SENTINEL, 0)
+    counts = {repr(t.alphabet[c]): n for c, n in counts.items()}
     print(f"mode: {labeled.mode}")
     print(f"k: {labeled.k}")
     print(f"m: {labeled.m}")

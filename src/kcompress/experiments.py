@@ -36,10 +36,10 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice, repeat
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -131,7 +131,6 @@ class ExperimentConfig:
     estimator: str = "exact"
     n_draws: int = 20000
     seed: int = 0
-    out: str = ""
 
     def validate(self) -> "ExperimentConfig":
         if self.mode not in MODES:
@@ -175,26 +174,20 @@ class ExperimentConfig:
         return self
 
 
-_INT_FIELDS = ("k", "trials", "n_draws", "seed")
-_FLOAT_FIELDS = ("epsilon", "delta")
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
-def _parse_value(key: str, text: str):
+def _parse_value(kind: type, key: str, text: str):
     try:
-        if key in _INT_FIELDS:
-            return int(text)
-        if key in _FLOAT_FIELDS:
-            return float(text)
-        if key == "m_values":
+        if kind is tuple:
             return tuple(int(p.strip()) for p in text.split(",") if p.strip())
+        return kind(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
-    return text
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Flat key=value lines; # starts a comment; unknown keys are rejected."""
-    known = {f.name for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -204,11 +197,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        values[key] = _parse_value(key, val)
+        values[key] = _parse_value(_FIELD_TYPES[key], key, val)
     return ExperimentConfig(**values).validate()
 
 
@@ -221,27 +214,15 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    # the output destination is CLI plumbing, not experiment identity,
-    # so it stays out of the echoed config and the hash
-    doc = {}
-    for f in fields(ExperimentConfig):
-        if f.name == "out":
-            continue
-        v = getattr(cfg, f.name)
-        doc[f.name] = list(v) if isinstance(v, tuple) else v
-    return doc
+    # a dataclass's __dict__ holds its fields in order
+    return {**vars(cfg), "m_values": list(cfg.m_values)}
 
 
 def canonical_config_text(cfg: ExperimentConfig) -> str:
-    lines = []
-    for f in fields(ExperimentConfig):
-        if f.name == "out":
-            continue
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ", ".join(str(p) for p in v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}\n"
+        for key, v in config_to_dict(cfg).items()
+    )
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -772,13 +753,13 @@ def run_validity_experiment(
     result = ExperimentResult(
         "validate-scheme", cfg, list(VALIDITY_COLUMNS), list(report.records), report.passed
     )
-    for m in cfg.m_values:
-        recs = [r for r in report.records if r.m == m]
-        if not recs:
-            continue
+    # one row per m_values entry: its trials records in a row, or fewer
+    # where fail_fast stopped
+    for start in range(0, len(report.records), cfg.trials):
+        recs = report.records[start:start + cfg.trials]
         bad = [r for r in recs if not r.passed]
         result.add_row(
-            m=m, trials=len(recs), violations=len(bad),
+            m=recs[0].m, trials=len(recs), violations=len(bad),
             max_empirical_loss=max(r.empirical_loss for r in recs), passed=not bad,
         )
     if not report.passed:
@@ -837,10 +818,6 @@ def table_to_csv(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rows_to_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
-    return table_to_csv({c: [row[c] for row in rows] for c in columns})
-
-
 def _json_cell(v) -> str:
     return json.dumps(v, sort_keys=True)
 
@@ -856,19 +833,15 @@ _JSON_METHOD = {
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _jsonl_lines(docs: list) -> list:
-    """json.dumps(d, sort_keys=True) + "\n" per dict, formatted column by
-    column when the dicts share one set of string keys."""
-    keys = docs[0].keys()
-    if not keys or any(type(key) is not str for key in keys) or any(
-        d.keys() != keys for d in docs
-    ):
-        return [_json_cell(d) + "\n" for d in docs]
-    keys = sorted(keys)
+def _jsonl_lines(records: list) -> list:
+    """json.dumps(vars(r), sort_keys=True) + "\n" per record of one
+    dataclass, formatted column by column."""
+    keys = sorted(vars(records[0]))
     line = "{" + ", ".join(_json_cell(key).replace("%", "%%") + ": %s" for key in keys) + "}\n"
     cells = []
     for key in keys:
-        texts = _column_text([d[key] for d in docs], _json_cell, _JSON_METHOD)
+        values = list(map(operator.attrgetter(key), records))
+        texts = _column_text(values, _json_cell, _JSON_METHOD)
         if not _JSON_NONFINITE.keys().isdisjoint(texts):
             texts = [_JSON_NONFINITE.get(t, t) for t in texts]
         cells.append(texts)
@@ -876,10 +849,10 @@ def _jsonl_lines(docs: list) -> list:
 
 
 def records_to_jsonl(records: Sequence) -> str:
-    """json.dumps(r.to_json_dict(), sort_keys=True) + "\n" per record,
-    formatted a block of records at a time, as table_to_csv formats rows."""
+    """json.dumps(vars(r), sort_keys=True) + "\n" per record (all of one
+    dataclass), a block of records at a time, as table_to_csv formats rows."""
     return "".join(chain.from_iterable(
-        _jsonl_lines([r.to_json_dict() for r in records[start:start + _CSV_BLOCK]])
+        _jsonl_lines(records[start:start + _CSV_BLOCK])
         for start in range(0, len(records), _CSV_BLOCK)
     ))
 
@@ -906,8 +879,6 @@ def write_outputs(
     summary, when given, must be render_summary(result, fmt), already
     rendered by the caller; it is written as is instead of rendered again.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown output format {fmt!r}")
     if summary is None:
         summary = render_summary(result, fmt)
     os.makedirs(out_dir, exist_ok=True)

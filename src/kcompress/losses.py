@@ -22,6 +22,7 @@ from .indexing import (
     PARTITE,
     LabeledSample,
     OrderChoice,
+    bundle_orientations,
     enumerate_permutations,
     sorted_subsets,
 )
@@ -135,16 +136,12 @@ def _empirical_loss_nonpartite_generic(
     m, k = labeled.m, labeled.k
     perms = enumerate_permutations(k)
     pts = labeled.sample.sides[0]
-    codes = labeled.labels.codes
-    alphabet = labeled.labels.alphabet
+    truths = bundle_orientations(labeled.labels, order).values()
     total = 0.0
-    for ordering in order.orders.tolist():
+    for ordering, truth in zip(order.orders.tolist(), truths):
         xs = tuple(pts[i] for i in ordering)
         guess = tuple(
             H.value(tuple(pts[ordering[p]] for p in perm)) for perm in perms
-        )
-        truth = tuple(
-            alphabet[int(codes[tuple(ordering[p] for p in perm)])] for perm in perms
         )
         total += loss.fn(xs, guess, truth)
     return total / math.comb(m, k)

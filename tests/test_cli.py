@@ -17,6 +17,7 @@ from kcompress.experiments import (
 )
 from kcompress.indexing import NONPARTITE
 from kcompress.samples import (
+    LABEL_SENTINEL_TEXT,
     Hypothesis,
     ProductMeasure,
     draw_sample,
@@ -187,6 +188,16 @@ def test_concentration_engines_same_stdout(cfg_file, capsys):
     generic_out = capsys.readouterr().out
     assert fast_out == generic_out
     assert fast_out.splitlines()[0] == ",".join(CONCENTRATION_COLUMNS)
+
+
+def test_out_is_a_flag_not_a_config_key(tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    p.write_text(PARTITE_TEXT + "out = somewhere\n")
+    assert dispatch(["bound-table", "--config", str(p), "--out", str(tmp_path / "res")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: line 8: unknown config key 'out'\n"
+    assert not (tmp_path / "res").exists()
 
 
 def test_seed_and_trials_overrides_reach_manifest(cfg_file, tmp_path, capsys):
@@ -365,6 +376,27 @@ def test_inspect_nonpartite_counts_sentinels(tmp_path, capsys):
     assert "mode: nonpartite" in out
     assert "label 0: 12" in out
     assert "non-injective cells: 4" in out
+
+
+def test_inspect_counts_three_labels_and_sentinels(tmp_path, capsys):
+    # codes 0..2 of a three-label alphabet, one label unused, sentinels on
+    # the diagonal; labels print sorted by their repr
+    labels = [LABEL_SENTINEL_TEXT, "b", 2, 0, LABEL_SENTINEL_TEXT, 2, 2, "b", LABEL_SENTINEL_TEXT]
+    doc = {
+        "mode": NONPARTITE, "k": 2, "m": 3, "Y": [2, "b", 0, 1.5],
+        "points": [0.1, 0.5, 0.9], "labels": labels,
+    }
+    p = tmp_path / "sample.json"
+    p.write_text(json.dumps(doc))
+    assert dispatch(["inspect", "--sample", str(p)]) == 0
+    assert capsys.readouterr().out.splitlines()[3:] == [
+        "alphabet (4): [2, 'b', 0, 1.5]",
+        "label cells: 9 in shape (3, 3)",
+        "  label 'b': 2",
+        "  label 0: 1",
+        "  label 2: 3",
+        "  non-injective cells: 3",
+    ]
 
 
 def test_inspect_malformed_exits_2(tmp_path, capsys):

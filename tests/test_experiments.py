@@ -34,13 +34,13 @@ from kcompress.experiments import (
     merge_results,
     parse_config,
     records_to_jsonl,
-    rows_to_csv,
     rows_to_json,
     run_bound_table,
     run_concentration_experiment,
     run_concentration_suite,
     run_pac_experiment,
     run_validity_experiment,
+    table_to_csv,
     write_outputs,
 )
 from kcompress.indexing import (
@@ -160,14 +160,23 @@ def test_canonical_text_round_trips():
     assert parse_config(canonical_config_text(cfg)) == cfg
 
 
-def test_config_hash_ignores_output_destination():
+def test_config_hash_covers_every_field():
     cfg = parse_config(GOLDEN_CONFIG)
-    with_out = dataclasses.replace(cfg, out="/tmp/somewhere")
-    assert config_hash(with_out) == config_hash(cfg)
-    assert "out" not in config_to_dict(with_out)
-    assert parse_config(canonical_config_text(with_out)) == cfg
-    changed = dataclasses.replace(cfg, epsilon=0.15)
-    assert config_hash(changed) != config_hash(cfg)
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert list(config_to_dict(cfg)) == names
+    assert [line.partition(" = ")[0] for line in canonical_config_text(cfg).splitlines()] == names
+    other = {
+        "mode": NONPARTITE, "k": 3, "scheme_id": "trivial", "class_id": "sum-threshold",
+        "measure": "discrete:0.25@0.5,0.75@0.5", "loss_id": "zero-one-other",
+        "epsilon": 0.15, "delta": 0.05, "m_values": (50, 201), "trials": 26,
+        "estimator": "monte-carlo", "n_draws": 5001, "seed": 8,
+    }
+    assert sorted(other) == sorted(names)
+    hashes = {config_hash(cfg)}
+    for name, value in other.items():
+        assert getattr(cfg, name) != value
+        hashes.add(config_hash(dataclasses.replace(cfg, **{name: value})))
+    assert len(hashes) == 1 + len(names)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -941,6 +950,31 @@ def test_validity_runner_rows():
         assert row["max_empirical_loss"] == 0.0
 
 
+def test_validity_rows_one_per_m_values_entry(monkeypatch):
+    # a repeated m is its own row with its own trials, as in concentration
+    # and pac, not one merged count printed twice
+    cfg = dataclasses.replace(PARTITE_CFG, m_values=(5, 5, 7), trials=3)
+    result = run_validity_experiment(cfg)
+    assert [(row["m"], row["trials"]) for row in result.rows] == [(5, 3), (5, 3), (7, 3)]
+    assert len(result.records) == 9
+    # under fail_fast the rows end at the entry holding the first violation:
+    # the scheme breaks from its seventh rebuild on (trial 2 of the second entry)
+    real, calls = experiments.BOXES.scheme(2), itertools.count()
+    broken = dataclasses.replace(
+        real, rebuild=lambda sub, hdr: (
+            Hypothesis.empty_rectangle(2) if next(calls) >= 6 else real.rebuild(sub, hdr)
+        ),
+    )
+    family = dataclasses.replace(experiments.BOXES, scheme=lambda k: broken)
+    monkeypatch.setitem(experiments.FAMILIES, "rectangle", family)
+    cfg = dataclasses.replace(cfg, m_values=(6, 6, 6), trials=4)
+    result = run_validity_experiment(cfg, fail_fast=True)
+    assert not result.passed and len(result.records) == 7
+    assert [(row["m"], row["trials"], row["violations"], row["passed"]) for row in result.rows] == [
+        (6, 4, 0, True), (6, 3, 1, False),
+    ]
+
+
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("scheme_id", ["sum-threshold", "trivial"])
 def test_validity_sum_thresholds_beyond_pairs(k, scheme_id):
@@ -983,29 +1017,25 @@ def test_validity_builds_one_injective_mask_per_trial(monkeypatch):
 
 
 def test_cell_formatting_in_csv():
-    text = rows_to_csv(["a", "b", "c"], [{"a": True, "b": 1 / 3, "c": "x"}])
+    text = table_to_csv({"a": [True], "b": [1 / 3], "c": ["x"]})
     assert text == "a,b,c\ntrue,0.3333333333333333,x\n"
 
 
-def test_rows_to_csv_pins_mixed_cells():
+def test_table_to_csv_pins_mixed_cells():
     class Half(float):
         pass
 
-    columns = ["flag", "count", "x", "blank", "np64", "mixed", "npint"]
-    rows = [
-        {"flag": True, "count": 3, "x": 0.1, "blank": "", "np64": np.float64(0.25),
-         "mixed": "", "npint": np.int64(7)},
-        {"flag": False, "count": -12, "x": 1e-300, "blank": "", "np64": np.float64(1 / 3),
-         "mixed": 16852, "npint": np.int64(-1)},
-        {"flag": True, "count": 0, "x": float("inf"), "blank": "", "np64": np.float64(-0.0),
-         "mixed": 2.5, "npint": np.int64(0)},
-        {"flag": False, "count": 2**70, "x": -0.0, "blank": "", "np64": np.float64(1e22),
-         "mixed": True, "npint": np.int64(2**40)},
-        {"flag": True, "count": 1, "x": Half(0.5), "blank": "", "np64": np.float64(3.0),
-         "mixed": Half(0.75), "npint": np.int32(5)},
-    ]
+    table = {
+        "flag": [True, False, True, False, True],
+        "count": [3, -12, 0, 2**70, 1],
+        "x": [0.1, 1e-300, float("inf"), -0.0, Half(0.5)],
+        "blank": [""] * 5,
+        "np64": list(map(np.float64, [0.25, 1 / 3, -0.0, 1e22, 3.0])),
+        "mixed": ["", 16852, 2.5, True, Half(0.75)],
+        "npint": [np.int64(7), np.int64(-1), np.int64(0), np.int64(2**40), np.int32(5)],
+    }
     # bool before float, float subclasses (np.float64 too) through repr
-    np64 = [repr(r["np64"]) for r in rows]
+    np64 = list(map(repr, table["np64"]))
     header = "flag,count,x,blank,np64,mixed,npint\n"
     body = (
         f"true,3,0.1,,{np64[0]},,7\n"
@@ -1014,18 +1044,18 @@ def test_rows_to_csv_pins_mixed_cells():
         f"false,1180591620717411303424,-0.0,,{np64[3]},true,1099511627776\n"
         f"true,1,0.5,,{np64[4]},0.75,5\n"
     )
-    assert rows_to_csv(columns, rows) == header + body
-    assert rows_to_csv(columns, []) == header
+    assert table_to_csv(table) == header + body
+    assert table_to_csv({c: [] for c in table}) == header
     # long enough to span several formatting blocks; compared line by line,
     # which keeps a failure report short
-    long_text = rows_to_csv(columns, rows * 211)
+    long_text = table_to_csv({c: cells * 211 for c, cells in table.items()})
     assert long_text.endswith("\n")
     assert long_text.splitlines() == (header + body * 211).splitlines()
     # a column holding one object is formatted once; equal objects that are
     # not the same one (0.0 and -0.0) keep their own text
     zero, nan = 0.0, float("nan")
-    same = [{"z": z, "n": nan, "b": True} for z in (zero, zero, -zero, zero)]
-    assert rows_to_csv(["z", "n", "b"], same) == (
+    same = {"z": [zero, zero, -zero, zero], "n": [nan] * 4, "b": [True] * 4}
+    assert table_to_csv(same) == (
         "z,n,b\n0.0,nan,true\n0.0,nan,true\n-0.0,nan,true\n0.0,nan,true\n"
     )
 

@@ -19,8 +19,8 @@ from kcompress.experiments import (
     BOUND_TABLE_COLUMNS,
     ExperimentConfig,
     render_summary,
-    rows_to_csv,
     run_bound_table,
+    table_to_csv,
 )
 from kcompress.indexing import NONPARTITE, PARTITE
 from kcompress.learner import (
@@ -305,7 +305,8 @@ def test_bound_table_columns_equal_breakdown_rows():
             })
             seen["slack condition fails"] |= not bd.condition_ok
             seen["multiplier overflows"] |= bd.multiplier == math.inf
-        assert render_summary(result) == rows_to_csv(BOUND_TABLE_COLUMNS, rows)
+        table = {c: [row[c] for row in rows] for c in BOUND_TABLE_COLUMNS}
+        assert render_summary(result) == table_to_csv(table)
         seen["trivial scheme, no m_pac"] |= cfg.scheme_id == "trivial" and m0 == ""
         seen["m_pac found"] |= m0 != ""
         seen["nonpartite m = k"] |= cfg.mode == NONPARTITE and ms[0] == cfg.k
