@@ -102,7 +102,7 @@ def _cmd_validate(args) -> int:
     if not result.passed:
         first = next(r for r in result.records if not r.passed)
         print(
-            "first violation: " + json.dumps(first.to_json_dict(), sort_keys=True),
+            "first violation: " + json.dumps(vars(first), sort_keys=True),
             file=sys.stderr,
         )
     return _finish(result, args)
@@ -127,7 +127,7 @@ def _cmd_mpac(args) -> int:
     except MPacNotFound as exc:
         print(f"mpac: {exc} {json.dumps(exc.diagnostics, sort_keys=True)}", file=sys.stderr)
         return 1
-    doc = {"m_pac": m0, "breakdown_at_m_pac": azuma_bound(inputs, m0).to_json_dict()}
+    doc = {"m_pac": m0, "breakdown_at_m_pac": vars(azuma_bound(inputs, m0))}
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
 

@@ -289,9 +289,6 @@ class TrialRecord:
     hypothesis: str
     realizable: bool
 
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass
 class ExperimentResult:

@@ -25,13 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .samples import Hypothesis, coordinate_sum, threshold_of
+from .samples import Hypothesis, coordinate_sum, minimal_box, threshold_of
 
 
 def _rect_masks(H: Hypothesis, sides: Sequence[np.ndarray]):
     """Per-side membership masks of a box hypothesis; all-false when empty."""
-    if H.intervals is None:
-        return [np.zeros(len(s), dtype=bool) for s in sides]
     return [(s >= lo) & (s <= hi) for (lo, hi), s in zip(H.intervals, sides)]
 
 
@@ -43,17 +41,6 @@ def _rect_xor_count(fmasks, hmasks) -> int:
         ch *= int(hm.sum())
         cfh *= int((fm & hm).sum())
     return cf + ch - 2 * cfh
-
-
-def _rect_minimal_box(sides, fmasks) -> Hypothesis:
-    """Minimal box around the all-positive tuples of the given coordinates."""
-    if not all(bool(fm.any()) for fm in fmasks):
-        return Hypothesis.empty_rectangle(len(sides))
-    intervals = []
-    for s, fm in zip(sides, fmasks):
-        vals = s[fm]
-        intervals.append((float(vals.min()), float(vals.max())))
-    return Hypothesis.rectangle(intervals)
 
 
 def _row_boundaries(xs: np.ndarray, t: float, start: np.ndarray | None = None) -> np.ndarray:
@@ -104,11 +91,9 @@ def _boundary_extremes(xs: np.ndarray, p: np.ndarray):
     )
 
 
-def _box_ends(H: Hypothesis, k: int):
-    """(lo, hi), the ends of box H per side as (k,) arrays; the empty box
-    gets +inf and -inf, which hold no point."""
-    if H.intervals is None:
-        return np.full(k, math.inf), np.full(k, -math.inf)
+def _box_ends(H: Hypothesis):
+    """(lo, hi), the ends of box H per side as (k,) arrays; the empty box's
+    +inf and -inf hold no point."""
     return np.asarray(H.intervals).T
 
 
@@ -118,7 +103,7 @@ def _block_box_masks(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray) -> np.ndar
 
 
 def box_concentration(k, F, sigma, eta, m, pts):
-    f_lo, f_hi = _box_ends(F, k)
+    f_lo, f_hi = _box_ends(F)
     fmasks = _block_box_masks(f_lo, f_hi, pts)
     count = len(pts)
     if eta == 2:
@@ -214,9 +199,9 @@ def threshold_concentration(k, F, sigma, eta, m, pts):
 
 def box_pac(k, F, m, x):
     fmasks = _rect_masks(F, x.sides)
-    positive = all(bool(fm.any()) for fm in fmasks)
-    header = 1 if positive else 2
-    H = _rect_minimal_box(x.sides, fmasks) if positive else Hypothesis.empty_rectangle(k)
+    header = 1 if all(bool(fm.any()) for fm in fmasks) else 2
+    # the positive tuples are the product of F's points on each side
+    H = minimal_box(x.sides, fmasks)
     count = _rect_xor_count(fmasks, _rect_masks(H, x.sides))
     # H is the minimal box around the positive tuples, so the sample is
     # realizable iff H holds no negative tuple: iff H and F agree everywhere

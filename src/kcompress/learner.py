@@ -120,9 +120,6 @@ class BoundBreakdown:
     log_total: float
     condition_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))
-
 
 def _safe_exp(x: float) -> float:
     try:

@@ -213,8 +213,6 @@ def total_loss_monte_carlo(
 def _box_lengths(H: Hypothesis) -> list[float]:
     if H.kind != "rectangle":
         raise ValueError("expected a rectangle hypothesis")
-    if H.intervals is None:
-        return [0.0] * H.k
     return [max(0.0, min(hi, 1.0) - max(lo, 0.0)) for lo, hi in H.intervals]
 
 
@@ -238,7 +236,8 @@ def total_loss_exact_rectangles(mu: ProductMeasure, F: Hypothesis, H: Hypothesis
         raise ValueError(gap)
     vol_f = math.prod(_box_lengths(F))
     vol_h = math.prod(_box_lengths(H))
-    if F.intervals is None or H.intervals is None:
+    if vol_f == 0.0 or vol_h == 0.0:
+        # no side of the intersection is longer than that side of F or of H
         vol_both = 0.0
     else:
         vol_both = 1.0

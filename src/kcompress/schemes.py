@@ -41,6 +41,7 @@ from .samples import (
     erm_realizability_check,
     label_sample,
     minimal_enclosing_box,
+    positive_point_masks,
     side_keys,
     stream_keys,
 )
@@ -137,15 +138,13 @@ def _rect_sizes(m):
 def _rect_select(labeled: LabeledSample) -> InjectionVector:
     m, k = labeled.m, labeled.k
     s = _rect_sizes(m)
-    pos = labeled.labels.codes == _positive_code(labeled.labels.alphabet)
-    if not pos.any():
+    masks = positive_point_masks(labeled)
+    if not masks[0].any():  # no positive tuple
         return InjectionVector(PARTITE, m, (tuple(range(s)),) * k)
     maps = []
-    for i in range(k):
-        axes = tuple(j for j in range(k) if j != i)
-        participating = pos.any(axis=axes) if axes else pos
-        idxs = np.flatnonzero(participating)
-        vals = labeled.sample.sides[i][idxs]
+    for side, mask in zip(labeled.sample.sides, masks):
+        idxs = np.flatnonzero(mask)
+        vals = side[idxs]
         # argmin/argmax take the first occurrence, so ties go to the
         # smallest index.
         imin = int(idxs[np.argmin(vals)])
@@ -253,9 +252,6 @@ class CompressionReport:
     empirical_loss: float
     threshold: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))
 
 
 @dataclass(frozen=True)

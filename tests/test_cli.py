@@ -147,6 +147,31 @@ def test_exact_loss_beyond_its_cover_exits_2(tmp_path, capsys, name, command):
     assert lines[0] == f"config error: {reason}; use estimator = monte-carlo"
 
 
+@pytest.mark.parametrize(
+    "measure, reason",
+    [
+        ("discrete:0.25@nan,0.75@1.0", "weights must be finite, nonnegative and sum to 1"),
+        ("discrete:nan@0.5,0.75@0.5", "atoms must be finite"),
+        ("discrete:inf@0.5,0.75@0.5", "atoms must be finite"),
+    ],
+)
+@pytest.mark.parametrize("mode", ["partite", "nonpartite"])
+@pytest.mark.parametrize(
+    "command", ["validate-scheme", "concentration", "pac", "mpac", "bound-table"]
+)
+def test_non_finite_discrete_measure_exits_2(tmp_path, capsys, command, mode, measure, reason):
+    text = PARTITE_TEXT + f"measure = {measure}\nestimator = monte-carlo\n"
+    if mode == "nonpartite":
+        text = text.replace("mode = partite", "mode = nonpartite")
+        text += "scheme_id = sum-threshold\nclass_id = sum-threshold\n"
+    p = tmp_path / "run.cfg"
+    p.write_text(text)
+    assert dispatch([command, "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {reason}\n"
+
+
 @pytest.mark.parametrize("command", ["concentration", "pac"])
 def test_trials_beyond_32_bit_trial_indices_exit_2(cfg_file, capsys, command):
     # a re-measured cell would number trials up to 5 * trials - 1 >= 2**32

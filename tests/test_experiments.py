@@ -58,7 +58,6 @@ from kcompress.kernels import (
     _box_ends,
     _padded_sorted,
     _rect_masks,
-    _rect_minimal_box,
     _rect_xor_count,
     _row_boundaries,
     box_concentration,
@@ -73,6 +72,7 @@ from kcompress.samples import (
     derive_seed,
     draw_sample,
     label_sample,
+    minimal_box,
     spawn_rng,
 )
 from kcompress.schemes import reconstruct, sum_threshold_scheme
@@ -424,11 +424,15 @@ def test_rect_masks_and_minimal_box():
     masks = _rect_masks(F, sides)
     assert np.array_equal(masks[0], [True, True, False])
     assert np.array_equal(masks[1], [False, True, True])
-    box = _rect_minimal_box(sides, masks)
+    box = minimal_box(sides, masks)
     assert box.intervals == ((0.1, 0.5), (0.4, 0.6))
     empty = _rect_masks(Hypothesis.empty_rectangle(2), sides)
     assert not any(m.any() for m in empty)
-    assert _rect_minimal_box(sides, empty).intervals is None
+    assert minimal_box(sides, empty).intervals == Hypothesis.empty_rectangle(2).intervals
+    # one side without a masked point empties the whole box
+    box = minimal_box(sides, [masks[0], empty[1]])
+    assert box.describe() == "rectangle(empty)"
+    assert box.intervals == Hypothesis.empty_rectangle(2).intervals
 
 
 def test_block_box_masks_and_minimal_boxes():
@@ -437,23 +441,24 @@ def test_block_box_masks_and_minimal_boxes():
         [[0.6, 0.7, 0.8], [0.2, 0.6, 0.4]],
     ])
     F = Hypothesis.rectangle([(0.0, 0.5), (0.3, 0.7)])
-    masks = _block_box_masks(*_box_ends(F, 2), pts)
+    masks = _block_box_masks(*_box_ends(F), pts)
     assert masks[0].tolist() == [[True, True, False], [False, True, True]]
     assert masks[1].tolist() == [[False, False, False], [False, True, True]]
-    assert not _block_box_masks(*_box_ends(Hypothesis.empty_rectangle(2), 2), pts).any()
+    assert not _block_box_masks(*_box_ends(Hypothesis.empty_rectangle(2)), pts).any()
     # the empty box's infinite ends hold no infinite point either
     assert not _block_box_masks(
-        *_box_ends(Hypothesis.empty_rectangle(1), 1), np.array([[[-np.inf, np.inf]]])
+        *_box_ends(Hypothesis.empty_rectangle(1)), np.array([[[-np.inf, np.inf]]])
     ).any()
     sigma = InjectionVector(PARTITE, 3, ((2, 0), (1, 2)))
     Hs, emps = box_concentration(2, F, sigma, 1, 3, pts)
     # trial 0 keeps 0.1 of side 0 and both points of side 1; trial 1 keeps
     # no point of F on side 0, so its box is empty
     assert Hs[0].intervals == ((0.1, 0.1), (0.4, 0.6))
-    assert Hs[1].intervals is None
+    empty = Hypothesis.empty_rectangle(2)
+    assert Hs[1].intervals == empty.intervals
     assert emps == [2 / 9, 0.0]
     Hs, emps = box_concentration(2, F, sigma, 2, 3, pts)
-    assert [H.intervals for H in Hs] == [None, None]
+    assert [H.intervals for H in Hs] == [empty.intervals] * 2
     assert emps == [4 / 9, 0.0]
 
 
@@ -463,8 +468,6 @@ _BOX_ATOMS = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
 def brute_minimal_box(F, sides, sigma):
     """Minimal box around the F-positive tuples of the selected points: the
     extremes, per side, of its selected points inside F's interval."""
-    if F.intervals is None:
-        return Hypothesis.empty_rectangle(len(sides))
     inside = [
         [side[i] for i in mp if lo <= side[i] <= hi]
         for (lo, hi), side, mp in zip(F.intervals, sides, sigma.maps)
@@ -516,7 +519,7 @@ NONPARTITE_CFG = ExperimentConfig(
 
 
 def records_of(result):
-    return [r.to_json_dict() for r in result.records]
+    return [vars(r) for r in result.records]
 
 
 def concentration_trial(cfg, mu, loss, scheme, F, sigma, eta, variant, m, t, x, mc_seed, engine):
@@ -1143,7 +1146,7 @@ def test_records_to_jsonl_is_json_dumps_per_record(tmp_path):
     # the same object in a whole column is formatted once
     shared = [dataclasses.replace(trials[1], gap=nan, total_loss=-0.0)] * 3
     for records in (trials, reports, mixed_column, shared, trials * 13, []):
-        want = "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records)
+        want = "".join(json.dumps(vars(r), sort_keys=True) + "\n" for r in records)
         assert records_to_jsonl(records) == want
     assert records_to_jsonl([]) == ""
     result = experiments.ExperimentResult(
@@ -1151,6 +1154,6 @@ def test_records_to_jsonl_is_json_dumps_per_record(tmp_path):
     )
     write_outputs(result, str(tmp_path))
     lines = (tmp_path / "trials.jsonl").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == json.dumps(reports[0].to_json_dict(), sort_keys=True)
+    assert lines[0] == json.dumps(vars(reports[0]), sort_keys=True)
     assert json.loads(lines[0])["selected"] == [[1, 2], [3, 4]]
     assert len(lines) == len(reports)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcompress.indexing import (
     NONPARTITE,
@@ -162,6 +164,53 @@ def test_exact_rectangles_three_quarters():
     empty = Hypothesis.empty_rectangle(2)
     assert total_loss_exact_rectangles(mu, HALF_BOX, empty) == 0.25
     assert total_loss_exact_rectangles(mu, empty, empty) == 0.0
+
+
+def empty_as_none_rectangle_loss(f, h, k):
+    """The closed form with the empty box written as None and special-cased:
+    symmetric-difference volume under the uniform product measure."""
+    def lengths(ivs):
+        if ivs is None:
+            return [0.0] * k
+        return [max(0.0, min(hi, 1.0) - max(lo, 0.0)) for lo, hi in ivs]
+
+    vol_f, vol_h = math.prod(lengths(f)), math.prod(lengths(h))
+    if f is None or h is None:
+        vol_both = 0.0
+    else:
+        vol_both = 1.0
+        for (flo, fhi), (hlo, hhi) in zip(f, h):
+            lo, hi = max(flo, hlo, 0.0), min(fhi, hhi, 1.0)
+            vol_both *= max(0.0, hi - lo)
+    return vol_f + vol_h - 2.0 * vol_both
+
+
+# ends in and around the unit interval, with ties, signed zeros and lengths
+# whose products underflow to 0 at k >= 2
+_ENDS = st.one_of(
+    st.sampled_from([-0.5, -0.0, 0.0, 5e-324, 1e-200, 0.25, 0.5, 1 - 1e-16, 1.0, 1.5]),
+    st.floats(-0.25, 1.25),
+)
+
+
+def _boxes(k):
+    side = st.lists(_ENDS, min_size=2, max_size=2).map(sorted)
+    return st.one_of(st.none(), st.lists(side, min_size=k, max_size=k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), _boxes(k), _boxes(k))))
+def test_exact_rectangles_bits_equal_the_empty_as_none_formula(case):
+    # degenerate, out-of-cube and empty boxes (the empty one has the ends
+    # +inf and -inf on every side) give the same float, bit for bit
+    k, f, h = case
+    mu = ProductMeasure.uniform(PARTITE, k)
+
+    def box(ivs):
+        return Hypothesis.empty_rectangle(k) if ivs is None else Hypothesis.rectangle(ivs)
+
+    got = total_loss_exact_rectangles(mu, box(f), box(h))
+    assert got.hex() == empty_as_none_rectangle_loss(f, h, k).hex()
 
 
 def test_exact_rectangles_clips_to_unit_cube():

@@ -239,6 +239,23 @@ def test_finite_discrete_validation():
         FiniteDiscrete((), ())
 
 
+@pytest.mark.parametrize(
+    "values, weights, reason",
+    [
+        ((0.25, 0.75), (math.nan, 1.0), "weights must be finite"),
+        ((0.25, 0.75), (0.25, math.nan), "weights must be finite"),
+        ((0.25, 0.75), (math.inf, -math.inf), "weights must be finite"),
+        ((math.nan, 0.75), (0.5, 0.5), "atoms must be finite"),
+        ((math.inf, 0.75), (0.5, 0.5), "atoms must be finite"),
+        ((0.25, -math.inf), (0.5, 0.5), "atoms must be finite"),
+    ],
+)
+def test_finite_discrete_rejects_non_finite_atoms_and_weights(values, weights, reason):
+    # a NaN weight fails every comparison, so a sum check alone lets it through
+    with pytest.raises(ValueError, match=reason):
+        FiniteDiscrete(values, weights)
+
+
 def test_product_measure_shape():
     with pytest.raises(ValueError):
         ProductMeasure(PARTITE, 2, (Uniform01(),))
@@ -291,6 +308,29 @@ def test_constant_and_table():
         Hypothesis.table(2, [(0.0, 1.0)], [0, 1, 1])
     with pytest.raises(ValueError):
         T.value((0.5, 1.0))
+
+
+def test_value_returns_the_python_types_of_each_kind():
+    # value is eval_columns on one tuple; the label is a Python scalar of the
+    # type a per-tuple rule returns: int for boxes and thresholds, the stored
+    # object for a constant or a table
+    cases = [
+        (Hypothesis.rectangle([(0.0, 0.5), (0.0, 0.5)]), (0.5, 0.25), 1),
+        (Hypothesis.rectangle([(0.0, 0.5), (0.0, 0.5)]), (0.5, 0.75), 0),
+        (Hypothesis.empty_rectangle(2), (0.5, 0.25), 0),
+        (Hypothesis.sum_threshold(2, 1.0), (0.5, 0.5), 1),
+        (Hypothesis.sum_threshold(3, 1.0), (0.5, 0.25, 0.0), 0),
+        (Hypothesis.constant(2, 1), (0.1, 0.9), 1),
+        (Hypothesis.constant(2, True), (0.1, 0.9), True),
+        (Hypothesis.constant(2, "spam"), (0.1, 0.9), "spam"),
+        (Hypothesis.constant(2, 0.5), (0.1, 0.9), 0.5),
+        (Hypothesis.table(2, [("a", "b")], ["no", "yes", "yes", "no"]), ("a", "b"), "yes"),
+        (Hypothesis.table(2, [(0.0, 1.0)], [0, 1, 1, 0]), (1.0, 1.0), 0),
+    ]
+    for H, xs, want in cases:
+        got = H.value(xs)
+        assert got == want and type(got) is type(want), H.describe()
+        assert got == H.eval_columns([np.asarray(x) for x in xs])
 
 
 def test_eval_arity_checks():
@@ -500,7 +540,8 @@ def test_erm_rectangle_all_negative_gives_empty_box():
     ok, witness = erm_realizability_check(
         HypothesisClass.rectangles(2), z, zero_one_partite()
     )
-    assert ok and witness.kind == "rectangle" and witness.intervals is None
+    assert ok and witness.kind == "rectangle" and witness.describe() == "rectangle(empty)"
+    assert witness.intervals == Hypothesis.empty_rectangle(2).intervals
 
 
 @settings(max_examples=80, deadline=None)
@@ -514,7 +555,7 @@ def test_erm_rectangle_matches_bruteforce(m, seed):
         HypothesisClass.rectangles(2), z, zero_one_partite()
     )
     assert ok == box_erm_bruteforce(z)
-    if ok and witness.intervals is not None:
+    if ok:
         grid = witness.label_grid(list(x.sides))
         assert np.array_equal(grid.astype(np.int64), z.labels.codes)
 

@@ -112,7 +112,8 @@ def test_rectangle_all_negative_header():
     assert hdr == 2
     assert scheme.select(z).maps == ((0, 1), (0, 1))
     H = reconstruct(scheme, sub, hdr)
-    assert H.kind == "rectangle" and H.intervals is None
+    assert H.kind == "rectangle" and H.describe() == "rectangle(empty)"
+    assert H.intervals == Hypothesis.empty_rectangle(2).intervals
     assert empirical_loss_partite(z, H, zero_one_partite()) == 0.0
 
 
@@ -305,7 +306,8 @@ def test_trivial_scheme_fallback_on_unrealizable_input():
 
     z = LabeledSample(x, LabelTensor.from_codes(PARTITE, 2, 3, (0, 1), codes))
     H = reconstruct(scheme, *compress(scheme, z))
-    assert H.kind == "rectangle" and H.intervals is None
+    assert H.kind == "rectangle" and H.intervals == klass.fallback.intervals
+    assert H.describe() == "rectangle(empty)"
 
 
 # ---------------------------------------------------------------------------
