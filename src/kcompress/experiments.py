@@ -7,10 +7,10 @@ sorted keys and fixed column sets.
 
 Each built-in family (boxes, partite; sum thresholds, nonpartite) is one
 Family record: its class, scheme and zero-one loss constructors, its
-dense reference empirical loss, its exact total loss, and its fast
-concentration and PAC kernels with the arities they cover.  The runners
-read the record of the configured class instead of comparing mode and
-id strings.
+dense reference empirical loss, how its hypotheses are held as parameter
+rows, its exact total loss over such rows, and its fast concentration
+and PAC kernels with the arities they cover.  The runners read the
+record of the configured class instead of comparing mode and id strings.
 
 Two execution engines produce identical records.  The generic engine
 materializes label tensors and goes through the compression pipeline; the
@@ -19,14 +19,21 @@ points, under any measure, with factorized counting so sample sizes in
 the tens of thousands stay cheap.  Concentration trials are many and
 small, so the fast engine runs them in blocks: each trial still draws
 its own sample, the samples of up to _BLOCK_POINTS drawn points are
-stacked into one array, and one kernel call per block builds every
-trial's hypothesis and empirical loss.  PAC trials are few and large,
-and their kernels run per trial.
+stacked into one array, and one kernel call per block gives every
+trial's hypothesis, as a parameter row, and empirical loss.  A cell's
+pass of trials then takes one exact total-loss call over all its rows
+(or a Monte Carlo estimate per row), and its gaps, exceedances and
+describe() texts are each one pass: no Hypothesis or TrialRecord is
+built per trial.  PAC trials are few and large, and their kernels run
+per trial.
 
-Summary tables are held and written by columns; bound-table takes its
-columns whole from learner.bound_columns.  trials.jsonl is formatted a
-block of records at a time, column by column, to the bytes
-json.dumps(record, sort_keys=True) gives each.
+Summary tables and trial records are held by columns (a Records
+sequence builds a record only when one is read), and written from them;
+bound-table takes its columns whole from learner.bound_columns.
+trials.jsonl and summary.json are formatted a block of rows at a time,
+column by column, to the bytes json.dumps(record, sort_keys=True) gives
+each record and json.dumps(summary, sort_keys=True, indent=2) the
+summary.
 """
 
 from __future__ import annotations
@@ -36,10 +43,11 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain, islice, repeat
-from typing import Callable, Sequence, get_type_hints
+from itertools import islice, repeat, starmap
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -80,15 +88,22 @@ from .samples import (
     HypothesisClass,
     KeyedGenerator,
     ProductMeasure,
+    box_ends,
+    box_of_ends,
     derive_seed,
+    describe_boxes,
+    describe_thresholds,
     draw_sample,
     erm_realizability_check,
     label_sample,
     side_keys,
     spawn_rng,
     stream_keys,
+    threshold_hypothesis,
+    threshold_of,
 )
 from .schemes import (
+    CompressionReport,
     SelectionScheme,
     check_compression_validity,
     compress,
@@ -290,16 +305,48 @@ class TrialRecord:
     realizable: bool
 
 
+class Records(Sequence):
+    """Records of one dataclass, kind, held by columns: columns maps each
+    field name, in field order, to the list of its values.  len() reads
+    one list; reading a record builds it."""
+
+    def __init__(self, kind: type):
+        self.kind = kind
+        self.columns = {f.name: [] for f in fields(kind)}
+
+    @classmethod
+    def of(cls, kind: type, records) -> "Records":
+        out = cls(kind)
+        out.extend({name: list(map(operator.attrgetter(name), records)) for name in out.columns})
+        return out
+
+    def extend(self, columns: dict) -> None:
+        """Append columns[name] to every column name."""
+        for name, values in self.columns.items():
+            values.extend(columns[name])
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __getitem__(self, i: int):
+        i = operator.index(i)
+        return self.kind(*(values[i] for values in self.columns.values()))
+
+    def __iter__(self):
+        return starmap(self.kind, zip(*self.columns.values()))
+
+
 @dataclass
 class ExperimentResult:
     """Everything one run produced, ready for the writers.  The summary
     table is held by columns: table maps each name of columns, in order,
-    to the list of its cells; rows is derived from it."""
+    to the list of its cells; rows is derived from it.  The trial records
+    are held by columns too."""
 
     kind: str
     config: ExperimentConfig
     columns: list
-    records: list = field(default_factory=list)
+    records: Records = field(default_factory=lambda: Records(TrialRecord))
     passed: bool = True
     notes: list = field(default_factory=list)
     table: dict = field(init=False, repr=False)
@@ -324,13 +371,14 @@ class ExperimentResult:
 def merge_results(results: Sequence[ExperimentResult]) -> ExperimentResult:
     first = results[0]
     merged = ExperimentResult(
-        first.kind, first.config, list(first.columns), passed=all(r.passed for r in results)
+        first.kind, first.config, list(first.columns), Records(first.records.kind),
+        passed=all(r.passed for r in results),
     )
     for r in results:
         if r.kind != first.kind or r.config != first.config:
             raise ValueError("cannot merge results from different runs")
         merged.extend(r.table)
-        merged.records.extend(r.records)
+        merged.records.extend(r.records.columns)
         merged.notes.extend(r.notes)
     return merged
 
@@ -348,17 +396,22 @@ class Family:
     """One built-in family: class, scheme, loss, and what the engines run on it.
 
     name is both its class_id and its scheme_id.  empirical_loss is the
-    dense reference.  For k in fast_arities, the fast engine runs
-    concentration_kernel(k, F, sigma, eta, m, pts) -> (Hs, empirical
-    losses) on a block of trials: pts is their drawn points stacked as a
-    (count, sides, m) array of at most _BLOCK_POINTS points (count may be
-    0), and the two lists hold one entry per trial.  The engine keeps no
-    other reference to pts.  pac_kernel(k, F, m, x) -> (H, header,
-    empirical loss, realizable) runs per trial.  Both work under any
-    measure: the kernels read only the drawn points.  Fields calling
-    another module's function name it inside a lambda, so a wrapper
-    installed at the module attribute (perfbench's tracer) is what they
-    call.
+    dense reference.  The concentration runner holds hypotheses as
+    parameter rows, a block of them in one array (count, ...): params(H)
+    is the row of a member H, from_params(k, row) the member with that
+    row, and describe_params(rows) each row's describe() text.
+    total_loss_exact(mu, F row, rows) -> array is the closed-form total
+    loss of each row against F, one call for a block.  For k in
+    fast_arities, the fast engine runs concentration_kernel(k, F, sigma,
+    eta, m, pts) -> (rows, empirical losses) on a block of trials: pts is
+    their drawn points stacked as a (count, sides, m) array of at most
+    _BLOCK_POINTS points (count may be 0); rows holds one row per trial,
+    and the list one loss.  The engine keeps no other reference to pts.
+    pac_kernel(k, F, m, x) -> (H, header, empirical loss, realizable)
+    runs per trial.  Both work under any measure: the kernels read only
+    the drawn points.  Fields calling another module's function name it
+    inside a lambda, so a wrapper installed at the module attribute
+    (perfbench's tracer) is what they call.
     """
 
     name: str
@@ -367,7 +420,10 @@ class Family:
     scheme: Callable[[int], SelectionScheme]
     loss: Callable[[], LossSpec]
     empirical_loss: Callable[..., float]
-    total_loss_exact: Callable[[ProductMeasure, Hypothesis, Hypothesis], float]
+    params: Callable[[Hypothesis], object]
+    from_params: Callable[[int, object], Hypothesis]
+    describe_params: Callable[[np.ndarray], list]
+    total_loss_exact: Callable[[ProductMeasure, object, np.ndarray], np.ndarray]
     concentration_kernel: Callable[..., tuple]
     pac_kernel: Callable[..., tuple]
     fast_arities: range
@@ -379,6 +435,9 @@ BOXES = Family(
     scheme=rectangle_scheme,
     loss=zero_one_partite,
     empirical_loss=lambda labeled, H, loss: empirical_loss_partite(labeled, H, loss),
+    params=box_ends,
+    from_params=box_of_ends,
+    describe_params=describe_boxes,
     total_loss_exact=lambda mu, F, H: total_loss_exact_rectangles(mu, F, H),
     concentration_kernel=box_concentration,
     pac_kernel=box_pac,
@@ -393,6 +452,9 @@ SUM_THRESHOLDS = Family(
     empirical_loss=lambda labeled, H, loss: empirical_loss_nonpartite(
         labeled, H, loss, canonical_order_choice(labeled.m, labeled.k)
     ),
+    params=threshold_of,
+    from_params=threshold_hypothesis,
+    describe_params=describe_thresholds,
     total_loss_exact=lambda mu, F, H: total_loss_exact_sum_threshold(mu, F, H),
     concentration_kernel=threshold_concentration,
     pac_kernel=threshold_pac,
@@ -431,11 +493,17 @@ def _check_total_loss(cfg: ExperimentConfig, mu: ProductMeasure) -> None:
         raise ConfigError(f"{gap}; use estimator = monte-carlo")
 
 
-def _total_loss(cfg, mu, loss, F, H, mc_seed: int | None) -> float:
+def _total_losses(cfg, mu, loss, F, rows: np.ndarray, mc_seeds) -> np.ndarray:
+    """Total loss against F of each hypothesis of a block of parameter rows:
+    one exact call for the whole block, or per row a Monte Carlo estimate,
+    from the row's seed, of the Hypothesis built from that row."""
+    family = FAMILIES[cfg.class_id]
     if cfg.estimator == "exact":
-        return FAMILIES[cfg.class_id].total_loss_exact(mu, F, H)
-    est, _ = total_loss_monte_carlo(mu, F, H, loss, cfg.n_draws, mc_seed)
-    return est
+        return family.total_loss_exact(mu, family.params(F), rows)
+    return np.array([
+        total_loss_monte_carlo(mu, F, family.from_params(cfg.k, row), loss, cfg.n_draws, seed)[0]
+        for row, seed in zip(rows, mc_seeds)
+    ])
 
 
 def _mc_seeds(cfg: ExperimentConfig, prefix: tuple, ts: np.ndarray) -> list:
@@ -447,8 +515,8 @@ def _mc_seeds(cfg: ExperimentConfig, prefix: tuple, ts: np.ndarray) -> list:
 
 
 def _measure_cell(result, batch, trials: int, bound: float | None, m: int, what: str):
-    """Run a cell's trials through batch(first trial, count) -> (records,
-    event count); it passes when the event frequency less its CI99
+    """Run a cell's trials through batch(first trial, count) -> (record
+    columns, event count); it passes when the event frequency less its CI99
     half-width is at most bound (always when bound is None).  A failed
     first pass is re-measured once, with RERUN_FACTOR times as many fresh
     trials, which decide.  Returns (trials, event count, frequency,
@@ -481,41 +549,55 @@ def _scan_m_pac(cfg: ExperimentConfig, inputs, scan_limit: int | None, notes: li
 
 
 def _concentration_fits(cfg, loss, scheme, F, sigma, eta, m, samples, engine):
-    """(H, empirical loss) of each sample in order.  The fast engine stacks
-    the samples into blocks of at most _BLOCK_POINTS drawn points and runs
-    the family's concentration kernel once per block."""
+    """(parameter rows, empirical losses) of the samples, one row and one
+    loss each, in order.  The fast engine stacks the samples into blocks
+    of at most _BLOCK_POINTS drawn points and runs the family's
+    concentration kernel once per block; the generic engine reconstructs
+    each sample's Hypothesis and takes its row."""
     family = FAMILIES[cfg.class_id]
     if engine == "generic":
+        rows, emps = [], []
         for x in samples:
             labeled = label_sample(F, x)
             H = reconstruct(scheme, subsample(labeled, sigma), eta)
-            yield H, family.empirical_loss(labeled, H, loss)
-        return
+            rows.append(family.params(H))
+            emps.append(family.empirical_loss(labeled, H, loss))
+        return np.array(rows), emps
     samples = iter(samples)
     sides = side_count(cfg.mode, cfg.k)
     per_block = max(1, _BLOCK_POINTS // (sides * m))
     points = np.dtype((float, (sides, m)))
+    rows, emps = [], []
     while True:
         # each sample's points are copied into the block as it is drawn, and
         # the block goes to the kernel with no other reference, so a kernel
         # done with the points may free them; the block after the last
         # sample is empty
-        Hs, emps = family.concentration_kernel(
+        block_rows, block_emps = family.concentration_kernel(
             cfg.k, F, sigma, eta, m,
             np.fromiter((x.sides for x in islice(samples, per_block)), points),
         )
-        if not Hs:
-            return
-        yield from zip(Hs, emps)
+        rows.append(block_rows)
+        emps.extend(block_emps)
+        if not block_emps:
+            return np.concatenate(rows), emps
 
 
-def _concentration_record(cfg, mu, loss, F, eta, variant, m, t, H, emp, mc_seed) -> TrialRecord:
-    total = _total_loss(cfg, mu, loss, F, H, mc_seed)
-    gap = total - emp
-    return TrialRecord(
-        variant=variant, m=m, trial=t, empirical_loss=emp, total_loss=total,
-        gap=gap, exceeded=gap >= cfg.epsilon, header=eta,
-        hypothesis=H.describe(), realizable=True,
+def _concentration_columns(
+    cfg, mu, loss, scheme, F, sigma, eta, variant, m, ts, samples, mc_seeds, engine
+) -> dict:
+    """TrialRecord columns of the trials ts (an int array) on their samples,
+    in order: after the engine's fits, one total-loss pass, one gap and
+    exceedance pass and one describe() text pass for all of them."""
+    rows, emps = _concentration_fits(cfg, loss, scheme, F, sigma, eta, m, samples, engine)
+    totals = _total_losses(cfg, mu, loss, F, rows, mc_seeds)
+    gaps = totals - emps
+    n = len(ts)
+    return dict(
+        variant=[variant] * n, m=[m] * n, trial=ts.tolist(), empirical_loss=emps,
+        total_loss=totals.tolist(), gap=gaps.tolist(),
+        exceeded=(gaps >= cfg.epsilon).tolist(), header=[eta] * n,
+        hypothesis=FAMILIES[cfg.class_id].describe_params(rows), realizable=[True] * n,
     )
 
 
@@ -560,13 +642,11 @@ def run_concentration_experiment(
         ts = np.arange(t0, t0 + count)
         keys = side_keys(mu, derive_seed(cfg.seed, vsalt, mi, ts))
         samples = (draw_sample(mu, m, keys=trial_keys, rng=rng) for trial_keys in keys)
-        fits = _concentration_fits(cfg, loss, scheme, F, sigma_m, eta, m, samples, eng)
-        recs = [
-            _concentration_record(cfg, mu, loss, F, eta, variant, m, t, H, emp, mc_seed)
-            for t, (H, emp), mc_seed in zip(ts.tolist(), fits, _mc_seeds(cfg, (vsalt, mi), ts))
-        ]
-        exceed = sum(r.exceeded for r in recs)
-        return recs, exceed
+        columns = _concentration_columns(
+            cfg, mu, loss, scheme, F, sigma_m, eta, variant, m, ts, samples,
+            _mc_seeds(cfg, (vsalt, mi), ts), eng,
+        )
+        return columns, sum(columns["exceeded"])
 
     for mi, m in enumerate(cfg.m_values):
         bd = azuma_bound(inputs, m)
@@ -639,7 +719,7 @@ def _pac_trial(cfg, mu, klass, loss, scheme, m, t, F, x, mc_seed, engine) -> Tri
         # samples are labeled by a class member, so a failed
         # certificate means the harness itself is broken
         raise RuntimeError(f"realizability certification failed at m={m}, trial={t}")
-    total = _total_loss(cfg, mu, loss, F, H, mc_seed)
+    total = _total_losses(cfg, mu, loss, F, np.array([family.params(H)]), [mc_seed]).item()
     return TrialRecord(
         variant="pac", m=m, trial=t, empirical_loss=emp, total_loss=total,
         gap=total - emp, exceeded=total > cfg.epsilon, header=header,
@@ -689,7 +769,7 @@ def run_pac_experiment(
             recs.append(
                 _pac_trial(cfg, mu, klass, loss, scheme, m, t0 + j, F, x, mc_seeds[j], eng)
             )
-        return recs, sum(r.exceeded for r in recs)
+        return Records.of(TrialRecord, recs).columns, sum(r.exceeded for r in recs)
 
     for mi, m in enumerate(cfg.m_values):
         applies = m0 is not None and m >= m0
@@ -748,7 +828,8 @@ def run_validity_experiment(
         measure=mu, fail_fast=fail_fast,
     )
     result = ExperimentResult(
-        "validate-scheme", cfg, list(VALIDITY_COLUMNS), list(report.records), report.passed
+        "validate-scheme", cfg, list(VALIDITY_COLUMNS),
+        Records.of(CompressionReport, report.records), report.passed,
     )
     # one row per m_values entry: its trials records in a row, or fewer
     # where fail_fast stopped
@@ -819,6 +900,11 @@ def _json_cell(v) -> str:
     return json.dumps(v, sort_keys=True)
 
 
+def _summary_json_cell(v) -> str:
+    # a cell's value sits three levels deep in summary.json
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n      ")
+
+
 # json's text of a value of exactly one of these types; float.__repr__
 # spells the non-finite floats as _JSON_NONFINITE's keys, fixed up after
 _JSON_METHOD = {
@@ -830,33 +916,42 @@ _JSON_METHOD = {
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _jsonl_lines(records: list) -> list:
-    """json.dumps(vars(r), sort_keys=True) + "\n" per record of one
-    dataclass, formatted column by column."""
-    keys = sorted(vars(records[0]))
-    line = "{" + ", ".join(_json_cell(key).replace("%", "%%") + ": %s" for key in keys) + "}\n"
-    cells = []
-    for key in keys:
-        values = list(map(operator.attrgetter(key), records))
-        texts = _column_text(values, _json_cell, _JSON_METHOD)
-        if not _JSON_NONFINITE.keys().isdisjoint(texts):
-            texts = [_JSON_NONFINITE.get(t, t) for t in texts]
-        cells.append(texts)
-    return list(map(line.__mod__, zip(*cells)))
+def _json_objects(table: dict, start: str, sep: str, end: str, cell=_json_cell) -> list:
+    """One JSON object's text per row of a table held by columns:
+    start + sep.join(key: value, by sorted key) + end, with each value's
+    text cell(value) as json gives it, formatted a block of rows at a
+    time, column by column."""
+    keys = sorted(table)
+    line = start + sep.join(_json_cell(key).replace("%", "%%") + ": %s" for key in keys) + end
+    lines = []
+    for first in range(0, len(table[keys[0]]) if keys else 0, _CSV_BLOCK):
+        cells = []
+        for key in keys:
+            texts = _column_text(table[key][first:first + _CSV_BLOCK], cell, _JSON_METHOD)
+            if not _JSON_NONFINITE.keys().isdisjoint(texts):
+                texts = [_JSON_NONFINITE.get(t, t) for t in texts]
+            cells.append(texts)
+        lines.extend(map(line.__mod__, zip(*cells)))
+    return lines
 
 
-def records_to_jsonl(records: Sequence) -> str:
-    """json.dumps(vars(r), sort_keys=True) + "\n" per record (all of one
-    dataclass), a block of records at a time, as table_to_csv formats rows."""
-    return "".join(chain.from_iterable(
-        _jsonl_lines(records[start:start + _CSV_BLOCK])
-        for start in range(0, len(records), _CSV_BLOCK)
-    ))
+def records_to_jsonl(records: Records) -> str:
+    """json.dumps(vars(r), sort_keys=True) + "\n" per record r, formatted
+    straight from the columns, as table_to_csv formats rows."""
+    return "".join(_json_objects(records.columns, "{", ", ", "}\n"))
 
 
-def rows_to_json(columns: Sequence[str], rows: Sequence[dict]) -> str:
-    doc = {"columns": list(columns), "rows": [dict(r) for r in rows]}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _json_list(items: list) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def table_to_json(table: dict) -> str:
+    """json.dumps({"columns": names, "rows": one dict per row}, sort_keys=True,
+    indent=2) + "\n" of a table held by columns, formatted as
+    table_to_csv formats rows, with no dict per row."""
+    names = ["    " + _json_cell(name) for name in table]
+    rows = _json_objects(table, "    {\n      ", ",\n      ", "\n    }", _summary_json_cell)
+    return '{\n  "columns": ' + _json_list(names) + ',\n  "rows": ' + _json_list(rows) + "\n}\n"
 
 
 def render_summary(result: ExperimentResult, fmt: str = "csv") -> str:
@@ -864,7 +959,7 @@ def render_summary(result: ExperimentResult, fmt: str = "csv") -> str:
     if fmt == "csv":
         return table_to_csv(result.table)
     if fmt == "json":
-        return rows_to_json(result.columns, result.rows)
+        return table_to_json(result.table)
     raise ValueError(f"unknown output format {fmt!r}")
 
 

@@ -4,9 +4,14 @@ The concentration kernels run on a block of trials: the drawn points of
 each trial stacked into one (count, sides, m) array.  Box masks, minimal
 boxes and factorized counts are computed for the whole block; sum
 thresholds take one sort per block and, per threshold, one searchsorted
-per row.  The PAC kernels run on one sample.  All read only the drawn
-points, so they run under any measure, and they give exactly the records
-of the dense reference path.
+per row.  They build no Hypothesis: each returns its trials' hypotheses
+as one array of parameters, box ends (count, k, 2) as samples.box_ends
+lays them out (the empty box (+inf, -inf) on every side) or thresholds
+(count,) as samples.threshold_of gives them (the constant 0 as +inf),
+and the list of their empirical losses.  The PAC kernels run on one
+sample and return a Hypothesis.  All read only the drawn points, so they
+run under any measure, and they give exactly the records of the dense
+reference path.
 
 The sum-threshold kernels work on the sorted points through exact prefix
 boundaries: rounded addition is monotone, so for each point the partners
@@ -25,7 +30,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .samples import Hypothesis, coordinate_sum, minimal_box, threshold_of
+from .samples import (
+    Hypothesis,
+    box_ends,
+    coordinate_sum,
+    minimal_box,
+    threshold_hypothesis,
+    threshold_of,
+)
 
 
 def _rect_masks(H: Hypothesis, sides: Sequence[np.ndarray]):
@@ -91,38 +103,27 @@ def _boundary_extremes(xs: np.ndarray, p: np.ndarray):
     )
 
 
-def _box_ends(H: Hypothesis):
-    """(lo, hi), the ends of box H per side as (k,) arrays; the empty box's
-    +inf and -inf hold no point."""
-    return np.asarray(H.intervals).T
-
-
 def _block_box_masks(lo: np.ndarray, hi: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Membership of points (..., k, n) in the boxes with ends lo, hi (..., k)."""
     return (pts >= lo[..., None]) & (pts <= hi[..., None])
 
 
 def box_concentration(k, F, sigma, eta, m, pts):
-    f_lo, f_hi = _box_ends(F)
+    f_lo, f_hi = box_ends(F).T
     fmasks = _block_box_masks(f_lo, f_hi, pts)
     count = len(pts)
     if eta == 2:
-        Hs = [Hypothesis.empty_rectangle(k)] * count
-        hmasks = np.zeros_like(fmasks)
+        lo, hi = np.full((count, k), math.inf), np.full((count, k), -math.inf)
     else:
         # the minimal box around the F-positive selected points, per trial;
-        # a side holding none gets the ends +inf and -inf, so the box's
-        # factorized count is 0, as the empty box's is
+        # a trial with a side holding none gets the empty box
         sel = np.take_along_axis(pts, np.asarray(sigma.maps, dtype=np.intp)[None], axis=2)
         smasks = _block_box_masks(f_lo, f_hi, sel)
-        full = smasks.any(axis=2).all(axis=1)
         lo = np.where(smasks, sel, math.inf).min(axis=2, initial=math.inf)
         hi = np.where(smasks, sel, -math.inf).max(axis=2, initial=-math.inf)
-        hmasks = _block_box_masks(lo, hi, pts)
-        Hs = [
-            Hypothesis.rectangle(zip(l, h)) if f else Hypothesis.empty_rectangle(k)
-            for l, h, f in zip(lo.tolist(), hi.tolist(), full.tolist())
-        ]
+        empty = ~smasks.any(axis=2).all(axis=1)
+        lo[empty], hi[empty] = math.inf, -math.inf
+    hmasks = _block_box_masks(lo, hi, pts)
     # factorized counts, per side, of F, of H and of both; Python ints,
     # since m**k outgrows int64
     cf, ch, cfh = (
@@ -132,7 +133,8 @@ def box_concentration(k, F, sigma, eta, m, pts):
         ).tolist()
     )
     cells = m**k
-    return Hs, [(f + h - 2 * fh) / cells for f, h, fh in zip(cf, ch, cfh)]
+    emps = [(f + h - 2 * fh) / cells for f, h, fh in zip(cf, ch, cfh)]
+    return np.stack((lo, hi), axis=-1), emps
 
 
 def _padded_sorted(points: np.ndarray) -> np.ndarray:
@@ -178,13 +180,10 @@ def _block_pairs_below(ends: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def threshold_concentration(k, F, sigma, eta, m, pts):
-    count = len(pts)
     if eta == 2:
-        Hs = [Hypothesis.constant(k, 0)] * count
-        t_h = np.full(count, math.inf)
+        t_h = np.full(len(pts), math.inf)
     else:
         t_h = coordinate_sum(list(pts[:, 0, list(sigma.maps[0])].T))
-        Hs = [Hypothesis.sum_threshold(k, t) for t in t_h.tolist()]
     t_f = threshold_of(F)
     ends = _padded_sorted(pts[:, 0])
     # the counts read the sorted copy only; the engine holds no other
@@ -194,7 +193,7 @@ def threshold_concentration(k, F, sigma, eta, m, pts):
         _block_pairs_below(ends, t) for t in (np.minimum(t_f, t_h), np.maximum(t_f, t_h))
     )
     pairs = math.comb(m, k)
-    return Hs, [(c // 2) / pairs for c in (below_hi - below_lo).tolist()]
+    return t_h, [(c // 2) / pairs for c in (below_hi - below_lo).tolist()]
 
 
 def box_pac(k, F, m, x):
@@ -213,17 +212,12 @@ def threshold_pac(k, F, m, x):
     t_f = threshold_of(F)
     p_f = _row_boundaries(xs, t_f)
     min_pos, max_neg = _boundary_extremes(xs, p_f)
-    if min_pos is None:
-        header = 2
-        H = Hypothesis.constant(k, 0)
-    else:
-        header = 1
-        H = Hypothesis.sum_threshold(k, min_pos)
+    # with no positive pair, H is the constant 0, whose threshold is +inf
+    t_h = math.inf if min_pos is None else min_pos
     # no pair of distinct points sums into [t_f, t_h), so the boundaries at
     # t_h are those at t_f moved past at most one self-sum per row
-    t_h = threshold_of(H)
     p_h = _row_boundaries(xs, t_h, start=p_f)
     count = (_below_count(xs, t_h, p_h) - _below_count(xs, t_f, p_f)) // 2
     emp = count / math.comb(m, k)
     realizable = min_pos is None or max_neg is None or max_neg < min_pos
-    return H, header, emp, realizable
+    return threshold_hypothesis(k, t_h), 1 if min_pos is not None else 2, emp, realizable

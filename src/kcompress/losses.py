@@ -32,7 +32,6 @@ from .samples import (
     ProductMeasure,
     encode_labels,
     stream_keys,
-    threshold_of,
 )
 
 #: Two-sided 99% normal quantile used for every confidence interval here.
@@ -210,10 +209,29 @@ def total_loss_monte_carlo(
     return estimate, half
 
 
-def _box_lengths(H: Hypothesis) -> list[float]:
-    if H.kind != "rectangle":
-        raise ValueError("expected a rectangle hypothesis")
-    return [max(0.0, min(hi, 1.0) - max(lo, 0.0)) for lo, hi in H.intervals]
+def _first_max(a, b):
+    """max(a, b) elementwise as Python's max picks: b only where b > a, so
+    of equal values (0.0 and -0.0) the first, and a where b is NaN."""
+    return np.where(b > a, b, a)
+
+
+def _first_min(a, b):
+    """min(a, b) elementwise as Python's min picks: b only where b < a."""
+    return np.where(b < a, b, a)
+
+
+def _volume(lengths: np.ndarray) -> np.ndarray:
+    """Product over the last axis, taken side by side from the first, as
+    math.prod multiplies."""
+    vol = lengths[..., 0]
+    for i in range(1, lengths.shape[-1]):
+        vol = vol * lengths[..., i]
+    return vol
+
+
+def _clipped_lengths(lo, hi) -> np.ndarray:
+    """max(0.0, min(hi, 1.0) - max(lo, 0.0)): side lengths inside the unit cube."""
+    return _first_max(0.0, _first_min(hi, 1.0) - _first_max(lo, 0.0))
 
 
 def exact_total_loss_gap(mu: ProductMeasure) -> str | None:
@@ -227,49 +245,58 @@ def exact_total_loss_gap(mu: ProductMeasure) -> str | None:
     return None if mu.is_uniform else "exact sum-threshold loss requires the uniform measure"
 
 
-def total_loss_exact_rectangles(mu: ProductMeasure, F: Hypothesis, H: Hypothesis) -> float:
-    """Symmetric-difference volume of two boxes under the uniform product measure."""
+def total_loss_exact_rectangles(mu: ProductMeasure, F, H) -> np.ndarray:
+    """Symmetric-difference volume of boxes under the uniform product measure.
+
+    F and H are box ends as samples.box_ends gives them, (lo, hi) per side
+    in arrays of shape (..., k, 2) that broadcast together; the volumes
+    have their broadcast shape less the last two axes.  A block of
+    hypotheses is one call.  Each volume has the bits of the scalar
+    formula on one pair: side lengths max(0.0, min(hi, 1.0) - max(lo,
+    0.0)) with Python's min and max, multiplied side by side from the
+    first, and vol(F) + vol(H) - 2 vol(F & H).
+    """
     if mu.mode != PARTITE:
         raise ValueError("exact rectangle loss is a partite computation")
     gap = exact_total_loss_gap(mu)
     if gap:
         raise ValueError(gap)
-    vol_f = math.prod(_box_lengths(F))
-    vol_h = math.prod(_box_lengths(H))
-    if vol_f == 0.0 or vol_h == 0.0:
-        # no side of the intersection is longer than that side of F or of H
-        vol_both = 0.0
-    else:
-        vol_both = 1.0
-        for (flo, fhi), (hlo, hhi) in zip(F.intervals, H.intervals):
-            lo, hi = max(flo, hlo, 0.0), min(fhi, hhi, 1.0)
-            vol_both *= max(0.0, hi - lo)
+    F, H = np.asarray(F, dtype=float), np.asarray(H, dtype=float)
+    flo, fhi, hlo, hhi = F[..., 0], F[..., 1], H[..., 0], H[..., 1]
+    vol_f = _volume(_clipped_lengths(flo, fhi))
+    vol_h = _volume(_clipped_lengths(hlo, hhi))
+    # the intersection's sides: max(flo, hlo, 0.0) to min(fhi, hhi, 1.0)
+    lo = _first_max(_first_max(flo, hlo), 0.0)
+    hi = _first_min(_first_min(fhi, hhi), 1.0)
+    vol_both = _volume(_first_max(0.0, hi - lo))
     return vol_f + vol_h - 2.0 * vol_both
 
 
-def _pair_sum_upper_tail(t: float) -> float:
-    """P(U1 + U2 >= t) for independent uniforms on the unit interval."""
-    if t <= 0.0:
-        return 1.0
-    if t <= 1.0:
-        return 1.0 - t * t / 2.0
-    if t <= 2.0:
-        return (2.0 - t) * (2.0 - t) / 2.0
-    return 0.0
+def _pair_sum_upper_tail(t) -> np.ndarray:
+    """P(U1 + U2 >= t) for independent uniforms on the unit interval, elementwise."""
+    t = np.asarray(t, dtype=float)
+    u = 2.0 - t
+    # NaN compares false everywhere and gets 0.0, as the scalar branches give it
+    return np.where(
+        t <= 1.0,
+        np.where(t <= 0.0, 1.0, 1.0 - t * t / 2.0),
+        np.where(t <= 2.0, u * u / 2.0, 0.0),
+    )
 
 
-def total_loss_exact_sum_threshold(
-    mu: ProductMeasure, F: Hypothesis, H: Hypothesis
-) -> float:
+def total_loss_exact_sum_threshold(mu: ProductMeasure, F, H) -> np.ndarray:
     """Exact bundle disagreement probability of two sum-threshold rules, k = 2.
 
-    Sum-threshold rules are symmetric, so the orientation bundle of a
-    draw disagrees exactly when the pointwise predictions do, which
-    happens when the coordinate sum falls between the two thresholds.
+    F and H are thresholds as samples.threshold_of gives them (the
+    constant 0 as +inf), floats or arrays that broadcast together; the
+    probabilities have their broadcast shape.  Sum-threshold rules are
+    symmetric, so the orientation bundle of a draw disagrees exactly when
+    the pointwise predictions do, which happens when the coordinate sum
+    falls between the two thresholds.
     """
     if mu.mode != NONPARTITE:
         raise ValueError("exact sum-threshold loss covers nonpartite k=2 only")
     gap = exact_total_loss_gap(mu)
     if gap:
         raise ValueError(gap)
-    return abs(_pair_sum_upper_tail(threshold_of(F)) - _pair_sum_upper_tail(threshold_of(H)))
+    return np.abs(_pair_sum_upper_tail(F) - _pair_sum_upper_tail(H))

@@ -303,6 +303,12 @@ def draw_sample(
 # Hypotheses
 
 
+# describe()'s text of a box side and of a sum threshold; describe_boxes
+# and describe_thresholds format whole blocks with them
+_SIDE_TEXT = "[%.6g, %.6g]"
+_THRESHOLD_TEXT = "sum-threshold(t=%.6g)"
+
+
 @dataclass(frozen=True, eq=False)
 class Hypothesis:
     """Total evaluation rule from a k-tuple of points to a label.
@@ -330,8 +336,9 @@ class Hypothesis:
             raise ValueError("use empty_rectangle for the empty box")
         ivs = tuple((float(lo), float(hi)) for lo, hi in intervals)
         for lo, hi in ivs:
-            if lo > hi:
-                raise ValueError(f"interval [{lo}, {hi}] is empty; use empty_rectangle")
+            # "not <=" also refuses a NaN end
+            if not lo <= hi:
+                raise ValueError(f"interval [{lo}, {hi}] is not lo <= hi; use empty_rectangle")
         return cls("rectangle", len(ivs), intervals=ivs)
 
     @classmethod
@@ -407,10 +414,9 @@ class Hypothesis:
             # only empty_rectangle makes a side with lo > hi, and it makes all of them so
             if self.intervals[:1] == ((math.inf, -math.inf),):
                 return "rectangle(empty)"
-            ivs = ", ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in self.intervals)
-            return f"rectangle({ivs})"
+            return "rectangle(" + ", ".join(_SIDE_TEXT % side for side in self.intervals) + ")"
         if self.kind == "sum-threshold":
-            return f"sum-threshold(t={self.threshold:.6g})"
+            return _THRESHOLD_TEXT % self.threshold
         if self.kind == "constant":
             return f"constant({self.const_value!r})"
         return f"table(k={self.k})"
@@ -482,6 +488,43 @@ def threshold_of(H: Hypothesis) -> float:
     if H.kind == "constant" and H.const_value == 1:
         return -math.inf
     raise ValueError(f"not a threshold-like hypothesis: {H.describe()}")
+
+
+def threshold_hypothesis(k: int, t: float) -> Hypothesis:
+    """The member of the sum-threshold family with threshold_of t: the
+    constant 0 at +inf."""
+    return Hypothesis.constant(k, 0) if t == math.inf else Hypothesis.sum_threshold(k, t)
+
+
+def describe_thresholds(ts: np.ndarray) -> list:
+    """threshold_hypothesis(k, t).describe() of each t of ts, shape (count,)."""
+    zero = Hypothesis.constant(1, 0).describe()
+    return [zero if t == math.inf else _THRESHOLD_TEXT % t for t in ts.tolist()]
+
+
+def box_ends(H: Hypothesis) -> np.ndarray:
+    """The ends of box H as a (k, 2) array, (lo, hi) per side; the empty
+    box's are (+inf, -inf) on every side."""
+    return np.asarray(H.intervals, dtype=float)
+
+
+def box_of_ends(k: int, ends: np.ndarray) -> Hypothesis:
+    """The box with the ends (k, 2) that box_ends gives."""
+    ivs = ends.tolist()
+    # only the empty box has a side with lo > hi, and it has them all so
+    return Hypothesis.empty_rectangle(k) if ivs[0][0] > ivs[0][1] else Hypothesis.rectangle(ivs)
+
+
+def describe_boxes(ends: np.ndarray) -> list:
+    """box_of_ends(k, e).describe() of each e of ends, shape (count, k, 2)."""
+    count, k = ends.shape[:2]
+    text = ("rectangle(" + ", ".join([_SIDE_TEXT] * k) + ")").__mod__
+    empty = Hypothesis.empty_rectangle(k).describe()
+    is_empty = (ends[:, 0, 0] > ends[:, 0, 1]).tolist()
+    return [
+        empty if e else text(tuple(row))
+        for e, row in zip(is_empty, ends.reshape(count, -1).tolist())
+    ]
 
 
 def _axis_shape(i: int, k: int, n: int) -> tuple[int, ...]:

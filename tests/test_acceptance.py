@@ -27,6 +27,7 @@ from kcompress.losses import (
 from kcompress.samples import (
     HypothesisClass,
     ProductMeasure,
+    box_ends,
     derive_seed,
     draw_sample,
     label_sample,
@@ -209,7 +210,7 @@ def test_criterion_7_monte_carlo_agrees_with_exact(capfd):
         rng = spawn_rng(master, i)
         F = klass.sample_hypothesis(rng)
         H = klass.sample_hypothesis(rng)
-        exact = total_loss_exact_rectangles(mu, F, H)
+        exact = total_loss_exact_rectangles(mu, box_ends(F), box_ends(H))
         est, half = total_loss_monte_carlo(mu, F, H, loss, 10000, derive_seed(master, i, 1))
         agree += abs(est - exact) <= half
     ok = agree >= 99

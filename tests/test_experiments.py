@@ -21,9 +21,11 @@ from kcompress.experiments import (
     ConfigError,
     ExperimentConfig,
     _VARIANT_SALT,
+    Records,
+    TrialRecord,
     _ci_half_width,
+    _concentration_columns,
     _concentration_fits,
-    _concentration_record,
     _pac_trial,
     build_all,
     build_measure,
@@ -34,13 +36,13 @@ from kcompress.experiments import (
     merge_results,
     parse_config,
     records_to_jsonl,
-    rows_to_json,
     run_bound_table,
     run_concentration_experiment,
     run_concentration_suite,
     run_pac_experiment,
     run_validity_experiment,
     table_to_csv,
+    table_to_json,
     write_outputs,
 )
 from kcompress.indexing import (
@@ -55,7 +57,6 @@ from kcompress.kernels import (
     _block_box_masks,
     _block_pairs_below,
     _boundary_extremes,
-    _box_ends,
     _padded_sorted,
     _rect_masks,
     _rect_xor_count,
@@ -69,7 +70,10 @@ from kcompress.samples import (
     Hypothesis,
     ProductMeasure,
     Uniform01,
+    box_ends,
     derive_seed,
+    describe_boxes,
+    describe_thresholds,
     draw_sample,
     label_sample,
     minimal_box,
@@ -300,12 +304,14 @@ def test_pairs_in_range_matches_bruteforce(data):
     sigma = InjectionVector(NONPARTITE, n, (pair,))
     t_f = data.draw(thresholds(xs[0]))
     eta = data.draw(st.sampled_from([1, 2]))
-    Hs, emps = threshold_concentration(
+    t_hs, emps = threshold_concentration(
         2, Hypothesis.sum_threshold(2, t_f), sigma, eta, n, xs[:, None, :]
     )
-    for row, H, emp in zip(xs, Hs, emps):
+    assert t_hs.shape == (count,)
+    for row, t, text, emp in zip(xs, t_hs.tolist(), describe_thresholds(t_hs), emps):
         t_h = math.inf if eta == 2 else row[pair[0]] + row[pair[1]]
-        assert H.describe() == (
+        assert t == t_h
+        assert text == (
             "constant(0)" if eta == 2 else Hypothesis.sum_threshold(2, t_h).describe()
         )
         lo, hi = min(t_f, t_h), max(t_f, t_h)
@@ -441,24 +447,24 @@ def test_block_box_masks_and_minimal_boxes():
         [[0.6, 0.7, 0.8], [0.2, 0.6, 0.4]],
     ])
     F = Hypothesis.rectangle([(0.0, 0.5), (0.3, 0.7)])
-    masks = _block_box_masks(*_box_ends(F), pts)
+    masks = _block_box_masks(*box_ends(F).T, pts)
     assert masks[0].tolist() == [[True, True, False], [False, True, True]]
     assert masks[1].tolist() == [[False, False, False], [False, True, True]]
-    assert not _block_box_masks(*_box_ends(Hypothesis.empty_rectangle(2)), pts).any()
+    assert not _block_box_masks(*box_ends(Hypothesis.empty_rectangle(2)).T, pts).any()
     # the empty box's infinite ends hold no infinite point either
     assert not _block_box_masks(
-        *_box_ends(Hypothesis.empty_rectangle(1)), np.array([[[-np.inf, np.inf]]])
+        *box_ends(Hypothesis.empty_rectangle(1)).T, np.array([[[-np.inf, np.inf]]])
     ).any()
     sigma = InjectionVector(PARTITE, 3, ((2, 0), (1, 2)))
-    Hs, emps = box_concentration(2, F, sigma, 1, 3, pts)
+    ends, emps = box_concentration(2, F, sigma, 1, 3, pts)
     # trial 0 keeps 0.1 of side 0 and both points of side 1; trial 1 keeps
-    # no point of F on side 0, so its box is empty
-    assert Hs[0].intervals == ((0.1, 0.1), (0.4, 0.6))
-    empty = Hypothesis.empty_rectangle(2)
-    assert Hs[1].intervals == empty.intervals
+    # no point of F on side 0, so its box is empty on every side
+    empty = box_ends(Hypothesis.empty_rectangle(2)).tolist()
+    assert ends.tolist() == [[[0.1, 0.1], [0.4, 0.6]], empty]
+    assert describe_boxes(ends) == ["rectangle([0.1, 0.1], [0.4, 0.6])", "rectangle(empty)"]
     assert emps == [2 / 9, 0.0]
-    Hs, emps = box_concentration(2, F, sigma, 2, 3, pts)
-    assert [H.intervals for H in Hs] == [empty.intervals] * 2
+    ends, emps = box_concentration(2, F, sigma, 2, 3, pts)
+    assert ends.tolist() == [empty] * 2
     assert emps == [4 / 9, 0.0]
 
 
@@ -495,12 +501,13 @@ def test_box_block_kernel_matches_dense(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     sigma = InjectionVector.random(PARTITE, k, m, data.draw(st.integers(0, m)), rng)
     eta = data.draw(st.sampled_from([1, 2]))
-    Hs, emps = box_concentration(k, F, sigma, eta, m, pts)
-    assert len(Hs) == len(emps) == count
-    for sides, H, emp in zip(pts, Hs, emps):
+    ends, emps = box_concentration(k, F, sigma, eta, m, pts)
+    assert ends.shape == (count, k, 2) and len(emps) == count
+    for sides, e, text, emp in zip(pts, ends, describe_boxes(ends), emps):
         sides = [side.tolist() for side in sides]
         want = Hypothesis.empty_rectangle(k) if eta == 2 else brute_minimal_box(F, sides, sigma)
-        assert H.intervals == want.intervals
+        assert e.tolist() == box_ends(want).tolist()
+        assert text == want.describe()
         disagree = sum(
             F.value(tup) != want.value(tup) for tup in itertools.product(*sides)
         )
@@ -525,8 +532,12 @@ def records_of(result):
 def concentration_trial(cfg, mu, loss, scheme, F, sigma, eta, variant, m, t, x, mc_seed, engine):
     """The record of one trial, through the engine code of the runner; the
     fast engine runs its kernel on a block of this one sample."""
-    [(H, emp)] = _concentration_fits(cfg, loss, scheme, F, sigma, eta, m, [x], engine)
-    return _concentration_record(cfg, mu, loss, F, eta, variant, m, t, H, emp, mc_seed)
+    records = Records(TrialRecord)
+    records.extend(_concentration_columns(
+        cfg, mu, loss, scheme, F, sigma, eta, variant, m, np.array([t]), [x], [mc_seed], engine
+    ))
+    [record] = records
+    return record
 
 
 @pytest.mark.parametrize("cfg", [PARTITE_CFG, NONPARTITE_CFG], ids=["partite", "nonpartite"])
@@ -623,16 +634,20 @@ def test_block_kernels_equal_generic_on_tied_blocks(cfg, data):
     sigma = InjectionVector.random(cfg.mode, cfg.k, m, int(scheme.selection_size(m)), rng)
     for eta in (1, 2):
         fits = {
-            engine: list(_concentration_fits(cfg, loss, scheme, F, sigma, eta, m, xs, engine))
+            engine: _concentration_fits(cfg, loss, scheme, F, sigma, eta, m, xs, engine)
             for engine in ("fast", "generic")
         }
-        assert len(fits["fast"]) == len(xs)
+        # the same parameter rows, bit for bit, and empirical losses
+        rows, emps = fits["fast"]
+        assert len(rows) == len(emps) == len(xs)
+        assert rows.tobytes() == fits["generic"][0].tobytes()
+        assert emps == fits["generic"][1]
         records = {
-            engine: [
-                _concentration_record(cfg, mu, loss, F, eta, "fixed", m, t, H, emp, None)
-                for t, (H, emp) in enumerate(fit)
-            ]
-            for engine, fit in fits.items()
+            engine: _concentration_columns(
+                cfg, mu, loss, scheme, F, sigma, eta, "fixed", m, np.arange(len(xs)), xs,
+                [None] * len(xs), engine,
+            )
+            for engine in ("fast", "generic")
         }
         assert records["fast"] == records["generic"]
 
@@ -1063,10 +1078,39 @@ def test_table_to_csv_pins_mixed_cells():
     )
 
 
-def test_rows_to_json_parses_back():
-    text = rows_to_json(["a"], [{"a": 0.1}])
-    doc = json.loads(text)
-    assert doc["columns"] == ["a"] and doc["rows"] == [{"a": 0.1}]
+def json_dumps_of_table(table: dict) -> str:
+    """summary.json's text of a table held by columns, through one dict per row."""
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    return json.dumps({"columns": list(table), "rows": rows}, sort_keys=True, indent=2) + "\n"
+
+
+def test_table_to_json_is_json_dumps_with_indent():
+    class Half(float):
+        pass
+
+    nan, inf = float("nan"), float("inf")
+    table = {
+        "zeta": [True, False, True, False, True, False],
+        "count": [3, -12, 0, 2**70, 1, True],
+        "x": [0.1, nan, inf, -inf, -0.0, Half(0.5)],
+        "note": ["", "ünï ☃", 'q " \\ s', "%s %%", "tab\tline\n", "nan"],
+        "np64": list(map(np.float64, [0.25, 1 / 3, -0.0, 1e22, nan, -inf])),
+        "mixed": ["", 16852, 2.5, True, None, Half(0.75)],
+        "%d key": [1, 2, 3, 4, 5, 6],
+        "nested": [[1, 2], {"b": 1, "a": [nan]}, [], {}, "x", 0],
+    }
+    assert table_to_json(table) == json_dumps_of_table(table)
+    # long enough to span several formatting blocks; compared line by line,
+    # which keeps a failure report short
+    long = {c: cells * 97 for c, cells in table.items()}
+    assert table_to_json(long).splitlines() == json_dumps_of_table(long).splitlines()
+    # a column holding one object is formatted once; equal objects that are
+    # not the same one keep their own text
+    zero = 0.0
+    same = {"z": [zero, zero, -zero], "n": [nan] * 3, "b": [True] * 3}
+    assert table_to_json(same) == json_dumps_of_table(same)
+    for empty in ({c: [] for c in table}, {}):
+        assert table_to_json(empty) == json_dumps_of_table(empty)
 
 
 def test_repeated_runs_are_identical():
@@ -1114,6 +1158,24 @@ def test_write_outputs_json_format(tmp_path):
         write_outputs(result, str(tmp_path), fmt="yaml")
 
 
+def test_records_hold_columns_and_build_a_record_when_read():
+    recs = [
+        TrialRecord("fixed", 50, t, 0.25 * t, 0.5, 0.5 - 0.25 * t, t == 0, 1, "constant(0)", True)
+        for t in range(3)
+    ]
+    held = Records.of(TrialRecord, recs)
+    assert list(held.columns) == [f.name for f in dataclasses.fields(TrialRecord)]
+    assert held.columns["trial"] == [0, 1, 2]
+    assert len(held) == 3 and held
+    assert list(held) == recs
+    assert held[1] == recs[1] and held[-1] == recs[-1]
+    with pytest.raises(TypeError):
+        held[0:2]
+    held.extend(Records.of(TrialRecord, recs[:1]).columns)
+    assert len(held) == 4 and held[3] == recs[0]
+    assert not Records(TrialRecord)
+
+
 def test_records_to_jsonl_is_json_dumps_per_record(tmp_path):
     from kcompress.schemes import CompressionReport
     from kcompress.experiments import TrialRecord
@@ -1147,10 +1209,14 @@ def test_records_to_jsonl_is_json_dumps_per_record(tmp_path):
     shared = [dataclasses.replace(trials[1], gap=nan, total_loss=-0.0)] * 3
     for records in (trials, reports, mixed_column, shared, trials * 13, []):
         want = "".join(json.dumps(vars(r), sort_keys=True) + "\n" for r in records)
-        assert records_to_jsonl(records) == want
-    assert records_to_jsonl([]) == ""
+        kind = type(records[0]) if records else TrialRecord
+        held = Records.of(kind, records)
+        assert len(held) == len(records)
+        assert records_to_jsonl(held) == want
+    assert records_to_jsonl(Records(TrialRecord)) == ""
     result = experiments.ExperimentResult(
-        kind="concentration", config=PARTITE_CFG, columns=[], records=reports, passed=True,
+        kind="concentration", config=PARTITE_CFG, columns=[],
+        records=Records.of(CompressionReport, reports), passed=True,
     )
     write_outputs(result, str(tmp_path))
     lines = (tmp_path / "trials.jsonl").read_text(encoding="utf-8").splitlines()

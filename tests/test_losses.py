@@ -33,8 +33,10 @@ from kcompress.samples import (
     Hypothesis,
     HypothesisClass,
     ProductMeasure,
+    box_ends,
     label_sample,
     spawn_rng,
+    threshold_of,
 )
 
 UNIT_BOX = Hypothesis.rectangle([(0.0, 1.0), (0.0, 1.0)])
@@ -158,12 +160,16 @@ def test_empirical_nonpartite_guards():
 
 def test_exact_rectangles_three_quarters():
     mu = ProductMeasure.uniform(PARTITE, 2)
-    assert total_loss_exact_rectangles(mu, UNIT_BOX, HALF_BOX) == 0.75
-    assert total_loss_exact_rectangles(mu, HALF_BOX, UNIT_BOX) == 0.75
-    assert total_loss_exact_rectangles(mu, HALF_BOX, HALF_BOX) == 0.0
-    empty = Hypothesis.empty_rectangle(2)
-    assert total_loss_exact_rectangles(mu, HALF_BOX, empty) == 0.25
+    unit, half = box_ends(UNIT_BOX), box_ends(HALF_BOX)
+    empty = box_ends(Hypothesis.empty_rectangle(2))
+    assert total_loss_exact_rectangles(mu, unit, half) == 0.75
+    assert total_loss_exact_rectangles(mu, half, unit) == 0.75
+    assert total_loss_exact_rectangles(mu, half, half) == 0.0
+    assert total_loss_exact_rectangles(mu, half, empty) == 0.25
     assert total_loss_exact_rectangles(mu, empty, empty) == 0.0
+    # a block of boxes against one, in one call
+    got = total_loss_exact_rectangles(mu, half, np.stack([unit, half, empty]))
+    assert got.tolist() == [0.75, 0.0, 0.25]
 
 
 def empty_as_none_rectangle_loss(f, h, k):
@@ -199,42 +205,56 @@ def _boxes(k):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), _boxes(k), _boxes(k))))
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.tuples(st.just(k), _boxes(k), st.lists(_boxes(k), min_size=1, max_size=6))
+))
 def test_exact_rectangles_bits_equal_the_empty_as_none_formula(case):
-    # degenerate, out-of-cube and empty boxes (the empty one has the ends
-    # +inf and -inf on every side) give the same float, bit for bit
-    k, f, h = case
+    # one call on a block of boxes gives each the float of the scalar
+    # formula on its own, bit for bit: degenerate, out-of-cube, touching
+    # and empty boxes (the empty one has the ends +inf and -inf on every
+    # side), with the block on either side of the call
+    k, f, hs = case
     mu = ProductMeasure.uniform(PARTITE, k)
 
-    def box(ivs):
-        return Hypothesis.empty_rectangle(k) if ivs is None else Hypothesis.rectangle(ivs)
+    def ends(ivs):
+        return box_ends(Hypothesis.empty_rectangle(k) if ivs is None else Hypothesis.rectangle(ivs))
 
-    got = total_loss_exact_rectangles(mu, box(f), box(h))
-    assert got.hex() == empty_as_none_rectangle_loss(f, h, k).hex()
+    block = np.stack([ends(h) for h in hs])
+    got = total_loss_exact_rectangles(mu, ends(f), block)
+    assert [x.hex() for x in got.tolist()] == [
+        empty_as_none_rectangle_loss(f, h, k).hex() for h in hs
+    ]
+    got = total_loss_exact_rectangles(mu, block, ends(f))
+    assert [x.hex() for x in got.tolist()] == [
+        empty_as_none_rectangle_loss(h, f, k).hex() for h in hs
+    ]
+    # a single pair is the block of one
+    one = total_loss_exact_rectangles(mu, ends(f), ends(hs[0]))
+    assert float(one).hex() == empty_as_none_rectangle_loss(f, hs[0], k).hex()
 
 
 def test_exact_rectangles_clips_to_unit_cube():
     mu = ProductMeasure.uniform(PARTITE, 2)
     wide = Hypothesis.rectangle([(-1.0, 2.0), (-1.0, 2.0)])
-    assert total_loss_exact_rectangles(mu, wide, UNIT_BOX) == 0.0
+    assert total_loss_exact_rectangles(mu, box_ends(wide), box_ends(UNIT_BOX)) == 0.0
 
 
 def test_exact_rectangles_guards():
+    unit, half = box_ends(UNIT_BOX), box_ends(HALF_BOX)
     with pytest.raises(ValueError):
-        total_loss_exact_rectangles(ProductMeasure.uniform(NONPARTITE, 2), UNIT_BOX, HALF_BOX)
+        total_loss_exact_rectangles(ProductMeasure.uniform(NONPARTITE, 2), unit, half)
     mu = ProductMeasure(PARTITE, 2, (FiniteDiscrete((0.5,), (1.0,)),) * 2)
     with pytest.raises(ValueError):
-        total_loss_exact_rectangles(mu, UNIT_BOX, HALF_BOX)
+        total_loss_exact_rectangles(mu, unit, half)
 
 
 def test_exact_losses_refuse_a_discrete_measure_on_every_call():
     # a measure works out is_uniform once; every direct call still checks it
     coin = FiniteDiscrete((0.25, 0.75), (0.5, 0.5))
-    threshold = Hypothesis.sum_threshold(2, 1.0)
     cases = [
-        (ProductMeasure(PARTITE, 2, (coin, coin)), total_loss_exact_rectangles, UNIT_BOX,
-         "exact rectangle loss requires uniform sides"),
-        (ProductMeasure(NONPARTITE, 2, (coin,)), total_loss_exact_sum_threshold, threshold,
+        (ProductMeasure(PARTITE, 2, (coin, coin)), total_loss_exact_rectangles,
+         box_ends(UNIT_BOX), "exact rectangle loss requires uniform sides"),
+        (ProductMeasure(NONPARTITE, 2, (coin,)), total_loss_exact_sum_threshold, 1.0,
          "exact sum-threshold loss requires the uniform measure"),
     ]
     for mu, exact, F, reason in cases:
@@ -244,7 +264,7 @@ def test_exact_losses_refuse_a_discrete_measure_on_every_call():
                 exact(mu, F, F)
         assert vars(mu)["is_uniform"] is False
     uniform = ProductMeasure.uniform(PARTITE, 2)
-    assert total_loss_exact_rectangles(uniform, UNIT_BOX, HALF_BOX) == 0.75
+    assert total_loss_exact_rectangles(uniform, box_ends(UNIT_BOX), box_ends(HALF_BOX)) == 0.75
     assert vars(uniform)["is_uniform"] is True
 
 
@@ -262,24 +282,56 @@ def test_pair_sum_upper_tail_values():
 
 def test_exact_sum_threshold_values():
     mu = ProductMeasure.uniform(NONPARTITE, 2)
-    F = Hypothesis.sum_threshold(2, 0.5)
-    H = Hypothesis.sum_threshold(2, 1.5)
-    assert total_loss_exact_sum_threshold(mu, F, H) == 0.75
-    assert total_loss_exact_sum_threshold(mu, F, F) == 0.0
-    zero = Hypothesis.constant(2, 0)
-    one = Hypothesis.constant(2, 1)
+    # the constants 0 and 1 are the thresholds +inf and -inf
+    zero = threshold_of(Hypothesis.constant(2, 0))
+    one = threshold_of(Hypothesis.constant(2, 1))
+    assert total_loss_exact_sum_threshold(mu, 0.5, 1.5) == 0.75
+    assert total_loss_exact_sum_threshold(mu, 0.5, 0.5) == 0.0
     assert total_loss_exact_sum_threshold(mu, zero, one) == 1.0
-    assert total_loss_exact_sum_threshold(mu, F, zero) == 0.875
+    assert total_loss_exact_sum_threshold(mu, 0.5, zero) == 0.875
+    got = total_loss_exact_sum_threshold(mu, 0.5, np.array([1.5, 0.5, zero]))
+    assert got.tolist() == [0.75, 0.0, 0.875]
+
+
+def scalar_pair_sum_upper_tail(t):
+    """P(U1 + U2 >= t), one threshold, branch by branch."""
+    if t <= 0.0:
+        return 1.0
+    if t <= 1.0:
+        return 1.0 - t * t / 2.0
+    if t <= 2.0:
+        return (2.0 - t) * (2.0 - t) / 2.0
+    return 0.0
+
+
+# thresholds at and around the ends of each branch, signed zeros, the
+# constants' +inf and -inf
+_THRESHOLDS = st.one_of(
+    st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 1.5, 2.0, 2.5, math.inf]),
+    st.floats(-0.5, 2.5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_THRESHOLDS, st.lists(_THRESHOLDS, min_size=1, max_size=8))
+def test_exact_sum_threshold_bits_equal_the_scalar_formula(t_f, t_hs):
+    mu = ProductMeasure.uniform(NONPARTITE, 2)
+    want = [
+        abs(scalar_pair_sum_upper_tail(t_f) - scalar_pair_sum_upper_tail(t)).hex() for t in t_hs
+    ]
+    got = total_loss_exact_sum_threshold(mu, t_f, np.array(t_hs))
+    assert [x.hex() for x in got.tolist()] == want
+    got = total_loss_exact_sum_threshold(mu, np.array(t_hs), t_f)
+    assert [x.hex() for x in got.tolist()] == want
 
 
 def test_exact_sum_threshold_guards():
     mu3 = ProductMeasure.uniform(NONPARTITE, 3)
-    F = Hypothesis.sum_threshold(3, 1.0)
     with pytest.raises(ValueError):
-        total_loss_exact_sum_threshold(mu3, F, F)
-    mu = ProductMeasure.uniform(NONPARTITE, 2)
+        total_loss_exact_sum_threshold(mu3, 1.0, 1.0)
+    # a hypothesis outside the family has no threshold to pass
     with pytest.raises(ValueError):
-        total_loss_exact_sum_threshold(mu, Hypothesis.constant(2, 0.5), Hypothesis.constant(2, 0))
+        threshold_of(Hypothesis.constant(2, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +344,7 @@ def test_monte_carlo_matches_exact_rectangles():
     for trial in range(5):
         F = HypothesisClass.rectangles(2).sample_hypothesis(rng)
         H = HypothesisClass.rectangles(2).sample_hypothesis(rng)
-        exact = total_loss_exact_rectangles(mu, F, H)
+        exact = total_loss_exact_rectangles(mu, box_ends(F), box_ends(H))
         est, half = total_loss_monte_carlo(mu, F, H, zero_one_partite(), 20000, seed=trial)
         assert abs(est - exact) <= max(half, 1e-12)
 
@@ -303,7 +355,7 @@ def test_monte_carlo_matches_exact_thresholds():
     for trial in range(5):
         F = HypothesisClass.sum_thresholds(2).sample_hypothesis(rng)
         H = HypothesisClass.sum_thresholds(2).sample_hypothesis(rng)
-        exact = total_loss_exact_sum_threshold(mu, F, H)
+        exact = total_loss_exact_sum_threshold(mu, threshold_of(F), threshold_of(H))
         est, half = total_loss_monte_carlo(mu, F, H, zero_one_nonpartite(), 20000, seed=trial)
         assert abs(est - exact) <= max(half, 1e-12)
 

@@ -29,8 +29,12 @@ from kcompress.samples import (
     ProductMeasure,
     Uniform01,
     _ascending_columns,
+    box_ends,
+    box_of_ends,
     coordinate_sum,
     derive_seed,
+    describe_boxes,
+    describe_thresholds,
     draw_sample,
     encode_labels,
     erm_realizability_check,
@@ -41,6 +45,8 @@ from kcompress.samples import (
     side_keys,
     spawn_rng,
     stream_keys,
+    threshold_hypothesis,
+    threshold_of,
 )
 
 
@@ -286,6 +292,42 @@ def test_empty_rectangle():
         Hypothesis.rectangle(None)
     with pytest.raises(ValueError):
         Hypothesis.rectangle([(0.5, 0.1)])
+
+
+@pytest.mark.parametrize(
+    "side", [(math.nan, math.nan), (0.2, math.nan), (math.nan, 0.2)], ids=str
+)
+def test_rectangle_refuses_nan_ends(side):
+    # a NaN end would make a box that labels every point 0 but does not
+    # describe itself as the empty box
+    with pytest.raises(ValueError, match="not lo <= hi"):
+        Hypothesis.rectangle([side])
+    with pytest.raises(ValueError, match="not lo <= hi"):
+        Hypothesis.rectangle([(0.0, 1.0), side])
+
+
+def test_box_and_threshold_rows_round_trip():
+    # the rows the concentration engine holds hypotheses as, and their text
+    boxes = [
+        Hypothesis.rectangle([(0.1, 0.5), (-0.0, 0.0)]),
+        Hypothesis.empty_rectangle(2),
+        Hypothesis.rectangle([(0.0, 1.0), (1 / 3, 0.5)]),
+    ]
+    ends = np.stack([box_ends(H) for H in boxes])
+    assert ends.shape == (3, 2, 2)
+    assert ends[1].tolist() == [[math.inf, -math.inf]] * 2
+    assert describe_boxes(ends) == [H.describe() for H in boxes]
+    for H, e in zip(boxes, ends):
+        assert box_of_ends(2, e).intervals == H.intervals
+    members = [
+        Hypothesis.sum_threshold(2, 0.75), Hypothesis.constant(2, 0),
+        Hypothesis.sum_threshold(2, 1e-9),
+    ]
+    ts = np.array([threshold_of(H) for H in members])
+    assert ts.tolist() == [0.75, math.inf, 1e-9]
+    assert describe_thresholds(ts) == [H.describe() for H in members]
+    for H, t in zip(members, ts.tolist()):
+        assert threshold_hypothesis(2, t).describe() == H.describe()
 
 
 def test_sum_threshold_boundary():
