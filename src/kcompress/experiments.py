@@ -90,6 +90,7 @@ from .samples import (
     ProductMeasure,
     box_ends,
     box_of_ends,
+    coordinate_sum,
     derive_seed,
     describe_boxes,
     describe_thresholds,
@@ -268,6 +269,12 @@ def build_measure(cfg: ExperimentConfig) -> ProductMeasure:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # rounded addition is monotone, so k copies of the atom of largest
+        # magnitude bound the coordinate sum of every k-multiset of atoms
+        big = max(dist.values, key=abs)
+        with np.errstate(over="ignore"):
+            if cfg.mode == NONPARTITE and not math.isfinite(coordinate_sum([big] * cfg.k)):
+                raise ConfigError(f"atom {big!r} overflows in a sum of k = {cfg.k} atoms")
         return ProductMeasure(cfg.mode, cfg.k, (dist,) * side_count(cfg.mode, cfg.k))
     raise ConfigError(f"unknown measure {cfg.measure!r}")
 

@@ -14,6 +14,8 @@ Conventions, fixed here once for the whole package:
 * k-subsets are enumerated once, by sorted_subsets: ascending rows in
   itertools.combinations order, which every per-subset computation
   (order choices, bundles, nonpartite losses, threshold ERM) reads,
+* the orientations of a k-subset follow enumerate_permutations(k), and
+  orientation_cells alone lays out the grid cells they read,
 * dense label tensors are stored row-major (last coordinate fastest),
 * nonpartite cells with a repeated index hold the sentinel code -1.
 """
@@ -24,6 +26,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -154,11 +157,19 @@ def tuple_points(sample: Sample, idx: Sequence[int]) -> tuple:
     return tuple(axis[e] for axis, e in zip(sample.axes, t))
 
 
+def grid_columns(sides: Sequence) -> list:
+    """The sides as columns of their product grid: side i lies along axis i,
+    so the columns broadcast together to shape (len(side) for side in sides)."""
+    k = len(sides)
+    return [
+        np.asarray(s).reshape((1,) * i + (-1,) + (1,) * (k - 1 - i)) for i, s in enumerate(sides)
+    ]
+
+
 def injective_mask(m: int, k: int, budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
     """Boolean (m,)*k grid, True where all coordinates are pairwise distinct."""
     check_cell_budget(m, k, budget)
-    # column i is range(m) along axis i, broadcasting against the others
-    cols = [np.arange(m).reshape((m,) + (1,) * (k - 1 - i)) for i in range(k)]
+    cols = grid_columns([np.arange(m)] * k)
     mask = np.ones((m,) * k, dtype=bool)
     for i in range(k):
         for j in range(i + 1, k):
@@ -284,10 +295,9 @@ class InjectionVector:
 
     def __post_init__(self):
         _check_mode(self.mode)
-        if self.mode == NONPARTITE and len(self.maps) != 1:
-            raise ValueError("nonpartite injection vector carries exactly one map")
-        if self.mode == PARTITE and not 1 <= len(self.maps) <= MAX_ARITY:
-            raise ValueError("partite injection vector needs 1..MAX_ARITY maps")
+        most = side_count(self.mode, MAX_ARITY)
+        if not 1 <= len(self.maps) <= most:
+            raise ValueError(f"{self.mode} injection vector needs 1 to {most} maps")
         sizes = {len(mp) for mp in self.maps}
         if len(sizes) > 1:
             raise ValueError("injection maps have unequal sizes")
@@ -454,28 +464,46 @@ class OrderChoice:
         """An independent uniformly random ordering of every subset."""
         return cls(m, k, rng.permuted(sorted_subsets(m, k), axis=1))
 
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """orientation_cells of the orderings: the (k!, C(m, k)) grid cells
+        that the orientation bundles of the subsets read."""
+        return orientation_cells(self.orders, self.m)
+
 
 def canonical_order_choice(m: int, k: int) -> OrderChoice:
     return OrderChoice.canonical(m, k)
 
 
-def bundle_orientations(tensor: LabelTensor, order: OrderChoice) -> dict:
-    """Orientation bundles of a nonpartite tensor.
+def orientation_cells(rows: np.ndarray, m: int) -> np.ndarray:
+    """Row-major flat cells of the (m,)*k grid that the orientations of
+    each row read, as a (k!, n) array for rows of shape (n, k).
 
-    Maps each sorted k-subset U, as a tuple, to the tuple of label values
-    (y[w o pi] for pi in enumerate_permutations(k)), where w is U's row
-    in order.orders.  Keys follow the row order.  Empty when m < k.
+    Entry (j, r) is the cell (w[pi[0]], ..., w[pi[k-1]]) of the row w =
+    rows[r] under the j-th permutation pi of enumerate_permutations(k);
+    row 0 (the identity) reads each row as it is ordered.
     """
+    perms = np.array(enumerate_permutations(rows.shape[1]), dtype=np.intp)
+    # coords[i] is the (k!, n) array of coordinate i of every orientation
+    coords = rows.T[perms.T]
+    flat = coords[0]
+    for c in coords[1:]:
+        flat *= m
+        flat += c
+    return flat
+
+
+def bundle_orientations(tensor: LabelTensor, order: OrderChoice) -> np.ndarray:
+    """Orientation bundles of a nonpartite tensor, as a (k!, C(m, k)) label array.
+
+    Column r is the bundle of the r-th subset of sorted_subsets(m, k):
+    entry (j, r) is the label y[w o pi] for the j-th permutation pi of
+    enumerate_permutations(k), where w is the subset's row in order.orders.
+    """
+    from .samples import decode_labels  # samples imports this module
+
     if tensor.mode != NONPARTITE:
         raise ValueError("orientation bundles are defined for nonpartite tensors")
     if (order.m, order.k) != (tensor.m, tensor.k):
         raise ValueError("order choice shape does not match the tensor")
-    perms = enumerate_permutations(tensor.k)
-    out = {}
-    subsets = sorted_subsets(tensor.m, tensor.k).tolist()
-    for u, ordering in zip(subsets, order.orders.tolist()):
-        out[tuple(u)] = tuple(
-            tensor.alphabet[int(tensor.codes[tuple(ordering[p] for p in perm)])]
-            for perm in perms
-        )
-    return out
+    return decode_labels(tensor.codes.ravel()[order.cells], tensor.alphabet)

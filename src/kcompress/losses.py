@@ -1,11 +1,12 @@
 """Empirical and total loss functionals for both sample modes.
 
-Partite empirical loss averages a per-tuple loss over all m^k index
-tuples.  Nonpartite empirical loss averages a per-subset loss over all
-C(m, k) k-subsets, where guesses and truths enter as orientation
-bundles relative to an order choice.  Total losses are measure-side
-expectations, estimated by Monte Carlo or computed in closed form for
-the built-in families.
+A loss is taken over tuples held as columns: LossSpec.fn gets the points,
+guesses and truths of every tuple at once, as arrays, and returns one loss
+per tuple.  Partite empirical loss averages it over all m^k index tuples.
+Nonpartite empirical loss averages it over all C(m, k) k-subsets, where
+guesses and truths enter as (k!, C(m, k)) orientation bundles relative to
+an order choice.  Total losses are measure-side expectations, estimated
+by Monte Carlo or computed in closed form for the built-in families.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from .indexing import (
     OrderChoice,
     bundle_orientations,
     enumerate_permutations,
-    sorted_subsets,
+    grid_columns,
 )
 from .samples import (
     Hypothesis,
     KeyedGenerator,
     ProductMeasure,
-    encode_labels,
+    decode_labels,
     stream_keys,
 )
 
@@ -40,12 +41,18 @@ CI99_MULTIPLIER = 2.576
 
 @dataclass(frozen=True, eq=False)
 class LossSpec:
-    """A bounded per-tuple (partite) or per-bundle (nonpartite) loss.
+    """A bounded loss, taken on columns: fn(points, guess, truth) -> losses.
 
-    Partite fn signature:    fn(points, guess_label, true_label) -> float
-    Nonpartite fn signature: fn(points, guess_bundle, true_bundle) -> float
-    where bundles are tuples indexed by enumerate_permutations(k).
-    Values must lie in [0, sup_norm].
+    Partite: points are k arrays, one per side, that broadcast together to
+    the shape of the tuples (the (m,)*k grid of a sample); guess and truth
+    are label arrays of that shape, and so are the losses.
+    Nonpartite: points are k arrays of n tuples, each tuple a k-subset read
+    in its chosen ordering; guess and truth are (k!, n) orientation
+    bundles, row j the labels of orientation enumerate_permutations(k)[j];
+    the losses have shape (n,).
+    Labels are compared as values.  Losses must lie in [0, sup_norm].  For
+    example, the nonpartite fn np.where((guess == truth).all(axis=0), 0.0,
+    xs[0]) charges a bundle mismatch by the first point of the ordering.
     """
 
     mode: str
@@ -57,25 +64,29 @@ class LossSpec:
         if self.sup_norm <= 0:
             raise ValueError("sup_norm must be positive")
 
+    def evaluate(self, points, guess, truth, shape: tuple) -> np.ndarray:
+        """fn's losses as floats, checked to have one entry per tuple of shape."""
+        values = np.asarray(self.fn(points, guess, truth), dtype=float)
+        if values.shape != shape:
+            raise ValueError(f"loss {self.kind!r} gave shape {values.shape}, expected {shape}")
+        return values
+
 
 def zero_one_partite() -> LossSpec:
+    """1 where the guessed label differs from the true one."""
     return LossSpec(
-        PARTITE, "zero-one", 1.0, lambda xs, guess, truth: 0.0 if guess == truth else 1.0
+        PARTITE, "zero-one", 1.0, lambda xs, guess, truth: (guess != truth).astype(float)
     )
 
 
 def zero_one_nonpartite() -> LossSpec:
-    """1 iff the guessed orientation bundle differs from the true one anywhere."""
+    """1 where the guessed orientation bundle differs from the true one anywhere."""
     return LossSpec(
         NONPARTITE,
         "zero-one",
         1.0,
-        lambda xs, guess, truth: 0.0 if tuple(guess) == tuple(truth) else 1.0,
+        lambda xs, guess, truth: (guess != truth).any(axis=0).astype(float),
     )
-
-
-def _hypothesis_codes(H: Hypothesis, labeled: LabeledSample) -> np.ndarray:
-    return encode_labels(H.label_grid(labeled.sample.axes), labeled.labels.alphabet)
 
 
 def empirical_loss_partite(labeled: LabeledSample, H: Hypothesis, loss: LossSpec) -> float:
@@ -87,15 +98,10 @@ def empirical_loss_partite(labeled: LabeledSample, H: Hypothesis, loss: LossSpec
     m, k = labeled.m, labeled.k
     if m == 0:
         return 0.0
-    if loss.kind == "zero-one":
-        guess = _hypothesis_codes(H, labeled)
-        return float(np.count_nonzero(guess != labeled.labels.codes)) / m**k
-    total = 0.0
-    alphabet = labeled.labels.alphabet
-    for idx in np.ndindex(*(m,) * k):
-        xs = tuple(labeled.sample.sides[i][idx[i]] for i in range(k))
-        total += loss.fn(xs, H.value(xs), alphabet[int(labeled.labels.codes[idx])])
-    return total / m**k
+    points = grid_columns(labeled.sample.sides)
+    truth = decode_labels(labeled.labels.codes, labeled.labels.alphabet)
+    values = loss.evaluate(points, H.eval_columns(points), truth, truth.shape)
+    return float(values.sum()) / m**k
 
 
 def empirical_loss_nonpartite(
@@ -103,11 +109,9 @@ def empirical_loss_nonpartite(
 ) -> float:
     """Average bundle loss of H over all C(m, k) subsets; 0 when m < k.
 
-    The zero-one bundle loss does not depend on which ordering the order
-    choice picks (a bundle mismatch in any orientation is a mismatch in
-    all of them), so the zero-one path only validates the order choice:
-    it counts the rows of sorted_subsets whose labels differ from H's in
-    some orientation.  Custom losses are evaluated per subset through the bundles.
+    Each subset is read in its ordering under the order choice: its points
+    in that order, and the bundles of H and of the labels at the cells
+    order.cells gives.
     """
     if labeled.mode != NONPARTITE or loss.mode != NONPARTITE:
         raise ValueError("empirical_loss_nonpartite expects nonpartite sample and loss")
@@ -118,32 +122,12 @@ def empirical_loss_nonpartite(
         return 0.0
     if (order.m, order.k) != (m, k):
         raise ValueError("order choice shape does not match the sample")
-    if loss.kind == "zero-one":
-        neq = _hypothesis_codes(H, labeled) != labeled.labels.codes
-        subsets = sorted_subsets(m, k)
-        differs = np.zeros(len(subsets), dtype=bool)
-        for perm in enumerate_permutations(k):
-            differs |= neq[tuple(subsets[:, p] for p in perm)]
-        return int(np.count_nonzero(differs)) / math.comb(m, k)
-    return _empirical_loss_nonpartite_generic(labeled, H, loss, order)
-
-
-def _empirical_loss_nonpartite_generic(
-    labeled: LabeledSample, H: Hypothesis, loss: LossSpec, order: OrderChoice
-) -> float:
-    """Direct per-subset evaluation through orientation bundles."""
-    m, k = labeled.m, labeled.k
-    perms = enumerate_permutations(k)
     pts = labeled.sample.sides[0]
-    truths = bundle_orientations(labeled.labels, order).values()
-    total = 0.0
-    for ordering, truth in zip(order.orders.tolist(), truths):
-        xs = tuple(pts[i] for i in ordering)
-        guess = tuple(
-            H.value(tuple(pts[ordering[p]] for p in perm)) for perm in perms
-        )
-        total += loss.fn(xs, guess, truth)
-    return total / math.comb(m, k)
+    points = [pts[col] for col in order.orders.T]
+    guess = H.label_grid(labeled.sample.axes).ravel()[order.cells]
+    truth = bundle_orientations(labeled.labels, order)
+    values = loss.evaluate(points, guess, truth, truth.shape[1:])
+    return float(values.sum()) / math.comb(m, k)
 
 
 def total_loss_monte_carlo(
@@ -174,35 +158,12 @@ def total_loss_monte_carlo(
     keys = stream_keys(seed, np.arange(k))
     cols = [d.draw(rng.at(key), n_draws) for d, key in zip(itertools.cycle(mu.distributions), keys)]
     if mu.mode == PARTITE:
-        if loss.kind == "zero-one":
-            values = (H.eval_columns(cols) != F.eval_columns(cols)).astype(float)
-        else:
-            values = np.asarray(
-                [
-                    loss.fn(
-                        tuple(c[j] for c in cols),
-                        H.value(tuple(c[j] for c in cols)),
-                        F.value(tuple(c[j] for c in cols)),
-                    )
-                    for j in range(n_draws)
-                ],
-                dtype=float,
-            )
+        guess, truth = H.eval_columns(cols), F.eval_columns(cols)
     else:
-        perms = enumerate_permutations(k)
-        if loss.kind == "zero-one":
-            differs = np.zeros(n_draws, dtype=bool)
-            for perm in perms:
-                oriented = [cols[p] for p in perm]
-                differs |= H.eval_columns(oriented) != F.eval_columns(oriented)
-            values = differs.astype(float)
-        else:
-            values = np.empty(n_draws, dtype=float)
-            for j in range(n_draws):
-                row = tuple(c[j] for c in cols)
-                guess = tuple(H.value(tuple(row[p] for p in perm)) for perm in perms)
-                truth = tuple(F.value(tuple(row[p] for p in perm)) for perm in perms)
-                values[j] = loss.fn(row, guess, truth)
+        oriented = [[cols[p] for p in perm] for perm in enumerate_permutations(k)]
+        guess = np.stack([H.eval_columns(c) for c in oriented])
+        truth = np.stack([F.eval_columns(c) for c in oriented])
+    values = loss.evaluate(cols, guess, truth, (n_draws,))
     estimate = float(values.mean())
     spread = float(values.std(ddof=1)) if n_draws > 1 else 0.0
     half = min(CI99_MULTIPLIER * spread / math.sqrt(n_draws), loss.sup_norm)

@@ -42,8 +42,9 @@ from .indexing import (
     LabeledSample,
     Sample,
     check_cell_budget,
+    grid_columns,
     injective_mask,
-    enumerate_permutations,
+    orientation_cells,
     side_count,
     sorted_subsets,
 )
@@ -405,9 +406,7 @@ class Hypothesis:
         """Labels on the full product grid of the given sides, shape (m1,...,mk)."""
         if len(sides) != self.k:
             raise ValueError(f"expected {self.k} sides, got {len(sides)}")
-        return self.eval_columns([
-            np.asarray(s).reshape(_axis_shape(i, self.k, len(s))) for i, s in enumerate(sides)
-        ])
+        return self.eval_columns(grid_columns(sides))
 
     def describe(self) -> str:
         if self.kind == "rectangle":
@@ -527,12 +526,6 @@ def describe_boxes(ends: np.ndarray) -> list:
     ]
 
 
-def _axis_shape(i: int, k: int, n: int) -> tuple[int, ...]:
-    shape = [1] * k
-    shape[i] = n
-    return tuple(shape)
-
-
 def _support_indices(points: np.ndarray, support: tuple) -> np.ndarray:
     lookup = {v: i for i, v in enumerate(support)}
     try:
@@ -556,6 +549,18 @@ def encode_labels(values: np.ndarray, alphabet: tuple) -> np.ndarray:
     except KeyError as exc:
         raise ValueError(f"label {exc.args[0]!r} not in the alphabet") from exc
     return codes.reshape(np.asarray(values).shape)
+
+
+def decode_labels(codes: np.ndarray, alphabet: tuple) -> np.ndarray:
+    """The label values of int64 codes into the alphabet: encode_labels inverted.
+
+    Under the binary alphabet code i is label i, and the codes are returned
+    as they are.  Any other alphabet decodes through an object array, since
+    np.asarray((2, 'b', 0, 1.5)) would be an array of strings.
+    """
+    if alphabet == BINARY_ALPHABET:
+        return codes
+    return np.fromiter(alphabet, dtype=object, count=len(alphabet))[codes]
 
 
 def label_sample(
@@ -698,13 +703,10 @@ def _subset_label_masks(labeled: LabeledSample):
     its orientations are labeled all positive, all negative, or mixed."""
     subsets = sorted_subsets(labeled.m, labeled.k)
     pos_code = _positive_code(labeled.labels.alphabet)
-    any_pos = np.zeros(len(subsets), dtype=bool)
-    any_neg = np.zeros(len(subsets), dtype=bool)
     # subsets are injective, so no gathered cell holds SENTINEL
-    for perm in enumerate_permutations(labeled.k):
-        pos = labeled.labels.codes[tuple(subsets[:, p] for p in perm)] == pos_code
-        any_pos |= pos
-        any_neg |= ~pos
+    cells = orientation_cells(subsets, labeled.m)
+    pos = labeled.labels.codes.ravel()[cells] == pos_code
+    any_pos, any_neg = pos.any(axis=0), (~pos).any(axis=0)
     return subsets, any_pos & ~any_neg, any_neg & ~any_pos, any_pos & any_neg
 
 

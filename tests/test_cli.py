@@ -172,6 +172,28 @@ def test_non_finite_discrete_measure_exits_2(tmp_path, capsys, command, mode, me
     assert captured.err == f"config error: {reason}\n"
 
 
+@pytest.mark.parametrize(
+    "command", ["validate-scheme", "concentration", "pac", "mpac", "bound-table"]
+)
+def test_overflowing_atom_sums_exit_2_in_nonpartite_mode(tmp_path, capsys, command):
+    # 1e308 + 1e308 is +inf, so a sum threshold could not label such a pair
+    measure = "discrete:1e308@0.5,0.25@0.5"
+    text = PARTITE_TEXT + f"measure = {measure}\nestimator = monte-carlo\n"
+    nonpartite = text.replace("mode = partite", "mode = nonpartite")
+    p = tmp_path / "run.cfg"
+    p.write_text(nonpartite + "scheme_id = sum-threshold\nclass_id = sum-threshold\n")
+    assert dispatch([command, "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: atom 1e+308 overflows in a sum of k = 2 atoms\n"
+    # boxes never add coordinates: the same atoms run in partite mode
+    p.write_text(text)
+    flags = ["--trials", "2"] if command in ("validate-scheme", "concentration", "pac") else []
+    assert dispatch([command, "--config", str(p)] + flags) == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+
+
 @pytest.mark.parametrize("command", ["concentration", "pac"])
 def test_trials_beyond_32_bit_trial_indices_exit_2(cfg_file, capsys, command):
     # a re-measured cell would number trials up to 5 * trials - 1 >= 2**32

@@ -391,22 +391,21 @@ def test_bundle_orientations_example():
     codes[np.diag_indices(3)] = SENTINEL
     t = LabelTensor.from_codes(NONPARTITE, 2, 3, tuple(range(9)), codes)
 
-    # rows follow the subsets (0, 1), (0, 2), (1, 2)
+    # columns follow the subsets (0, 1), (0, 2), (1, 2)
     oc = OrderChoice(3, 2, np.array([[0, 1], [2, 0], [1, 2]]))
     bundles = bundle_orientations(t, oc)
-    assert len(bundles) == math.comb(3, 2)
+    assert bundles.shape == (math.factorial(2), math.comb(3, 2))
     # subset {0, 2} is read in order (2, 0): identity perm gives y[2,0],
     # the swap gives y[0,2]
-    assert bundles[(0, 2)] == (t.value_at((2, 0)), t.value_at((0, 2)))
-    assert bundles[(0, 2)] == (6, 2)
-    assert bundles[(0, 1)] == (1, 3)
+    assert bundles[:, 1].tolist() == [t.value_at((2, 0)), t.value_at((0, 2))]
+    assert bundles[:, 1].tolist() == [6, 2]
+    assert bundles[:, 0].tolist() == [1, 3]
 
 
 def test_bundle_orientations_shape():
     t = make_tensor(NONPARTITE, 3, 5)
     bundles = bundle_orientations(t, canonical_order_choice(5, 3))
-    assert len(bundles) == math.comb(5, 3)
-    assert all(len(v) == math.factorial(3) for v in bundles.values())
+    assert bundles.shape == (math.factorial(3), math.comb(5, 3))
 
 
 def test_bundle_orientations_guards():

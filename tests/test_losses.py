@@ -18,7 +18,6 @@ from kcompress.indexing import (
 from kcompress.losses import (
     CI99_MULTIPLIER,
     LossSpec,
-    _empirical_loss_nonpartite_generic,
     _pair_sum_upper_tail,
     empirical_loss_nonpartite,
     empirical_loss_partite,
@@ -44,13 +43,15 @@ HALF_BOX = Hypothesis.rectangle([(0.0, 0.5), (0.0, 0.5)])
 
 
 def test_zero_one_specs():
+    # two tuples as columns, the first labeled alike and the second not
+    xs = (np.array([0.1, 0.1]), np.array([0.2, 0.2]))
     lp = zero_one_partite()
     assert (lp.mode, lp.kind, lp.sup_norm) == (PARTITE, "zero-one", 1.0)
-    assert lp.fn((0.1, 0.2), 1, 1) == 0.0
-    assert lp.fn((0.1, 0.2), 1, 0) == 1.0
+    assert lp.fn(xs, np.array([1, 1]), np.array([1, 0])).tolist() == [0.0, 1.0]
+    # (k!, n) bundles: column 0 is (1, 0) against (1, 0), column 1 (1, 0) against (1, 1)
     ln = zero_one_nonpartite()
-    assert ln.fn((0.1, 0.2), (1, 0), (1, 0)) == 0.0
-    assert ln.fn((0.1, 0.2), (1, 0), (1, 1)) == 1.0
+    guess, truth = np.array([[1, 1], [0, 0]]), np.array([[1, 1], [0, 1]])
+    assert ln.fn(xs, guess, truth).tolist() == [0.0, 1.0]
     with pytest.raises(ValueError):
         LossSpec(PARTITE, "zero-one", 0.0, lambda *a: 0.0)
 
@@ -77,7 +78,7 @@ def test_empirical_partite_self_consistency():
 
 
 def test_empirical_partite_custom_loss():
-    const_loss = LossSpec(PARTITE, "const", 1.0, lambda xs, g, t: 0.25)
+    const_loss = LossSpec(PARTITE, "const", 1.0, lambda xs, g, t: np.full(g.shape, 0.25))
     x = Sample.partite([[0.1, 0.9], [0.2, 0.8]])
     z = label_sample(Hypothesis.constant(2, 1), x)
     assert empirical_loss_partite(z, HALF_BOX, const_loss) == 0.25
@@ -129,14 +130,14 @@ def test_empirical_nonpartite_order_choice_invariance():
     for j in range(3):
         oc = OrderChoice.random(7, 2, spawn_rng(100, j))
         fast = empirical_loss_nonpartite(z, H, zero_one_nonpartite(), oc)
-        slow = _empirical_loss_nonpartite_generic(z, H, zero_one_nonpartite(), oc)
+        slow = bruteforce_nonpartite(z, H, zero_one_nonpartite(), oc)
         assert fast == ref
         assert slow == ref
 
 
 def test_empirical_nonpartite_custom_bundle_loss():
     # charge 0.5 whenever the identity orientation disagrees, ignore the swap
-    fn = lambda xs, guess, truth: 0.5 if guess[0] != truth[0] else 0.0
+    fn = lambda xs, guess, truth: np.where(guess[0] != truth[0], 0.5, 0.0)
     loss = LossSpec(NONPARTITE, "first-orientation", 0.5, fn)
     x = Sample.nonpartite([0.2, 0.5, 0.9], k=2)
     z = label_sample(Hypothesis.sum_threshold(2, 1.0), x)
@@ -152,6 +153,201 @@ def test_empirical_nonpartite_guards():
         empirical_loss_nonpartite(z, HALF_BOX, zero_one_partite(), canonical_order_choice(2, 2))
     with pytest.raises(ValueError):
         empirical_loss_nonpartite(z, Hypothesis.sum_threshold(2, 1.0), zero_one_nonpartite(), canonical_order_choice(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# the column path against brute force over tuples
+
+
+def _objects(values, shape=(-1,)):
+    """The labels as an object array, each kept as given."""
+    out = np.empty(len(values), dtype=object)
+    out[:] = list(values)
+    return out.reshape(shape)
+
+
+def bruteforce_partite(labeled, H, loss):
+    """Mean loss over itertools.product of index tuples: per tuple, one
+    Hypothesis.value call and one fn call on one-tuple columns."""
+    m, k = labeled.m, labeled.k
+    total = 0.0
+    for idx in itertools.product(range(m), repeat=k):
+        xs = tuple(side[i] for side, i in zip(labeled.sample.sides, idx))
+        guess, truth = _objects([H.value(xs)]), _objects([labeled.labels.value_at(idx)])
+        total += float(loss.fn([np.array([x]) for x in xs], guess, truth)[0])
+    return total / m**k if m else 0.0
+
+
+def bruteforce_nonpartite(labeled, H, loss, order):
+    """Mean bundle loss over itertools.combinations of indices: each subset
+    is read in its ordering under order, and labeled per orientation of
+    itertools.permutations through Hypothesis.value and value_at."""
+    m, k = labeled.m, labeled.k
+    pts = labeled.sample.sides[0]
+    ordering = {tuple(sorted(w)): w for w in order.orders.tolist()}
+    total = 0.0
+    for subset in itertools.combinations(range(m), k):
+        w = ordering[subset]
+        cells = [tuple(w[p] for p in perm) for perm in itertools.permutations(range(k))]
+        guess = _objects([H.value(tuple(pts[i] for i in c)) for c in cells], (-1, 1))
+        truth = _objects([labeled.labels.value_at(c) for c in cells], (-1, 1))
+        total += float(loss.fn([np.array([pts[i]]) for i in w], guess, truth)[0])
+    return total / math.comb(m, k) if m >= k else 0.0
+
+
+def bruteforce_monte_carlo(numpy_stream, mu, F, H, loss, n, seed):
+    """total_loss_monte_carlo draw by draw on numpy's own streams: column i
+    is the stream (seed, i), and each draw is labeled through Hypothesis.value."""
+    k = mu.k
+    dists = itertools.cycle(mu.distributions)
+    cols = [d.draw(numpy_stream(seed, i), n) for i, d in zip(range(k), dists)]
+    values = []
+    for j in range(n):
+        xs = tuple(c[j] for c in cols)
+        if mu.mode == PARTITE:
+            guess, truth = _objects([H.value(xs)]), _objects([F.value(xs)])
+        else:
+            oriented = [tuple(xs[p] for p in perm) for perm in itertools.permutations(range(k))]
+            guess = _objects([H.value(o) for o in oriented], (-1, 1))
+            truth = _objects([F.value(o) for o in oriented], (-1, 1))
+        values.append(float(loss.fn([np.array([x]) for x in xs], guess, truth)[0]))
+    values = np.array(values)
+    spread = float(values.std(ddof=1)) if n > 1 else 0.0
+    return float(values.mean()), min(CI99_MULTIPLIER * spread / math.sqrt(n), loss.sup_norm)
+
+
+# losses that read the points and the order of the coordinates: a partite
+# mismatch costs a mix of the first and last coordinate; a nonpartite one
+# costs half the first point of the ordering when the identity orientation
+# disagrees, plus half the share of disagreeing orientations
+ORDERED_LOSSES = {
+    PARTITE: LossSpec(
+        PARTITE, "ordered", 1.0,
+        lambda xs, guess, truth: np.where(guess != truth, (xs[0] + 2.0 * xs[-1]) / 3.0, 0.0),
+    ),
+    NONPARTITE: LossSpec(
+        NONPARTITE, "ordered", 1.0,
+        lambda xs, guess, truth: 0.5 * np.where(guess[0] != truth[0], xs[0], 0.0)
+        + 0.5 * (guess != truth).astype(float).mean(axis=0),
+    ),
+}
+ZERO_ONE = {PARTITE: zero_one_partite(), NONPARTITE: zero_one_nonpartite()}
+# tied points, and atoms of a discrete measure, in [0, 1]
+TIES = (0.125, 0.25, 0.5, 0.75)
+MIXED_ALPHABET = (2, "b", 0, 1.5)
+
+
+def _table(k, labels, stride, offset):
+    """A table over TIES on every coordinate: cell i (row-major) gets
+    labels[(stride * i + offset) % len(labels)]; asymmetric, so the
+    orientations of a subset differ."""
+    n = len(TIES) ** k
+    return Hypothesis.table(
+        k, [TIES], [labels[(stride * i + offset) % len(labels)] for i in range(n)]
+    )
+
+
+def _hypothesis_pairs(mode, k, alphabet):
+    """(F, H) pairs: family members at tied ends or thresholds and a
+    table under the binary alphabet; tables that agree on every other cell
+    and a constant under the mixed one."""
+    if alphabet == MIXED_ALPHABET:
+        return [(_table(k, alphabet, 3, 0), _table(k, alphabet, 1, 0)),
+                (_table(k, alphabet, 3, 2), Hypothesis.constant(k, "b"))]
+    if mode == PARTITE:
+        F = Hypothesis.rectangle([(0.25, 0.5)] * k)
+        return [(F, Hypothesis.rectangle([(0.125, 0.5)] + [(0.25, 0.75)] * (k - 1))),
+                (F, _table(k, (0, 1), 1, 0)), (F, Hypothesis.empty_rectangle(k))]
+    F = Hypothesis.sum_threshold(k, 0.5 * k)
+    return [(F, Hypothesis.sum_threshold(k, 0.375 * k)), (F, _table(k, (0, 1), 1, 0)),
+            (F, Hypothesis.constant(k, 0))]
+
+
+@pytest.mark.parametrize("alphabet", [(0, 1), MIXED_ALPHABET], ids=["binary", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("mode", [PARTITE, NONPARTITE])
+def test_empirical_losses_equal_bruteforce_over_tuples(mode, k, alphabet):
+    rng = spawn_rng(31, k)
+    for m in range(k + 4):
+        if mode == PARTITE:
+            x = Sample.partite([rng.choice(TIES, m) for _ in range(k)])
+        else:
+            x = Sample.nonpartite(rng.choice(TIES, m), k)
+        for F, H in _hypothesis_pairs(mode, k, alphabet):
+            z = label_sample(F, x, alphabet=alphabet)
+            for loss in (ZERO_ONE[mode], ORDERED_LOSSES[mode]):
+                if mode == PARTITE:
+                    cases = [(empirical_loss_partite(z, H, loss), bruteforce_partite(z, H, loss))]
+                else:
+                    orders = [canonical_order_choice(m, k), OrderChoice.random(m, k, rng)]
+                    cases = [(empirical_loss_nonpartite(z, H, loss, o),
+                              bruteforce_nonpartite(z, H, loss, o)) for o in orders]
+                for got, want in cases:
+                    if loss.kind == "zero-one":
+                        # sums of zeros and ones are exact in any order
+                        assert got.hex() == want.hex()
+                    else:
+                        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("alphabet", [(0, 1), MIXED_ALPHABET], ids=["binary", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("mode", [PARTITE, NONPARTITE])
+def test_monte_carlo_equals_bruteforce_per_draw(mode, k, alphabet, numpy_stream):
+    atoms = FiniteDiscrete(TIES, (0.25,) * len(TIES))
+    mu = ProductMeasure(mode, k, (atoms,) * (k if mode == PARTITE else 1))
+    for F, H in _hypothesis_pairs(mode, k, alphabet):
+        for loss in (ZERO_ONE[mode], ORDERED_LOSSES[mode]):
+            for n, seed in ((1, 0), (2, 5), (9, 2**64 + 3)):
+                got = total_loss_monte_carlo(mu, F, H, loss, n, seed)
+                want = bruteforce_monte_carlo(numpy_stream, mu, F, H, loss, n, seed)
+                # the same per-draw values, so the same mean and spread
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_labels_outside_the_alphabet_count_as_mismatches():
+    # labels are compared as values: a guess the alphabet lacks matches nothing
+    xp = Sample.partite([[0.1, 0.9], [0.2, 0.8]])
+    zp = label_sample(Hypothesis.constant(2, 1), xp)
+    xn = Sample.nonpartite([0.2, 0.5, 0.9], k=2)
+    zn = label_sample(Hypothesis.sum_threshold(2, 1.0), xn)
+    for value in (0.5, "b"):
+        H = Hypothesis.constant(2, value)
+        assert empirical_loss_partite(zp, H, zero_one_partite()) == 1.0
+        oc = canonical_order_choice(3, 2)
+        assert empirical_loss_nonpartite(zn, H, zero_one_nonpartite(), oc) == 1.0
+    # a label equal as a value is a match, whatever its type
+    assert empirical_loss_partite(zp, Hypothesis.constant(2, 1.0), zero_one_partite()) == 0.0
+
+
+def test_no_per_tuple_labeling_remains(monkeypatch):
+    # every loss labels whole columns through eval_columns, also for a custom loss
+    def refuse(self, xs):
+        raise AssertionError("per-tuple Hypothesis.value call")
+
+    monkeypatch.setattr(Hypothesis, "value", refuse)
+    loss = ORDERED_LOSSES[PARTITE]
+    x = Sample.partite([[0.1, 0.9, 0.5], [0.2, 0.8, 0.5]])
+    z = label_sample(UNIT_BOX, x)
+    assert empirical_loss_partite(z, HALF_BOX, loss) > 0.0
+    mu = ProductMeasure.uniform(PARTITE, 2)
+    assert total_loss_monte_carlo(mu, UNIT_BOX, HALF_BOX, loss, 50, seed=1)[0] > 0.0
+    loss = ORDERED_LOSSES[NONPARTITE]
+    F, H = Hypothesis.sum_threshold(2, 1.0), Hypothesis.sum_threshold(2, 1.3)
+    x = Sample.nonpartite([0.2, 0.5, 0.9, 0.7], k=2)
+    z = label_sample(F, x)
+    oc = OrderChoice.random(4, 2, spawn_rng(9))
+    assert empirical_loss_nonpartite(z, H, loss, oc) > 0.0
+    mu = ProductMeasure.uniform(NONPARTITE, 2)
+    assert total_loss_monte_carlo(mu, F, H, loss, 50, seed=1)[0] > 0.0
+
+
+def test_a_loss_of_the_wrong_shape_is_refused():
+    # a scalar would be summed once instead of once per tuple
+    scalar = LossSpec(PARTITE, "scalar", 1.0, lambda xs, guess, truth: 0.25)
+    z = label_sample(Hypothesis.constant(2, 1), Sample.partite([[0.1, 0.9], [0.2, 0.8]]))
+    with pytest.raises(ValueError, match="shape"):
+        empirical_loss_partite(z, HALF_BOX, scalar)
 
 
 # ---------------------------------------------------------------------------
