@@ -28,7 +28,6 @@ from .indexing import (
     enumerate_permutations,
     falling_factorial,
     subsample,
-    tuple_points,
 )
 from .samples import (
     BINARY_ALPHABET,
@@ -80,7 +79,6 @@ from .learner import (
     guarantee_conditions,
     learn,
     m_pac,
-    slack_term,
 )
 from .experiments import (
     ConfigError,

@@ -26,7 +26,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,19 +90,13 @@ def enumerate_permutations(k: int) -> list[tuple[int, ...]]:
     return list(itertools.permutations(range(k)))
 
 
-def check_index_tuple(
-    entries: Sequence[int], k: int, m: int, injective: bool = False
-) -> tuple[int, ...]:
-    """Validate a k-tuple of indices into range(m) and return it as a tuple."""
-    idx = tuple(int(e) for e in entries)
-    if len(idx) != k:
-        raise ValueError(f"index tuple {idx} has length {len(idx)}, expected k={k}")
-    for e in idx:
-        if not 0 <= e < m:
-            raise IndexError(f"index {e} out of range for m={m}")
-    if injective and len(set(idx)) != k:
-        raise ValueError(f"index tuple {idx} is not injective")
-    return idx
+def check_injection(mp: Sequence[int], m: int) -> None:
+    """Check one injection map into range(m): every entry in range, none repeated."""
+    if mp and not (0 <= min(mp) and max(mp) < m):
+        e = next(e for e in mp if not 0 <= e < m)
+        raise IndexError(f"index {int(e)} out of range for m={m}")
+    if len(set(mp)) != len(mp):
+        raise ValueError(f"index tuple {tuple(map(int, mp))} is not injective")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,17 +138,6 @@ class Sample:
         """The point list of each tuple coordinate: the sides (partite), or
         the one ground set k times (nonpartite)."""
         return list(self.sides) if self.mode == PARTITE else [self.sides[0]] * self.k
-
-
-def tuple_points(sample: Sample, idx: Sequence[int]) -> tuple:
-    """Points selected by an index tuple.
-
-    Partite: entry i indexes side i.  Nonpartite: every entry indexes the
-    one ground set and the tuple must be injective.
-    """
-    injective = sample.mode == NONPARTITE
-    t = check_index_tuple(idx, sample.k, sample.m, injective=injective)
-    return tuple(axis[e] for axis, e in zip(sample.axes, t))
 
 
 def grid_columns(sides: Sequence) -> list:
@@ -238,21 +221,6 @@ class LabelTensor:
         arr = np.ascontiguousarray(np.asarray(codes, dtype=np.int64))
         return cls(mode, k, m, tuple(alphabet), arr)
 
-    @property
-    def num_cells(self) -> int:
-        return self.m**self.k
-
-    def code_at(self, idx: Sequence[int]) -> int:
-        t = check_index_tuple(idx, self.k, self.m)
-        return int(self.codes[t])
-
-    def value_at(self, idx: Sequence[int]):
-        """Label value at an index tuple; nonpartite tuples must be injective."""
-        injective = self.mode == NONPARTITE
-        t = check_index_tuple(idx, self.k, self.m, injective=injective)
-        c = int(self.codes[t])
-        return self.alphabet[c]
-
 
 @dataclass(frozen=True, eq=False)
 class LabeledSample:
@@ -302,7 +270,7 @@ class InjectionVector:
         if len(sizes) > 1:
             raise ValueError("injection maps have unequal sizes")
         for mp in self.maps:
-            check_index_tuple(mp, len(mp), self.m, injective=True)
+            check_injection(mp, self.m)
 
     @property
     def size(self) -> int:
@@ -332,7 +300,9 @@ class InjectionVector:
         return cls(mode, m, maps)
 
     def compose(self, inner: "InjectionVector") -> "InjectionVector":
-        """self o inner, sidewise: (self o inner).maps[i][v] = self.maps[i][inner.maps[i][v]]."""
+        """self o inner, sidewise: (self o inner).maps[i][v] = self.maps[i][inner.maps[i][v]].
+        Only the property test that subsampling along self, then inner, is
+        subsampling along self o inner calls it."""
         if inner.mode != self.mode or len(inner.maps) != len(self.maps):
             raise ValueError("injection vectors are not composable")
         if inner.m != self.size:
@@ -475,6 +445,14 @@ def canonical_order_choice(m: int, k: int) -> OrderChoice:
     return OrderChoice.canonical(m, k)
 
 
+@lru_cache(maxsize=MAX_ARITY)
+def _permutation_rows(k: int) -> np.ndarray:
+    """enumerate_permutations(k) as a read-only (k!, k) array, built once per k."""
+    perms = np.array(enumerate_permutations(k), dtype=np.intp)
+    perms.setflags(write=False)
+    return perms
+
+
 def orientation_cells(rows: np.ndarray, m: int) -> np.ndarray:
     """Row-major flat cells of the (m,)*k grid that the orientations of
     each row read, as a (k!, n) array for rows of shape (n, k).
@@ -483,7 +461,7 @@ def orientation_cells(rows: np.ndarray, m: int) -> np.ndarray:
     rows[r] under the j-th permutation pi of enumerate_permutations(k);
     row 0 (the identity) reads each row as it is ordered.
     """
-    perms = np.array(enumerate_permutations(rows.shape[1]), dtype=np.intp)
+    perms = _permutation_rows(rows.shape[1])
     # coords[i] is the (k!, n) array of coordinate i of every orientation
     coords = rows.T[perms.T]
     flat = coords[0]

@@ -34,7 +34,9 @@ from .schemes import SelectionScheme, SizeMap, compress, reconstruct
 
 
 def learn(scheme: SelectionScheme, labeled: LabeledSample) -> Hypothesis:
-    """Compress, then reconstruct: the learner induced by a scheme."""
+    """Compress, then reconstruct: the paper's learner induced by a scheme.
+    Only tests call it: the pac runner takes the two steps itself to keep
+    the header."""
     sub, header = compress(scheme, labeled)
     return reconstruct(scheme, sub, header)
 
@@ -187,12 +189,6 @@ def _bound_terms(inputs: GuaranteeInputs, m: np.ndarray, reported: bool = False)
     return s, h, slack, eff, ok, log_mult, log_single, log_total
 
 
-def slack_term(inputs: GuaranteeInputs, m: int) -> float:
-    """Loss mass on index tuples that touch a removed index:
-    (1 - fraction of surviving tuples) * ||l||."""
-    return azuma_bound(inputs, m).slack
-
-
 def bound_columns(inputs: GuaranteeInputs, ms) -> dict:
     """The BoundBreakdown fields at every sample size of ms, from one
     vectorized pass: one list per field, keyed and ordered as the fields.
@@ -316,7 +312,8 @@ def m_pac(inputs: GuaranteeInputs, scan_limit: int) -> int:
 
 
 def guarantee_conditions(inputs: GuaranteeInputs, m: int) -> tuple[bool, bool]:
-    """(slack condition, total-bound-below-delta condition) at one m."""
+    """The paper's guarantee conditions at one m: (slack condition,
+    total-bound-below-delta condition).  Tests check m_pac's scan by it."""
     bd = azuma_bound(inputs, m)
     return bd.condition_ok, bd.condition_ok and bd.log_total <= math.log(inputs.delta)
 

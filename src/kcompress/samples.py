@@ -361,6 +361,9 @@ class Hypothesis:
         support: one tuple of point values per coordinate (a single tuple
         shared by all coordinates is accepted for nonpartite use).
         labels: row-major tuple of length prod(|support_i|).
+
+        No family draws tables; the loss tests need the only kind that may
+        be asymmetric or label outside {0, 1}.
         """
         sup = tuple(tuple(s) for s in support)
         if len(sup) == 1 and k > 1:
@@ -376,7 +379,8 @@ class Hypothesis:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, xs: Sequence):
-        """Label of one k-tuple of points, as a Python scalar."""
+        """Label of one k-tuple of points, as a Python scalar: h(x) as the
+        paper writes it, which the tests' brute-force loss references call."""
         return np.asarray(self.eval_columns(xs)).item()
 
     def eval_columns(self, cols: Sequence[np.ndarray]) -> np.ndarray:
@@ -600,17 +604,15 @@ def label_sample(
 class HypothesisClass:
     """A family of hypotheses, carrying its maps the way a SelectionScheme does.
 
-    sample_hypothesis(rng) draws one random member; is_member(H) tests a
-    hypothesis of the class's arity; erm(labeled) is exact ERM under the
-    zero-one loss, (realizable, witness or None); fallback is the member
-    a learner returns when no member fits.  The constructors set them.
+    sample_hypothesis(rng) draws one random member; erm(labeled) is exact
+    ERM under the zero-one loss, (realizable, witness or None); fallback
+    is the member a learner returns when no member fits.  The constructors
+    set them.
     """
 
-    class_id: str
     mode: str
     k: int
     sample_hypothesis: Callable[[np.random.Generator], Hypothesis]
-    is_member: Callable[[Hypothesis], bool]
     erm: Callable[[LabeledSample], tuple]
     fallback: Hypothesis
 
@@ -618,12 +620,11 @@ class HypothesisClass:
     def rectangles(cls, k: int) -> "HypothesisClass":
         """Closed axis-aligned boxes in the unit cube, plus the empty box."""
         return cls(
-            "rectangle", PARTITE, k,
+            PARTITE, k,
             # each side's ends are two uniform draws, so degenerate boxes occur
             sample_hypothesis=lambda rng: Hypothesis.rectangle(
                 [sorted(rng.random(2)) for _ in range(k)]
             ),
-            is_member=lambda H: H.kind == "rectangle",
             erm=_box_erm,
             fallback=Hypothesis.empty_rectangle(k),
         )
@@ -632,32 +633,11 @@ class HypothesisClass:
     def sum_thresholds(cls, k: int) -> "HypothesisClass":
         """Nonpartite rules 1[sum of coordinates >= t], plus the constant 0."""
         return cls(
-            "sum-threshold", NONPARTITE, k,
+            NONPARTITE, k,
             sample_hypothesis=lambda rng: Hypothesis.sum_threshold(k, rng.uniform(0.0, float(k))),
-            is_member=lambda H: (
-                H.kind == "sum-threshold" or (H.kind == "constant" and H.const_value == 0)
-            ),
             erm=_threshold_erm,
             fallback=Hypothesis.constant(k, 0),
         )
-
-    @classmethod
-    def table_list(cls, mode: str, k: int, members) -> "HypothesisClass":
-        """An explicit finite list of hypotheses; the first is the fallback."""
-        members = tuple(members)
-        return cls(
-            "table-list", mode, k,
-            sample_hypothesis=lambda rng: members[int(rng.integers(len(members)))],
-            is_member=lambda H: any(H is member for member in members),
-            erm=lambda labeled: next(
-                ((True, H) for H in members if _zero_loss_everywhere(H, labeled)),
-                (False, None),
-            ),
-            fallback=members[0],
-        )
-
-    def contains(self, H: Hypothesis) -> bool:
-        return H.k == self.k and self.is_member(H)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +707,7 @@ def erm_realizability_check(
     inside it.  For sum thresholds it is realizable iff every orientation
     bundle is constant and the minimal positive subset sum exceeds the
     maximal negative one; the witness threshold is the minimal positive
-    sum.  Table lists are checked member by member.
+    sum.
     """
     if getattr(loss, "kind", None) != "zero-one":
         raise ValueError("exact ERM is only implemented for the zero-one loss")
@@ -755,15 +735,6 @@ def _threshold_erm(labeled: LabeledSample) -> tuple[bool, Hypothesis | None]:
     if neg_sets.any() and float(sums[neg_sets].max()) >= min_pos:
         return False, None
     return True, Hypothesis.sum_threshold(k, min_pos)
-
-
-def _zero_loss_everywhere(H: Hypothesis, labeled: LabeledSample) -> bool:
-    """H agrees with every label; sentinel cells (non-injective tuples) carry none."""
-    labeled_cells = labeled.labels.codes != SENTINEL
-    if not labeled_cells.any():
-        return True
-    codes = encode_labels(H.label_grid(labeled.sample.axes), labeled.labels.alphabet)
-    return bool((codes[labeled_cells] == labeled.labels.codes[labeled_cells]).all())
 
 
 # ---------------------------------------------------------------------------

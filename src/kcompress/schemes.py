@@ -332,7 +332,8 @@ def check_approximate_validity(
     derive_seed(seed, i, t, 1), and its j-th random order choice from the
     stream (derive_seed(seed, i, t, 2), j).  The keys of every trial are
     derived up front in one batch, and every stream is drawn through one
-    KeyedGenerator.  fail_fast stops at the first violation.
+    KeyedGenerator.  fail_fast stops at the first violation.  It audits
+    the paper's schemes of non-trivial quality (loss up to eps_m).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -388,7 +389,8 @@ def compression_size_and_bitlength(
     Partite subsamples carry labels on s^k cells, nonpartite ones on the
     injective cells only, so the counts are h * |Y|**(s**k) and
     h * |Y|**falling_factorial(s, k).  Computed in log space; the count
-    overflows to inf rather than erroring.
+    overflows to inf rather than erroring.  The paper's compression size;
+    the bounds need only s and h, so only tests call it.
     """
     if alphabet_size < 1:
         raise ValueError("alphabet size must be >= 1")

@@ -215,8 +215,8 @@ def test_build_class_and_scheme_mode_consistency():
     with pytest.raises(ConfigError, match="scheme_id rectangle requires partite mode"):
         build_all(ExperimentConfig(mode=NONPARTITE, class_id="sum-threshold", m_values=(5,)))
     mu, klass, loss, scheme = build_all(ExperimentConfig())
-    assert scheme.scheme_id == "rectangle" and klass.class_id == "rectangle"
-    assert loss.mode == PARTITE
+    assert scheme.scheme_id == "rectangle" and klass.fallback.kind == "rectangle"
+    assert klass.mode == loss.mode == PARTITE
 
 
 # ---------------------------------------------------------------------------

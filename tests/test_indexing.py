@@ -25,13 +25,12 @@ from kcompress.indexing import (
     Sample,
     bundle_orientations,
     canonical_order_choice,
-    check_index_tuple,
+    check_injection,
     enumerate_permutations,
     falling_factorial,
     injective_mask,
     sorted_subsets,
     subsample,
-    tuple_points,
 )
 
 
@@ -89,18 +88,18 @@ def test_enumerate_permutations_arity_guard():
 
 
 def test_check_index_tuple():
-    assert check_index_tuple([1, 0], 2, 3) == (1, 0)
-    with pytest.raises(ValueError):
-        check_index_tuple([1], 2, 3)
-    with pytest.raises(IndexError):
-        check_index_tuple([1, 3], 2, 3)
-    with pytest.raises(ValueError):
-        check_index_tuple([1, 1], 2, 3, injective=True)
-    assert check_index_tuple([1, 1], 2, 3, injective=False) == (1, 1)
+    check_injection((1, 0), 3)
+    check_injection((), 3)
+    with pytest.raises(IndexError, match=r"^index 3 out of range for m=3$"):
+        check_injection((1, 3), 3)
+    with pytest.raises(IndexError, match=r"^index -1 out of range for m=3$"):
+        check_injection((0, -1, 3), 3)
+    with pytest.raises(ValueError, match=r"^index tuple \(1, 1\) is not injective$"):
+        check_injection((1, 1), 3)
 
 
 # ---------------------------------------------------------------------------
-# samples and point selection
+# samples
 
 
 def test_sample_constructors():
@@ -121,19 +120,6 @@ def test_sample_validation():
         Sample("weird", 1, (np.array([0.1]),))
     with pytest.raises(ValueError):
         Sample.nonpartite([0.1], k=MAX_ARITY + 1)
-
-
-def test_tuple_points_partite():
-    sp = Sample.partite([[10, 11, 12], [20, 21, 22]])
-    assert tuple_points(sp, (2, 0)) == (12, 20)
-    assert tuple_points(sp, (1, 1)) == (11, 21)
-
-
-def test_tuple_points_nonpartite_requires_injective():
-    sn = Sample.nonpartite([10, 11, 12], k=2)
-    assert tuple_points(sn, (2, 0)) == (12, 10)
-    with pytest.raises(ValueError):
-        tuple_points(sn, (1, 1))
 
 
 @pytest.mark.parametrize("m,k", [(3, 2), (4, 2), (4, 3), (5, 1), (2, 3)])
@@ -207,9 +193,9 @@ def test_mask_budget():
 def test_label_tensor_partite_roundtrip():
     codes = np.arange(9).reshape(3, 3)
     t = LabelTensor.from_codes(PARTITE, 2, 3, tuple(range(9)), codes)
-    assert t.num_cells == 9
-    assert t.code_at((2, 0)) == 6
-    assert t.value_at((2, 0)) == 6
+    assert t.codes.size == 9
+    assert t.codes[2, 0] == 6
+    assert t.alphabet[t.codes[2, 0]] == 6
 
 
 def test_label_tensor_rejects_bad_codes():
@@ -224,10 +210,8 @@ def test_label_tensor_sentinel_enforced():
         LabelTensor.from_codes(NONPARTITE, 2, 3, (0, 1), codes)
     codes[np.diag_indices(3)] = SENTINEL
     t = LabelTensor.from_codes(NONPARTITE, 2, 3, (0, 1), codes)
-    assert t.code_at((1, 1)) == SENTINEL
-    with pytest.raises(ValueError):
-        t.value_at((1, 1))
-    assert t.value_at((0, 1)) == 0
+    assert t.codes[1, 1] == SENTINEL
+    assert t.alphabet[t.codes[0, 1]] == 0
 
 
 def test_label_tensor_budget():
@@ -294,7 +278,7 @@ def test_subsample_partite_example():
     inj = InjectionVector(PARTITE, 3, ((2, 0), (2, 0)))
     sub = subsample(t, inj)
     assert sub.m == 2
-    assert sub.code_at((0, 1)) == t.code_at((2, 0))
+    assert sub.codes[0, 1] == t.codes[2, 0]
     expected = np.array([[8, 6], [2, 0]])
     assert np.array_equal(sub.codes, expected)
 
@@ -307,16 +291,16 @@ def test_subsample_labeled_sample():
     sub = subsample(z, inj)
     assert np.allclose(sub.sample.sides[0], [11.0, 12.0])
     assert np.allclose(sub.sample.sides[1], [20.0, 22.0])
-    assert sub.labels.code_at((0, 1)) == t.code_at((1, 2))
+    assert sub.labels.codes[0, 1] == t.codes[1, 2]
 
 
 def test_subsample_nonpartite_keeps_sentinels():
     t = make_tensor(NONPARTITE, 2, 4)
     inj = InjectionVector(NONPARTITE, 4, ((3, 1),))
     sub = subsample(t, inj)
-    assert sub.code_at((0, 0)) == SENTINEL
-    assert sub.code_at((0, 1)) == t.code_at((3, 1))
-    assert sub.code_at((1, 0)) == t.code_at((1, 3))
+    assert sub.codes[0, 0] == SENTINEL
+    assert sub.codes[0, 1] == t.codes[3, 1]
+    assert sub.codes[1, 0] == t.codes[1, 3]
 
 
 def test_subsample_mode_mismatch():
@@ -397,7 +381,7 @@ def test_bundle_orientations_example():
     assert bundles.shape == (math.factorial(2), math.comb(3, 2))
     # subset {0, 2} is read in order (2, 0): identity perm gives y[2,0],
     # the swap gives y[0,2]
-    assert bundles[:, 1].tolist() == [t.value_at((2, 0)), t.value_at((0, 2))]
+    assert bundles[:, 1].tolist() == [t.alphabet[t.codes[2, 0]], t.alphabet[t.codes[0, 2]]]
     assert bundles[:, 1].tolist() == [6, 2]
     assert bundles[:, 0].tolist() == [1, 3]
 

@@ -34,7 +34,6 @@ from kcompress.learner import (
     guarantee_conditions,
     learn,
     m_pac,
-    slack_term,
 )
 from kcompress.losses import empirical_loss_partite, zero_one_nonpartite, zero_one_partite
 from kcompress.samples import Hypothesis, HypothesisClass, draw_sample, label_sample, spawn_rng
@@ -176,12 +175,12 @@ def test_azuma_argument_checks():
 
 def test_slack_term_values():
     gi = inputs_const(PARTITE, 2, 2, 2, 0.1, 0.1)
-    assert slack_term(gi, 1000) == pytest.approx(1.0 - (998 / 1000) ** 2)
+    assert azuma_bound(gi, 1000).slack == pytest.approx(1.0 - (998 / 1000) ** 2)
     gin = inputs_const(NONPARTITE, 2, 2, 2, 0.1, 0.1)
-    assert slack_term(gin, 1000) == pytest.approx(1.0 - (998 * 997) / (1000 * 999))
+    assert azuma_bound(gin, 1000).slack == pytest.approx(1.0 - (998 * 997) / (1000 * 999))
     half = inputs_const(PARTITE, 2, 2, 2, 0.1, 0.1, sup_norm=0.5)
-    assert slack_term(half, 1000) == pytest.approx(0.5 * (1.0 - (998 / 1000) ** 2))
-    assert slack_term(gin, 1) == 1.0  # m < k
+    assert azuma_bound(half, 1000).slack == pytest.approx(0.5 * (1.0 - (998 / 1000) ** 2))
+    assert azuma_bound(gin, 1).slack == 1.0  # m < k
 
 
 def test_bound_monotone_in_m_once_decaying():

@@ -170,10 +170,11 @@ def bruteforce_partite(labeled, H, loss):
     """Mean loss over itertools.product of index tuples: per tuple, one
     Hypothesis.value call and one fn call on one-tuple columns."""
     m, k = labeled.m, labeled.k
+    t = labeled.labels
     total = 0.0
     for idx in itertools.product(range(m), repeat=k):
         xs = tuple(side[i] for side, i in zip(labeled.sample.sides, idx))
-        guess, truth = _objects([H.value(xs)]), _objects([labeled.labels.value_at(idx)])
+        guess, truth = _objects([H.value(xs)]), _objects([t.alphabet[t.codes[idx]]])
         total += float(loss.fn([np.array([x]) for x in xs], guess, truth)[0])
     return total / m**k if m else 0.0
 
@@ -181,8 +182,9 @@ def bruteforce_partite(labeled, H, loss):
 def bruteforce_nonpartite(labeled, H, loss, order):
     """Mean bundle loss over itertools.combinations of indices: each subset
     is read in its ordering under order, and labeled per orientation of
-    itertools.permutations through Hypothesis.value and value_at."""
+    itertools.permutations through Hypothesis.value and the label codes."""
     m, k = labeled.m, labeled.k
+    t = labeled.labels
     pts = labeled.sample.sides[0]
     ordering = {tuple(sorted(w)): w for w in order.orders.tolist()}
     total = 0.0
@@ -190,7 +192,7 @@ def bruteforce_nonpartite(labeled, H, loss, order):
         w = ordering[subset]
         cells = [tuple(w[p] for p in perm) for perm in itertools.permutations(range(k))]
         guess = _objects([H.value(tuple(pts[i] for i in c)) for c in cells], (-1, 1))
-        truth = _objects([labeled.labels.value_at(c) for c in cells], (-1, 1))
+        truth = _objects([t.alphabet[t.codes[c]] for c in cells], (-1, 1))
         total += float(loss.fn([np.array([pts[i]]) for i in w], guess, truth)[0])
     return total / math.comb(m, k) if m >= k else 0.0
 
