@@ -20,11 +20,22 @@ points.  Pair counts and the extreme pair sums around a threshold are read
 off those boundaries, so they match the grid semantics of the dense path
 in exact float arithmetic, ties and sums landing on the threshold
 included.  Every boundary guessed from a rounded difference is checked,
-and a row whose guess fails is fixed up exactly (_row_boundaries).
+and a row whose guess fails is fixed up exactly (_row_boundaries, the one
+boundary search).
+
+Sorted points live in NaN-padded rows (_padded_sorted), and the searches
+read partners through take(out=) into a float scratch of the row's size,
+so the m-length temporaries of a call are a few buffers reused in place.
+The PAC threshold kernel holds one padded row, one float scratch and one
+boundary array, moved in place from t_f to t_h.  This matters beyond the
+copying: glibc serves each array of 128 KiB or more (16384 floats) from a
+fresh mmap until a large free raises its dynamic threshold, and every
+fresh mapping faults its pages in again.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Sequence
 
@@ -55,48 +66,65 @@ def _rect_xor_count(fmasks, hmasks) -> int:
     return cf + ch - 2 * cfh
 
 
-def _row_boundaries(xs: np.ndarray, t: float, start: np.ndarray | None = None) -> np.ndarray:
-    """p[i] = #{j : float(xs[i] + xs[j]) < t} for sorted xs (j == i included).
+def _row_boundaries(
+    ends: np.ndarray, t: float, f: np.ndarray, p: np.ndarray | None = None
+) -> np.ndarray:
+    """p[i] = #{j : float(xs[i] + xs[j]) < t} for the sorted row xs = ends[1:-1]
+    of _padded_sorted (j == i included), with f a float scratch of xs's size.
 
     Rounded addition is monotone, so row i's qualifying partners are the
-    prefix xs[:p[i]].  The guess (searchsorted on t - xs, or start) is
-    off only where t - xs[i] rounds.  Rows whose last partner is not
-    below t move down, then rows whose first non-partner is below t move
-    up, each step past the whole run of values equal to the offending
-    partner, until xs[i] + xs[p - 1] < t <= xs[i] + xs[p] on every row.
+    prefix xs[:p[i]].  The guess p (searchsorted on t - xs when None) is
+    fixed in place; it is off only where t - xs[i] rounds.  Rows whose last
+    partner is not below t move down, then rows whose first non-partner is
+    below t move up, each step past the whole run of values equal to the
+    offending partner, until xs[i] + xs[p - 1] < t <= xs[i] + xs[p] on
+    every row.  ends[p] = xs[p - 1] and ends[p + 1] = xs[p]; the NaN ends
+    compare false, so p = 0 never moves down and p = m never moves up.
     """
-    p = np.searchsorted(xs, t - xs) if start is None else start.copy()
-    # ends[j + 1] = xs[j]; the NaN ends compare false, so p = 0 never
-    # moves down and p = m never moves up
-    ends = np.concatenate(([math.nan], xs, [math.nan]))
-    rows = np.flatnonzero(xs + ends[p] >= t)
+    xs = ends[1:-1]
+    if p is None:
+        p = xs.searchsorted(np.subtract(t, xs, out=f))
+    rows = np.flatnonzero(np.add(xs, ends.take(p, out=f, mode="clip"), out=f) >= t)
     while len(rows):
         p[rows] = np.searchsorted(xs, ends[p[rows]], side="left")
         rows = rows[xs[rows] + ends[p[rows]] >= t]
-    rows = np.flatnonzero(xs + ends[p + 1] < t)
+    rows = np.flatnonzero(np.add(xs, ends[1:].take(p, out=f, mode="clip"), out=f) < t)
     while len(rows):
         p[rows] = np.searchsorted(xs, ends[p[rows] + 1], side="right")
         rows = rows[xs[rows] + ends[p[rows] + 1] < t]
     return p
 
 
-def _below_count(xs: np.ndarray, t: float, p: np.ndarray) -> int:
-    """#{(i, j): i != j, float(xs[i] + xs[j]) < t} from the row boundaries p at t."""
-    return int(p.sum()) - int(np.count_nonzero(xs + xs < t))
+def _below_count(ends: np.ndarray, t: float, p: np.ndarray, f: np.ndarray) -> int:
+    """#{(i, j): i != j, float(xs[i] + xs[j]) < t} from the row boundaries p
+    at t of the sorted row xs = ends[1:-1], with f a float scratch."""
+    xs = ends[1:-1]
+    return int(p.sum()) - int(np.count_nonzero(np.add(xs, xs, out=f) < t))
 
 
-def _boundary_extremes(xs: np.ndarray, p: np.ndarray):
-    """(min pair sum >= t, max pair sum < t) over i != j from the row boundaries
-    p at t, each None when no such pair.  Row i's candidates are its first
-    partner at or above the boundary and its last below it, skipping j == i."""
-    idx = np.arange(len(xs))
-    # ends[j + 1] = xs[j]; the -inf/+inf ends stand for "no partner"
-    ends = np.concatenate(([-math.inf], xs, [math.inf]))
-    up = p + (p == idx)
-    down = p - 1
-    down -= down == idx
-    min_pos = float((xs + ends[up + 1]).min(initial=math.inf))
-    max_neg = float((xs + ends[down + 1]).max(initial=-math.inf))
+def _self_row(p: np.ndarray, d: int) -> int | None:
+    """The row i with p[i] == i + d, or None.  p falls along the rows while
+    i rises, so p[i] - i strictly falls and at most one row has it."""
+    i = bisect.bisect_left(range(len(p)), -d, key=lambda i: i - p[i])
+    return i if i < len(p) and p[i] == i + d else None
+
+
+def _boundary_extremes(ends: np.ndarray, p: np.ndarray, f: np.ndarray):
+    """(min pair sum >= t, max pair sum < t) over i != j from the row
+    boundaries p at t of the sorted row xs = ends[1:-1], with f a float
+    scratch; each None when no such pair.  Row i's candidates are its first
+    partner at or above the boundary, xs[p] = ends[p + 1], and its last
+    below it, xs[p - 1] = ends[p]; on the one row where either is j == i it
+    moves a step further.  A NaN end stands for "no partner"."""
+    xs = ends[1:-1]
+    np.add(xs, ends[1:].take(p, out=f, mode="clip"), out=f)
+    if (i := _self_row(p, 0)) is not None:
+        f[i] = xs[i] + ends[i + 2]
+    min_pos = float(np.fmin.reduce(f, initial=math.inf))
+    np.add(xs, ends.take(p, out=f, mode="clip"), out=f)
+    if (i := _self_row(p, 1)) is not None:
+        f[i] = xs[i] + ends[i]
+    max_neg = float(np.fmax.reduce(f, initial=-math.inf))
     return (
         None if min_pos == math.inf else min_pos,
         None if max_neg == -math.inf else max_neg,
@@ -175,7 +203,7 @@ def _block_pairs_below(ends: np.ndarray, t: np.ndarray) -> np.ndarray:
     wrong |= sums < t
     p -= offsets
     for b in np.flatnonzero(wrong.any(axis=1)):
-        p[b] = _row_boundaries(xs[b], t[b, 0], start=p[b])
+        _row_boundaries(ends[b], t[b, 0], sums[b], p[b])
     return p.sum(axis=1) - np.count_nonzero(np.add(xs, xs, out=sums) < t, axis=1)
 
 
@@ -208,16 +236,18 @@ def box_pac(k, F, m, x):
 
 
 def threshold_pac(k, F, m, x):
-    xs = np.sort(x.sides[0])
+    ends = _padded_sorted(x.sides[0][None])[0]
+    f = np.empty(m)
     t_f = threshold_of(F)
-    p_f = _row_boundaries(xs, t_f)
-    min_pos, max_neg = _boundary_extremes(xs, p_f)
+    p = _row_boundaries(ends, t_f, f)
+    min_pos, max_neg = _boundary_extremes(ends, p, f)
+    below_f = _below_count(ends, t_f, p, f)
     # with no positive pair, H is the constant 0, whose threshold is +inf
     t_h = math.inf if min_pos is None else min_pos
     # no pair of distinct points sums into [t_f, t_h), so the boundaries at
     # t_h are those at t_f moved past at most one self-sum per row
-    p_h = _row_boundaries(xs, t_h, start=p_f)
-    count = (_below_count(xs, t_h, p_h) - _below_count(xs, t_f, p_f)) // 2
+    _row_boundaries(ends, t_h, f, p)
+    count = (_below_count(ends, t_h, p, f) - below_f) // 2
     emp = count / math.comb(m, k)
     realizable = min_pos is None or max_neg is None or max_neg < min_pos
     return threshold_hypothesis(k, t_h), 1 if min_pos is not None else 2, emp, realizable

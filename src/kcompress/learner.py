@@ -13,10 +13,11 @@ down, stopping below the last m where a condition fails (a failed scan
 evaluates the whole window for its diagnostics), and every reported
 breakdown comes from the same function through bound_columns, which
 bound-table reads by column and azuma_bound by row.  Reported rows take
-three steps per element in Python instead of NumPy: the partite ratio
-((m - s)/m)**k with float power, log h with math.log, and the
-exponentials with math.exp; NumPy's power, log and exp miss these in the
-last bit on some inputs.  The scan keeps NumPy's arithmetic.
+four steps per element in Python instead of NumPy: the partite ratio
+((m - s)/m)**k with float power, log h and the logs inside _lgam with
+math.log, and the exponentials with math.exp; NumPy's power, log and exp
+miss these in the last bit on some inputs.  The scan keeps NumPy's
+arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .indexing import MODES, PARTITE, LabeledSample, side_count
 from .losses import LossSpec
@@ -132,7 +132,62 @@ def _safe_exp(x: float) -> float:
 
 def _each(f, x: np.ndarray) -> np.ndarray:
     """f applied to every element of x as a Python float."""
-    return np.array([f(v) for v in x.tolist()], dtype=np.float64)
+    return np.fromiter(map(f, x.tolist()), np.float64, len(x))
+
+
+# cephes lgam (Moshier, "Methods and Programs for Mathematical Functions",
+# 1989) at integer-valued x: log sqrt(2 pi), the correction polynomial
+# below x = 1000, the three-term series from 1000 on, and lgam(n) =
+# log (n - 1)! for n < 13 as the product cephes multiplies out (index 0
+# stands for every x below 1: +inf)
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+    -2.77777777730099687205e-3, 8.33333333333331927722e-2,
+)
+_LGAM_SERIES = (
+    7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333,
+)
+_LGAM_BELOW_13 = np.array([math.inf] + [math.log(math.factorial(n)) for n in range(12)])
+
+
+def _polevl(p: np.ndarray, coefs, out: np.ndarray) -> np.ndarray:
+    """cephes polevl: the polynomial coefs[0] p**n + ... + coefs[n] by
+    Horner's rule, written into out (not p)."""
+    np.multiply(p, coefs[0], out=out)
+    out += coefs[1]
+    for a in coefs[2:]:
+        out *= p
+        out += a
+    return out
+
+
+def _lgam(x: np.ndarray, reported: bool, scratch: np.ndarray) -> np.ndarray:
+    """log Gamma(x) at the integer-valued float array x, in place, step by
+    step as cephes lgam takes it: (x - 1/2) log x - x + log sqrt(2 pi) plus
+    a correction in 1/x**2, or the table below 13.  Entries below 1 give
+    +inf.  scratch is three float arrays of x's shape.  The log is math.log
+    per element when reported, which gives cephes's (gammaln's) bits
+    exactly, and np.log otherwise, within 2 ulp of them."""
+    q, p, c = scratch
+    if reported:
+        q[...] = _each(math.log, x)
+    else:
+        np.log(x, out=q)
+    q *= np.subtract(x, 0.5, out=p)
+    q -= x
+    q += _LS2PI
+    np.divide(1.0, np.multiply(x, x, out=p), out=p)
+    _polevl(p, _LGAM_SERIES, c)
+    below = np.flatnonzero(x < 1000.0)
+    c[below] = _polevl(pb := p[below], _LGAM_A, np.empty_like(pb))
+    c /= x
+    c[x > 1e8] = 0.0
+    small = np.flatnonzero(x < 13.0)
+    table = _LGAM_BELOW_13[np.clip(x[small], 0, 12).astype(np.intp)]
+    np.add(q, c, out=x)
+    x[small] = table
+    return x
 
 
 def _bound_terms(inputs: GuaranteeInputs, m: np.ndarray, reported: bool = False):
@@ -159,13 +214,24 @@ def _bound_terms(inputs: GuaranteeInputs, m: np.ndarray, reported: bool = False)
     k = inputs.k
     rest = m - s
     with np.errstate(divide="ignore", invalid="ignore"):
+        # in place where that keeps the bits, in one scratch block: a scan
+        # window holds up to a million sample sizes, and each new array of
+        # that size is fresh memory to fault in
+        scratch = np.empty((3, *m.shape))
         if inputs.mode == PARTITE:
-            ratio = _each(lambda b: b**k, rest / m) if reported else (rest / m) ** k
+            ratio = rest / m
+            if reported:
+                ratio = _each(lambda b: b**k, ratio)
+            else:
+                ratio **= k
         else:
             # fraction of k-subsets of distinct indices avoiding the s removed
             ratio = np.ones_like(m)
+            num, den = scratch[:2]
             for j in range(k):
-                ratio *= np.maximum(rest - j, 0.0) / (m - j)
+                np.maximum(np.subtract(rest, j, out=num), 0.0, out=num)
+                num /= np.subtract(m, j, out=den)
+                ratio *= num
             # a sample smaller than the arity carries no tuple at all
             ratio[m < k] = 0.0
             ok &= m >= k
@@ -173,15 +239,19 @@ def _bound_terms(inputs: GuaranteeInputs, m: np.ndarray, reported: bool = False)
         slack *= inputs.sup_norm
         eff = inputs.epsilon - slack
         ok &= eff > 0
-        log_single = -(eff * eff) * rest / inputs.denominator
+        # -(eff**2) (m - s) / denominator; rounding is symmetric in sign
+        log_single = np.multiply(eff, eff)
+        log_single *= rest
+        log_single /= -inputs.denominator
         log_single[~ok] = 0.0
-        # log (m)_s = gammaln(m + 1) - gammaln(m - s + 1), in place: a scan
-        # window holds up to a million sample sizes
-        log_mult = m + 1
-        gammaln(log_mult, out=log_mult)
+        # log (m)_s = lgam(m + 1) - lgam(m - s + 1) with cephes lgam, the
+        # gammaln every pinned bound byte was computed with: the port keeps
+        # those bytes, its cancellation at large m included (an exact log
+        # falling factorial would move them)
+        log_mult = _lgam(m + 1, reported, scratch)
         rest += 1
-        log_mult -= gammaln(rest, out=rest)
-        del rest
+        log_mult -= _lgam(rest, reported, scratch)
+        del rest, scratch
         log_mult *= inputs.sides
         log_mult += _each(math.log, h) if reported else np.log(h)
         log_total = log_mult + log_single

@@ -329,12 +329,25 @@ def test_pairs_in_range_matches_bruteforce(data):
 def test_extreme_pair_sums_match_bruteforce(data):
     xs = data.draw(sorted_points())
     t = data.draw(thresholds(xs))
-    assert _boundary_extremes(xs, _row_boundaries(xs, t)) == brute_extremes(xs, t)
+    ends, f = padded_row(xs)
+    assert _boundary_extremes(ends, _row_boundaries(ends, t, f), f) == brute_extremes(xs, t)
 
 
 def test_extreme_pair_sums_tiny():
-    xs = np.array([0.5])
-    assert _boundary_extremes(xs, _row_boundaries(xs, 1.0)) == (None, None)
+    ends, f = padded_row(np.array([0.5]))
+    assert _boundary_extremes(ends, _row_boundaries(ends, 1.0, f), f) == (None, None)
+
+
+def padded_row(xs):
+    """The sorted points xs as the NaN-padded row the boundary search reads,
+    and a float scratch of their size."""
+    return _padded_sorted(xs[None])[0], np.empty(len(xs))
+
+
+def row_boundaries(xs, t):
+    """_row_boundaries of the sorted points xs from the cold guess."""
+    ends, f = padded_row(xs)
+    return _row_boundaries(ends, t, f)
 
 
 def brute_row_boundaries(xs, t):
@@ -373,10 +386,10 @@ def test_row_boundaries_fix_wrong_guesses():
     t = 0.1 + 0.2
     # the plain guess is wrong on the last two rows; the fix must correct them
     assert np.searchsorted(xs, t - xs).tolist() == [5, 5, 5, 5, 4]
-    assert _row_boundaries(xs, t).tolist() == [5, 5, 5, 4, 3]
-    assert _row_boundaries(xs, math.inf).tolist() == [5] * 5
-    assert _row_boundaries(xs, -math.inf).tolist() == [0] * 5
-    assert _row_boundaries(np.zeros(0), 1.0).tolist() == []
+    assert row_boundaries(xs, t).tolist() == [5, 5, 5, 4, 3]
+    assert row_boundaries(xs, math.inf).tolist() == [5] * 5
+    assert row_boundaries(xs, -math.inf).tolist() == [0] * 5
+    assert row_boundaries(np.zeros(0), 1.0).tolist() == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -384,10 +397,11 @@ def test_row_boundaries_fix_wrong_guesses():
 def test_row_boundaries_match_bruteforce(data):
     xs = data.draw(adversarial_points())
     t = data.draw(boundary_thresholds(xs))
-    p = _row_boundaries(xs, t)
+    ends, f = padded_row(xs)
+    p = _row_boundaries(ends, t, f)
     assert np.array_equal(p, brute_row_boundaries(xs, t))
-    assert _below_count(xs, t, p) == brute_ordered_below(xs, t)
-    assert _boundary_extremes(xs, p) == brute_extremes(xs, t)
+    assert _below_count(ends, t, p, f) == brute_ordered_below(xs, t)
+    assert _boundary_extremes(ends, p, f) == brute_extremes(xs, t)
     # the block count's guesses go wrong here, so its fix-ups run
     assert _block_pairs_below(_padded_sorted(xs[None]), np.array([t])).tolist() == [
         brute_ordered_below(xs, t)
@@ -401,8 +415,9 @@ def test_row_boundaries_warm_start_equals_cold(data):
     a = data.draw(boundary_thresholds(xs))
     b = data.draw(st.one_of(boundary_thresholds(xs), st.just(math.inf)))
     lo, hi = min(a, b), max(a, b)
-    warm = _row_boundaries(xs, hi, start=_row_boundaries(xs, lo))
-    assert np.array_equal(warm, _row_boundaries(xs, hi))
+    ends, f = padded_row(xs)
+    warm = _row_boundaries(ends, hi, f, _row_boundaries(ends, lo, f))
+    assert np.array_equal(warm, row_boundaries(xs, hi))
     assert np.array_equal(warm, brute_row_boundaries(xs, hi))
 
 
@@ -599,6 +614,31 @@ def test_fast_kernels_equal_generic_on_ties(cfg, data):
     for eta in (1, 2):
         args = (cfg, mu, loss, scheme, F, sigma, eta, "fixed", m, 0, x, None)
         assert concentration_trial(*args, "fast") == concentration_trial(*args, "generic")
+
+
+@pytest.mark.parametrize("m", [200, 1000])
+@pytest.mark.parametrize("atoms", [_TIE_ATOMS, _ADVERSARIAL_ATOMS], ids=["ties", "adversarial"])
+def test_threshold_pac_equals_generic_on_large_tied_samples(m, atoms):
+    # long runs of tied points around one point whose value occurs once, so
+    # a self-sum is no pair sum; thresholds sit on pair sums, on that
+    # self-sum, or on their float neighbours
+    cfg = NONPARTITE_CFG
+    mu, klass, loss, scheme = build_all(cfg)
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        once, *pool = rng.choice(atoms, size=4, replace=False)
+        points = rng.choice(pool, size=m)
+        i, j = rng.integers(m, size=2)
+        points[i] = once
+        x = Sample.nonpartite(points.tolist(), 2)
+        for s in {points[i] + points[i], points[i] + points[j], points[j] + points[j - 1]}:
+            for t in (s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)):
+                F = Hypothesis.sum_threshold(2, float(t))
+                fast, generic = (
+                    _pac_trial(cfg, mu, klass, loss, scheme, m, 0, F, x, None, engine)
+                    for engine in ("fast", "generic")
+                )
+                assert fast == generic
 
 
 @st.composite

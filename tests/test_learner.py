@@ -3,13 +3,19 @@
 High-precision oracle values come from an independent mpmath
 reimplementation of the closed-form bound; the guaranteed-size scan is
 cross-checked against a pure-python scalar rewrite using math.lgamma
-instead of scipy's gammaln.
+instead of the package's port of cephes lgam.  scipy.special.gammaln,
+whose algorithm that port is, serves as its oracle, bit for bit.
 """
 
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import kcompress
 import mpmath
 import numpy as np
 import pytest
@@ -375,6 +381,69 @@ def scalar_m_pac(mode, k, sup, eps, delta, s_of, h_of, limit):
             break
         m0 = i + 1
     return m0
+
+
+def lgam(x, reported):
+    """learner._lgam on a copy of x, with its scratch."""
+    x = np.array(x, dtype=np.float64)
+    return learner._lgam(x, reported, np.empty((3, *x.shape)))
+
+
+def _hex(a):
+    return list(map(float.hex, a.tolist()))
+
+
+def test_log_falling_factorial_has_gammalns_bits():
+    # log (m)_s as _bound_terms takes it on the reported path, against
+    # gammaln(m + 1) - gammaln(m - s + 1), at every m up to 200000
+    from scipy.special import gammaln
+
+    m = np.arange(1, 200001, dtype=np.float64)
+    for s in (0, 1, 2, 8, "m"):
+        ms = m if s == "m" else m[m >= s]
+        rest = ms - (ms if s == "m" else s)
+        got = lgam(ms + 1, True) - lgam(rest + 1, True)
+        assert _hex(got) == _hex(gammaln(ms + 1) - gammaln(rest + 1)), s
+
+
+def _lgam_points():
+    rng = np.random.default_rng(20261019)
+    edges = [1.0, 2.0, 12.0, 13.0, 999.0, 1000.0, 1e8, 1e8 + 1, 2.0**53]
+    uniform = rng.integers(1, 2**53, size=100000, endpoint=True).astype(np.float64)
+    # log-uniform, so every branch and magnitude below 2**53 is drawn
+    spread = np.floor(np.exp2(rng.random(100000) * 53))
+    return np.concatenate((edges, uniform, spread))
+
+
+def test_lgam_has_gammalns_bits_at_branch_edges_and_random_points():
+    from scipy.special import gammaln
+
+    x = _lgam_points()
+    assert _hex(lgam(x, True)) == _hex(gammaln(x))
+
+
+def test_scan_lgam_within_two_ulp_of_gammaln():
+    from scipy.special import gammaln
+
+    x = _lgam_points()
+    want = gammaln(x)
+    assert (np.abs(lgam(x, False) - want) <= 2 * np.spacing(want)).all()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below_one = lgam([0.0, -1.0, -7.0], False)
+    assert below_one.tolist() == [math.inf] * 3
+
+
+def test_package_import_loads_no_scipy():
+    code = (
+        "import sys, kcompress, kcompress.cli\n"
+        "print(sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.')))"
+    )
+    src = str(Path(kcompress.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_m_pac_golden_rectangle():
