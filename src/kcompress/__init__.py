@@ -50,6 +50,7 @@ from .losses import (
     LossSpec,
     empirical_loss_nonpartite,
     empirical_loss_partite,
+    empirical_losses_nonpartite,
     total_loss_exact_rectangles,
     total_loss_exact_sum_threshold,
     total_loss_monte_carlo,

@@ -26,7 +26,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -360,6 +360,44 @@ def subsample(obj, inj: InjectionVector):
     return _subsample_labels(obj, inj)
 
 
+@lru_cache(maxsize=None)
+def _merge_exchange(n: int) -> tuple:
+    """Batcher's merge exchange (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M;
+    its network in 5.3.4): compare-exchange pairs (i, j), i < j, that sort
+    any n keys when applied in order."""
+    pairs = []
+    t = (n - 1).bit_length()
+    p = 1 << (t - 1) if t else 0
+    while p:
+        q, r, d = 1 << (t - 1), 0, p
+        while True:
+            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
+            if q == p:
+                break
+            d, q, r = q - p, q // 2, p
+        p //= 2
+    return tuple(pairs)
+
+
+def ascending_columns(cols: list) -> list:
+    """The columns, broadcast, with each tuple's coordinates put in ascending
+    order by a compare-exchange network.  min and max do not round, so each
+    tuple gets the values np.sort gives it: exactly for integers, and for
+    finite floats up to the order of equal ones (0.0 and -0.0), which keeps
+    a tuple's ascending sum bit for bit.  Each exchange writes the smaller
+    values over a column of its own, so at most k + 1 columns are alive at
+    once, and the given columns are never written."""
+    shape = np.broadcast(*cols).shape
+    dtype = np.result_type(*cols)
+    owned = [False] * len(cols)
+    for i, j in _merge_exchange(len(cols)):
+        a, b = cols[i], cols[j]
+        cols[j] = np.maximum(a, b, out=np.empty(shape, dtype))
+        cols[i] = np.minimum(a, b, out=a if owned[i] else np.empty(shape, dtype))
+        owned[i] = owned[j] = True
+    return cols
+
+
 # sorted_subsets keeps its arrays up to this many bytes in all: the 39
 # sizes m = 2..40 a validity sweep cycles through take a few hundred KiB
 # at k = 2 or 3, while one large dense call (4.5M rows at m = 3000, k = 2)
@@ -414,7 +452,12 @@ class OrderChoice:
                 f"(C({self.m},{self.k}), {self.k}) = {(expected, self.k)}"
             )
         subsets = sorted_subsets(self.m, self.k)
-        bad = np.flatnonzero((np.sort(rows, axis=1) != subsets).any(axis=1))
+        # the rows sorted by the network, which gives np.sort's rows on integers
+        ascending = ascending_columns([rows[:, i] for i in range(self.k)])
+        differs = ascending[0] != subsets[:, 0]
+        for col, want in zip(ascending[1:], subsets.T[1:]):
+            differs |= col != want
+        bad = np.flatnonzero(differs)
         if bad.size:
             r = int(bad[0])
             raise ValueError(
@@ -433,12 +476,6 @@ class OrderChoice:
     def random(cls, m: int, k: int, rng: np.random.Generator) -> "OrderChoice":
         """An independent uniformly random ordering of every subset."""
         return cls(m, k, rng.permuted(sorted_subsets(m, k), axis=1))
-
-    @cached_property
-    def cells(self) -> np.ndarray:
-        """orientation_cells of the orderings: the (k!, C(m, k)) grid cells
-        that the orientation bundles of the subsets read."""
-        return orientation_cells(self.orders, self.m)
 
 
 def canonical_order_choice(m: int, k: int) -> OrderChoice:
@@ -484,4 +521,5 @@ def bundle_orientations(tensor: LabelTensor, order: OrderChoice) -> np.ndarray:
         raise ValueError("orientation bundles are defined for nonpartite tensors")
     if (order.m, order.k) != (tensor.m, tensor.k):
         raise ValueError("order choice shape does not match the tensor")
-    return decode_labels(tensor.codes.ravel()[order.cells], tensor.alphabet)
+    cells = orientation_cells(order.orders, order.m)
+    return decode_labels(tensor.codes.ravel()[cells], tensor.alphabet)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from .indexing import (
     PARTITE,
     LabeledSample,
     OrderChoice,
-    bundle_orientations,
     enumerate_permutations,
     grid_columns,
+    orientation_cells,
 )
 from .samples import (
     Hypothesis,
@@ -37,6 +37,12 @@ from .samples import (
 
 #: Two-sided 99% normal quantile used for every confidence interval here.
 CI99_MULTIPLIER = 2.576
+
+#: Orientation cells that one nonpartite loss.fn call gets at most, unless a
+#: single order choice has more (k! C(m, k)): the order choices of an
+#: empirical_losses_nonpartite call are stacked in groups of that size, as
+#: the fast concentration engine stacks trials in blocks of 2^14 points.
+_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +113,23 @@ def empirical_loss_partite(labeled: LabeledSample, H: Hypothesis, loss: LossSpec
 def empirical_loss_nonpartite(
     labeled: LabeledSample, H: Hypothesis, loss: LossSpec, order: OrderChoice
 ) -> float:
-    """Average bundle loss of H over all C(m, k) subsets; 0 when m < k.
+    """Average bundle loss of H over all C(m, k) subsets under one order
+    choice: empirical_losses_nonpartite of the one order."""
+    return empirical_losses_nonpartite(labeled, H, loss, [order])[0]
 
-    Each subset is read in its ordering under the order choice: its points
+
+def empirical_losses_nonpartite(
+    labeled: LabeledSample, H: Hypothesis, loss: LossSpec, orders: Sequence[OrderChoice]
+) -> list[float]:
+    """Average bundle loss of H over all C(m, k) subsets under each order
+    choice, in the order given; 0 each when m < k.
+
+    Each subset is read in its ordering under an order choice: its points
     in that order, and the bundles of H and of the labels at the cells
-    order.cells gives.
+    orientation_cells gives.  H labels the grid once.  The orders' tuples
+    reach loss.fn stacked, up to _BLOCK_CELLS cells a call (one order at
+    least), and each order's n losses are summed on their own, so each
+    average has the bits of a call with that order alone.
     """
     if labeled.mode != NONPARTITE or loss.mode != NONPARTITE:
         raise ValueError("empirical_loss_nonpartite expects nonpartite sample and loss")
@@ -119,15 +137,24 @@ def empirical_loss_nonpartite(
         raise ValueError("hypothesis arity does not match the sample")
     m, k = labeled.m, labeled.k
     if m < k:
-        return 0.0
-    if (order.m, order.k) != (m, k):
+        return [0.0] * len(orders)
+    if any((order.m, order.k) != (m, k) for order in orders):
         raise ValueError("order choice shape does not match the sample")
+    n = math.comb(m, k)
     pts = labeled.sample.sides[0]
-    points = [pts[col] for col in order.orders.T]
-    guess = H.label_grid(labeled.sample.axes).ravel()[order.cells]
-    truth = bundle_orientations(labeled.labels, order)
-    values = loss.evaluate(points, guess, truth, truth.shape[1:])
-    return float(values.sum()) / math.comb(m, k)
+    guesses = H.label_grid(labeled.sample.axes).ravel()
+    codes = labeled.labels.codes.ravel()
+    per_call = max(1, _BLOCK_CELLS // (math.factorial(k) * n))
+    averages = []
+    for start in range(0, len(orders), per_call):
+        group = orders[start:start + per_call]
+        rows = np.concatenate([order.orders for order in group])
+        cells = orientation_cells(rows, m)
+        points = [pts[col] for col in rows.T]
+        truth = decode_labels(codes[cells], labeled.labels.alphabet)
+        values = loss.evaluate(points, guesses[cells], truth, (len(rows),))
+        averages.extend(float(v.sum()) / n for v in values.reshape(len(group), n))
+    return averages
 
 
 def total_loss_monte_carlo(

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ from .indexing import (
     LabelTensor,
     LabeledSample,
     Sample,
+    ascending_columns,
     check_cell_budget,
     grid_columns,
     injective_mask,
@@ -439,47 +440,11 @@ def coordinate_sum(cols: Sequence):
         for c in cols:
             total = total + c
         return total
-    cols = _ascending_columns(cols)
+    cols = ascending_columns(cols)
     total = np.add(cols[0], 0.0, out=cols[0])
     for c in cols[1:]:
         np.add(total, c, out=total)
     return total if total.ndim else total[()]
-
-
-@lru_cache(maxsize=None)
-def _merge_exchange(n: int) -> tuple:
-    """Batcher's merge exchange (Knuth, TAOCP vol. 3, 5.2.2, Algorithm M;
-    its network in 5.3.4): compare-exchange pairs (i, j), i < j, that sort
-    any n keys when applied in order."""
-    pairs = []
-    t = (n - 1).bit_length()
-    p = 1 << (t - 1) if t else 0
-    while p:
-        q, r, d = 1 << (t - 1), 0, p
-        while True:
-            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
-            if q == p:
-                break
-            d, q, r = q - p, q // 2, p
-        p //= 2
-    return tuple(pairs)
-
-
-def _ascending_columns(cols: list) -> list:
-    """The columns, broadcast, with each tuple's coordinates put in ascending
-    order by a compare-exchange network.  min and max do not round, so on
-    finite inputs each tuple gets the values np.sort gives it (equal ones,
-    such as 0.0 and -0.0, maybe swapped) and the same ascending sum, bit
-    for bit.  Each exchange writes the smaller values over a column of its
-    own, so at most k + 1 grids are alive at once."""
-    shape = np.broadcast_shapes(*(c.shape for c in cols))
-    owned = [False] * len(cols)
-    for i, j in _merge_exchange(len(cols)):
-        a, b = cols[i], cols[j]
-        cols[j] = np.maximum(a, b, out=np.empty(shape))
-        cols[i] = np.minimum(a, b, out=a if owned[i] else np.empty(shape))
-        owned[i] = owned[j] = True
-    return cols
 
 
 def threshold_of(H: Hypothesis) -> float:

@@ -26,7 +26,7 @@ from .indexing import (
     falling_factorial,
     subsample,
 )
-from .losses import LossSpec, empirical_loss_nonpartite, empirical_loss_partite
+from .losses import LossSpec, empirical_loss_partite, empirical_losses_nonpartite
 from .samples import (
     Hypothesis,
     HypothesisClass,
@@ -281,9 +281,8 @@ def _realizable_trial_losses(
     else:
         m, k = labeled.m, labeled.k
         orders = [OrderChoice.canonical(m, k)]
-        for key in order_keys:
-            orders.append(OrderChoice.random(m, k, rng.at(key)))
-        worst = max(empirical_loss_nonpartite(labeled, H, loss, o) for o in orders)
+        orders += [OrderChoice.random(m, k, rng.at(key)) for key in order_keys]
+        worst = max(empirical_losses_nonpartite(labeled, H, loss, orders))
     return worst, inj, hdr, H
 
 

@@ -362,11 +362,44 @@ def test_order_choice_random_valid():
     assert not np.all(np.diff(oc.orders, axis=1) > 0)
 
 
+# rows of an order choice that is not one, each with the message naming its
+# first bad row; valid rows are reversed, so only the bad ones are rejected
+BAD_ORDERINGS = {
+    2: [
+        # subsets (0, 1), (0, 2), (1, 2)
+        ([[1, 1], [2, 0], [2, 1]], "ordering (1, 1) is not a permutation of subset (0, 1)"),
+        ([[1, 0], [2, 1], [2, 1]], "ordering (2, 1) is not a permutation of subset (0, 2)"),
+        ([[1, 0], [2, 0], [3, 1]], "ordering (3, 1) is not a permutation of subset (1, 2)"),
+        ([[1, 0], [-1, 2], [2, 1]], "ordering (-1, 2) is not a permutation of subset (0, 2)"),
+        ([[2, 0], [1, 0], [2, 1]], "ordering (2, 0) is not a permutation of subset (0, 1)"),
+    ],
+    3: [
+        # subsets (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)
+        ([[2, 1, 0], [1, 1, 3], [3, 2, 0], [1, 1, 3]],
+         "ordering (1, 1, 3) is not a permutation of subset (0, 1, 3)"),
+        ([[2, 1, 0], [3, 1, 0], [3, 2, 1], [3, 2, 1]],
+         "ordering (3, 2, 1) is not a permutation of subset (0, 2, 3)"),
+        ([[2, 1, 0], [3, 1, 0], [3, 2, 0], [4, 2, 1]],
+         "ordering (4, 2, 1) is not a permutation of subset (1, 2, 3)"),
+        ([[3, 1, 0], [2, 1, 0], [3, 2, 0], [3, 2, 1]],
+         "ordering (3, 1, 0) is not a permutation of subset (0, 1, 2)"),
+    ],
+}
+
+
 def test_order_choice_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"shape \(1, 2\), expected"):
         OrderChoice(3, 2, np.array([[0, 1]]))
-    with pytest.raises(ValueError):
-        OrderChoice(3, 2, np.array([[0, 2], [0, 2], [1, 2]]))
+    for k, cases in BAD_ORDERINGS.items():
+        m = k + 1
+        for rows, message in cases:
+            with pytest.raises(ValueError) as caught:
+                OrderChoice(m, k, np.array(rows))
+            assert str(caught.value) == message
+            # the same rows less the bad ones are an order choice
+            fixed = [r if sorted(r) == list(s) else list(s)
+                     for r, s in zip(rows, itertools.combinations(range(m), k))]
+            assert OrderChoice(m, k, np.array(fixed)).orders.tolist() == fixed
 
 
 def test_bundle_orientations_example():

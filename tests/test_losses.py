@@ -15,12 +15,14 @@ from kcompress.indexing import (
     Sample,
     canonical_order_choice,
 )
+from kcompress import losses
 from kcompress.losses import (
     CI99_MULTIPLIER,
     LossSpec,
     _pair_sum_upper_tail,
     empirical_loss_nonpartite,
     empirical_loss_partite,
+    empirical_losses_nonpartite,
     total_loss_exact_rectangles,
     total_loss_exact_sum_threshold,
     total_loss_monte_carlo,
@@ -350,6 +352,83 @@ def test_a_loss_of_the_wrong_shape_is_refused():
     z = label_sample(Hypothesis.constant(2, 1), Sample.partite([[0.1, 0.9], [0.2, 0.8]]))
     with pytest.raises(ValueError, match="shape"):
         empirical_loss_partite(z, HALF_BOX, scalar)
+
+
+# ---------------------------------------------------------------------------
+# many order choices in one pass
+
+# a mismatched bundle costs the first point of its ordering
+WEIGHTED = LossSpec(
+    NONPARTITE, "weighted", 1.0,
+    lambda xs, guess, truth: np.where((guess == truth).all(axis=0), 0.0, xs[0]),
+)
+
+
+def _order_choices(m, k, rng, count):
+    return [canonical_order_choice(m, k)] + [
+        OrderChoice.random(m, k, rng) for _ in range(count - 1)
+    ]
+
+
+@pytest.mark.parametrize("block", ["default", "one order", "two orders"])
+@pytest.mark.parametrize("alphabet", [(0, 1), MIXED_ALPHABET], ids=["binary", "mixed"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_empirical_losses_equal_one_order_calls(k, alphabet, block, monkeypatch):
+    rng = spawn_rng(47, k)
+    differing = 0
+    for m in range(k, 10):
+        if block != "default":
+            # groups of one or two orders, the last group short
+            per_call = 1 if block == "one order" else 2
+            cells = per_call * math.factorial(k) * math.comb(m, k)
+            monkeypatch.setattr(losses, "_BLOCK_CELLS", cells)
+        x = Sample.nonpartite(rng.choice(TIES, m), k)
+        orders = _order_choices(m, k, rng, 6)
+        for F, H in _hypothesis_pairs(NONPARTITE, k, alphabet):
+            z = label_sample(F, x, alphabet=alphabet)
+            for loss in (zero_one_nonpartite(), WEIGHTED, ORDERED_LOSSES[NONPARTITE]):
+                got = empirical_losses_nonpartite(z, H, loss, orders)
+                want = [empirical_loss_nonpartite(z, H, loss, o) for o in orders]
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+                differing += len(set(want)) > 1
+    # the order-dependent losses tell the order choices apart
+    assert differing > 0
+
+
+def test_empirical_losses_under_no_order_and_below_arity():
+    x = Sample.nonpartite([0.2, 0.5, 0.9], k=2)
+    z = label_sample(Hypothesis.sum_threshold(2, 1.0), x)
+    H = Hypothesis.sum_threshold(2, 1.3)
+    assert empirical_losses_nonpartite(z, H, zero_one_nonpartite(), []) == []
+    small = label_sample(Hypothesis.sum_threshold(2, 1.0), Sample.nonpartite([0.2], k=2))
+    orders = [canonical_order_choice(1, 2)] * 3
+    assert empirical_losses_nonpartite(small, H, zero_one_nonpartite(), orders) == [0.0] * 3
+    with pytest.raises(ValueError, match="order choice shape"):
+        empirical_losses_nonpartite(
+            z, H, zero_one_nonpartite(), [canonical_order_choice(3, 2), canonical_order_choice(4, 2)]
+        )
+
+
+@pytest.mark.parametrize("k, m, block", [(3, 12, None), (2, 12, 100), (2, 12, 300)])
+def test_each_loss_call_gets_at_most_one_block(k, m, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(losses, "_BLOCK_CELLS", block)
+    tuples = []
+
+    def fn(xs, guess, truth):
+        tuples.append(len(xs[0]))
+        return (guess != truth).any(axis=0).astype(float)
+
+    loss = LossSpec(NONPARTITE, "counted", 1.0, fn)
+    rng = spawn_rng(5, k)
+    x = Sample.nonpartite(rng.random(m), k)
+    z = label_sample(Hypothesis.sum_threshold(k, 0.5 * k), x)
+    orders = _order_choices(m, k, rng, 30)
+    empirical_losses_nonpartite(z, Hypothesis.sum_threshold(k, 0.4 * k), loss, orders)
+    n, bundle = math.comb(m, k), math.factorial(k)
+    assert sum(tuples) == len(orders) * n
+    assert len(tuples) > 1
+    assert max(tuples) * bundle <= max(losses._BLOCK_CELLS, bundle * n)
 
 
 # ---------------------------------------------------------------------------

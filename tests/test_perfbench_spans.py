@@ -1,5 +1,6 @@
 """The benchmark's tracer still finds every function it wraps."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -9,14 +10,33 @@ import pytest
 
 import kcompress.cli  # noqa: F401  (imports every module the tracer scans)
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is made
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return _load("spans")
+
+
+def _nonzero_counts(workload: str) -> tuple:
+    """The layer counts run.py requires to be positive on a workload, read
+    from its source: importing run.py would pin this process's BLAS pools."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "NONZERO":
+            return ast.literal_eval(node.value)[workload]
+    raise AssertionError("perfbench/run.py defines no NONZERO")
 
 
 def _target(home: str, attr: str):
@@ -95,3 +115,41 @@ def test_traced_concentration_counts_what_the_benchmark_checks(family, tmp_path,
     assert numbers["losses.total_exact.calls"] > 0
     assert numbers["samples.draw.calls"] == records
     assert numbers["experiments.run.trials"] == records
+
+
+def test_traced_validity_counts_what_the_benchmark_checks(tmp_path, capsys):
+    # the benchmark's small validity pass, both families: a refactor that
+    # stops making order choices through OrderChoice, or bypasses another
+    # traced layer, fails here and not only under perfbench --trace 1
+    from kcompress.cli import dispatch
+
+    spans, workloads = _load_spans(), _load("workloads")
+    audits = workloads.build_workloads(workloads.TINY)["validity"].audits
+    assert {a.config["mode"] for a in audits} == {"partite", "nonpartite"}
+    per_audit, pass_spans = [], []
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        for audit in audits:
+            cfg = tmp_path / f"{audit.audit_id}.cfg"
+            cfg.write_text(audit.config_text())
+            out = tmp_path / audit.audit_id
+            assert dispatch(audit.argv(str(cfg), 0, str(out))) == 0
+            taken = tracer.take()
+            pass_spans += taken
+            records = (out / "trials.jsonl").read_bytes().count(b"\n")
+            per_audit.append((audit, records, spans.layer_numbers(taken)))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for audit, records, numbers in per_audit:
+        assert records == audit.records > 0
+        assert numbers["samples.draw.calls"] == records
+        assert numbers["schemes.validity.samples"] == records
+        # each nonpartite trial is scored under the canonical order choice
+        # and the 5 random ones of check_compression_validity's default
+        orders = 6 if audit.config["mode"] == "nonpartite" else 0
+        assert numbers["indexing.order_choice.calls"] == orders * records
+    numbers = spans.layer_numbers(pass_spans)
+    for name in _nonzero_counts("validity"):
+        assert numbers[name] > 0, name

@@ -17,6 +17,7 @@ from kcompress.indexing import (
     InjectionVector,
     LabeledSample,
     Sample,
+    ascending_columns,
     injective_mask,
     subsample,
 )
@@ -28,7 +29,6 @@ from kcompress.samples import (
     KeyedGenerator,
     ProductMeasure,
     Uniform01,
-    _ascending_columns,
     box_ends,
     box_of_ends,
     coordinate_sum,
@@ -434,7 +434,7 @@ def test_coordinate_sum_network_sorts_every_zero_one_input(k):
     # a comparator network that sorts every 0-1 input sorts every input
     # (Knuth, TAOCP vol. 3, 5.3.4, Theorem Z)
     bits = np.asarray(list(itertools.product([0.0, 1.0], repeat=k)))
-    out = np.stack(_ascending_columns(list(bits.T)), axis=1)
+    out = np.stack(ascending_columns(list(bits.T)), axis=1)
     assert np.array_equal(out, np.sort(bits, axis=1))
 
 
