@@ -58,7 +58,6 @@ from .losses import (
     zero_one_partite,
 )
 from .schemes import (
-    BUILTIN_SCHEMES,
     CompressionReport,
     SelectionScheme,
     ValidityReport,

@@ -1,11 +1,11 @@
 """Selection schemes: compress a labeled sample, then rebuild a hypothesis.
 
-A scheme is a triple of maps per sample size m: a selector returning an
-injection vector of size s_m, a header map into {1, ..., h_m}, and a
-reconstructor from (subsample, header) to a hypothesis.  The compression
-map keeps only the selected subsample plus the header; a scheme is valid
-when the rebuilt hypothesis has exactly zero empirical loss on every
-realizable sample.
+A scheme is a pair of maps per sample size m: a selector (the compression
+map kappa) returning an injection vector of size s_m together with a header
+in {1, ..., h_m}, and a reconstructor (rho) from (subsample, header) to a
+hypothesis.  Only the selected subsample plus the header are kept; a scheme
+is valid when the rebuilt hypothesis has exactly zero empirical loss on
+every realizable sample.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .samples import (
     HypothesisClass,
     KeyedGenerator,
     ProductMeasure,
-    _positive_code,
     _subset_label_masks,
     _subset_sums,
     coordinate_sum,
@@ -53,8 +52,10 @@ SizeMap = Callable[[int | np.ndarray], int | np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class SelectionScheme:
-    """Bundles (s_m, h_m, selector, header map, reconstructor) for one mode.
+    """Bundles (s_m, h_m, selector, reconstructor) for one mode.
 
+    select is the compression map kappa: it reads the labeled sample once
+    and returns (selection, header).  rebuild is the reconstruction map rho.
     selection_size and header_size are size maps with an array contract:
     given an ndarray of sample sizes they return s_m (resp. h_m)
     elementwise, and a scalar return value stands for the same size at
@@ -68,8 +69,7 @@ class SelectionScheme:
     k: int
     selection_size: SizeMap
     header_size: SizeMap
-    select: Callable[[LabeledSample], InjectionVector]
-    header: Callable[[LabeledSample], int]
+    select: Callable[[LabeledSample], tuple[InjectionVector, int]]
     rebuild: Callable[[LabeledSample, int], Hypothesis]
 
 
@@ -80,10 +80,10 @@ def _kappa_full(scheme: SelectionScheme, labeled: LabeledSample):
     s = int(scheme.selection_size(m))
     if s > m:
         raise ValueError(f"selection size s_m={s} exceeds sample size m={m}")
-    inj = scheme.select(labeled)
+    inj, hdr = scheme.select(labeled)
     if inj.size != s:
         raise ValueError(f"selector returned size {inj.size}, expected s_m={s}")
-    hdr = int(scheme.header(labeled))
+    hdr = int(hdr)
     h = int(scheme.header_size(m))
     if not 1 <= hdr <= h:
         raise ValueError(f"header {hdr} outside [1, h_m={h}]")
@@ -118,10 +118,9 @@ def trivial_scheme(klass: HypothesisClass, loss: LossSpec) -> SelectionScheme:
         k=klass.k,
         selection_size=lambda m: m,
         header_size=lambda m: 1,
-        select=lambda labeled: InjectionVector.identity(
-            labeled.mode, labeled.k, labeled.m
+        select=lambda labeled: (
+            InjectionVector.identity(labeled.mode, labeled.k, labeled.m), 1
         ),
-        header=lambda labeled: 1,
         rebuild=rebuild,
     )
 
@@ -135,12 +134,12 @@ def _rect_sizes(m):
     return _capped_size(m, 2)
 
 
-def _rect_select(labeled: LabeledSample) -> InjectionVector:
+def _rect_select(labeled: LabeledSample) -> tuple[InjectionVector, int]:
     m, k = labeled.m, labeled.k
     s = _rect_sizes(m)
     masks = positive_point_masks(labeled)
     if not masks[0].any():  # no positive tuple
-        return InjectionVector(PARTITE, m, (tuple(range(s)),) * k)
+        return InjectionVector(PARTITE, m, (tuple(range(s)),) * k), 2
     maps = []
     for side, mask in zip(labeled.sample.sides, masks):
         idxs = np.flatnonzero(mask)
@@ -157,7 +156,7 @@ def _rect_select(labeled: LabeledSample) -> InjectionVector:
             # One distinct participating index: pad with the smallest
             # other index to keep the map injective.
             maps.append((imin, 0) if imin != 0 else (0, 1))
-    return InjectionVector(PARTITE, m, tuple(maps))
+    return InjectionVector(PARTITE, m, tuple(maps)), 1
 
 
 def _rect_rebuild(sub: LabeledSample, header: int) -> Hypothesis:
@@ -180,9 +179,6 @@ def rectangle_scheme(k: int) -> SelectionScheme:
         selection_size=_rect_sizes,
         header_size=lambda m: 2,
         select=_rect_select,
-        header=lambda labeled: 1
-        if (labeled.labels.codes == _positive_code(labeled.labels.alphabet)).any()
-        else 2,
         rebuild=_rect_rebuild,
     )
 
@@ -191,20 +187,16 @@ def _thresh_sizes(k: int) -> SizeMap:
     return lambda m: _capped_size(m, k)
 
 
-def _thresh_select(labeled: LabeledSample) -> InjectionVector:
+def _thresh_select(labeled: LabeledSample) -> tuple[InjectionVector, int]:
     m, k = labeled.m, labeled.k
     subsets, pos_sets, _, _ = _subset_label_masks(labeled)
     if not pos_sets.any():
-        return InjectionVector(NONPARTITE, m, (tuple(range(_thresh_sizes(k)(m))),))
+        return InjectionVector(NONPARTITE, m, (tuple(range(_thresh_sizes(k)(m))),)), 2
     positive = np.flatnonzero(pos_sets)
     # argmin takes the first minimum and the rows are in lexicographic
     # order, so ties go to the smallest minimal-sum positive subset.
     best = positive[np.argmin(_subset_sums(labeled.sample, subsets[positive]))]
-    return InjectionVector(NONPARTITE, m, (tuple(subsets[best].tolist()),))
-
-
-def _thresh_header(labeled: LabeledSample) -> int:
-    return 1 if _subset_label_masks(labeled)[1].any() else 2
+    return InjectionVector(NONPARTITE, m, (tuple(subsets[best].tolist()),)), 1
 
 
 def _thresh_rebuild(sub: LabeledSample, header: int) -> Hypothesis:
@@ -227,12 +219,8 @@ def sum_threshold_scheme(k: int) -> SelectionScheme:
         selection_size=_thresh_sizes(k),
         header_size=lambda m: 2,
         select=_thresh_select,
-        header=_thresh_header,
         rebuild=_thresh_rebuild,
     )
-
-
-BUILTIN_SCHEMES = ("trivial", "rectangle", "sum-threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +244,11 @@ class CompressionReport:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    scheme_id: str
-    trials: int
-    m_values: tuple
     records: tuple
-    violations: tuple
+
+    @property
+    def violations(self) -> tuple:
+        return tuple(r for r in self.records if not r.passed)
 
     @property
     def passed(self) -> bool:
@@ -346,7 +334,6 @@ def check_approximate_validity(
     order_keys = stream_keys(order_seeds[..., None], np.arange(n_order_choices)).tolist()
     rng = KeyedGenerator()
     records = []
-    violations = []
     for (mi, m), t in itertools.product(enumerate(m_values), range(trials)):
         F = klass.sample_hypothesis(rng.at(target_keys[mi][t]))
         x = draw_sample(mu, m, keys=sample_keys[mi][t], rng=rng)
@@ -367,17 +354,9 @@ def check_approximate_validity(
             passed=worst <= bound,
         )
         records.append(rec)
-        if not rec.passed:
-            violations.append(rec)
-            if fail_fast:
-                break
-    return ValidityReport(
-        scheme_id=scheme.scheme_id,
-        trials=trials,
-        m_values=tuple(m_values),
-        records=tuple(records),
-        violations=tuple(violations),
-    )
+        if fail_fast and not rec.passed:
+            break
+    return ValidityReport(tuple(records))
 
 
 def compression_size_and_bitlength(

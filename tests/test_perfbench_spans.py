@@ -146,6 +146,9 @@ def test_traced_validity_counts_what_the_benchmark_checks(tmp_path, capsys):
         assert records == audit.records > 0
         assert numbers["samples.draw.calls"] == records
         assert numbers["schemes.validity.samples"] == records
+        # one compression round trip per trial: one subsample, one rebuild
+        assert numbers["schemes.reconstruct.calls"] == records
+        assert numbers["indexing.subsample.calls"] == records
         # each nonpartite trial is scored under the canonical order choice
         # and the 5 random ones of check_compression_validity's default
         orders = 6 if audit.config["mode"] == "nonpartite" else 0

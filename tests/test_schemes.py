@@ -40,8 +40,9 @@ from kcompress.samples import (
     ProductMeasure,
     spawn_rng,
 )
+from kcompress import schemes
+from kcompress.experiments import FAMILIES
 from kcompress.schemes import (
-    BUILTIN_SCHEMES,
     CompressionReport,
     check_approximate_validity,
     check_compression_validity,
@@ -55,7 +56,10 @@ from kcompress.schemes import (
 
 
 def test_builtin_scheme_ids():
-    assert BUILTIN_SCHEMES == ("trivial", "rectangle", "sum-threshold")
+    trivial = trivial_scheme(HypothesisClass.rectangles(2), zero_one_partite())
+    assert trivial.scheme_id == "trivial"
+    for name, family in FAMILIES.items():
+        assert family.scheme(2).scheme_id == name
 
 
 @pytest.mark.parametrize(
@@ -90,8 +94,8 @@ def test_rectangle_select_min_max_per_side():
     scheme = rectangle_scheme(2)
     sub, hdr = compress(scheme, z)
     assert hdr == 1
-    inj = scheme.select(z)
-    assert inj.maps == ((1, 2), (0, 1))
+    inj, hdr = scheme.select(z)
+    assert inj.maps == ((1, 2), (0, 1)) and hdr == 1
     H = reconstruct(scheme, sub, hdr)
     assert H.intervals == ((0.1, 0.5), (0.2, 0.6))
     assert empirical_loss_partite(z, H, zero_one_partite()) == 0.0
@@ -100,8 +104,8 @@ def test_rectangle_select_min_max_per_side():
 def test_rectangle_select_tie_breaks_to_smallest_index():
     x = Sample.partite([[0.5, 0.2, 0.2], [0.3, 0.3, 0.7]])
     z = label_sample(Hypothesis.rectangle([(0.2, 0.5), (0.3, 0.7)]), x)
-    inj = rectangle_scheme(2).select(z)
-    assert inj.maps == ((1, 0), (0, 2))
+    inj, hdr = rectangle_scheme(2).select(z)
+    assert inj.maps == ((1, 0), (0, 2)) and hdr == 1
 
 
 def test_rectangle_all_negative_header():
@@ -110,7 +114,8 @@ def test_rectangle_all_negative_header():
     scheme = rectangle_scheme(2)
     sub, hdr = compress(scheme, z)
     assert hdr == 2
-    assert scheme.select(z).maps == ((0, 1), (0, 1))
+    inj, hdr = scheme.select(z)
+    assert inj.maps == ((0, 1), (0, 1)) and hdr == 2
     H = reconstruct(scheme, sub, hdr)
     assert H.kind == "rectangle" and H.describe() == "rectangle(empty)"
     assert H.intervals == Hypothesis.empty_rectangle(2).intervals
@@ -123,8 +128,8 @@ def test_rectangle_degenerate_pad_does_not_widen_box():
     x = Sample.partite([[0.4, 0.1, 0.9], [0.5, 0.3, 0.8]])
     z = label_sample(Hypothesis.rectangle([(0.4, 0.4), (0.5, 0.5)]), x)
     scheme = rectangle_scheme(2)
-    inj = scheme.select(z)
-    assert inj.maps == ((0, 1), (0, 1))
+    inj, hdr = scheme.select(z)
+    assert inj.maps == ((0, 1), (0, 1)) and hdr == 1
     sub, hdr = compress(scheme, z)
     H = reconstruct(scheme, sub, hdr)
     assert H.intervals == ((0.4, 0.4), (0.5, 0.5))
@@ -152,8 +157,8 @@ def test_threshold_select_lexicographically_first_minimal_pair():
     x = Sample.nonpartite([0.5, 0.3, 0.7, 0.5], k=2)
     z = label_sample(Hypothesis.sum_threshold(2, 1.0), x)
     scheme = sum_threshold_scheme(2)
-    inj = scheme.select(z)
-    assert inj.maps == ((0, 3),)
+    inj, hdr = scheme.select(z)
+    assert inj.maps == ((0, 3),) and hdr == 1
     sub, hdr = compress(scheme, z)
     assert hdr == 1
     H = reconstruct(scheme, sub, hdr)
@@ -181,7 +186,8 @@ def test_threshold_all_negative_and_tiny_samples():
     x = Sample.nonpartite([0.1, 0.2, 0.3], k=2)
     z = label_sample(Hypothesis.sum_threshold(2, 5.0), x)
     sub, hdr = compress(scheme, z)
-    assert hdr == 2 and scheme.select(z).maps == ((0, 1),)
+    inj, selected_hdr = scheme.select(z)
+    assert hdr == selected_hdr == 2 and inj.maps == ((0, 1),)
     H = reconstruct(scheme, sub, hdr)
     assert H.kind == "constant" and H.const_value == 0
 
@@ -198,7 +204,8 @@ def test_threshold_select_breaks_triple_ties_lexicographically():
     x = Sample.nonpartite([0.5, 0.125, 0.25, 0.375, 0.0, 0.125], k=3)
     z = label_sample(Hypothesis.sum_threshold(3, 0.75), x)
     scheme = sum_threshold_scheme(3)
-    assert scheme.select(z).maps == ((0, 1, 5),)
+    inj, hdr = scheme.select(z)
+    assert inj.maps == ((0, 1, 5),) and hdr == 1
     H = reconstruct(scheme, *compress(scheme, z))
     assert H.threshold == 0.75
     loss = empirical_loss_nonpartite(z, H, zero_one_nonpartite(), canonical_order_choice(6, 3))
@@ -263,8 +270,9 @@ def test_subset_paths_match_bruteforce_over_orientations(case):
     positive = [(s, u) for s, u, ls in zip(sums, subsets, labels) if ls == {1}]
     scheme = sum_threshold_scheme(k)
     want = min(positive)[1] if positive else tuple(range(min(m, k)))
-    assert scheme.select(labeled).maps == (want,)
-    assert scheme.header(labeled) == (1 if positive else 2)
+    inj, hdr = scheme.select(labeled)
+    assert inj.maps == (want,)
+    assert hdr == (1 if positive else 2)
 
     negative = [s for s, ls in zip(sums, labels) if ls == {0}]
     ok, witness = erm_realizability_check(
@@ -325,16 +333,57 @@ def test_kappa_validation_errors():
     x = Sample.partite([[0.3, 0.1, 0.5], [0.2, 0.6, 0.4]])
     z = label_sample(Hypothesis.rectangle([(0.1, 0.5), (0.2, 0.6)]), x)
     wrong_size = dataclasses.replace(
-        scheme, select=lambda labeled: InjectionVector.identity(PARTITE, 2, labeled.m)
+        scheme, select=lambda labeled: (InjectionVector.identity(PARTITE, 2, labeled.m), 1)
     )
     with pytest.raises(ValueError):
         compress(wrong_size, z)
-    bad_header = dataclasses.replace(scheme, header=lambda labeled: 3)
+    bad_header = dataclasses.replace(
+        scheme, select=lambda labeled: (scheme.select(labeled)[0], 3)
+    )
     with pytest.raises(ValueError):
         compress(bad_header, z)
     oversized = dataclasses.replace(scheme, selection_size=lambda m: m + 1)
     with pytest.raises(ValueError):
         compress(oversized, z)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_selector_reads_the_sample_once_for_selection_and_header(name, monkeypatch):
+    # kappa is one map: a nonpartite compress gathers the subset label
+    # masks once, and the header is 1 iff some label cell is positive,
+    # else 2 with the first s_m indices selected
+    calls = []
+
+    def counting(labeled):
+        calls.append(labeled)
+        return _subset_label_masks(labeled)
+
+    monkeypatch.setattr(schemes, "_subset_label_masks", counting)
+    family = FAMILIES[name]
+    rng = np.random.default_rng(7)
+    headers = set()
+    for k, m, all_negative in itertools.product((1, 2, 3), range(1, 7), (False, True)):
+        klass, scheme = family.hypothesis_class(k), family.scheme(k)
+        F = klass.fallback if all_negative else klass.sample_hypothesis(rng)
+        x = draw_sample(ProductMeasure.uniform(family.mode, k), m, seed=int(rng.integers(2**31)))
+        z = label_sample(F, x)
+        del calls[:]
+        sub, hdr = compress(scheme, z)
+        assert len(calls) == (1 if family.mode == NONPARTITE else 0)
+
+        cells = itertools.product(range(m), repeat=k)
+        if family.mode == PARTITE:
+            points = [tuple(side[i] for side, i in zip(x.sides, c)) for c in cells]
+        else:
+            points = [tuple(x.sides[0][i] for i in c) for c in cells if len(set(c)) == k]
+        positive = any(F.value(p) == 1 for p in points)
+        inj, selected_hdr = scheme.select(z)
+        assert hdr == selected_hdr == (1 if positive else 2)
+        if not positive:
+            first = tuple(range(int(scheme.selection_size(m))))
+            assert inj.maps == (first,) * len(inj.maps)
+        headers.add(hdr)
+    assert headers == {1, 2}
 
 
 @pytest.mark.parametrize("which", ["rectangle", "sum-threshold"])
@@ -362,19 +411,20 @@ def test_selector_outputs_are_valid_injections(m, seed):
     scheme = rectangle_scheme(2)
     F = HypothesisClass.rectangles(2).sample_hypothesis(rng)
     z = label_sample(F, draw_sample(ProductMeasure.uniform(PARTITE, 2), m, seed=seed))
-    inj = scheme.select(z)
+    inj, hdr = scheme.select(z)
     assert inj.size == scheme.selection_size(m)
     for mp in inj.maps:
         assert len(set(mp)) == len(mp)
         assert all(0 <= v < m for v in mp)
-    assert 1 <= scheme.header(z) <= scheme.header_size(m)
+    assert 1 <= hdr <= scheme.header_size(m)
 
     tscheme = sum_threshold_scheme(2)
     Ft = HypothesisClass.sum_thresholds(2).sample_hypothesis(rng)
     zt = label_sample(Ft, draw_sample(ProductMeasure.uniform(NONPARTITE, 2), m, seed=seed))
-    injt = tscheme.select(zt)
+    injt, hdrt = tscheme.select(zt)
     assert injt.size == tscheme.selection_size(m)
     assert len(set(injt.maps[0])) == injt.size
+    assert 1 <= hdrt <= tscheme.header_size(m)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +523,7 @@ def validity_reference(numpy_seed, numpy_stream, scheme, klass, loss, trials, m_
             d.draw(numpy_stream(s1, j), m) for j, d in enumerate(mu.distributions)
         ))
         labeled = label_sample(F, x)
-        inj = scheme.select(labeled)
+        inj, _ = scheme.select(labeled)
         sub, hdr = compress(scheme, labeled)
         H = reconstruct(scheme, sub, hdr)
         if scheme.mode == PARTITE:
