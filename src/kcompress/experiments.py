@@ -20,12 +20,13 @@ the tens of thousands stay cheap.  Concentration trials are many and
 small, so the fast engine runs them in blocks: each trial still draws
 its own sample, the samples of up to _BLOCK_POINTS drawn points are
 stacked into one array, and one kernel call per block gives every
-trial's hypothesis, as a parameter row, and empirical loss.  A cell's
-pass of trials then takes one exact total-loss call over all its rows
-(or a Monte Carlo estimate per row), and its gaps, exceedances and
-describe() texts are each one pass: no Hypothesis or TrialRecord is
-built per trial.  PAC trials are few and large, and their kernels run
-per trial.
+trial's hypothesis, as a parameter row, and empirical loss.  PAC trials
+are few and large, and their kernels run per trial, each giving its
+trial's parameter row.  Either way a cell's pass of trials then takes
+one exact total-loss call over all its rows (or a Monte Carlo estimate
+per row), and its gaps, exceedances and describe() texts are each one
+pass.  No TrialRecord is built per trial, and the fast concentration
+engine builds no Hypothesis per trial either.
 
 Summary tables and trial records are held by columns (a Records
 sequence builds a record only when one is read), and written from them;
@@ -414,9 +415,10 @@ class Family:
     their drawn points stacked as a (count, sides, m) array of at most
     _BLOCK_POINTS points (count may be 0); rows holds one row per trial,
     and the list one loss.  The engine keeps no other reference to pts.
-    pac_kernel(k, F, m, x) -> (H, header, empirical loss, realizable)
-    runs per trial.  Both work under any measure: the kernels read only
-    the drawn points.  Fields calling another module's function name it
+    pac_kernel(k, F, m, x) -> (row, header, empirical loss, realizable)
+    runs per trial, on one sample x, and returns the learned hypothesis
+    as its parameter row.  Both work under any measure: the kernels read
+    only the drawn points.  Fields calling another module's function name it
     inside a lambda, so a wrapper installed at the module attribute
     (perfbench's tracer) is what they call.
     """
@@ -501,15 +503,20 @@ def _check_total_loss(cfg: ExperimentConfig, mu: ProductMeasure) -> None:
 
 
 def _total_losses(cfg, mu, loss, F, rows: np.ndarray, mc_seeds) -> np.ndarray:
-    """Total loss against F of each hypothesis of a block of parameter rows:
-    one exact call for the whole block, or per row a Monte Carlo estimate,
-    from the row's seed, of the Hypothesis built from that row."""
+    """Total loss of each hypothesis of a block of parameter rows against
+    its target, where F holds the targets' parameters: one row that
+    broadcasts against all of rows, or one row per row.  One exact call
+    for the whole block, or per row a Monte Carlo estimate, from the row's
+    seed, between the Hypotheses built from the two rows."""
     family = FAMILIES[cfg.class_id]
     if cfg.estimator == "exact":
-        return family.total_loss_exact(mu, family.params(F), rows)
+        return family.total_loss_exact(mu, F, rows)
     return np.array([
-        total_loss_monte_carlo(mu, F, family.from_params(cfg.k, row), loss, cfg.n_draws, seed)[0]
-        for row, seed in zip(rows, mc_seeds)
+        total_loss_monte_carlo(
+            mu, family.from_params(cfg.k, f), family.from_params(cfg.k, row), loss,
+            cfg.n_draws, seed,
+        )[0]
+        for f, row, seed in zip(np.broadcast_to(F, rows.shape), rows, mc_seeds)
     ])
 
 
@@ -597,7 +604,7 @@ def _concentration_columns(
     in order: after the engine's fits, one total-loss pass, one gap and
     exceedance pass and one describe() text pass for all of them."""
     rows, emps = _concentration_fits(cfg, loss, scheme, F, sigma, eta, m, samples, engine)
-    totals = _total_losses(cfg, mu, loss, F, rows, mc_seeds)
+    totals = _total_losses(cfg, mu, loss, FAMILIES[cfg.class_id].params(F), rows, mc_seeds)
     gaps = totals - emps
     n = len(ts)
     return dict(
@@ -712,25 +719,42 @@ def run_concentration_suite(cfg: ExperimentConfig, engine: str = "auto") -> Expe
     return merge_results([fixed, rand])
 
 
-def _pac_trial(cfg, mu, klass, loss, scheme, m, t, F, x, mc_seed, engine) -> TrialRecord:
+def _pac_columns(cfg, mu, klass, loss, scheme, m, ts, targets, samples, mc_seeds, engine) -> dict:
+    """TrialRecord columns of the PAC trials ts (an int array), each on its
+    target and sample, in order.  The engine learns each trial's
+    hypothesis as a parameter row and certifies the trial realizable;
+    then one total-loss pass, one gap and exceedance pass and one
+    describe() text pass take all of the trials."""
     family = FAMILIES[cfg.class_id]
-    if engine == "fast":
-        H, header, emp, realizable = family.pac_kernel(cfg.k, F, m, x)
-    else:
-        labeled = label_sample(F, x)
-        sub, header = compress(scheme, labeled)
-        H = reconstruct(scheme, sub, header)
-        emp = family.empirical_loss(labeled, H, loss)
-        realizable, _ = erm_realizability_check(klass, labeled, loss)
-    if not realizable:
-        # samples are labeled by a class member, so a failed
-        # certificate means the harness itself is broken
-        raise RuntimeError(f"realizability certification failed at m={m}, trial={t}")
-    total = _total_losses(cfg, mu, loss, F, np.array([family.params(H)]), [mc_seed]).item()
-    return TrialRecord(
-        variant="pac", m=m, trial=t, empirical_loss=emp, total_loss=total,
-        gap=total - emp, exceeded=total > cfg.epsilon, header=header,
-        hypothesis=H.describe(), realizable=realizable,
+    rows, headers, emps = [], [], []
+    for t, F, x in zip(ts.tolist(), targets, samples):
+        if engine == "fast":
+            row, header, emp, realizable = family.pac_kernel(cfg.k, F, m, x)
+        else:
+            labeled = label_sample(F, x)
+            sub, header = compress(scheme, labeled)
+            H = reconstruct(scheme, sub, header)
+            row = family.params(H)
+            emp = family.empirical_loss(labeled, H, loss)
+            realizable, _ = erm_realizability_check(klass, labeled, loss)
+        if not realizable:
+            # samples are labeled by a class member, so a failed
+            # certificate means the harness itself is broken
+            raise RuntimeError(f"realizability certification failed at m={m}, trial={t}")
+        rows.append(row)
+        headers.append(header)
+        emps.append(emp)
+    rows = np.array(rows)
+    totals = _total_losses(
+        cfg, mu, loss, np.array([family.params(F) for F in targets]), rows, mc_seeds
+    )
+    gaps = totals - emps
+    n = len(ts)
+    return dict(
+        variant=["pac"] * n, m=[m] * n, trial=ts.tolist(), empirical_loss=emps,
+        total_loss=totals.tolist(), gap=gaps.tolist(),
+        exceeded=(totals > cfg.epsilon).tolist(), header=headers,
+        hypothesis=family.describe_params(rows), realizable=[True] * n,
     )
 
 
@@ -765,18 +789,19 @@ def run_pac_experiment(
 
     def batch(m, mi, t0, count):
         ts = np.arange(t0, t0 + count)
-        target_keys = stream_keys(cfg.seed, mi, ts, 0).tolist()
+        # each target's stream is drawn in full before rng is re-keyed, and
+        # each sample is drawn only as its trial runs
+        targets = [
+            klass.sample_hypothesis(rng.at(key))
+            for key in stream_keys(cfg.seed, mi, ts, 0).tolist()
+        ]
         keys = side_keys(mu, derive_seed(cfg.seed, mi, ts, 1))
-        mc_seeds = _mc_seeds(cfg, (mi,), ts)
-        recs = []
-        for j, trial_keys in enumerate(keys):
-            # the target's stream is drawn in full before the sample re-keys rng
-            F = klass.sample_hypothesis(rng.at(target_keys[j]))
-            x = draw_sample(mu, m, keys=trial_keys, rng=rng)
-            recs.append(
-                _pac_trial(cfg, mu, klass, loss, scheme, m, t0 + j, F, x, mc_seeds[j], eng)
-            )
-        return Records.of(TrialRecord, recs).columns, sum(r.exceeded for r in recs)
+        samples = (draw_sample(mu, m, keys=trial_keys, rng=rng) for trial_keys in keys)
+        columns = _pac_columns(
+            cfg, mu, klass, loss, scheme, m, ts, targets, samples,
+            _mc_seeds(cfg, (mi,), ts), eng,
+        )
+        return columns, sum(columns["exceeded"])
 
     for mi, m in enumerate(cfg.m_values):
         applies = m0 is not None and m >= m0

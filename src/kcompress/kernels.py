@@ -9,8 +9,9 @@ as one array of parameters, box ends (count, k, 2) as samples.box_ends
 lays them out (the empty box (+inf, -inf) on every side) or thresholds
 (count,) as samples.threshold_of gives them (the constant 0 as +inf),
 and the list of their empirical losses.  The PAC kernels run on one
-sample and return a Hypothesis.  All read only the drawn points, so they
-run under any measure, and they give exactly the records of the dense
+sample and return its hypothesis as one such parameter row, box ends
+(k, 2) or a threshold.  All read only the drawn points, so they run
+under any measure, and they give exactly the records of the dense
 reference path.
 
 The sum-threshold kernels work on the sorted points through exact prefix
@@ -46,7 +47,6 @@ from .samples import (
     box_ends,
     coordinate_sum,
     minimal_box,
-    threshold_hypothesis,
     threshold_of,
 )
 
@@ -57,12 +57,15 @@ def _rect_masks(H: Hypothesis, sides: Sequence[np.ndarray]):
 
 
 def _rect_xor_count(fmasks, hmasks) -> int:
-    """Number of grid tuples where the two boxes disagree, via factorized counts."""
+    """Number of grid tuples where the two boxes disagree, via factorized counts.
+
+    count_nonzero is 5-8x as fast as a bool array's sum; int() keeps the
+    counts, and what is compared with them, Python values."""
     cf = ch = cfh = 1
     for fm, hm in zip(fmasks, hmasks):
-        cf *= int(fm.sum())
-        ch *= int(hm.sum())
-        cfh *= int((fm & hm).sum())
+        cf *= int(np.count_nonzero(fm))
+        ch *= int(np.count_nonzero(hm))
+        cfh *= int(np.count_nonzero(fm & hm))
     return cf + ch - 2 * cfh
 
 
@@ -167,8 +170,10 @@ def box_concentration(k, F, sigma, eta, m, pts):
 
 def _padded_sorted(points: np.ndarray) -> np.ndarray:
     """Rows of points (count, m), each sorted, between a NaN on either end:
-    (count, m + 2), for _block_pairs_below."""
-    ends = np.full((len(points), points.shape[1] + 2), math.nan)
+    (count, m + 2), for _block_pairs_below.  Only the end columns are
+    written with NaN: the sorted copy fills the rest."""
+    ends = np.empty((len(points), points.shape[1] + 2))
+    ends[:, 0] = ends[:, -1] = math.nan
     ends[:, 1:-1] = points
     ends[:, 1:-1].sort(axis=1)
     return ends
@@ -232,7 +237,7 @@ def box_pac(k, F, m, x):
     count = _rect_xor_count(fmasks, _rect_masks(H, x.sides))
     # H is the minimal box around the positive tuples, so the sample is
     # realizable iff H holds no negative tuple: iff H and F agree everywhere
-    return H, header, count / m**k, count == 0
+    return box_ends(H), header, count / m**k, count == 0
 
 
 def threshold_pac(k, F, m, x):
@@ -250,4 +255,4 @@ def threshold_pac(k, F, m, x):
     count = (_below_count(ends, t_h, p, f) - below_f) // 2
     emp = count / math.comb(m, k)
     realizable = min_pos is None or max_neg is None or max_neg < min_pos
-    return threshold_hypothesis(k, t_h), 1 if min_pos is not None else 2, emp, realizable
+    return t_h, 1 if min_pos is not None else 2, emp, realizable

@@ -26,7 +26,7 @@ from kcompress.experiments import (
     _ci_half_width,
     _concentration_columns,
     _concentration_fits,
-    _pac_trial,
+    _pac_columns,
     build_all,
     build_measure,
     canonical_config_text,
@@ -62,6 +62,7 @@ from kcompress.kernels import (
     _rect_xor_count,
     _row_boundaries,
     box_concentration,
+    box_pac,
     threshold_concentration,
 )
 from kcompress.losses import empirical_loss_nonpartite, zero_one_nonpartite
@@ -555,6 +556,16 @@ def concentration_trial(cfg, mu, loss, scheme, F, sigma, eta, variant, m, t, x, 
     return record
 
 
+def pac_trial(cfg, mu, klass, loss, scheme, m, t, F, x, mc_seed, engine):
+    """The record of one PAC trial, through the engine code of the runner."""
+    records = Records(TrialRecord)
+    records.extend(_pac_columns(
+        cfg, mu, klass, loss, scheme, m, np.array([t]), [F], [x], [mc_seed], engine
+    ))
+    [record] = records
+    return record
+
+
 @pytest.mark.parametrize("cfg", [PARTITE_CFG, NONPARTITE_CFG], ids=["partite", "nonpartite"])
 def test_concentration_engines_agree(cfg):
     fast = run_concentration_suite(cfg, engine="fast")
@@ -605,7 +616,7 @@ def test_fast_kernels_equal_generic_on_ties(cfg, data):
     mu, klass, loss, scheme = build_all(cfg)
     m, x, F = data.draw(tied_trials(cfg.mode))
     pac = [
-        _pac_trial(cfg, mu, klass, loss, scheme, m, 0, F, x, None, engine)
+        pac_trial(cfg, mu, klass, loss, scheme, m, 0, F, x, None, engine)
         for engine in ("fast", "generic")
     ]
     assert pac[0] == pac[1]
@@ -635,10 +646,69 @@ def test_threshold_pac_equals_generic_on_large_tied_samples(m, atoms):
             for t in (s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)):
                 F = Hypothesis.sum_threshold(2, float(t))
                 fast, generic = (
-                    _pac_trial(cfg, mu, klass, loss, scheme, m, 0, F, x, None, engine)
+                    pac_trial(cfg, mu, klass, loss, scheme, m, 0, F, x, None, engine)
                     for engine in ("fast", "generic")
                 )
                 assert fast == generic
+
+
+def sorted_box_pac(F, sides):
+    """box_pac's results by brute force: the ends of the minimal box H
+    around F's points of each side, from np.sort of those points; the
+    header; and the grid tuples where F and H disagree, from counts by
+    binary search in each sorted side."""
+    ends = []
+    for (lo, hi), side in zip(F.intervals, sides):
+        inside = np.sort(side[(side >= lo) & (side <= hi)])
+        ends.append([inside[0], inside[-1]] if len(inside) else None)
+    if None in ends:
+        ends = [[math.inf, -math.inf]] * len(sides)
+    both = [(max(f[0], h[0]), min(f[1], h[1])) for f, h in zip(F.intervals, ends)]
+    xss = [np.sort(side) for side in sides]
+
+    def tuples_in(box):
+        return math.prod(
+            int(np.searchsorted(xs, hi, side="right")) - int(np.searchsorted(xs, lo))
+            if lo <= hi else 0
+            for (lo, hi), xs in zip(box, xss)
+        )
+
+    count = tuples_in(F.intervals) + tuples_in(ends) - 2 * tuples_in(both)
+    return ends, 2 if ends[0][0] > ends[0][1] else 1, count
+
+
+@pytest.mark.parametrize("m", [200, 1000, 16852, 33704])
+@pytest.mark.parametrize("atoms", [_TIE_ATOMS, _ADVERSARIAL_ATOMS], ids=["ties", "adversarial"])
+def test_box_pac_equals_generic_on_large_tied_samples(m, atoms):
+    # long runs of tied points on each side, with box edges on the drawn
+    # atoms, so that points sit on the edges, and one target whose side 1
+    # is an atom no point takes, so it holds none: header 2, the empty box.
+    # Every m is checked against the sorted brute force; where the generic
+    # engine's label grid stays small (m = 200, 1000), against it as well.
+    cfg = PARTITE_CFG
+    mu, klass, loss, scheme = build_all(cfg)
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        spare, *pool = rng.choice(atoms, size=4, replace=False)
+        x = Sample.partite([rng.choice(pool, size=m) for _ in range(2)])
+        targets = [
+            Hypothesis.rectangle([sorted(rng.choice(pool, size=2)) for _ in range(2)])
+            for _ in range(4)
+        ]
+        targets.append(Hypothesis.rectangle([sorted(rng.choice(pool, size=2)), (spare, spare)]))
+        for F in targets:
+            ends, header, count = sorted_box_pac(F, x.sides)
+            row, got_header, emp, realizable = box_pac(2, F, m, x)
+            assert row.tolist() == ends
+            assert (got_header, emp, realizable) == (header, count / m**2, count == 0)
+            if m <= 1000:
+                fast, generic = (
+                    pac_trial(cfg, mu, klass, loss, scheme, m, 0, F, x, None, engine)
+                    for engine in ("fast", "generic")
+                )
+                assert fast == generic
+        # the last target's side 1 held no point
+        assert header == 2 and ends == [[math.inf, -math.inf]] * 2
 
 
 @st.composite
@@ -711,6 +781,25 @@ MC_DISCRETE_CFG = dataclasses.replace(
     PARTITE_CFG, measure="discrete:" + ",".join(f"{0.05 + 0.1 * i:.2f}@0.1" for i in range(10)),
     estimator="monte-carlo", n_draws=300, m_values=(30, 45), trials=6,
 )
+
+
+@pytest.mark.parametrize("engine", ["fast", "generic"])
+@pytest.mark.parametrize(
+    "cfg",
+    [PARTITE_CFG, NONPARTITE_CFG, MC_DISCRETE_CFG],
+    ids=["partite", "nonpartite", "discrete-monte-carlo"],
+)
+def test_result_columns_hold_exact_python_values(cfg, engine):
+    # columns built from arrays and kernel results must hold no numpy
+    # scalar (np.count_nonzero gives np.intp, and np.intp == 0 an np.bool_,
+    # which json cannot write), in the records and in the summary table
+    cfg = dataclasses.replace(cfg, m_values=(30,), trials=4)
+    for run in (run_pac_experiment, run_concentration_suite):
+        result = run(cfg, engine=engine)
+        assert len(result.records) > 0
+        for name, values in [*result.records.columns.items(), *result.table.items()]:
+            kinds = set(map(type, values))
+            assert kinds <= {bool, int, float, str}, (run.__name__, name, kinds)
 
 
 @pytest.mark.parametrize(
@@ -798,7 +887,7 @@ def test_batched_pac_equals_trial_by_trial(cfg, monkeypatch):
         F = klass.sample_hypothesis(spawn_rng(cfg.seed, mi, r.trial, 0))
         x = draw_sample(mu, r.m, derive_seed(cfg.seed, mi, r.trial, 1))
         mc_seed = derive_seed(cfg.seed, mi, r.trial, 7)
-        want = _pac_trial(cfg, mu, klass, loss, scheme, r.m, r.trial, F, x, mc_seed, engine)
+        want = pac_trial(cfg, mu, klass, loss, scheme, r.m, r.trial, F, x, mc_seed, engine)
         assert r == want
 
 

@@ -117,6 +117,40 @@ def test_traced_concentration_counts_what_the_benchmark_checks(family, tmp_path,
     assert numbers["experiments.run.trials"] == records
 
 
+@pytest.mark.parametrize("family", sorted(CONCENTRATION_CONFIGS))
+def test_traced_pac_counts_what_the_benchmark_checks(family, tmp_path, capsys):
+    # a PAC cell makes one exact total-loss call for all its trials, and
+    # the benchmark requires that call, one draw_sample per trial and
+    # len(records) as the run's trial count
+    from kcompress.cli import dispatch
+
+    spans = _load_spans()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONCENTRATION_CONFIGS[family]
+        + "k = 2\nepsilon = 0.1\ndelta = 0.1\nm_values = 50, 200\ntrials = 3\nseed = 4\n"
+    )
+    out = tmp_path / "out"
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        code = dispatch(["pac", "--config", str(cfg), "--engine", "fast", "--out", str(out)])
+        numbers = spans.layer_numbers(tracer.take())
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    records = (out / "trials.jsonl").read_bytes().count(b"\n")
+    # 2 sample sizes x 3 trials, below m_pac, so no cell is re-measured
+    assert records == 6
+    assert numbers["losses.total_exact.calls"] > 0
+    assert numbers["samples.seed.calls"] > 0
+    assert numbers["samples.draw.calls"] == records
+    assert numbers["experiments.run.trials"] == records
+    for name in _nonzero_counts("pac"):
+        assert numbers[name] > 0, name
+
+
 def test_traced_validity_counts_what_the_benchmark_checks(tmp_path, capsys):
     # the benchmark's small validity pass, both families: a refactor that
     # stops making order choices through OrderChoice, or bypasses another
