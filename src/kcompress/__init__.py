@@ -40,8 +40,6 @@ from .samples import (
     draw_sample,
     erm_realizability_check,
     label_sample,
-    labeled_sample_from_json,
-    labeled_sample_to_json,
     minimal_enclosing_box,
     spawn_rng,
 )

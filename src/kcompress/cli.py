@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when an audit or assertion fails, 2 for
-configuration problems (bad config file, unknown key, malformed input,
-a scan limit below the minimum, a sample too large for the dense path,
-an exact total loss asked for where none is computed in closed form).
+usage and configuration problems (unknown command or flag, bad config
+file, unknown key, a scan limit below the minimum, a sample too large for
+the dense path, an exact total loss asked for where none is computed in
+closed form).
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import functools
 import json
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .experiments import (
     ConfigError,
@@ -29,8 +28,7 @@ from .experiments import (
     write_outputs,
 )
 from .learner import MIN_SCAN_LIMIT, GuaranteeInputs, MPacNotFound, azuma_bound, m_pac
-from .samples import labeled_sample_from_json
-from .indexing import SENTINEL, CellBudgetError
+from .indexing import CellBudgetError
 
 
 @functools.cache
@@ -72,9 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound-table", help="bound diagnostics for each configured m")
     add_common(p, scan=True)
-
-    p = sub.add_parser("inspect", help="describe a labeled-sample JSON file")
-    p.add_argument("--sample", required=True, help="path to a labeled-sample JSON document")
     return parser
 
 
@@ -136,37 +131,12 @@ def _cmd_bound_table(args) -> int:
     return _finish(run_bound_table(_load_config(args), scan_limit=args.scan_limit), args)
 
 
-def _cmd_inspect(args) -> int:
-    try:
-        with open(args.sample, "r", encoding="utf-8") as fh:
-            labeled = labeled_sample_from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"inspect: cannot read sample: {exc}", file=sys.stderr)
-        return 2
-    t = labeled.labels
-    codes, totals = np.unique(t.codes, return_counts=True)
-    counts = dict(zip(codes.tolist(), totals.tolist()))
-    sentinel = counts.pop(SENTINEL, 0)
-    counts = {repr(t.alphabet[c]): n for c, n in counts.items()}
-    print(f"mode: {labeled.mode}")
-    print(f"k: {labeled.k}")
-    print(f"m: {labeled.m}")
-    print(f"alphabet ({len(t.alphabet)}): {list(t.alphabet)!r}")
-    print(f"label cells: {t.codes.size} in shape {t.codes.shape}")
-    for key in sorted(counts):
-        print(f"  label {key}: {counts[key]}")
-    if sentinel:
-        print(f"  non-injective cells: {sentinel}")
-    return 0
-
-
 _COMMANDS = {
     "validate-scheme": _cmd_validate,
     "concentration": _cmd_concentration,
     "pac": _cmd_pac,
     "mpac": _cmd_mpac,
     "bound-table": _cmd_bound_table,
-    "inspect": _cmd_inspect,
 }
 
 

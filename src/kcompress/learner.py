@@ -391,4 +391,8 @@ def guarantee_conditions(inputs: GuaranteeInputs, m: int) -> tuple[bool, bool]:
 def asymptotic_guarantee_reference(inputs: GuaranteeInputs) -> float:
     """Leading-order reference sample size: (2k ||l||^2 / eps^2) * max(1, ln(1/delta))
     in partite mode, with k^2 replacing k in nonpartite mode."""
-    return inputs.denominator / inputs.epsilon**2 * max(1.0, math.log(1.0 / inputs.delta))
+    eps = inputs.epsilon
+    # eps**2 underflows to 0 below about 1.5e-162; dividing by eps twice does
+    # not, and overflows to inf for any loss norm above about 1.5e-8
+    lead = inputs.denominator / eps**2 if eps**2 else inputs.denominator / eps / eps
+    return lead * max(1.0, math.log(1.0 / inputs.delta))

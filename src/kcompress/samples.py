@@ -25,7 +25,6 @@ is fixed by its key and counter alone, so the draws are unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -702,61 +701,3 @@ def _threshold_erm(labeled: LabeledSample) -> tuple[bool, Hypothesis | None]:
     if neg_sets.any() and float(sums[neg_sets].max()) >= min_pos:
         return False, None
     return True, Hypothesis.sum_threshold(k, min_pos)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: one JSON document per labeled sample
-
-LABEL_SENTINEL_TEXT = "·"
-
-
-def _to_plain(v):
-    if isinstance(v, np.generic):
-        return v.item()
-    return v
-
-
-def labeled_sample_to_json(labeled: LabeledSample) -> str:
-    """Schema: {mode, k, m, Y, points, labels}; labels row-major with a
-    sentinel character on non-injective cells.  Floats round-trip exactly."""
-    x, t = labeled.sample, labeled.labels
-    points = (
-        [[_to_plain(p) for p in side] for side in x.sides]
-        if x.mode == PARTITE
-        else [_to_plain(p) for p in x.sides[0]]
-    )
-    labels = [
-        LABEL_SENTINEL_TEXT if c == SENTINEL else _to_plain(t.alphabet[c])
-        for c in t.codes.ravel().tolist()
-    ]
-    doc = {
-        "mode": x.mode,
-        "k": x.k,
-        "m": x.m,
-        "Y": [_to_plain(y) for y in t.alphabet],
-        "points": points,
-        "labels": labels,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def labeled_sample_from_json(text: str, budget: int = DEFAULT_CELL_BUDGET) -> LabeledSample:
-    doc = json.loads(text)
-    mode, k, m = doc["mode"], int(doc["k"]), int(doc["m"])
-    alphabet = tuple(doc["Y"])
-    if mode == PARTITE:
-        sample = Sample.partite([np.asarray(side) for side in doc["points"]])
-    else:
-        sample = Sample.nonpartite(np.asarray(doc["points"]), k)
-    if sample.m != m:
-        raise ValueError(f"declared m={m} does not match {sample.m} points")
-    labels = doc["labels"]
-    if len(labels) != m**k:
-        raise ValueError(f"expected {m**k} label cells, got {len(labels)}")
-    lookup = {v: i for i, v in enumerate(alphabet)}
-    codes = np.asarray(
-        [SENTINEL if v == LABEL_SENTINEL_TEXT else lookup[v] for v in labels],
-        dtype=np.int64,
-    ).reshape((m,) * k)
-    tensor = LabelTensor.from_codes(mode, k, m, alphabet, codes, budget=budget)
-    return LabeledSample(sample, tensor)

@@ -1,28 +1,22 @@
 """Exit codes, output shape, and overrides of the command-line front end."""
 
+import argparse
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from kcompress.cli import dispatch
+from kcompress.cli import _build_parser, dispatch
 from kcompress.experiments import (
     BOUND_TABLE_COLUMNS,
     CONCENTRATION_COLUMNS,
     VALIDITY_COLUMNS,
     ExperimentConfig,
-)
-from kcompress.indexing import NONPARTITE
-from kcompress.samples import (
-    LABEL_SENTINEL_TEXT,
-    Hypothesis,
-    ProductMeasure,
-    draw_sample,
-    label_sample,
-    labeled_sample_to_json,
 )
 
 
@@ -74,6 +68,26 @@ def test_bound_table_csv_and_json(cfg_file, capsys):
     assert doc["columns"] == BOUND_TABLE_COLUMNS
     assert [row["m"] for row in doc["rows"]] == [20, 30]
     assert doc["rows"][0]["m_pac"] == 3619
+
+
+@pytest.mark.parametrize("epsilon", ["1e-300", "1e-170"])
+def test_bound_table_with_underflowing_epsilon_squared(tmp_path, capsys, epsilon):
+    # eps**2 underflows to 0: the leading-order reference is inf, not an error
+    p = tmp_path / "tiny.cfg"
+    p.write_text(PARTITE_TEXT.replace("epsilon = 0.2", f"epsilon = {epsilon}"))
+    assert dispatch(["bound-table", "--config", str(p)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["asymptotic_reference"] for row in rows] == ["inf", "inf"]
+
+
+def test_readme_quick_start_names_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```")[1]
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("kcompress ")]
+    (subparsers,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert sorted(named) == sorted(subparsers.choices)
 
 
 def test_mpac_prints_size_and_breakdown(cfg_file, capsys):
@@ -395,61 +409,3 @@ def test_bundled_configs_quick_outputs_pinned(tmp_path, monkeypatch, capsys):
     }
     assert digests == QUICK_AUDIT_SHA256
 
-
-def test_inspect_partite_sample(tmp_path, capsys):
-    mu = ProductMeasure.uniform("partite", 2)
-    x = draw_sample(mu, 3, 42)
-    labeled = label_sample(Hypothesis.rectangle([(0.0, 1.0), (0.0, 1.0)]), x)
-    p = tmp_path / "sample.json"
-    p.write_text(labeled_sample_to_json(labeled))
-    assert dispatch(["inspect", "--sample", str(p)]) == 0
-    out = capsys.readouterr().out
-    assert "mode: partite" in out
-    assert "k: 2" in out
-    assert "m: 3" in out
-    assert "label cells: 9 in shape (3, 3)" in out
-    assert "label 1: 9" in out
-    assert "non-injective" not in out
-
-
-def test_inspect_nonpartite_counts_sentinels(tmp_path, capsys):
-    mu = ProductMeasure.uniform(NONPARTITE, 2)
-    x = draw_sample(mu, 4, 1)
-    labeled = label_sample(Hypothesis.constant(2, 0), x)
-    p = tmp_path / "sample.json"
-    p.write_text(labeled_sample_to_json(labeled))
-    assert dispatch(["inspect", "--sample", str(p)]) == 0
-    out = capsys.readouterr().out
-    assert "mode: nonpartite" in out
-    assert "label 0: 12" in out
-    assert "non-injective cells: 4" in out
-
-
-def test_inspect_counts_three_labels_and_sentinels(tmp_path, capsys):
-    # codes 0..2 of a three-label alphabet, one label unused, sentinels on
-    # the diagonal; labels print sorted by their repr
-    labels = [LABEL_SENTINEL_TEXT, "b", 2, 0, LABEL_SENTINEL_TEXT, 2, 2, "b", LABEL_SENTINEL_TEXT]
-    doc = {
-        "mode": NONPARTITE, "k": 2, "m": 3, "Y": [2, "b", 0, 1.5],
-        "points": [0.1, 0.5, 0.9], "labels": labels,
-    }
-    p = tmp_path / "sample.json"
-    p.write_text(json.dumps(doc))
-    assert dispatch(["inspect", "--sample", str(p)]) == 0
-    assert capsys.readouterr().out.splitlines()[3:] == [
-        "alphabet (4): [2, 'b', 0, 1.5]",
-        "label cells: 9 in shape (3, 3)",
-        "  label 'b': 2",
-        "  label 0: 1",
-        "  label 2: 3",
-        "  non-injective cells: 3",
-    ]
-
-
-def test_inspect_malformed_exits_2(tmp_path, capsys):
-    p = tmp_path / "junk.json"
-    p.write_text("{not json")
-    assert dispatch(["inspect", "--sample", str(p)]) == 2
-    assert "inspect: cannot read sample:" in capsys.readouterr().err
-    assert dispatch(["inspect", "--sample", str(tmp_path / "absent.json")]) == 2
-    capsys.readouterr()

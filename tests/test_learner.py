@@ -712,6 +712,18 @@ def test_asymptotic_reference_frozen_values():
     )
 
 
+def test_asymptotic_reference_when_epsilon_squared_underflows():
+    # eps**2 is 0 below about 1.5e-162; the reference is still a number
+    assert 1e-163**2 == 0
+    gi = inputs_const(PARTITE, 2, 2, 2, epsilon=1e-300, delta=0.1)
+    assert asymptotic_guarantee_reference(gi) == math.inf
+    # a tiny loss norm keeps the true value, 4e-20 / 1e-326 * ln 10, finite
+    tiny = inputs_const(PARTITE, 2, 2, 2, epsilon=1e-163, delta=0.1, sup_norm=1e-10)
+    assert asymptotic_guarantee_reference(tiny) == pytest.approx(
+        4e306 * math.log(10), rel=1e-12
+    )
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

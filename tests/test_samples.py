@@ -39,8 +39,6 @@ from kcompress.samples import (
     encode_labels,
     erm_realizability_check,
     label_sample,
-    labeled_sample_from_json,
-    labeled_sample_to_json,
     minimal_enclosing_box,
     side_keys,
     spawn_rng,
@@ -692,39 +690,3 @@ def test_labeling_commutes_with_subsampling(data):
     for a, b in zip(label_then_cut.sample.sides, cut_then_label.sample.sides):
         assert np.array_equal(a, b)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-@pytest.mark.parametrize("mode,k,m", [(PARTITE, 2, 3), (NONPARTITE, 2, 4), (NONPARTITE, 3, 3), (PARTITE, 1, 5)])
-def test_json_roundtrip_bit_exact(mode, k, m):
-    rng = np.random.default_rng(17)
-    x = draw_sample(ProductMeasure.uniform(mode, k), m, seed=17)
-    if mode == PARTITE:
-        F = HypothesisClass.rectangles(k).sample_hypothesis(rng)
-    else:
-        F = HypothesisClass.sum_thresholds(k).sample_hypothesis(rng)
-    z = label_sample(F, x)
-    text = labeled_sample_to_json(z)
-    back = labeled_sample_from_json(text)
-    assert np.array_equal(back.labels.codes, z.labels.codes)
-    for a, b in zip(back.sample.sides, z.sample.sides):
-        assert np.array_equal(a, b)  # exact, not approximate
-    assert labeled_sample_to_json(back) == text
-
-
-def test_json_rejects_inconsistent_documents():
-    x = Sample.partite([[0.1, 0.2], [0.3, 0.4]])
-    z = label_sample(Hypothesis.empty_rectangle(2), x)
-    text = labeled_sample_to_json(z)
-    import json
-
-    doc = json.loads(text)
-    doc["m"] = 3
-    with pytest.raises(ValueError):
-        labeled_sample_from_json(json.dumps(doc))
-    doc = json.loads(text)
-    doc["labels"] = doc["labels"][:-1]
-    with pytest.raises(ValueError):
-        labeled_sample_from_json(json.dumps(doc))

@@ -35,8 +35,6 @@ from kcompress.samples import (
     draw_sample,
     erm_realizability_check,
     label_sample,
-    labeled_sample_from_json,
-    labeled_sample_to_json,
     ProductMeasure,
     spawn_rng,
 )
@@ -386,22 +384,31 @@ def test_selector_reads_the_sample_once_for_selection_and_header(name, monkeypat
     assert headers == {1, 2}
 
 
-@pytest.mark.parametrize("which", ["rectangle", "sum-threshold"])
-def test_reconstruction_survives_serialization(which):
-    # everything the reconstructor needs must live in (subsample, header)
-    if which == "rectangle":
-        scheme = rectangle_scheme(2)
-        F = Hypothesis.rectangle([(0.2, 0.6), (0.1, 0.5)])
-        x = draw_sample(ProductMeasure.uniform(PARTITE, 2), 8, seed=3)
-    else:
-        scheme = sum_threshold_scheme(2)
-        F = Hypothesis.sum_threshold(2, 0.9)
-        x = draw_sample(ProductMeasure.uniform(NONPARTITE, 2), 8, seed=3)
-    z = label_sample(F, x)
+RECONSTRUCTION_CASES = {
+    "rectangle-positive": (PARTITE, Hypothesis.rectangle([(0.2, 0.6), (0.1, 0.5)]), 1),
+    "rectangle-all-negative": (PARTITE, Hypothesis.empty_rectangle(2), 2),
+    "sum-threshold-positive": (NONPARTITE, Hypothesis.sum_threshold(2, 0.9), 1),
+    "sum-threshold-all-negative": (NONPARTITE, Hypothesis.sum_threshold(2, 3.0), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECONSTRUCTION_CASES))
+def test_reconstruction_reads_only_the_compressed_data(case):
+    # everything the reconstructor needs must live in (subsample, header):
+    # a fresh labeled sample built from copies of the subsample's points
+    # and codes rebuilds the same hypothesis
+    mode, F, expected_hdr = RECONSTRUCTION_CASES[case]
+    scheme = rectangle_scheme(2) if mode == PARTITE else sum_threshold_scheme(2)
+    z = label_sample(F, draw_sample(ProductMeasure.uniform(mode, 2), 8, seed=3))
     sub, hdr = compress(scheme, z)
-    wire = labeled_sample_to_json(sub)
-    back = labeled_sample_from_json(wire)
-    assert reconstruct(scheme, back, hdr).describe() == reconstruct(scheme, sub, hdr).describe()
+    assert hdr == expected_hdr
+    fresh = LabeledSample(
+        Sample(sub.mode, sub.k, tuple(side.copy() for side in sub.sample.sides)),
+        LabelTensor.from_codes(
+            sub.mode, sub.k, sub.m, sub.labels.alphabet, sub.labels.codes.copy()
+        ),
+    )
+    assert reconstruct(scheme, fresh, hdr).describe() == reconstruct(scheme, sub, hdr).describe()
 
 
 @settings(max_examples=60, deadline=None)
