@@ -39,14 +39,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scan=False):
+    def add_common(p, scan=False, outputs=True):
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--trials", type=int, default=None, help="override the trial count")
-        p.add_argument("--out", default=None, help="directory for manifest/trials/summary")
-        p.add_argument(
-            "--format", choices=("csv", "json"), default="csv", help="summary format"
-        )
+        if outputs:
+            p.add_argument("--out", default=None, help="directory for manifest/trials/summary")
+            p.add_argument(
+                "--format", choices=("csv", "json"), default="csv", help="summary format"
+            )
         if scan:
             p.add_argument(
                 "--scan-limit", type=int, default=None,
@@ -65,8 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, scan=True)
     p.add_argument("--engine", choices=("auto", "fast", "generic"), default="auto")
 
+    # mpac prints one JSON document and writes no files
     p = sub.add_parser("mpac", help="print the smallest guaranteed sample size")
-    add_common(p, scan=True)
+    add_common(p, scan=True, outputs=False)
 
     p = sub.add_parser("bound-table", help="bound diagnostics for each configured m")
     add_common(p, scan=True)

@@ -12,21 +12,24 @@ rows, its exact total loss over such rows, and its fast concentration
 and PAC kernels with the arities they cover.  The runners read the
 record of the configured class instead of comparing mode and id strings.
 
-Two execution engines produce identical records.  The generic engine
-materializes label tensors and goes through the compression pipeline; the
-fast engine runs a family's kernels (the kernels module) on the drawn
-points, under any measure, with factorized counting so sample sizes in
-the tens of thousands stay cheap.  Concentration trials are many and
-small, so the fast engine runs them in blocks: each trial still draws
-its own sample, the samples of up to _BLOCK_POINTS drawn points are
-stacked into one array, and one kernel call per block gives every
-trial's hypothesis, as a parameter row, and empirical loss.  PAC trials
-are few and large, and their kernels run per trial, each giving its
-trial's parameter row.  Either way a cell's pass of trials then takes
-one exact total-loss call over all its rows (or a Monte Carlo estimate
-per row), and its gaps, exceedances and describe() texts are each one
-pass.  No TrialRecord is built per trial, and the fast concentration
-engine builds no Hypothesis per trial either.
+An engine is a pair of kernels, one for concentration and one for PAC,
+and the two engines produce identical records.  The fast engine is a
+family's kernels (the kernels module), which read only the drawn points,
+under any measure, with factorized counting so sample sizes in the tens
+of thousands stay cheap.  The generic engine's kernels materialize label
+tensors and go through the compression pipeline: label, subsample along
+sigma (or compress) and reconstruct.  Only _kernels tells the engines
+apart; the runners run whichever pair it returns.  Concentration trials
+are many and small, so they run in blocks: each trial still draws its
+own sample, the samples of up to _BLOCK_POINTS drawn points are stacked
+into one array, and one kernel call per block gives every trial's
+hypothesis, as a parameter row, and empirical loss.  PAC trials are few
+and large, and their kernel runs per trial, giving its trial's parameter
+row.  Either way a cell's pass of trials then takes one exact total-loss
+call over all its rows (or a Monte Carlo estimate per row), and its
+gaps, exceedances and describe() texts are each one pass (_cell_columns,
+for both audits).  No TrialRecord is built per trial, and the fast
+concentration kernels build no Hypothesis per trial either.
 
 Summary tables and trial records are held by columns (a Records
 sequence builds a record only when one is read), and written from them;
@@ -58,6 +61,7 @@ from .indexing import (
     NONPARTITE,
     PARTITE,
     InjectionVector,
+    Sample,
     canonical_order_choice,
     side_count,
     subsample,
@@ -376,21 +380,6 @@ class ExperimentResult:
         return [dict(zip(self.table, row)) for row in zip(*self.table.values())]
 
 
-def merge_results(results: Sequence[ExperimentResult]) -> ExperimentResult:
-    first = results[0]
-    merged = ExperimentResult(
-        first.kind, first.config, list(first.columns), Records(first.records.kind),
-        passed=all(r.passed for r in results),
-    )
-    for r in results:
-        if r.kind != first.kind or r.config != first.config:
-            raise ValueError("cannot merge results from different runs")
-        merged.extend(r.table)
-        merged.records.extend(r.records.columns)
-        merged.notes.extend(r.notes)
-    return merged
-
-
 def _ci_half_width(p_hat: float, n: int) -> float:
     return CI99_MULTIPLIER * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
@@ -401,24 +390,27 @@ def _ci_half_width(p_hat: float, n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """One built-in family: class, scheme, loss, and what the engines run on it.
+    """One built-in family: class, scheme, loss, and its fast kernels.
 
     name is both its class_id and its scheme_id.  empirical_loss is the
-    dense reference.  The concentration runner holds hypotheses as
-    parameter rows, a block of them in one array (count, ...): params(H)
-    is the row of a member H, from_params(k, row) the member with that
-    row, and describe_params(rows) each row's describe() text.
+    dense reference.  The runners hold hypotheses as parameter rows, a
+    block of them in one array (count, ...): params(H) is the row of a
+    member H, from_params(k, row) the member with that row, and
+    describe_params(rows) each row's describe() text.
     total_loss_exact(mu, F row, rows) -> array is the closed-form total
-    loss of each row against F, one call for a block.  For k in
-    fast_arities, the fast engine runs concentration_kernel(k, F, sigma,
-    eta, m, pts) -> (rows, empirical losses) on a block of trials: pts is
-    their drawn points stacked as a (count, sides, m) array of at most
-    _BLOCK_POINTS points (count may be 0); rows holds one row per trial,
-    and the list one loss.  The engine keeps no other reference to pts.
-    pac_kernel(k, F, m, x) -> (row, header, empirical loss, realizable)
-    runs per trial, on one sample x, and returns the learned hypothesis
-    as its parameter row.  Both work under any measure: the kernels read
-    only the drawn points.  Fields calling another module's function name it
+    loss of each row against F, one call for a block.
+
+    The kernel contracts, which the generic engine's kernels keep too:
+    concentration_kernel(k, F, sigma, eta, m, pts) -> (rows, empirical
+    losses) runs on a block of trials: pts is their drawn points stacked
+    as a (count, sides, m) array of at most _BLOCK_POINTS points (count
+    may be 0); rows has shape (count, *params(F).shape), one row per
+    trial, and the list one loss.  The runner keeps no other reference to
+    pts.  pac_kernel(k, F, m, x) -> (row, header, empirical loss,
+    realizable) runs per trial, on one sample x, and returns the learned
+    hypothesis as its parameter row.  The fast kernels cover the family's
+    own scheme for k in fast_arities, under any measure: they read only
+    the drawn points.  Fields calling another module's function name it
     inside a lambda, so a wrapper installed at the module attribute
     (perfbench's tracer) is what they call.
     """
@@ -480,26 +472,63 @@ FAMILIES = {family.name: family for family in (BOXES, SUM_THRESHOLDS)}
 _VARIANT_SALT = {"fixed": 0, "random": 1}
 
 
-def _fast_supported(cfg: ExperimentConfig, scheme: SelectionScheme) -> bool:
+def _generic_concentration(family, scheme, loss, k, F, sigma, eta, m, pts):
+    """The concentration kernel of the generic engine, on the dense
+    reference path: each sample of the block is labeled by F, subsampled
+    along sigma and reconstructed with header eta."""
+    rows, emps = [], []
+    for sides in pts:
+        labeled = label_sample(F, Sample(family.mode, k, tuple(sides)))
+        H = reconstruct(scheme, subsample(labeled, sigma), eta)
+        rows.append(family.params(H))
+        emps.append(family.empirical_loss(labeled, H, loss))
+    # an empty block gives rows of the block's shape, (0, *row shape)
+    return np.reshape(rows, (len(rows), *np.shape(family.params(F)))), emps
+
+
+def _generic_pac(family, klass, scheme, loss, k, F, m, x):
+    """The PAC kernel of the generic engine, on the dense reference path:
+    x is labeled by F, compressed and reconstructed, and certified
+    realizable by ERM over the class."""
+    labeled = label_sample(F, x)
+    sub, header = compress(scheme, labeled)
+    H = reconstruct(scheme, sub, header)
+    realizable, _ = erm_realizability_check(klass, labeled, loss)
+    return family.params(H), header, family.empirical_loss(labeled, H, loss), realizable
+
+
+def _kernels(cfg: ExperimentConfig, klass, loss, scheme, engine: str) -> tuple:
+    """(concentration kernel, PAC kernel) of an engine, with the contracts
+    Family documents: fast, the family's kernels, which cover its own
+    scheme at fast_arities; generic, the dense reference path, which
+    covers every config; auto, fast where it covers the config."""
     family = FAMILIES[cfg.class_id]
-    return scheme.scheme_id == family.name and cfg.k in family.fast_arities
-
-
-def _resolve_engine(cfg, scheme, engine: str) -> str:
-    if engine == "auto":
-        return "fast" if _fast_supported(cfg, scheme) else "generic"
-    if engine not in ("fast", "generic"):
+    if engine not in ("auto", "fast", "generic"):
         raise ConfigError(f"unknown engine {engine!r}")
-    if engine == "fast" and not _fast_supported(cfg, scheme):
+    fast = scheme.scheme_id == family.name and cfg.k in family.fast_arities
+    if engine == "fast" and not fast:
         raise ConfigError("fast engine does not support this configuration")
-    return engine
+    if fast and engine != "generic":
+        return family.concentration_kernel, family.pac_kernel
+    return (
+        partial(_generic_concentration, family, scheme, loss),
+        partial(_generic_pac, family, klass, scheme, loss),
+    )
 
 
-def _check_total_loss(cfg: ExperimentConfig, mu: ProductMeasure) -> None:
-    """Refuse, before any trial runs, an exact estimator that cannot cover mu."""
+def _audit_setup(cfg: ExperimentConfig, engine: str) -> tuple:
+    """(measure, class, loss, scheme, guarantee inputs, kernels) of a
+    concentration or PAC run.  An exact estimator that cannot cover the
+    measure, or an engine that cannot run the config, is refused here,
+    before any trial runs."""
+    cfg.validate()
+    mu, klass, loss, scheme = build_all(cfg)
     gap = exact_total_loss_gap(mu) if cfg.estimator == "exact" else None
     if gap:
         raise ConfigError(f"{gap}; use estimator = monte-carlo")
+    kernels = _kernels(cfg, klass, loss, scheme, engine)
+    inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
+    return mu, klass, loss, scheme, inputs, kernels
 
 
 def _total_losses(cfg, mu, loss, F, rows: np.ndarray, mc_seeds) -> np.ndarray:
@@ -526,6 +555,25 @@ def _mc_seeds(cfg: ExperimentConfig, prefix: tuple, ts: np.ndarray) -> list:
     if cfg.estimator != "monte-carlo":
         return [None] * len(ts)
     return derive_seed(cfg.seed, *prefix, ts, 7).tolist()
+
+
+def _cell_columns(cfg, mu, loss, variant, m, ts, F, rows, emps, headers, mc_seeds) -> dict:
+    """TrialRecord columns of the trials ts (an int array), in order, from
+    their hypotheses' parameter rows, empirical losses and headers: one
+    total-loss pass against F (as _total_losses reads it), one gap pass,
+    one exceedance pass and one describe() text pass.  A PAC trial exceeds
+    when its total loss is above epsilon, a concentration trial when its
+    gap is at least epsilon."""
+    totals = _total_losses(cfg, mu, loss, F, rows, mc_seeds)
+    gaps = totals - emps
+    exceeded = totals > cfg.epsilon if variant == "pac" else gaps >= cfg.epsilon
+    n = len(ts)
+    return dict(
+        variant=[variant] * n, m=[m] * n, trial=ts.tolist(), empirical_loss=emps,
+        total_loss=totals.tolist(), gap=gaps.tolist(), exceeded=exceeded.tolist(),
+        header=headers, hypothesis=FAMILIES[cfg.class_id].describe_params(rows),
+        realizable=[True] * n,
+    )
 
 
 def _measure_cell(result, batch, trials: int, bound: float | None, m: int, what: str):
@@ -562,21 +610,11 @@ def _scan_m_pac(cfg: ExperimentConfig, inputs, scan_limit: int | None, notes: li
         return None
 
 
-def _concentration_fits(cfg, loss, scheme, F, sigma, eta, m, samples, engine):
+def _concentration_fits(cfg, kernel, F, sigma, eta, m, samples):
     """(parameter rows, empirical losses) of the samples, one row and one
-    loss each, in order.  The fast engine stacks the samples into blocks
-    of at most _BLOCK_POINTS drawn points and runs the family's
-    concentration kernel once per block; the generic engine reconstructs
-    each sample's Hypothesis and takes its row."""
-    family = FAMILIES[cfg.class_id]
-    if engine == "generic":
-        rows, emps = [], []
-        for x in samples:
-            labeled = label_sample(F, x)
-            H = reconstruct(scheme, subsample(labeled, sigma), eta)
-            rows.append(family.params(H))
-            emps.append(family.empirical_loss(labeled, H, loss))
-        return np.array(rows), emps
+    loss each, in order: the samples are stacked into blocks of at most
+    _BLOCK_POINTS drawn points, and the concentration kernel runs once per
+    block."""
     samples = iter(samples)
     sides = side_count(cfg.mode, cfg.k)
     per_block = max(1, _BLOCK_POINTS // (sides * m))
@@ -587,7 +625,7 @@ def _concentration_fits(cfg, loss, scheme, F, sigma, eta, m, samples, engine):
         # the block goes to the kernel with no other reference, so a kernel
         # done with the points may free them; the block after the last
         # sample is empty
-        block_rows, block_emps = family.concentration_kernel(
+        block_rows, block_emps = kernel(
             cfg.k, F, sigma, eta, m,
             np.fromiter((x.sides for x in islice(samples, per_block)), points),
         )
@@ -597,24 +635,6 @@ def _concentration_fits(cfg, loss, scheme, F, sigma, eta, m, samples, engine):
             return np.concatenate(rows), emps
 
 
-def _concentration_columns(
-    cfg, mu, loss, scheme, F, sigma, eta, variant, m, ts, samples, mc_seeds, engine
-) -> dict:
-    """TrialRecord columns of the trials ts (an int array) on their samples,
-    in order: after the engine's fits, one total-loss pass, one gap and
-    exceedance pass and one describe() text pass for all of them."""
-    rows, emps = _concentration_fits(cfg, loss, scheme, F, sigma, eta, m, samples, engine)
-    totals = _total_losses(cfg, mu, loss, FAMILIES[cfg.class_id].params(F), rows, mc_seeds)
-    gaps = totals - emps
-    n = len(ts)
-    return dict(
-        variant=[variant] * n, m=[m] * n, trial=ts.tolist(), empirical_loss=emps,
-        total_loss=totals.tolist(), gap=gaps.tolist(),
-        exceeded=(gaps >= cfg.epsilon).tolist(), header=[eta] * n,
-        hypothesis=FAMILIES[cfg.class_id].describe_params(rows), realizable=[True] * n,
-    )
-
-
 CONCENTRATION_COLUMNS = [
     "variant", "m", "epsilon", "trials", "exceed_count", "p_hat",
     "ci_half_width", "single_event_bound", "margin", "condition_ok",
@@ -622,9 +642,56 @@ CONCENTRATION_COLUMNS = [
 ]
 
 
+def _run_concentration(cfg: ExperimentConfig, engine: str, variants) -> ExperimentResult:
+    """One concentration result holding, in order, the rows and records of
+    each audit variant (sigma, eta, F, variant) of variants(class, scheme)."""
+    mu, klass, loss, scheme, inputs, (kernel, _) = _audit_setup(cfg, engine)
+    result = ExperimentResult("concentration", cfg, list(CONCENTRATION_COLUMNS))
+    bounds = [azuma_bound(inputs, m) for m in cfg.m_values]
+    rng = KeyedGenerator()
+
+    def batch(variant, F, sigma, eta, m, mi, t0, count):
+        ts = np.arange(t0, t0 + count)
+        vsalt = _VARIANT_SALT[variant]
+        keys = side_keys(mu, derive_seed(cfg.seed, vsalt, mi, ts))
+        samples = (draw_sample(mu, m, keys=trial_keys, rng=rng) for trial_keys in keys)
+        rows, emps = _concentration_fits(cfg, kernel, F, sigma, eta, m, samples)
+        columns = _cell_columns(
+            cfg, mu, loss, variant, m, ts, FAMILIES[cfg.class_id].params(F), rows, emps,
+            [eta] * count, _mc_seeds(cfg, (vsalt, mi), ts),
+        )
+        return columns, sum(columns["exceeded"])
+
+    for sigma, eta, F, variant in variants(klass, scheme):
+        for mi, (m, bd) in enumerate(zip(cfg.m_values, bounds)):
+            if not bd.condition_ok:
+                note = f"m={m}: slack condition fails, bound is trivial; skipped"
+                result.notes.append(note)
+                result.add_row(
+                    variant=variant, m=m, epsilon=cfg.epsilon, trials=0,
+                    exceed_count=0, p_hat=0.0, ci_half_width=0.0,
+                    single_event_bound=1.0, margin=1.0, condition_ok=False,
+                    rerun=False, passed=True, note="condition-violated",
+                )
+                continue
+            cell = partial(batch, variant, F, sigma(m), eta, m, mi)
+            trials, exceed, p_hat, ci, ok, rerun = _measure_cell(
+                result, cell, cfg.trials, bd.single_event_bound, m, "the bound",
+            )
+            result.add_row(
+                variant=variant, m=m, epsilon=cfg.epsilon, trials=trials,
+                exceed_count=exceed, p_hat=p_hat, ci_half_width=ci,
+                single_event_bound=bd.single_event_bound,
+                margin=bd.single_event_bound - (p_hat - ci), condition_ok=True,
+                rerun=rerun, passed=ok, note="",
+            )
+            result.passed = result.passed and ok
+    return result
+
+
 def run_concentration_experiment(
     cfg: ExperimentConfig,
-    sigma: InjectionVector | Callable[[int], InjectionVector],
+    sigma: Callable[[int], InjectionVector],
     eta: int,
     F: Hypothesis,
     variant: str = "fixed",
@@ -632,111 +699,48 @@ def run_concentration_experiment(
 ) -> ExperimentResult:
     """Audit the single-selection deviation bound for one fixed (sigma, eta, F).
 
-    sigma is a fixed InjectionVector (its indices must be in range for
-    every configured m) or a callable m -> InjectionVector.  For each m,
-    the exceedance frequency of {total - empirical >= epsilon} over
-    fresh samples is compared against the single-event bound; the
-    verdict requires p_hat - CI99 <= bound.  A failed comparison is
-    re-measured once with four times the trials.  Sample sizes where the
-    slack condition fails are skipped with a note.
+    sigma(m) is the selection at sample size m.  For each m, the
+    exceedance frequency of {total - empirical >= epsilon} over fresh
+    samples is compared against the single-event bound; the verdict
+    requires p_hat - CI99 <= bound.  A failed comparison is re-measured
+    once with four times the trials.  Sample sizes where the slack
+    condition fails are skipped with a note.
     """
-    cfg.validate()
     if variant not in _VARIANT_SALT:
         raise ValueError(f"variant must be one of {sorted(_VARIANT_SALT)}")
-    mu, klass, loss, scheme = build_all(cfg)
-    _check_total_loss(cfg, mu)
-    eng = _resolve_engine(cfg, scheme, engine)
-    inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
-    result = ExperimentResult("concentration", cfg, list(CONCENTRATION_COLUMNS))
-
-    vsalt = _VARIANT_SALT[variant]
-    rng = KeyedGenerator()
-
-    def batch(m, mi, sigma_m, t0, count):
-        ts = np.arange(t0, t0 + count)
-        keys = side_keys(mu, derive_seed(cfg.seed, vsalt, mi, ts))
-        samples = (draw_sample(mu, m, keys=trial_keys, rng=rng) for trial_keys in keys)
-        columns = _concentration_columns(
-            cfg, mu, loss, scheme, F, sigma_m, eta, variant, m, ts, samples,
-            _mc_seeds(cfg, (vsalt, mi), ts), eng,
-        )
-        return columns, sum(columns["exceeded"])
-
-    for mi, m in enumerate(cfg.m_values):
-        bd = azuma_bound(inputs, m)
-        if not bd.condition_ok:
-            note = f"m={m}: slack condition fails, bound is trivial; skipped"
-            result.notes.append(note)
-            result.add_row(
-                variant=variant, m=m, epsilon=cfg.epsilon, trials=0,
-                exceed_count=0, p_hat=0.0, ci_half_width=0.0,
-                single_event_bound=1.0, margin=1.0, condition_ok=False,
-                rerun=False, passed=True, note="condition-violated",
-            )
-            continue
-        if callable(sigma):
-            sigma_m = sigma(m)
-        elif sigma.m == m:
-            sigma_m = sigma
-        else:
-            # a fixed selection is reusable at any sample size that still
-            # contains its indices; rebinding validates the range
-            sigma_m = InjectionVector(sigma.mode, m, sigma.maps)
-        trials, exceed, p_hat, ci, ok, rerun = _measure_cell(
-            result, partial(batch, m, mi, sigma_m), cfg.trials, bd.single_event_bound,
-            m, "the bound",
-        )
-        result.add_row(
-            variant=variant, m=m, epsilon=cfg.epsilon, trials=trials,
-            exceed_count=exceed, p_hat=p_hat, ci_half_width=ci,
-            single_event_bound=bd.single_event_bound,
-            margin=bd.single_event_bound - (p_hat - ci), condition_ok=True,
-            rerun=rerun, passed=ok, note="",
-        )
-        result.passed = result.passed and ok
-    return result
+    return _run_concentration(cfg, engine, lambda klass, scheme: [(sigma, eta, F, variant)])
 
 
 def run_concentration_suite(cfg: ExperimentConfig, engine: str = "auto") -> ExperimentResult:
     """Both audit variants: a fixed top-index selection with header 1, and a
     seeded random selection with a seeded random header."""
-    cfg.validate()
-    mu, klass, loss, scheme = build_all(cfg)
-    F = klass.sample_hypothesis(spawn_rng(cfg.seed, 11))
-    h_min = min(int(scheme.header_size(m)) for m in cfg.m_values)
 
-    def sigma_fixed(m):
-        return InjectionVector.top(cfg.mode, cfg.k, m, int(scheme.selection_size(m)))
+    def variants(klass, scheme):
+        F = klass.sample_hypothesis(spawn_rng(cfg.seed, 11))
+        h_min = min(int(scheme.header_size(m)) for m in cfg.m_values)
 
-    def sigma_random(m):
-        return InjectionVector.random(
-            cfg.mode, cfg.k, m, int(scheme.selection_size(m)), spawn_rng(cfg.seed, 13, m)
-        )
+        def sigma_fixed(m):
+            return InjectionVector.top(cfg.mode, cfg.k, m, int(scheme.selection_size(m)))
 
-    eta_random = 1 + int(spawn_rng(cfg.seed, 14).integers(2)) if h_min > 1 else 1
-    fixed = run_concentration_experiment(cfg, sigma_fixed, 1, F, "fixed", engine)
-    rand = run_concentration_experiment(cfg, sigma_random, eta_random, F, "random", engine)
-    return merge_results([fixed, rand])
+        def sigma_random(m):
+            return InjectionVector.random(
+                cfg.mode, cfg.k, m, int(scheme.selection_size(m)), spawn_rng(cfg.seed, 13, m)
+            )
+
+        eta_random = 1 + int(spawn_rng(cfg.seed, 14).integers(2)) if h_min > 1 else 1
+        return [(sigma_fixed, 1, F, "fixed"), (sigma_random, eta_random, F, "random")]
+
+    return _run_concentration(cfg, engine, variants)
 
 
-def _pac_columns(cfg, mu, klass, loss, scheme, m, ts, targets, samples, mc_seeds, engine) -> dict:
+def _pac_columns(cfg, mu, loss, kernel, m, ts, targets, samples, mc_seeds) -> dict:
     """TrialRecord columns of the PAC trials ts (an int array), each on its
-    target and sample, in order.  The engine learns each trial's
-    hypothesis as a parameter row and certifies the trial realizable;
-    then one total-loss pass, one gap and exceedance pass and one
-    describe() text pass take all of the trials."""
+    target and sample, in order: one PAC kernel call per trial learns its
+    hypothesis as a parameter row and certifies the trial realizable."""
     family = FAMILIES[cfg.class_id]
     rows, headers, emps = [], [], []
     for t, F, x in zip(ts.tolist(), targets, samples):
-        if engine == "fast":
-            row, header, emp, realizable = family.pac_kernel(cfg.k, F, m, x)
-        else:
-            labeled = label_sample(F, x)
-            sub, header = compress(scheme, labeled)
-            H = reconstruct(scheme, sub, header)
-            row = family.params(H)
-            emp = family.empirical_loss(labeled, H, loss)
-            realizable, _ = erm_realizability_check(klass, labeled, loss)
+        row, header, emp, realizable = kernel(cfg.k, F, m, x)
         if not realizable:
             # samples are labeled by a class member, so a failed
             # certificate means the harness itself is broken
@@ -744,17 +748,9 @@ def _pac_columns(cfg, mu, klass, loss, scheme, m, ts, targets, samples, mc_seeds
         rows.append(row)
         headers.append(header)
         emps.append(emp)
-    rows = np.array(rows)
-    totals = _total_losses(
-        cfg, mu, loss, np.array([family.params(F) for F in targets]), rows, mc_seeds
-    )
-    gaps = totals - emps
-    n = len(ts)
-    return dict(
-        variant=["pac"] * n, m=[m] * n, trial=ts.tolist(), empirical_loss=emps,
-        total_loss=totals.tolist(), gap=gaps.tolist(),
-        exceeded=(totals > cfg.epsilon).tolist(), header=headers,
-        hypothesis=family.describe_params(rows), realizable=[True] * n,
+    return _cell_columns(
+        cfg, mu, loss, "pac", m, ts, np.array([family.params(F) for F in targets]),
+        np.array(rows), emps, headers, mc_seeds,
     )
 
 
@@ -777,11 +773,7 @@ def run_pac_experiment(
     beyond the guaranteed sample size, the failure frequency of
     {total loss > epsilon} must satisfy q_hat - CI99 <= delta.
     """
-    cfg.validate()
-    mu, klass, loss, scheme = build_all(cfg)
-    _check_total_loss(cfg, mu)
-    eng = _resolve_engine(cfg, scheme, engine)
-    inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
+    mu, klass, loss, scheme, inputs, (_, kernel) = _audit_setup(cfg, engine)
     result = ExperimentResult("pac", cfg, list(PAC_COLUMNS))
     m0 = _scan_m_pac(cfg, inputs, scan_limit, result.notes)
 
@@ -798,8 +790,7 @@ def run_pac_experiment(
         keys = side_keys(mu, derive_seed(cfg.seed, mi, ts, 1))
         samples = (draw_sample(mu, m, keys=trial_keys, rng=rng) for trial_keys in keys)
         columns = _pac_columns(
-            cfg, mu, klass, loss, scheme, m, ts, targets, samples,
-            _mc_seeds(cfg, (mi,), ts), eng,
+            cfg, mu, loss, kernel, m, ts, targets, samples, _mc_seeds(cfg, (mi,), ts)
         )
         return columns, sum(columns["exceeded"])
 

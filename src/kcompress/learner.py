@@ -35,8 +35,8 @@ from .schemes import SelectionScheme, SizeMap, compress, reconstruct
 
 def learn(scheme: SelectionScheme, labeled: LabeledSample) -> Hypothesis:
     """Compress, then reconstruct: the paper's learner induced by a scheme.
-    Only tests call it: the pac runner takes the two steps itself to keep
-    the header."""
+    Only tests call it: the generic PAC kernel (experiments._generic_pac)
+    takes the two steps itself to keep the header."""
     sub, header = compress(scheme, labeled)
     return reconstruct(scheme, sub, header)
 

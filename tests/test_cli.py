@@ -98,6 +98,17 @@ def test_mpac_prints_size_and_breakdown(cfg_file, capsys):
     assert bd["m"] == 3619 and bd["condition_ok"] is True
 
 
+@pytest.mark.parametrize("flag", [["--out", "d"], ["--format", "json"]])
+def test_mpac_refuses_output_flags(cfg_file, tmp_path, monkeypatch, capsys, flag):
+    # mpac prints one JSON document and writes no files, so it takes neither
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["mpac", "--config", cfg_file, "--scan-limit", "8000", *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    assert not (tmp_path / "d").exists()
+
+
 def test_mpac_not_found_exits_1(tmp_path, capsys):
     p = tmp_path / "t.cfg"
     p.write_text(PARTITE_TEXT + "scheme_id = trivial\n")

@@ -15,6 +15,7 @@ from kcompress import experiments
 from kcompress.experiments import (
     BOUND_TABLE_COLUMNS,
     CONCENTRATION_COLUMNS,
+    FAMILIES,
     PAC_COLUMNS,
     MAX_TRIALS,
     VALIDITY_COLUMNS,
@@ -23,9 +24,12 @@ from kcompress.experiments import (
     _VARIANT_SALT,
     Records,
     TrialRecord,
+    _cell_columns,
     _ci_half_width,
-    _concentration_columns,
     _concentration_fits,
+    _generic_concentration,
+    _generic_pac,
+    _kernels,
     _pac_columns,
     build_all,
     build_measure,
@@ -33,7 +37,6 @@ from kcompress.experiments import (
     config_hash,
     config_to_dict,
     load_config,
-    merge_results,
     parse_config,
     records_to_jsonl,
     run_bound_table,
@@ -545,23 +548,40 @@ def records_of(result):
     return [vars(r) for r in result.records]
 
 
-def concentration_trial(cfg, mu, loss, scheme, F, sigma, eta, variant, m, t, x, mc_seed, engine):
-    """The record of one trial, through the engine code of the runner; the
-    fast engine runs its kernel on a block of this one sample."""
+ENGINES = ("fast", "generic")
+
+
+def kernels(cfg, engine):
+    """(concentration kernel, PAC kernel) of the engine on cfg."""
+    mu, klass, loss, scheme = build_all(cfg)
+    return _kernels(cfg, klass, loss, scheme, engine)
+
+
+def concentration_columns(cfg, mu, loss, F, sigma, eta, variant, m, ts, xs, mc_seeds, kernel):
+    """The record columns of the trials ts on the samples xs, as the runner
+    builds them: the kernel's fits, then the columns of the cell."""
+    rows, emps = _concentration_fits(cfg, kernel, F, sigma, eta, m, xs)
+    return _cell_columns(
+        cfg, mu, loss, variant, m, ts, FAMILIES[cfg.class_id].params(F), rows, emps,
+        [eta] * len(ts), mc_seeds,
+    )
+
+
+def concentration_trial(cfg, mu, loss, F, sigma, eta, variant, m, t, x, mc_seed, kernel):
+    """The record of one trial, through the code of the runner; the kernel
+    runs on a block of this one sample."""
     records = Records(TrialRecord)
-    records.extend(_concentration_columns(
-        cfg, mu, loss, scheme, F, sigma, eta, variant, m, np.array([t]), [x], [mc_seed], engine
+    records.extend(concentration_columns(
+        cfg, mu, loss, F, sigma, eta, variant, m, np.array([t]), [x], [mc_seed], kernel
     ))
     [record] = records
     return record
 
 
-def pac_trial(cfg, mu, klass, loss, scheme, m, t, F, x, mc_seed, engine):
-    """The record of one PAC trial, through the engine code of the runner."""
+def pac_trial(cfg, mu, loss, m, t, F, x, mc_seed, kernel):
+    """The record of one PAC trial, through the code of the runner."""
     records = Records(TrialRecord)
-    records.extend(_pac_columns(
-        cfg, mu, klass, loss, scheme, m, np.array([t]), [F], [x], [mc_seed], engine
-    ))
+    records.extend(_pac_columns(cfg, mu, loss, kernel, m, np.array([t]), [F], [x], [mc_seed]))
     [record] = records
     return record
 
@@ -614,17 +634,15 @@ def tied_trials(draw, mode):
 @given(data=st.data())
 def test_fast_kernels_equal_generic_on_ties(cfg, data):
     mu, klass, loss, scheme = build_all(cfg)
+    (fast_conc, fast_pac), (generic_conc, generic_pac) = (kernels(cfg, e) for e in ENGINES)
     m, x, F = data.draw(tied_trials(cfg.mode))
-    pac = [
-        pac_trial(cfg, mu, klass, loss, scheme, m, 0, F, x, None, engine)
-        for engine in ("fast", "generic")
-    ]
+    pac = [pac_trial(cfg, mu, loss, m, 0, F, x, None, k) for k in (fast_pac, generic_pac)]
     assert pac[0] == pac[1]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     sigma = InjectionVector.random(cfg.mode, cfg.k, m, int(scheme.selection_size(m)), rng)
     for eta in (1, 2):
-        args = (cfg, mu, loss, scheme, F, sigma, eta, "fixed", m, 0, x, None)
-        assert concentration_trial(*args, "fast") == concentration_trial(*args, "generic")
+        args = (cfg, mu, loss, F, sigma, eta, "fixed", m, 0, x, None)
+        assert concentration_trial(*args, fast_conc) == concentration_trial(*args, generic_conc)
 
 
 @pytest.mark.parametrize("m", [200, 1000])
@@ -635,6 +653,7 @@ def test_threshold_pac_equals_generic_on_large_tied_samples(m, atoms):
     # self-sum, or on their float neighbours
     cfg = NONPARTITE_CFG
     mu, klass, loss, scheme = build_all(cfg)
+    pac_kernels = [kernels(cfg, engine)[1] for engine in ENGINES]
     rng = np.random.default_rng(m)
     for _ in range(3):
         once, *pool = rng.choice(atoms, size=4, replace=False)
@@ -646,8 +665,7 @@ def test_threshold_pac_equals_generic_on_large_tied_samples(m, atoms):
             for t in (s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)):
                 F = Hypothesis.sum_threshold(2, float(t))
                 fast, generic = (
-                    pac_trial(cfg, mu, klass, loss, scheme, m, 0, F, x, None, engine)
-                    for engine in ("fast", "generic")
+                    pac_trial(cfg, mu, loss, m, 0, F, x, None, kernel) for kernel in pac_kernels
                 )
                 assert fast == generic
 
@@ -687,6 +705,7 @@ def test_box_pac_equals_generic_on_large_tied_samples(m, atoms):
     # engine's label grid stays small (m = 200, 1000), against it as well.
     cfg = PARTITE_CFG
     mu, klass, loss, scheme = build_all(cfg)
+    pac_kernels = [kernels(cfg, engine)[1] for engine in ENGINES]
     rng = np.random.default_rng(m)
     for _ in range(3):
         spare, *pool = rng.choice(atoms, size=4, replace=False)
@@ -703,8 +722,7 @@ def test_box_pac_equals_generic_on_large_tied_samples(m, atoms):
             assert (got_header, emp, realizable) == (header, count / m**2, count == 0)
             if m <= 1000:
                 fast, generic = (
-                    pac_trial(cfg, mu, klass, loss, scheme, m, 0, F, x, None, engine)
-                    for engine in ("fast", "generic")
+                    pac_trial(cfg, mu, loss, m, 0, F, x, None, kernel) for kernel in pac_kernels
                 )
                 assert fast == generic
         # the last target's side 1 held no point
@@ -739,13 +757,14 @@ def tied_blocks(draw, mode):
 @given(data=st.data())
 def test_block_kernels_equal_generic_on_tied_blocks(cfg, data):
     mu, klass, loss, scheme = build_all(cfg)
+    conc = {engine: kernels(cfg, engine)[0] for engine in ENGINES}
     m, xs, F = data.draw(tied_blocks(cfg.mode))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     sigma = InjectionVector.random(cfg.mode, cfg.k, m, int(scheme.selection_size(m)), rng)
     for eta in (1, 2):
         fits = {
-            engine: _concentration_fits(cfg, loss, scheme, F, sigma, eta, m, xs, engine)
-            for engine in ("fast", "generic")
+            engine: _concentration_fits(cfg, kernel, F, sigma, eta, m, xs)
+            for engine, kernel in conc.items()
         }
         # the same parameter rows, bit for bit, and empirical losses
         rows, emps = fits["fast"]
@@ -753,11 +772,11 @@ def test_block_kernels_equal_generic_on_tied_blocks(cfg, data):
         assert rows.tobytes() == fits["generic"][0].tobytes()
         assert emps == fits["generic"][1]
         records = {
-            engine: _concentration_columns(
-                cfg, mu, loss, scheme, F, sigma, eta, "fixed", m, np.arange(len(xs)), xs,
-                [None] * len(xs), engine,
+            engine: concentration_columns(
+                cfg, mu, loss, F, sigma, eta, "fixed", m, np.arange(len(xs)), xs,
+                [None] * len(xs), kernel,
             )
-            for engine in ("fast", "generic")
+            for engine, kernel in conc.items()
         }
         assert records["fast"] == records["generic"]
 
@@ -781,6 +800,11 @@ MC_DISCRETE_CFG = dataclasses.replace(
     PARTITE_CFG, measure="discrete:" + ",".join(f"{0.05 + 0.1 * i:.2f}@0.1" for i in range(10)),
     estimator="monte-carlo", n_draws=300, m_values=(30, 45), trials=6,
 )
+# the one built-in config that auto sends to the generic engine: the fast
+# sum-threshold kernels count pairs, and no exact total loss covers k = 3
+NONPARTITE_K3_MC_CFG = dataclasses.replace(
+    NONPARTITE_CFG, k=3, estimator="monte-carlo", n_draws=300, m_values=(50, 60), trials=6,
+)
 
 
 @pytest.mark.parametrize("engine", ["fast", "generic"])
@@ -802,13 +826,16 @@ def test_result_columns_hold_exact_python_values(cfg, engine):
             assert kinds <= {bool, int, float, str}, (run.__name__, name, kinds)
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [PARTITE_CFG, NONPARTITE_CFG, MC_DISCRETE_CFG],
-    ids=["partite", "nonpartite", "discrete-monte-carlo"],
-)
+BATCHED_CFGS = [PARTITE_CFG, NONPARTITE_CFG, MC_DISCRETE_CFG, NONPARTITE_K3_MC_CFG]
+BATCHED_IDS = ["partite", "nonpartite", "discrete-monte-carlo", "nonpartite-k3-monte-carlo"]
+
+
+@pytest.mark.parametrize("cfg", BATCHED_CFGS, ids=BATCHED_IDS)
 def test_batched_concentration_equals_trial_by_trial(cfg, monkeypatch):
+    # blocks of 130 drawn points hold 2 to 4 trials at the smaller sizes, so
+    # that blocks straddle the 5 first-pass trials and the 20 re-measured ones
     force_reruns(monkeypatch)
+    monkeypatch.setattr(experiments, "_BLOCK_POINTS", 130)
     cfg = dataclasses.replace(cfg, trials=5)
     mu, klass, loss, scheme = build_all(cfg)
     F = klass.sample_hypothesis(spawn_rng(cfg.seed, 11))
@@ -823,15 +850,14 @@ def test_batched_concentration_equals_trial_by_trial(cfg, monkeypatch):
         assert trial_numbers_per_m(cfg, result.records) == {
             m: list(range(5 * cfg.trials)) for m in cfg.m_values
         }
-        engine = "generic" if cfg.estimator == "monte-carlo" else "fast"
+        kernel = kernels(cfg, "generic" if cfg.estimator == "monte-carlo" else "fast")[0]
         vsalt = _VARIANT_SALT[variant]
         for r in result.records:
             mi = cfg.m_values.index(r.m)
             x = draw_sample(mu, r.m, derive_seed(cfg.seed, vsalt, mi, r.trial))
             mc_seed = derive_seed(cfg.seed, vsalt, mi, r.trial, 7)
             want = concentration_trial(
-                cfg, mu, loss, scheme, F, sigma(r.m), eta, variant, r.m, r.trial,
-                x, mc_seed, engine,
+                cfg, mu, loss, F, sigma(r.m), eta, variant, r.m, r.trial, x, mc_seed, kernel,
             )
             assert r == want
 
@@ -867,11 +893,7 @@ def test_block_engine_equals_generic_across_block_edges(cfg, monkeypatch):
     assert fast.rows == slow.rows
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [PARTITE_CFG, NONPARTITE_CFG, MC_DISCRETE_CFG],
-    ids=["partite", "nonpartite", "discrete-monte-carlo"],
-)
+@pytest.mark.parametrize("cfg", BATCHED_CFGS, ids=BATCHED_IDS)
 def test_batched_pac_equals_trial_by_trial(cfg, monkeypatch):
     force_reruns(monkeypatch)
     cfg = dataclasses.replace(cfg, trials=5)
@@ -881,13 +903,13 @@ def test_batched_pac_equals_trial_by_trial(cfg, monkeypatch):
         m: list(range(5 * cfg.trials)) for m in cfg.m_values
     }
     mu, klass, loss, scheme = build_all(cfg)
-    engine = "generic" if cfg.estimator == "monte-carlo" else "fast"
+    kernel = kernels(cfg, "generic" if cfg.estimator == "monte-carlo" else "fast")[1]
     for r in result.records:
         mi = cfg.m_values.index(r.m)
         F = klass.sample_hypothesis(spawn_rng(cfg.seed, mi, r.trial, 0))
         x = draw_sample(mu, r.m, derive_seed(cfg.seed, mi, r.trial, 1))
         mc_seed = derive_seed(cfg.seed, mi, r.trial, 7)
-        want = pac_trial(cfg, mu, klass, loss, scheme, r.m, r.trial, F, x, mc_seed, engine)
+        want = pac_trial(cfg, mu, loss, r.m, r.trial, F, x, mc_seed, kernel)
         assert r == want
 
 
@@ -911,6 +933,55 @@ def test_engines_agree_on_a_discrete_measure(cfg):
         assert fast.rows == slow.rows
 
 
+@pytest.mark.parametrize("cfg", [PARTITE_CFG, NONPARTITE_CFG], ids=["partite", "nonpartite"])
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_concentration_kernels_keep_the_block_contract(cfg, count):
+    # rows (count, *params(F).shape) and count losses from both engines'
+    # kernels, on a block stacked as the runner stacks it; the empty block
+    # that ends every cell must give rows that concatenate with the others
+    mu, klass, loss, scheme = build_all(cfg)
+    family = FAMILIES[cfg.class_id]
+    F = klass.sample_hypothesis(spawn_rng(cfg.seed, 11))
+    m = 12
+    sigma = InjectionVector.top(cfg.mode, cfg.k, m, int(scheme.selection_size(m)))
+    points = np.dtype((float, (len(mu.distributions), m)))
+    pts = np.fromiter((draw_sample(mu, m, seed).sides for seed in range(count)), points)
+    for eta in (1, 2):
+        fits = {e: kernels(cfg, e)[0](cfg.k, F, sigma, eta, m, pts.copy()) for e in ENGINES}
+        for rows, emps in fits.values():
+            assert rows.shape == (count, *np.shape(family.params(F)))
+            assert len(emps) == count
+        assert fits["fast"][0].tobytes() == fits["generic"][0].tobytes()
+        assert fits["fast"][1] == fits["generic"][1]
+
+
+@pytest.mark.parametrize("cfg", [PARTITE_CFG, NONPARTITE_CFG], ids=["partite", "nonpartite"])
+def test_pac_kernels_agree_on_one_sample(cfg):
+    mu, klass, loss, scheme = build_all(cfg)
+    for seed in range(4):
+        F = klass.sample_hypothesis(spawn_rng(cfg.seed, seed))
+        x = draw_sample(mu, 30, seed)
+        (row, *rest), (want_row, *want_rest) = (
+            kernels(cfg, e)[1](cfg.k, F, 30, x) for e in ENGINES
+        )
+        assert np.asarray(row).tobytes() == np.asarray(want_row).tobytes()
+        assert rest == want_rest
+
+
+@pytest.mark.parametrize(
+    "cfg, fast",
+    [(PARTITE_CFG, True), (NONPARTITE_CFG, True), (NONPARTITE_K3_MC_CFG, False)],
+    ids=["partite", "nonpartite", "nonpartite-k3"],
+)
+def test_auto_engine_takes_the_fast_kernels_where_they_exist(cfg, fast):
+    conc, pac = kernels(cfg, "auto")
+    family = FAMILIES[cfg.class_id]
+    if fast:
+        assert (conc, pac) == (family.concentration_kernel, family.pac_kernel)
+    else:
+        assert (conc.func, pac.func) == (_generic_concentration, _generic_pac)
+
+
 def test_fast_engine_refuses_unsupported_configs():
     cfg = dataclasses.replace(PARTITE_CFG, scheme_id="trivial")
     with pytest.raises(ValueError, match="fast engine"):
@@ -919,11 +990,16 @@ def test_fast_engine_refuses_unsupported_configs():
         run_pac_experiment(PARTITE_CFG, engine="turbo")
 
 
+def rebinding(fixed: InjectionVector):
+    """sigma(m): the maps of a fixed selection, at every sample size m."""
+    return lambda m: InjectionVector(fixed.mode, m, fixed.maps)
+
+
 def test_concentration_fixed_vector_reused_across_sizes():
     # a fixed selection must behave identically under both engines even
     # when the configured sizes differ from the vector's source size
     cfg = dataclasses.replace(PARTITE_CFG, m_values=(30, 60), trials=20)
-    sigma = InjectionVector.top(PARTITE, 2, 30, 2)
+    sigma = rebinding(InjectionVector.top(PARTITE, 2, 30, 2))
     F = Hypothesis.rectangle([(0.2, 0.7), (0.1, 0.6)])
     fast = run_concentration_experiment(cfg, sigma, 1, F, engine="fast")
     slow = run_concentration_experiment(cfg, sigma, 1, F, engine="generic")
@@ -935,7 +1011,7 @@ def test_concentration_fixed_vector_out_of_range():
     # m=20 keeps the slack condition satisfied, so the runner actually
     # reaches the rebinding step instead of skipping the size
     cfg = dataclasses.replace(PARTITE_CFG, m_values=(20,), trials=5)
-    sigma = InjectionVector.top(PARTITE, 2, 30, 2)  # indices 28, 29
+    sigma = rebinding(InjectionVector.top(PARTITE, 2, 30, 2))  # indices 28, 29
     with pytest.raises(IndexError):
         run_concentration_experiment(cfg, sigma, 1, Hypothesis.empty_rectangle(2))
 
@@ -1024,15 +1100,6 @@ def test_nonpartite_verdicts_are_order_choice_invariant():
         for j in range(3):
             oc = OrderChoice.random(rec.m, 2, spawn_rng(999, j))
             assert empirical_loss_nonpartite(labeled, H, loss, oc) == rec.empirical_loss
-
-
-def test_merge_results_guards():
-    a = run_bound_table(dataclasses.replace(PARTITE_CFG, m_values=(50,)))
-    b = run_bound_table(dataclasses.replace(PARTITE_CFG, m_values=(60,)))
-    with pytest.raises(ValueError):
-        merge_results([a, b])
-    both = merge_results([a, a])
-    assert len(both.rows) == 2
 
 
 def test_ci_half_width_values():

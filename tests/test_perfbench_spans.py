@@ -151,6 +151,41 @@ def test_traced_pac_counts_what_the_benchmark_checks(family, tmp_path, capsys):
         assert numbers[name] > 0, name
 
 
+@pytest.mark.parametrize("command", ["concentration", "pac"])
+@pytest.mark.parametrize("family", sorted(CONCENTRATION_CONFIGS))
+def test_traced_generic_engine_labels_and_rebuilds_once_per_record(
+    family, command, tmp_path, capsys
+):
+    # the generic kernels call label_sample, subsample and reconstruct
+    # through the module attributes the tracer wraps (pac subsamples inside
+    # schemes.compress): a kernel that captured the functions themselves
+    # would show no spans here
+    from kcompress.cli import dispatch
+
+    spans = _load_spans()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONCENTRATION_CONFIGS[family]
+        + "k = 2\nepsilon = 0.1\ndelta = 0.1\nm_values = 50, 60\ntrials = 3\nseed = 4\n"
+    )
+    out = tmp_path / "out"
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        code = dispatch([command, "--config", str(cfg), "--engine", "generic",
+                         "--out", str(out)])
+        numbers = spans.layer_numbers(tracer.take())
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    records = (out / "trials.jsonl").read_bytes().count(b"\n")
+    assert records > 0
+    assert numbers["samples.label.calls"] == records
+    assert numbers["schemes.reconstruct.calls"] == records
+    assert numbers["indexing.subsample.calls"] == records
+
+
 def test_traced_validity_counts_what_the_benchmark_checks(tmp_path, capsys):
     # the benchmark's small validity pass, both families: a refactor that
     # stops making order choices through OrderChoice, or bypasses another
