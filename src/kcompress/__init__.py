@@ -26,7 +26,6 @@ from .indexing import (
     bundle_orientations,
     canonical_order_choice,
     enumerate_permutations,
-    falling_factorial,
     subsample,
 )
 from .samples import (

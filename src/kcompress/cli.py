@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 when an audit or assertion fails, 2 for
 usage and configuration problems (unknown command or flag, bad config
-file, unknown key, a scan limit below the minimum, a sample too large for
-the dense path, an exact total loss asked for where none is computed in
-closed form).
+file, unknown key, a scan limit outside [MIN_SCAN_LIMIT, MAX_SCAN_LIMIT],
+a sample too large to draw or for the dense path, an exact total loss
+asked for where none is computed in closed form).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .experiments import (
     run_validity_experiment,
     write_outputs,
 )
-from .learner import MIN_SCAN_LIMIT, GuaranteeInputs, MPacNotFound, azuma_bound, m_pac
+from .learner import MAX_SCAN_LIMIT, MIN_SCAN_LIMIT, GuaranteeInputs, MPacNotFound
+from .learner import azuma_bound, m_pac
 from .indexing import CellBudgetError
 
 
@@ -42,8 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, scan=False, outputs=True):
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--trials", type=int, default=None, help="override the trial count")
         if outputs:
+            p.add_argument("--trials", type=int, default=None, help="override the trial count")
             p.add_argument("--out", default=None, help="directory for manifest/trials/summary")
             p.add_argument(
                 "--format", choices=("csv", "json"), default="csv", help="summary format"
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, scan=True)
     p.add_argument("--engine", choices=("auto", "fast", "generic"), default="auto")
 
-    # mpac prints one JSON document and writes no files
+    # mpac prints one JSON document, writes no files and runs no trials
     p = sub.add_parser("mpac", help="print the smallest guaranteed sample size")
     add_common(p, scan=True, outputs=False)
 
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    flags = {f: getattr(args, f) for f in ("seed", "trials")}
+    flags = {"seed": args.seed, "trials": getattr(args, "trials", None)}  # mpac has none
     overrides = {f: v for f, v in flags.items() if v is not None}
     return replace(load_config(args.config), **overrides).validate()
 
@@ -149,11 +150,9 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     scan_limit = getattr(args, "scan_limit", None)
-    if scan_limit is not None and scan_limit < MIN_SCAN_LIMIT:
-        print(
-            f"{args.command}: --scan-limit must be >= {MIN_SCAN_LIMIT}, got {scan_limit}",
-            file=sys.stderr,
-        )
+    if scan_limit is not None and not MIN_SCAN_LIMIT <= scan_limit <= MAX_SCAN_LIMIT:
+        rule = f">= {MIN_SCAN_LIMIT}" if scan_limit < MIN_SCAN_LIMIT else f"<= {MAX_SCAN_LIMIT}"
+        print(f"{args.command}: --scan-limit must be {rule}, got {scan_limit}", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](args)

@@ -56,6 +56,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from .indexing import (
+    DEFAULT_CELL_BUDGET,
     MAX_ARITY,
     MODES,
     NONPARTITE,
@@ -68,6 +69,7 @@ from .indexing import (
 )
 from .kernels import box_concentration, box_pac, threshold_concentration, threshold_pac
 from .learner import (
+    MAX_SCAN_LIMIT,
     GuaranteeInputs,
     MPacNotFound,
     asymptotic_guarantee_reference,
@@ -105,7 +107,6 @@ from .samples import (
     side_keys,
     spawn_rng,
     stream_keys,
-    threshold_hypothesis,
     threshold_of,
 )
 from .schemes import (
@@ -454,7 +455,7 @@ SUM_THRESHOLDS = Family(
         labeled, H, loss, canonical_order_choice(labeled.m, labeled.k)
     ),
     params=threshold_of,
-    from_params=threshold_hypothesis,
+    from_params=Hypothesis.sum_threshold,
     describe_params=describe_thresholds,
     total_loss_exact=lambda mu, F, H: total_loss_exact_sum_threshold(mu, F, H),
     concentration_kernel=threshold_concentration,
@@ -516,12 +517,26 @@ def _kernels(cfg: ExperimentConfig, klass, loss, scheme, engine: str) -> tuple:
     )
 
 
+def _check_draw_sizes(cfg: ExperimentConfig, monte_carlo: bool = False) -> None:
+    """Refuse a trial that draws more than DEFAULT_CELL_BUDGET points, and
+    with monte_carlo a Monte Carlo total loss that holds more values: k *
+    n_draws points, nonpartite k! * n_draws orientation labels."""
+    sizes = {"a trial draws {} points": side_count(cfg.mode, cfg.k) * max(cfg.m_values)}
+    if monte_carlo:
+        per_draw = math.factorial(cfg.k) if cfg.mode == NONPARTITE else cfg.k
+        sizes["a Monte Carlo total loss holds {} values"] = per_draw * cfg.n_draws
+    for text, n in sizes.items():
+        if n > DEFAULT_CELL_BUDGET:
+            raise ConfigError(text.format(n) + f", above the ceiling {DEFAULT_CELL_BUDGET}")
+
+
 def _audit_setup(cfg: ExperimentConfig, engine: str) -> tuple:
     """(measure, class, loss, scheme, guarantee inputs, kernels) of a
-    concentration or PAC run.  An exact estimator that cannot cover the
-    measure, or an engine that cannot run the config, is refused here,
-    before any trial runs."""
+    concentration or PAC run.  A sample or Monte Carlo estimate too large
+    to draw, an exact estimator that cannot cover the measure, or an engine
+    that cannot run the config, is refused here, before any trial runs."""
     cfg.validate()
+    _check_draw_sizes(cfg, cfg.estimator == "monte-carlo")
     mu, klass, loss, scheme = build_all(cfg)
     gap = exact_total_loss_gap(mu) if cfg.estimator == "exact" else None
     if gap:
@@ -600,9 +615,13 @@ def _measure_cell(result, batch, trials: int, bound: float | None, m: int, what:
 
 
 def _scan_m_pac(cfg: ExperimentConfig, inputs, scan_limit: int | None, notes: list):
-    """m_pac within scan_limit (default max(4 max m, 20000)), or None with
-    a note when the window holds no guaranteed sample size."""
+    """m_pac within scan_limit (default max(4 max m, 20000), at most
+    MAX_SCAN_LIMIT), or None with a note when none is in the window."""
     window = scan_limit if scan_limit is not None else max(4 * max(cfg.m_values), 20000)
+    if window > MAX_SCAN_LIMIT:
+        raise ConfigError(
+            f"m_pac scan window {window} is above {MAX_SCAN_LIMIT}; pass a smaller --scan-limit"
+        )
     try:
         return m_pac(inputs, window)
     except MPacNotFound as exc:
@@ -845,6 +864,7 @@ def run_validity_experiment(
 ) -> ExperimentResult:
     """Exact-zero validity audit of the configured scheme on realizable data."""
     cfg.validate()
+    _check_draw_sizes(cfg)
     mu, klass, loss, scheme = build_all(cfg)
     report = check_compression_validity(
         scheme, klass, loss, cfg.trials, cfg.m_values, cfg.seed,

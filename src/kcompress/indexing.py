@@ -46,15 +46,15 @@ SENTINEL = -1
 
 
 class CellBudgetError(ValueError):
-    """A dense m**k tensor would exceed the configured cell budget."""
-
-    def __init__(self, m: int, k: int, budget: int):
-        super().__init__(f"m = {m}, k = {k}: m**k = {m**k} exceeds budget {budget}")
+    """A dense m**k tensor would exceed DEFAULT_CELL_BUDGET cells."""
 
 
-def check_cell_budget(m: int, k: int, budget: int) -> None:
-    if m**k > budget:
-        raise CellBudgetError(m, k, budget)
+def check_cell_budget(m: int, k: int) -> None:
+    """Refuse a dense m**k tensor above DEFAULT_CELL_BUDGET, read at the call."""
+    if m**k > DEFAULT_CELL_BUDGET:
+        raise CellBudgetError(
+            f"m = {m}, k = {k}: m**k = {m**k} exceeds budget {DEFAULT_CELL_BUDGET}"
+        )
 
 
 def _check_mode(mode: str) -> None:
@@ -65,16 +65,6 @@ def _check_mode(mode: str) -> None:
 def side_count(mode: str, k: int) -> int:
     """Independent point lists of a k-ary sample: k partite, 1 nonpartite."""
     return k if mode == PARTITE else 1
-
-
-def falling_factorial(n: int, k: int) -> int:
-    """Number of injective k-tuples from an n-element set: n(n-1)...(n-k+1).
-
-    Returns 1 when k == 0 and 0 when k > n.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("falling_factorial requires n >= 0 and k >= 0")
-    return math.perm(n, k)
 
 
 def enumerate_permutations(k: int) -> list[tuple[int, ...]]:
@@ -149,9 +139,9 @@ def grid_columns(sides: Sequence) -> list:
     ]
 
 
-def injective_mask(m: int, k: int, budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
+def injective_mask(m: int, k: int) -> np.ndarray:
     """Boolean (m,)*k grid, True where all coordinates are pairwise distinct."""
-    check_cell_budget(m, k, budget)
+    check_cell_budget(m, k)
     cols = grid_columns([np.arange(m)] * k)
     mask = np.ones((m,) * k, dtype=bool)
     for i in range(k):
@@ -209,15 +199,9 @@ class LabelTensor:
 
     @classmethod
     def from_codes(
-        cls,
-        mode: str,
-        k: int,
-        m: int,
-        alphabet: Sequence,
-        codes: np.ndarray,
-        budget: int = DEFAULT_CELL_BUDGET,
+        cls, mode: str, k: int, m: int, alphabet: Sequence, codes: np.ndarray
     ) -> "LabelTensor":
-        check_cell_budget(m, k, budget)
+        check_cell_budget(m, k)
         arr = np.ascontiguousarray(np.asarray(codes, dtype=np.int64))
         return cls(mode, k, m, tuple(alphabet), arr)
 

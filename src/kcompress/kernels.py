@@ -7,7 +7,7 @@ thresholds take one sort per block and, per threshold, one searchsorted
 per row.  They build no Hypothesis: each returns its trials' hypotheses
 as one array of parameters, box ends (count, k, 2) as samples.box_ends
 lays them out (the empty box (+inf, -inf) on every side) or thresholds
-(count,) as samples.threshold_of gives them (the constant 0 as +inf),
+(count,) as samples.threshold_of gives them (the empty threshold +inf),
 and the list of their empirical losses.  The PAC kernels run on one
 sample and return its hypothesis as one such parameter row, box ends
 (k, 2) or a threshold.  All read only the drawn points, so they run
@@ -247,7 +247,7 @@ def threshold_pac(k, F, m, x):
     p = _row_boundaries(ends, t_f, f)
     min_pos, max_neg = _boundary_extremes(ends, p, f)
     below_f = _below_count(ends, t_f, p, f)
-    # with no positive pair, H is the constant 0, whose threshold is +inf
+    # with no positive pair, H is the empty threshold, +inf
     t_h = math.inf if min_pos is None else min_pos
     # no pair of distinct points sums into [t_f, t_h), so the boundaries at
     # t_h are those at t_f moved past at most one self-sum per row

@@ -307,7 +307,10 @@ class MPacNotFound(RuntimeError):
         self.diagnostics = diagnostics
 
 
+# The m_pac scan window's bounds: a whole-window pass (a failed scan's
+# diagnostics) holds about 82 B a size, about 330 MiB at MAX_SCAN_LIMIT.
 MIN_SCAN_LIMIT = 10
+MAX_SCAN_LIMIT = 2**22
 # Sample sizes per evaluation of the bound below the top of the window.
 SCAN_CHUNK = 16384
 
@@ -361,10 +364,10 @@ def m_pac(inputs: GuaranteeInputs, scan_limit: int) -> int:
     fails, so a certified m0 costs the bound at most at
     scan_limit - m0 + 1 + SCAN_CHUNK sizes, or at the first chunk if that
     is longer.  A failed scan evaluates the whole window once more for
-    its diagnostics.
+    its diagnostics, which is why the window is capped at MAX_SCAN_LIMIT.
     """
-    if scan_limit < MIN_SCAN_LIMIT:
-        raise ValueError(f"scan_limit must be >= {MIN_SCAN_LIMIT}")
+    if not MIN_SCAN_LIMIT <= scan_limit <= MAX_SCAN_LIMIT:
+        raise ValueError(f"scan_limit must lie in [{MIN_SCAN_LIMIT}, {MAX_SCAN_LIMIT}]")
     decile = int(scan_limit * 0.9)
     top = max(0, min(decile, scan_limit - SCAN_CHUNK))
     _, _, _, cond2, top_total = _scan_terms(inputs, top, scan_limit)

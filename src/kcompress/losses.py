@@ -276,7 +276,7 @@ def total_loss_exact_sum_threshold(mu: ProductMeasure, F, H) -> np.ndarray:
     """Exact bundle disagreement probability of two sum-threshold rules, k = 2.
 
     F and H are thresholds as samples.threshold_of gives them (the
-    constant 0 as +inf), floats or arrays that broadcast together; the
+    empty threshold +inf), floats or arrays that broadcast together; the
     probabilities have their broadcast shape.  Sum-threshold rules are
     symmetric, so the orientation bundle of a draw disagrees exactly when
     the pointwise predictions do, which happens when the coordinate sum

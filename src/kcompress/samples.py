@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .indexing import (
-    DEFAULT_CELL_BUDGET,
     NONPARTITE,
     PARTITE,
     SENTINEL,
@@ -304,10 +303,12 @@ def draw_sample(
 # Hypotheses
 
 
-# describe()'s text of a box side and of a sum threshold; describe_boxes
-# and describe_thresholds format whole blocks with them
+# describe()'s text of a box side, of a sum threshold and of the empty
+# sum threshold; describe_boxes and describe_thresholds format whole
+# blocks with them
 _SIDE_TEXT = "[%.6g, %.6g]"
 _THRESHOLD_TEXT = "sum-threshold(t=%.6g)"
+_EMPTY_THRESHOLD_TEXT = "constant(0)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +319,9 @@ class Hypothesis:
       rectangle      label 1 inside a closed box, 0 outside; the empty box
                      (constant 0 within the family) has the ends (+inf, -inf)
                      on every side
-      sum-threshold  label 1 iff the coordinate sum is >= threshold
+      sum-threshold  label 1 iff the coordinate sum is >= threshold; the
+                     empty one (constant 0 within the family) has the
+                     threshold +inf
       constant       always const_value
       table          explicit lookup over finite per-coordinate supports
     """
@@ -352,6 +355,8 @@ class Hypothesis:
 
     @classmethod
     def constant(cls, k: int, value) -> "Hypothesis":
+        """Always value.  No family holds a constant (the empty sum threshold
+        is t = +inf); the loss tests need constants of any label."""
         return cls("constant", k, const_value=value)
 
     @classmethod
@@ -419,6 +424,8 @@ class Hypothesis:
                 return "rectangle(empty)"
             return "rectangle(" + ", ".join(_SIDE_TEXT % side for side in self.intervals) + ")"
         if self.kind == "sum-threshold":
+            if self.threshold == math.inf:
+                return _EMPTY_THRESHOLD_TEXT
             return _THRESHOLD_TEXT % self.threshold
         if self.kind == "constant":
             return f"constant({self.const_value!r})"
@@ -447,26 +454,15 @@ def coordinate_sum(cols: Sequence):
 
 
 def threshold_of(H: Hypothesis) -> float:
-    """The sum threshold of H, with constant 0 as +inf and constant 1 as -inf."""
-    if H.kind == "sum-threshold":
-        return float(H.threshold)
-    if H.kind == "constant" and H.const_value == 0:
-        return math.inf
-    if H.kind == "constant" and H.const_value == 1:
-        return -math.inf
-    raise ValueError(f"not a threshold-like hypothesis: {H.describe()}")
-
-
-def threshold_hypothesis(k: int, t: float) -> Hypothesis:
-    """The member of the sum-threshold family with threshold_of t: the
-    constant 0 at +inf."""
-    return Hypothesis.constant(k, 0) if t == math.inf else Hypothesis.sum_threshold(k, t)
+    """The threshold of sum threshold H; the empty one's is +inf."""
+    if H.kind != "sum-threshold":
+        raise ValueError(f"not a sum threshold but a {H.kind}: {H.describe()}")
+    return float(H.threshold)
 
 
 def describe_thresholds(ts: np.ndarray) -> list:
-    """threshold_hypothesis(k, t).describe() of each t of ts, shape (count,)."""
-    zero = Hypothesis.constant(1, 0).describe()
-    return [zero if t == math.inf else _THRESHOLD_TEXT % t for t in ts.tolist()]
+    """Hypothesis.sum_threshold(k, t).describe() of each t of ts, shape (count,)."""
+    return [_EMPTY_THRESHOLD_TEXT if t == math.inf else _THRESHOLD_TEXT % t for t in ts.tolist()]
 
 
 def box_ends(H: Hypothesis) -> np.ndarray:
@@ -531,12 +527,7 @@ def decode_labels(codes: np.ndarray, alphabet: tuple) -> np.ndarray:
     return np.fromiter(alphabet, dtype=object, count=len(alphabet))[codes]
 
 
-def label_sample(
-    F: Hypothesis,
-    x: Sample,
-    alphabet: tuple = BINARY_ALPHABET,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> LabeledSample:
+def label_sample(F: Hypothesis, x: Sample, alphabet: tuple = BINARY_ALPHABET) -> LabeledSample:
     """Labels of F on every tuple of x (injective tuples only, nonpartite).
 
     Nonpartite samples with m < k get an all-sentinel tensor.
@@ -544,7 +535,7 @@ def label_sample(
     if F.k != x.k:
         raise ValueError(f"hypothesis arity {F.k} does not match sample arity {x.k}")
     m, k = x.m, x.k
-    check_cell_budget(m, k, budget)
+    check_cell_budget(m, k)
     if m == 0:
         codes = np.zeros((m,) * k, dtype=np.int64)
     else:
@@ -595,12 +586,13 @@ class HypothesisClass:
 
     @classmethod
     def sum_thresholds(cls, k: int) -> "HypothesisClass":
-        """Nonpartite rules 1[sum of coordinates >= t], plus the constant 0."""
+        """Nonpartite rules 1[sum of coordinates >= t], plus the empty one,
+        t = +inf (the constant 0)."""
         return cls(
             NONPARTITE, k,
             sample_hypothesis=lambda rng: Hypothesis.sum_threshold(k, rng.uniform(0.0, float(k))),
             erm=_threshold_erm,
-            fallback=Hypothesis.constant(k, 0),
+            fallback=Hypothesis.sum_threshold(k, math.inf),
         )
 
 
@@ -695,7 +687,7 @@ def _threshold_erm(labeled: LabeledSample) -> tuple[bool, Hypothesis | None]:
     if mixed.any():
         return False, None
     if not pos_sets.any():
-        return True, Hypothesis.constant(k, 0)
+        return True, Hypothesis.sum_threshold(k, math.inf)
     sums = _subset_sums(labeled.sample, subsets)
     min_pos = float(sums[pos_sets].min())
     if neg_sets.any() and float(sums[neg_sets].max()) >= min_pos:

@@ -23,7 +23,6 @@ from .indexing import (
     InjectionVector,
     LabeledSample,
     OrderChoice,
-    falling_factorial,
     subsample,
 )
 from .losses import LossSpec, empirical_loss_partite, empirical_losses_nonpartite
@@ -202,7 +201,7 @@ def _thresh_select(labeled: LabeledSample) -> tuple[InjectionVector, int]:
 def _thresh_rebuild(sub: LabeledSample, header: int) -> Hypothesis:
     k = sub.k
     if header == 2 or sub.m < k:
-        return Hypothesis.constant(k, 0)
+        return Hypothesis.sum_threshold(k, math.inf)
     return Hypothesis.sum_threshold(k, float(coordinate_sum(sub.sample.sides[0])))
 
 
@@ -210,7 +209,7 @@ def sum_threshold_scheme(k: int) -> SelectionScheme:
     """Nonpartite scheme for sum thresholds: keep a minimal positive k-set.
 
     The rebuilt threshold is the sum of the kept points; header 2 flags an
-    all-negative sample and rebuilds the constant 0.
+    all-negative sample and rebuilds the empty threshold, +inf.
     """
     return SelectionScheme(
         scheme_id="sum-threshold",
@@ -366,7 +365,7 @@ def compression_size_and_bitlength(
 
     Partite subsamples carry labels on s^k cells, nonpartite ones on the
     injective cells only, so the counts are h * |Y|**(s**k) and
-    h * |Y|**falling_factorial(s, k).  Computed in log space; the count
+    h * |Y|**perm(s, k).  Computed in log space; the count
     overflows to inf rather than erroring.  The paper's compression size;
     the bounds need only s and h, so only tests call it.
     """
@@ -374,7 +373,7 @@ def compression_size_and_bitlength(
         raise ValueError("alphabet size must be >= 1")
     s = int(scheme.selection_size(m))
     h = int(scheme.header_size(m))
-    cells = s**scheme.k if scheme.mode == PARTITE else falling_factorial(s, scheme.k)
+    cells = s**scheme.k if scheme.mode == PARTITE else math.perm(s, scheme.k)
     bits = math.log2(h) + cells * math.log2(alphabet_size)
     try:
         count = 2.0**bits

@@ -109,6 +109,14 @@ def test_mpac_refuses_output_flags(cfg_file, tmp_path, monkeypatch, capsys, flag
     assert not (tmp_path / "d").exists()
 
 
+def test_mpac_refuses_trials(cfg_file, capsys):
+    # mpac runs no trials; bound-table keeps --trials, which its manifest echoes
+    assert dispatch(["mpac", "--config", cfg_file, "--scan-limit", "8000", "--trials", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --trials 7" in captured.err
+
+
 def test_mpac_not_found_exits_1(tmp_path, capsys):
     p = tmp_path / "t.cfg"
     p.write_text(PARTITE_TEXT + "scheme_id = trivial\n")
@@ -126,6 +134,56 @@ def test_scan_limit_below_minimum_exits_2(cfg_file, command, capsys):
     assert captured.err.splitlines() == [
         f"{command}: --scan-limit must be >= 10, got 5"
     ]
+
+
+def one_error_line(capsys) -> str:
+    """The one stderr line of a refused command, which printed nothing else."""
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    return line
+
+
+@pytest.mark.parametrize("command", ["mpac", "bound-table", "pac"])
+def test_scan_limit_above_the_cap_exits_2(cfg_file, command, capsys):
+    # refused before any scan: the window's arrays would not fit in memory
+    assert dispatch([command, "--config", cfg_file, "--scan-limit", str(10**18)]) == 2
+    assert one_error_line(capsys) == f"{command}: --scan-limit must be <= 4194304, got {10**18}"
+
+
+def test_derived_scan_window_above_the_cap_exits_2(tmp_path, capsys):
+    # with no --scan-limit the window is 4 * max m = 2**55
+    p = tmp_path / "run.cfg"
+    p.write_text(PARTITE_TEXT.replace("m_values = 20, 30", f"m_values = 50, {2**53}"))
+    assert dispatch(["bound-table", "--config", str(p)]) == 2
+    line = one_error_line(capsys)
+    assert line.startswith(f"config error: m_pac scan window {2**55} is above 4194304")
+    assert "--scan-limit" in line
+
+
+HUGE_M = "m_values = 1000000000000\n"
+HUGE_SAMPLE = "a trial draws 2000000000000 points"
+
+
+@pytest.mark.parametrize(
+    "argv, lines, what",
+    [
+        (["concentration"], HUGE_M, HUGE_SAMPLE),
+        (["pac", "--scan-limit", "20000"], HUGE_M, HUGE_SAMPLE),
+        (["validate-scheme"], HUGE_M, HUGE_SAMPLE),
+        (
+            ["concentration"], "m_values = 50\nestimator = monte-carlo\nn_draws = 1000000000000\n",
+            "a Monte Carlo total loss holds 2000000000000 values",
+        ),
+    ],
+    ids=["concentration", "pac", "validate-scheme", "monte-carlo"],
+)
+def test_draws_above_the_ceiling_exit_2(tmp_path, capsys, argv, lines, what):
+    # 2 * 10**12 points: refused before the first draw
+    p = tmp_path / "run.cfg"
+    p.write_text(PARTITE_TEXT.replace("m_values = 20, 30\n", lines))
+    assert dispatch([*argv, "--config", str(p)]) == 2
+    assert one_error_line(capsys) == f"config error: {what}, above the ceiling 100000000"
 
 
 def test_generic_engine_beyond_cell_budget_exits_2(tmp_path, capsys):

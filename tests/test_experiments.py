@@ -51,7 +51,10 @@ from kcompress.experiments import (
 from kcompress.indexing import (
     NONPARTITE,
     PARTITE,
+    SENTINEL,
     InjectionVector,
+    LabelTensor,
+    LabeledSample,
     OrderChoice,
     Sample,
 )
@@ -79,11 +82,13 @@ from kcompress.samples import (
     describe_boxes,
     describe_thresholds,
     draw_sample,
+    erm_realizability_check,
     label_sample,
     minimal_box,
     spawn_rng,
+    threshold_of,
 )
-from kcompress.schemes import reconstruct, sum_threshold_scheme
+from kcompress.schemes import compress, reconstruct, sum_threshold_scheme, trivial_scheme
 from kcompress.indexing import subsample
 
 
@@ -980,6 +985,62 @@ def test_auto_engine_takes_the_fast_kernels_where_they_exist(cfg, fast):
         assert (conc, pac) == (family.concentration_kernel, family.pac_kernel)
     else:
         assert (conc.func, pac.func) == (_generic_concentration, _generic_pac)
+
+
+def test_every_path_to_the_empty_sum_threshold_gives_t_inf(monkeypatch):
+    # the empty sum threshold is the ordinary member t = +inf, not a constant
+    family = FAMILIES["sum-threshold"]
+    _, klass, loss, scheme = build_all(NONPARTITE_CFG)
+    x = Sample.nonpartite([0.1, 0.2, 0.3], k=2)
+    negative = label_sample(Hypothesis.sum_threshold(2, 5.0), x)
+    tiny = label_sample(Hypothesis.sum_threshold(2, 0.1), Sample.nonpartite([0.9], k=2))
+    # the pair (0, 1) is positive and the larger-sum pair (1, 2) negative
+    codes = np.zeros((3, 3), dtype=np.int64)
+    codes[0, 1] = codes[1, 0] = 1
+    codes[np.diag_indices(3)] = SENTINEL
+    unrealizable = LabeledSample(x, LabelTensor.from_codes(NONPARTITE, 2, 3, (0, 1), codes))
+    trivial = trivial_scheme(klass, loss)
+    got = {
+        "class fallback": klass.fallback,
+        "ERM, all negative": erm_realizability_check(klass, negative, loss)[1],
+        "reconstruct, header 2": reconstruct(scheme, *compress(scheme, negative)),
+        "reconstruct, m < k": reconstruct(scheme, *compress(scheme, tiny)),
+        "trivial rebuild, all negative": reconstruct(trivial, *compress(trivial, negative)),
+        "trivial rebuild, no member fits": reconstruct(trivial, *compress(trivial, unrealizable)),
+    }
+    # the generic kernels rebuild through the module attribute
+    rebuilt = []
+
+    def recording(*args):
+        rebuilt.append(reconstruct(*args))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(experiments, "reconstruct", recording)
+    conc, pac = kernels(NONPARTITE_CFG, "generic")
+    sigma = InjectionVector.top(NONPARTITE, 2, 3, 2)
+    rows, _ = conc(2, Hypothesis.sum_threshold(2, 0.25), sigma, 2, 3, np.array([x.sides]))
+    assert rows.tolist() == [math.inf]
+    got["generic concentration kernel, header 2"] = rebuilt.pop()
+    row, header, _, _ = pac(2, Hypothesis.sum_threshold(2, 5.0), 3, x)
+    assert (row, header) == (math.inf, 2)
+    got["generic PAC kernel, header 2"] = rebuilt.pop()
+    for path, H in got.items():
+        assert (H.kind, family.params(H), H.describe()) == (
+            "sum-threshold", math.inf, "constant(0)"
+        ), path
+    assert family.describe_params(np.array([math.inf])) == ["constant(0)"]
+    # a constant is no member of the family, so it has no threshold
+    with pytest.raises(ValueError, match="not a sum threshold"):
+        threshold_of(Hypothesis.constant(2, 0))
+
+
+def test_nonpartite_monte_carlo_counts_its_orientation_labels(monkeypatch):
+    # k = 3: 3 * 200 points fit under a ceiling of 1000, 3! * 200 labels do not
+    monkeypatch.setattr(experiments, "DEFAULT_CELL_BUDGET", 1000)
+    cfg = dataclasses.replace(NONPARTITE_K3_MC_CFG, n_draws=200)
+    for run in (run_concentration_suite, run_pac_experiment):
+        with pytest.raises(ConfigError, match="holds 1200 values, above the ceiling 1000"):
+            run(cfg)
 
 
 def test_fast_engine_refuses_unsupported_configs():

@@ -27,7 +27,6 @@ from kcompress.indexing import (
     canonical_order_choice,
     check_injection,
     enumerate_permutations,
-    falling_factorial,
     injective_mask,
     sorted_subsets,
     subsample,
@@ -49,21 +48,6 @@ def random_injection(mode, k, m, s, rng):
 
 # ---------------------------------------------------------------------------
 # scalar helpers
-
-
-def test_falling_factorial_values():
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(3, 4) == 0
-    assert falling_factorial(7, 0) == 1
-    assert falling_factorial(0, 0) == 1
-    assert falling_factorial(4, 4) == 24
-
-
-def test_falling_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        falling_factorial(-1, 2)
-    with pytest.raises(ValueError):
-        falling_factorial(3, -1)
 
 
 def test_enumerate_permutations_lexicographic():
@@ -124,7 +108,7 @@ def test_sample_validation():
 
 @pytest.mark.parametrize("m,k", [(3, 2), (4, 2), (4, 3), (5, 1), (2, 3)])
 def test_mask_counts(m, k):
-    assert injective_mask(m, k).sum() == falling_factorial(m, k)
+    assert injective_mask(m, k).sum() == math.perm(m, k)
     assert len(sorted_subsets(m, k)) == math.comb(m, k)
 
 
@@ -181,9 +165,10 @@ def test_sorted_subsets_cache_drops_least_recently_used(monkeypatch):
     assert np.array_equal(sorted_subsets(11, 2), eleven)
 
 
-def test_mask_budget():
+def test_mask_budget(monkeypatch):
+    monkeypatch.setattr(indexing, "DEFAULT_CELL_BUDGET", 100)
     with pytest.raises(CellBudgetError):
-        injective_mask(10, 3, budget=100)
+        injective_mask(10, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +199,10 @@ def test_label_tensor_sentinel_enforced():
     assert t.alphabet[t.codes[0, 1]] == 0
 
 
-def test_label_tensor_budget():
+def test_label_tensor_budget(monkeypatch):
+    monkeypatch.setattr(indexing, "DEFAULT_CELL_BUDGET", 10**6)
     with pytest.raises(CellBudgetError):
-        LabelTensor.from_codes(
-            PARTITE, 4, 100, (0, 1), np.zeros((100,) * 4), budget=10**6
-        )
+        LabelTensor.from_codes(PARTITE, 4, 100, (0, 1), np.zeros((100,) * 4))
 
 
 def test_labeled_sample_shape_mismatch():

@@ -9,6 +9,7 @@ whose algorithm that port is, serves as its oracle, bit for bit.
 
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -558,6 +559,40 @@ def test_m_pac_rejects_unstable_tail():
 def test_m_pac_scan_limit_guard():
     with pytest.raises(ValueError):
         m_pac(RECT_INPUTS, scan_limit=9)
+
+
+def test_m_pac_refuses_windows_above_the_cap():
+    # refused before any evaluation: a failed scan's whole-window pass
+    # holds about 82 bytes per scanned size
+    with pytest.raises(ValueError, match=r"\[10, 4194304\]"):
+        m_pac(RECT_INPUTS, scan_limit=learner.MAX_SCAN_LIMIT + 1)
+    assert max(w for windows in GRID_WINDOWS.values() for w in windows.values()) <= (
+        learner.MAX_SCAN_LIMIT
+    )
+
+
+def test_sweep_script_defaults_give_the_benchmark_m_pacs(monkeypatch, capsys):
+    # the README command: the script's defaults, a 2,000,000 window
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_guaranteed_sizes.py"
+    spec = importlib.util.spec_from_file_location("sweep_guaranteed_sizes", script)
+    sweep = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src/
+    spec.loader.exec_module(sweep)
+    monkeypatch.setattr(sys, "argv", ["sweep_guaranteed_sizes.py"])
+    assert sweep.main() == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["scheme", "eps", "delta", "m_pac", "reference", "ratio"]
+    cells = [row.split() for row in rows]
+    got = {(c[0], float(c[1]), float(c[2])): int(c[3]) for c in cells}
+    assert len(rows) == len(got) == 12
+    grid = [(eps, delta) for eps in (0.1, 0.05, 0.02) for delta in (0.1, 0.01)]
+    want = {}
+    for name, sizes in (
+        ("rectangle", [16852, 17867, 76962, 80971, 559771, 584528]),
+        ("sum-threshold", [18171, 20181, 82175, 90135, 591965, 641213]),
+    ):
+        want.update({(name, *cell): m for cell, m in zip(grid, sizes)})
+    assert got == want
 
 
 def whole_window_scan(inputs, scan_limit):

@@ -43,7 +43,6 @@ from kcompress.samples import (
     side_keys,
     spawn_rng,
     stream_keys,
-    threshold_hypothesis,
     threshold_of,
 )
 
@@ -318,14 +317,15 @@ def test_box_and_threshold_rows_round_trip():
     for H, e in zip(boxes, ends):
         assert box_of_ends(2, e).intervals == H.intervals
     members = [
-        Hypothesis.sum_threshold(2, 0.75), Hypothesis.constant(2, 0),
+        Hypothesis.sum_threshold(2, 0.75), Hypothesis.sum_threshold(2, math.inf),
         Hypothesis.sum_threshold(2, 1e-9),
     ]
     ts = np.array([threshold_of(H) for H in members])
     assert ts.tolist() == [0.75, math.inf, 1e-9]
     assert describe_thresholds(ts) == [H.describe() for H in members]
+    assert describe_thresholds(ts)[1] == "constant(0)"
     for H, t in zip(members, ts.tolist()):
-        assert threshold_hypothesis(2, t).describe() == H.describe()
+        assert Hypothesis.sum_threshold(2, t).describe() == H.describe()
 
 
 def test_sum_threshold_boundary():
@@ -503,7 +503,7 @@ def test_class_membership_and_sampling():
         H = thr.sample_hypothesis(rng)
         assert H.kind == "sum-threshold" and H.k == 2
         assert 0.0 <= H.threshold <= 2.0
-    assert thr.fallback.kind == "constant" and thr.fallback.const_value == 0
+    assert thr.fallback.kind == "sum-threshold" and thr.fallback.threshold == math.inf
     assert boxes.fallback.describe() == "rectangle(empty)"
 
 
@@ -637,7 +637,7 @@ def test_erm_threshold_all_negative_and_tiny():
     ok, witness = erm_realizability_check(
         HypothesisClass.sum_thresholds(2), z, zero_one_nonpartite()
     )
-    assert ok and witness.kind == "constant" and witness.const_value == 0
+    assert ok and witness.kind == "sum-threshold" and witness.threshold == math.inf
 
     tiny = label_sample(Hypothesis.sum_threshold(2, 0.5), Sample.nonpartite([0.9], k=2))
     ok, witness = erm_realizability_check(

@@ -187,13 +187,13 @@ def test_threshold_all_negative_and_tiny_samples():
     inj, selected_hdr = scheme.select(z)
     assert hdr == selected_hdr == 2 and inj.maps == ((0, 1),)
     H = reconstruct(scheme, sub, hdr)
-    assert H.kind == "constant" and H.const_value == 0
+    assert H.kind == "sum-threshold" and H.threshold == math.inf
 
     tiny = label_sample(Hypothesis.sum_threshold(2, 0.1), Sample.nonpartite([0.9], k=2))
     assert scheme.selection_size(1) == 1
     sub, hdr = compress(scheme, tiny)
     assert hdr == 2
-    assert reconstruct(scheme, sub, hdr).const_value == 0
+    assert reconstruct(scheme, sub, hdr).threshold == math.inf
 
 
 def test_threshold_select_breaks_triple_ties_lexicographically():
@@ -279,7 +279,7 @@ def test_subset_paths_match_bruteforce_over_orientations(case):
     if {0, 1} in labels or (positive and negative and max(negative) >= min(positive)[0]):
         assert (ok, witness) == (False, None)
     elif not positive:
-        assert ok and witness.kind == "constant" and witness.const_value == 0
+        assert ok and witness.kind == "sum-threshold" and witness.threshold == math.inf
     else:
         assert ok and witness.threshold == min(positive)[0]
 
