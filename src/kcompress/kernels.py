@@ -24,14 +24,23 @@ included.  Every boundary guessed from a rounded difference is checked,
 and a row whose guess fails is fixed up exactly (_row_boundaries, the one
 boundary search).
 
+Rounded addition is also commutative, so the pair relation is symmetric
+and the boundaries form a self-conjugate staircase.  The PAC threshold
+kernel searches only the rows up to the diagonal, whose self-sums fall
+below the threshold, and the diagonal's own row (_diagonal finds it by
+bisection): every other row mirrors into them, so the ordered pair count
+(_pairs_below) and the extreme pair sums (_boundary_extremes) read off
+those rows alone.  The block kernel searches every row.
+
 Sorted points live in NaN-padded rows (_padded_sorted), and the searches
-read partners through take(out=) into a float scratch of the row's size,
-so the m-length temporaries of a call are a few buffers reused in place.
-The PAC threshold kernel holds one padded row, one float scratch and one
-boundary array, moved in place from t_f to t_h.  This matters beyond the
-copying: glibc serves each array of 128 KiB or more (16384 floats) from a
-fresh mmap until a large free raises its dynamic threshold, and every
-fresh mapping faults its pages in again.
+read partners through take(out=) into a float scratch of the searched
+rows' size, so the m-length temporaries of a call are a few buffers
+reused in place.  The PAC threshold kernel holds one padded row, and one
+float scratch and one boundary array of the searched rows, moved in place
+from t_f to t_h.  This matters beyond the copying: glibc serves each
+array of 128 KiB or more (16384 floats) from a fresh mmap until a large
+free raises its dynamic threshold, and every fresh mapping faults its
+pages in again.
 """
 
 from __future__ import annotations
@@ -72,11 +81,12 @@ def _rect_xor_count(fmasks, hmasks) -> int:
 def _row_boundaries(
     ends: np.ndarray, t: float, f: np.ndarray, p: np.ndarray | None = None
 ) -> np.ndarray:
-    """p[i] = #{j : float(xs[i] + xs[j]) < t} for the sorted row xs = ends[1:-1]
-    of _padded_sorted (j == i included), with f a float scratch of xs's size.
+    """p[i] = #{j : float(xs[i] + xs[j]) < t} for the first len(f) rows i of
+    the sorted row xs = ends[1:-1] of _padded_sorted (j == i included), with
+    f a float scratch of that many rows.
 
     Rounded addition is monotone, so row i's qualifying partners are the
-    prefix xs[:p[i]].  The guess p (searchsorted on t - xs when None) is
+    prefix xs[:p[i]].  The guess p (searchsorted on t - xs[i] when None) is
     fixed in place; it is off only where t - xs[i] rounds.  Rows whose last
     partner is not below t move down, then rows whose first non-partner is
     below t move up, each step past the whole run of values equal to the
@@ -84,25 +94,36 @@ def _row_boundaries(
     every row.  ends[p] = xs[p - 1] and ends[p + 1] = xs[p]; the NaN ends
     compare false, so p = 0 never moves down and p = m never moves up.
     """
-    xs = ends[1:-1]
+    xs, head = ends[1:-1], ends[1 : len(f) + 1]
     if p is None:
-        p = xs.searchsorted(np.subtract(t, xs, out=f))
-    rows = np.flatnonzero(np.add(xs, ends.take(p, out=f, mode="clip"), out=f) >= t)
+        p = xs.searchsorted(np.subtract(t, head, out=f))
+    rows = np.flatnonzero(np.add(head, ends.take(p, out=f, mode="clip"), out=f) >= t)
     while len(rows):
         p[rows] = np.searchsorted(xs, ends[p[rows]], side="left")
         rows = rows[xs[rows] + ends[p[rows]] >= t]
-    rows = np.flatnonzero(np.add(xs, ends[1:].take(p, out=f, mode="clip"), out=f) < t)
+    rows = np.flatnonzero(np.add(head, ends[1:].take(p, out=f, mode="clip"), out=f) < t)
     while len(rows):
         p[rows] = np.searchsorted(xs, ends[p[rows] + 1], side="right")
         rows = rows[xs[rows] + ends[p[rows] + 1] < t]
     return p
 
 
-def _below_count(ends: np.ndarray, t: float, p: np.ndarray, f: np.ndarray) -> int:
-    """#{(i, j): i != j, float(xs[i] + xs[j]) < t} from the row boundaries p
-    at t of the sorted row xs = ends[1:-1], with f a float scratch."""
-    xs = ends[1:-1]
-    return int(p.sum()) - int(np.count_nonzero(np.add(xs, xs, out=f) < t))
+def _diagonal(xs: np.ndarray, t: float) -> int:
+    """#{i : float(xs[i] + xs[i]) < t} for the sorted row xs: the rows whose
+    self-sum is below t, a prefix since rounded addition is monotone."""
+    return bisect.bisect_left(xs, True, key=lambda x: x + x >= t)
+
+
+def _pairs_below(p: np.ndarray, d: int) -> int:
+    """#{(i, j): i != j, float(xs[i] + xs[j]) < t} from the diagonal d at t
+    (_diagonal) and the boundaries p at t of the rows i < d, or more.
+
+    The relation is symmetric, so its row prefixes p form a self-conjugate
+    staircase: the rows i < d hold all of [0, d), the rows i >= d none of
+    [d, m), and the pairs (i >= d, j < d) mirror the pairs (j, i) that the
+    rows j < d hold past d.  So the count is
+    d**2 - d + 2 * sum(p[i] - d for i < d)."""
+    return 2 * int(p[:d].sum()) - d * d - d
 
 
 def _self_row(p: np.ndarray, d: int) -> int | None:
@@ -113,13 +134,19 @@ def _self_row(p: np.ndarray, d: int) -> int | None:
 
 
 def _boundary_extremes(ends: np.ndarray, p: np.ndarray, f: np.ndarray):
-    """(min pair sum >= t, max pair sum < t) over i != j from the row
-    boundaries p at t of the sorted row xs = ends[1:-1], with f a float
-    scratch; each None when no such pair.  Row i's candidates are its first
-    partner at or above the boundary, xs[p] = ends[p + 1], and its last
-    below it, xs[p - 1] = ends[p]; on the one row where either is j == i it
-    moves a step further.  A NaN end stands for "no partner"."""
-    xs = ends[1:-1]
+    """(min pair sum >= t, max pair sum < t) over i != j from the
+    boundaries p at t of the first len(p) rows of the sorted row
+    xs = ends[1:-1], with f a float scratch of that many rows; each None
+    when no such pair.  Row i's candidates are its first partner at or
+    above the boundary, xs[p] = ends[p + 1], and its last below it,
+    xs[p - 1] = ends[p]; on the one row where either is j == i it moves a
+    step further.  A NaN end stands for "no partner".
+
+    Rows up to the diagonal d at t (_diagonal) and row d itself cover every
+    pair: a pair with both points at d or above is at or above t, and the
+    least such is row d's candidate; any other pair mirrors into the row of
+    its point below d."""
+    xs = ends[1 : len(p) + 1]
     np.add(xs, ends[1:].take(p, out=f, mode="clip"), out=f)
     if (i := _self_row(p, 0)) is not None:
         f[i] = xs[i] + ends[i + 2]
@@ -242,17 +269,23 @@ def box_pac(k, F, m, x):
 
 def threshold_pac(k, F, m, x):
     ends = _padded_sorted(x.sides[0][None])[0]
-    f = np.empty(m)
+    xs = ends[1:-1]
     t_f = threshold_of(F)
+    # the rows up to the diagonal and its own row hold every pair
+    d = _diagonal(xs, t_f)
+    f = np.empty(min(d + 1, m))
     p = _row_boundaries(ends, t_f, f)
     min_pos, max_neg = _boundary_extremes(ends, p, f)
-    below_f = _below_count(ends, t_f, p, f)
-    # with no positive pair, H is the empty threshold, +inf
-    t_h = math.inf if min_pos is None else min_pos
-    # no pair of distinct points sums into [t_f, t_h), so the boundaries at
-    # t_h are those at t_f moved past at most one self-sum per row
+    below_f = _pairs_below(p, d)
+    # with no positive pair, H is the empty threshold, +inf; + 0.0 makes the
+    # sum -0.0 + -0.0 the +0.0 that coordinate_sum gives the dense path
+    t_h = math.inf if min_pos is None else min_pos + 0.0
+    # no pair of distinct points sums into [t_f, t_h), so at most one
+    # self-sum does (the sum of two such points would lie between them): the
+    # diagonal at t_h is d or d + 1, inside the searched rows, and their
+    # boundaries at t_h are those at t_f moved past that one self-sum
     _row_boundaries(ends, t_h, f, p)
-    count = (_below_count(ends, t_h, p, f) - below_f) // 2
+    count = (_pairs_below(p, _diagonal(xs, t_h)) - below_f) // 2
     emp = count / math.comb(m, k)
     realizable = min_pos is None or max_neg is None or max_neg < min_pos
     return t_h, 1 if min_pos is not None else 2, emp, realizable

@@ -5,10 +5,11 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcompress import experiments
@@ -59,17 +60,19 @@ from kcompress.indexing import (
     Sample,
 )
 from kcompress.kernels import (
-    _below_count,
     _block_box_masks,
     _block_pairs_below,
     _boundary_extremes,
+    _diagonal,
     _padded_sorted,
+    _pairs_below,
     _rect_masks,
     _rect_xor_count,
     _row_boundaries,
     box_concentration,
     box_pac,
     threshold_concentration,
+    threshold_pac,
 )
 from kcompress.losses import empirical_loss_nonpartite, zero_one_nonpartite
 from kcompress.samples import (
@@ -338,24 +341,35 @@ def test_pairs_in_range_matches_bruteforce(data):
 def test_extreme_pair_sums_match_bruteforce(data):
     xs = data.draw(sorted_points())
     t = data.draw(thresholds(xs))
-    ends, f = padded_row(xs)
-    assert _boundary_extremes(ends, _row_boundaries(ends, t, f), f) == brute_extremes(xs, t)
+    # from every row, and from the rows up to the diagonal and its own row
+    for n in (len(xs), diagonal_rows(xs, t)):
+        ends, f = padded_row(xs, n)
+        assert _boundary_extremes(ends, _row_boundaries(ends, t, f), f) == brute_extremes(xs, t)
 
 
 def test_extreme_pair_sums_tiny():
-    ends, f = padded_row(np.array([0.5]))
+    xs = np.array([0.5])
+    assert diagonal_rows(xs, 1.0) == 1
+    ends, f = padded_row(xs, 1)
     assert _boundary_extremes(ends, _row_boundaries(ends, 1.0, f), f) == (None, None)
 
 
-def padded_row(xs):
+def padded_row(xs, n=None):
     """The sorted points xs as the NaN-padded row the boundary search reads,
-    and a float scratch of their size."""
-    return _padded_sorted(xs[None])[0], np.empty(len(xs))
+    and a float scratch of n rows (all of them when None)."""
+    return _padded_sorted(xs[None])[0], np.empty(len(xs) if n is None else n)
 
 
-def row_boundaries(xs, t):
-    """_row_boundaries of the sorted points xs from the cold guess."""
-    ends, f = padded_row(xs)
+def diagonal_rows(xs, t):
+    """The rows threshold_pac searches: those up to the diagonal at t and
+    the diagonal's own row."""
+    return min(_diagonal(xs, t) + 1, len(xs))
+
+
+def row_boundaries(xs, t, n=None):
+    """_row_boundaries of the first n rows (all when None) of the sorted
+    points xs, from the cold guess."""
+    ends, f = padded_row(xs, n)
     return _row_boundaries(ends, t, f)
 
 
@@ -396,8 +410,13 @@ def test_row_boundaries_fix_wrong_guesses():
     # the plain guess is wrong on the last two rows; the fix must correct them
     assert np.searchsorted(xs, t - xs).tolist() == [5, 5, 5, 5, 4]
     assert row_boundaries(xs, t).tolist() == [5, 5, 5, 4, 3]
+    # the diagonal at t is 4 (0.2 + 0.2 is not below 0.1 + 0.2), so the
+    # half search takes every row, and a shorter prefix the same values
+    assert diagonal_rows(xs, t) == 5
+    assert [row_boundaries(xs, t, n).tolist() for n in (4, 1, 0)] == [[5, 5, 5, 4], [5], []]
     assert row_boundaries(xs, math.inf).tolist() == [5] * 5
     assert row_boundaries(xs, -math.inf).tolist() == [0] * 5
+    assert row_boundaries(xs, -math.inf, diagonal_rows(xs, -math.inf)).tolist() == [0]
     assert row_boundaries(np.zeros(0), 1.0).tolist() == []
 
 
@@ -406,11 +425,12 @@ def test_row_boundaries_fix_wrong_guesses():
 def test_row_boundaries_match_bruteforce(data):
     xs = data.draw(adversarial_points())
     t = data.draw(boundary_thresholds(xs))
-    ends, f = padded_row(xs)
-    p = _row_boundaries(ends, t, f)
-    assert np.array_equal(p, brute_row_boundaries(xs, t))
-    assert _below_count(ends, t, p, f) == brute_ordered_below(xs, t)
-    assert _boundary_extremes(ends, p, f) == brute_extremes(xs, t)
+    for n in (len(xs), diagonal_rows(xs, t)):
+        ends, f = padded_row(xs, n)
+        p = _row_boundaries(ends, t, f)
+        assert np.array_equal(p, brute_row_boundaries(xs, t)[:n])
+        assert _pairs_below(p, _diagonal(xs, t)) == brute_ordered_below(xs, t)
+        assert _boundary_extremes(ends, p, f) == brute_extremes(xs, t)
     # the block count's guesses go wrong here, so its fix-ups run
     assert _block_pairs_below(_padded_sorted(xs[None]), np.array([t])).tolist() == [
         brute_ordered_below(xs, t)
@@ -428,6 +448,46 @@ def test_row_boundaries_warm_start_equals_cold(data):
     warm = _row_boundaries(ends, hi, f, _row_boundaries(ends, lo, f))
     assert np.array_equal(warm, row_boundaries(xs, hi))
     assert np.array_equal(warm, brute_row_boundaries(xs, hi))
+
+
+@st.composite
+def diagonal_cases(draw):
+    """(xs, t): adversarial points and a threshold on a pair sum, on a
+    self-sum, or on the float neighbour of one, or +-inf (d = m, d = 0)."""
+    xs = draw(adversarial_points())
+    s = 2 * xs[draw(st.integers(0, len(xs) - 1))]
+    self_sums = st.sampled_from(
+        [s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf), math.inf, -math.inf]
+    )
+    return xs, float(draw(st.one_of(boundary_thresholds(xs), self_sums)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_cases())
+@example((np.array([0.1, 0.2]), 0.2))  # m = 2, t on the least self-sum: d = 0
+@example((np.array([0.0, 0.0, 0.1]), math.inf))  # d = m
+@example((np.array([0.0, 0.2, 0.7]), 0.4))  # 0.2 + 0.2 lies in [t_f, t_h) = [0.4, 0.7)
+def test_half_search_matches_bruteforce(case):
+    # threshold_pac's search: the rows up to the diagonal d and row d
+    xs, t_f = case
+    d, n = _diagonal(xs, t_f), diagonal_rows(xs, t_f)
+    assert d == sum(1 for x in xs if x + x < t_f)
+    ends, f = padded_row(xs, n)
+    p = _row_boundaries(ends, t_f, f)
+    assert np.array_equal(p, brute_row_boundaries(xs, t_f)[:n])
+    assert _pairs_below(p, d) == brute_ordered_below(xs, t_f)
+    min_pos, max_neg = _boundary_extremes(ends, p, f)
+    assert (min_pos, max_neg) == brute_extremes(xs, t_f)
+    # the move to t_h, the least pair sum at or above t_f: no pair of
+    # distinct points sums into [t_f, t_h), so at most one self-sum does,
+    # and the rows searched hold the diagonal at t_h
+    t_h = math.inf if min_pos is None else min_pos
+    d_h = _diagonal(xs, t_h)
+    assert d_h == sum(1 for x in xs if x + x < t_h)
+    assert d <= d_h <= n
+    _row_boundaries(ends, t_h, f, p)
+    assert np.array_equal(p, brute_row_boundaries(xs, t_h)[:n])
+    assert _pairs_below(p, d_h) == brute_ordered_below(xs, t_h)
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +673,11 @@ _TIE_ATOMS = (0.0, 0.1, 0.2, 0.25, 0.30000000000000004, 0.5, 0.7, 0.75, 1.0)
 
 
 @st.composite
-def tied_trials(draw, mode):
-    """(m, sample, target) with the points drawn from a few atoms; box edges
-    lie on atoms, thresholds on atoms, on pair sums or next to them."""
-    atoms = draw(st.lists(st.sampled_from(_TIE_ATOMS), min_size=1, max_size=4, unique=True))
+def tied_trials(draw, mode, pool=_TIE_ATOMS):
+    """(m, sample, target) with the points drawn from a few atoms of pool;
+    box edges lie on atoms, thresholds on atoms, on pair sums or next to
+    them."""
+    atoms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
     m = draw(st.integers(2, 10))
 
     def points():
@@ -673,6 +734,45 @@ def test_threshold_pac_equals_generic_on_large_tied_samples(m, atoms):
                     pac_trial(cfg, mu, loss, m, 0, F, x, None, kernel) for kernel in pac_kernels
                 )
                 assert fast == generic
+
+
+# two points at -0.0 sum to -0.0, which the dense rebuild's coordinate_sum,
+# starting from 0.0, gives as +0.0
+_SIGNED_ZERO_ATOMS = (-0.0, -0.5, 0.5, 0.25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_threshold_pac_equals_generic_on_signed_zeros(data):
+    cfg = NONPARTITE_CFG
+    mu, klass, loss, scheme = build_all(cfg)
+    pac_kernels = [kernels(cfg, engine)[1] for engine in ENGINES]
+    m, x, F = data.draw(tied_trials(NONPARTITE, _SIGNED_ZERO_ATOMS))
+    fast, generic = (pac_trial(cfg, mu, loss, m, 0, F, x, None, k) for k in pac_kernels)
+    assert fast == generic
+
+
+def test_threshold_pac_gives_a_sum_of_negative_zeros_as_plus_zero():
+    x = Sample.nonpartite([-0.0, -0.0, 0.5], 2)
+    t_h, header, emp, realizable = threshold_pac(2, Hypothesis.sum_threshold(2, -0.0), 3, x)
+    assert (t_h, math.copysign(1.0, t_h)) == (0.0, 1.0)
+    assert (header, emp, realizable) == (1, 0.0, True)
+    assert Hypothesis.sum_threshold(2, t_h).describe() == "sum-threshold(t=0)"
+
+
+def test_threshold_pac_peak_memory_stays_near_its_padded_row():
+    # a target below every pair sum: the diagonal is 0, so one row is
+    # searched, and the padded row is the only m-length array
+    m = 36342
+    x = Sample.nonpartite(np.random.default_rng(0).random(m), 2)
+    F = Hypothesis.sum_threshold(2, -1.0)
+    tracemalloc.start()
+    try:
+        threshold_pac(2, F, m, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (m + 2) * 8
 
 
 def sorted_box_pac(F, sides):
