@@ -16,6 +16,10 @@ Conventions, fixed here once for the whole package:
   (order choices, bundles, nonpartite losses, threshold ERM) reads,
 * the orientations of a k-subset follow enumerate_permutations(k), and
   orientation_cells alone lays out the grid cells they read,
+* what depends on (m, k) alone is built once and cached in one entry per
+  (m, k), read-only: the subsets, the injective mask, the canonical
+  OrderChoice (which holds the subsets array itself) and the cells its
+  orientations read (canonical_cells), all within SUBSET_CACHE_BYTES,
 * dense label tensors are stored row-major (last coordinate fastest),
 * nonpartite cells with a repeated index hold the sentinel code -1.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -81,7 +86,13 @@ def enumerate_permutations(k: int) -> list[tuple[int, ...]]:
 
 
 def check_injection(mp: Sequence[int], m: int) -> None:
-    """Check one injection map into range(m): every entry in range, none repeated."""
+    """Check one injection map into range(m): every entry an integer in
+    range, none repeated."""
+    for e in mp:
+        try:
+            operator.index(e)
+        except TypeError:
+            raise TypeError(f"index {e!r} is not an integer") from None
     if mp and not (0 <= min(mp) and max(mp) < m):
         e = next(e for e in mp if not 0 <= e < m)
         raise IndexError(f"index {int(e)} out of range for m={m}")
@@ -140,8 +151,13 @@ def grid_columns(sides: Sequence) -> list:
 
 
 def injective_mask(m: int, k: int) -> np.ndarray:
-    """Boolean (m,)*k grid, True where all coordinates are pairwise distinct."""
+    """Boolean (m,)*k grid, True where all coordinates are pairwise distinct:
+    read-only, and cached with sorted_subsets(m, k)."""
     check_cell_budget(m, k)
+    return _cached(m, k, "injective", lambda: _read_only(_pairwise_distinct(m, k)))
+
+
+def _pairwise_distinct(m: int, k: int) -> np.ndarray:
     cols = grid_columns([np.arange(m)] * k)
     mask = np.ones((m,) * k, dtype=bool)
     for i in range(k):
@@ -312,7 +328,8 @@ def _subsample_labels(tensor: LabelTensor, inj: InjectionVector) -> LabelTensor:
         maps = [np.asarray(mp, dtype=np.intp) for mp in inj.maps]
     else:
         maps = [np.asarray(inj.maps[0], dtype=np.intp)] * tensor.k
-    cells = np.ix_(*maps)
+    # the open mesh np.ix_ builds, at under half its time
+    cells = tuple(grid_columns(maps))
     # An injective map composed with an injective tuple stays injective, so
     # the mask pulls back to the subsample's own and the sentinels land
     # exactly on its non-injective cells.
@@ -382,33 +399,97 @@ def ascending_columns(cols: list) -> list:
     return cols
 
 
-# sorted_subsets keeps its arrays up to this many bytes in all: the 39
-# sizes m = 2..40 a validity sweep cycles through take a few hundred KiB
-# at k = 2 or 3, while one large dense call (4.5M rows at m = 3000, k = 2)
-# takes 69 MiB and is not kept
+# The cache keeps one entry per (m, k): the read-only arrays that depend on
+# (m, k) alone, each built on first use, up to this many bytes in all.  The
+# 39 sizes m = 2..40 a validity sweep cycles through take under 0.5 MiB at
+# k = 2, while one large dense call (4.5M rows at m = 3000, k = 2) takes
+# 69 MiB and is not kept
 SUBSET_CACHE_BYTES = 2**24
 _subset_cache: OrderedDict = OrderedDict()
 
 
+def _entry_bytes(entry: dict) -> int:
+    # the canonical OrderChoice holds the subsets array itself, so only
+    # the arrays count
+    return sum(v.nbytes for v in entry.values() if isinstance(v, np.ndarray))
+
+
+def _cached(m: int, k: int, part: str, build):
+    """The part named part of the (m, k) entry, built by build() on a miss.  Entries
+    are kept, least recently used first out, while all of them hold at
+    most SUBSET_CACHE_BYTES; a part that would take its entry above that
+    is not kept, and the parts already kept stay."""
+    key = (m, k)
+    entry = _subset_cache.get(key)
+    if entry is not None and part in entry:
+        _subset_cache.move_to_end(key)
+        return entry[part]
+    value = build()
+    # build may have cached other parts of this entry
+    entry = _subset_cache.pop(key, {})
+    if _entry_bytes({**entry, part: value}) <= SUBSET_CACHE_BYTES:
+        entry[part] = value
+    if entry:
+        _subset_cache[key] = entry
+        held = sum(_entry_bytes(e) for e in _subset_cache.values())
+        while held > SUBSET_CACHE_BYTES:
+            held -= _entry_bytes(_subset_cache.popitem(last=False)[1])
+    return value
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def sorted_subsets(m: int, k: int) -> np.ndarray:
     """All k-subsets of range(m) as ascending rows, in itertools.combinations
-    order (so lexicographic): a read-only (C(m, k), k) array.  Arrays are
-    cached, least recently used first out, up to SUBSET_CACHE_BYTES."""
-    rows = _subset_cache.get((m, k))
-    if rows is not None:
-        _subset_cache.move_to_end((m, k))
-        return rows
-    rows = np.fromiter(
+    order (so lexicographic): a read-only (C(m, k), k) array, cached."""
+    return _cached(m, k, "subsets", lambda: _read_only(np.fromiter(
         itertools.combinations(range(m), k),
         dtype=np.dtype((np.intp, k)),
         count=math.comb(m, k),
-    )
-    rows.setflags(write=False)
-    if rows.nbytes <= SUBSET_CACHE_BYTES:
-        _subset_cache[(m, k)] = rows
-        held = sum(r.nbytes for r in _subset_cache.values())
-        while held > SUBSET_CACHE_BYTES:
-            held -= _subset_cache.popitem(last=False)[1].nbytes
+    )))
+
+
+def canonical_cells(m: int, k: int) -> np.ndarray:
+    """orientation_cells(sorted_subsets(m, k), m): the cells the orientations
+    of each subset read in ascending order, read-only and cached."""
+    return _cached(m, k, "cells", lambda: _read_only(orientation_cells(sorted_subsets(m, k), m)))
+
+
+def _checked_orders(m: int, k: int, orders, count: int | None = None) -> np.ndarray:
+    """orders as a read-only intp array, checked to be one order choice of
+    shape (C(m, k), k), or with count a stack (count, C(m, k), k) of them:
+    integers, row r a permutation of row r of sorted_subsets(m, k).  The
+    network sorts a whole stack in one pass (np.sort's rows on integers)."""
+    if not 1 <= k <= MAX_ARITY:
+        raise ValueError(f"arity k={k} outside [1, {MAX_ARITY}]")
+    rows = np.asarray(orders)
+    if rows.dtype.kind not in "iu":
+        raise ValueError(f"order choice has dtype {rows.dtype}, expected integers")
+    rows = rows.astype(np.intp, copy=False)
+    n = math.comb(m, k)
+    lead = () if count is None else (count,)
+    if rows.shape != lead + (n, k):
+        want = f"(C({m},{k}), {k})" if count is None else f"({count}, C({m},{k}), {k})"
+        raise ValueError(
+            f"order choice has shape {rows.shape}, expected {want} = {lead + (n, k)}"
+        )
+    subsets = sorted_subsets(m, k)
+    ascending = ascending_columns([rows[..., i] for i in range(k)])
+    differs = ascending[0] != subsets[:, 0]
+    for col, want in zip(ascending[1:], subsets.T[1:]):
+        differs |= col != want
+    bad = np.flatnonzero(differs)
+    if bad.size:
+        b = int(bad[0])
+        raise ValueError(
+            f"ordering {tuple(rows.reshape(-1, k)[b].tolist())} is not a permutation of "
+            f"subset {tuple(subsets[b % n].tolist())}"
+        )
+    if rows.flags.writeable:
+        rows = _read_only(rows.view())
     return rows
 
 
@@ -426,40 +507,33 @@ class OrderChoice:
     orders: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.k <= MAX_ARITY:
-            raise ValueError(f"arity k={self.k} outside [1, {MAX_ARITY}]")
-        rows = np.asarray(self.orders, dtype=np.intp).view()
-        expected = math.comb(self.m, self.k)
-        if rows.shape != (expected, self.k):
-            raise ValueError(
-                f"order choice has shape {rows.shape}, expected "
-                f"(C({self.m},{self.k}), {self.k}) = {(expected, self.k)}"
-            )
-        subsets = sorted_subsets(self.m, self.k)
-        # the rows sorted by the network, which gives np.sort's rows on integers
-        ascending = ascending_columns([rows[:, i] for i in range(self.k)])
-        differs = ascending[0] != subsets[:, 0]
-        for col, want in zip(ascending[1:], subsets.T[1:]):
-            differs |= col != want
-        bad = np.flatnonzero(differs)
-        if bad.size:
-            r = int(bad[0])
-            raise ValueError(
-                f"ordering {tuple(rows[r].tolist())} is not a permutation of "
-                f"subset {tuple(subsets[r].tolist())}"
-            )
-        rows.setflags(write=False)
-        object.__setattr__(self, "orders", rows)
+        object.__setattr__(self, "orders", _checked_orders(self.m, self.k, self.orders))
+
+    @classmethod
+    def _of_checked(cls, m: int, k: int, orders: np.ndarray) -> "OrderChoice":
+        # orders has passed _checked_orders as a slot of a stack
+        choice = object.__new__(cls)
+        choice.__dict__.update(m=m, k=k, orders=orders)
+        return choice
 
     @classmethod
     def canonical(cls, m: int, k: int) -> "OrderChoice":
-        """Ascending order on every subset."""
-        return cls(m, k, sorted_subsets(m, k))
+        """Ascending order on every subset: one cached object per (m, k),
+        whose orders are the sorted_subsets array itself."""
+        return _cached(m, k, "canonical", lambda: cls(m, k, sorted_subsets(m, k)))
 
     @classmethod
-    def random(cls, m: int, k: int, rng: np.random.Generator) -> "OrderChoice":
-        """An independent uniformly random ordering of every subset."""
-        return cls(m, k, rng.permuted(sorted_subsets(m, k), axis=1))
+    def random(cls, m: int, k: int, rngs: Iterable[np.random.Generator]) -> list["OrderChoice"]:
+        """One independent uniformly random ordering of every subset per
+        generator of rngs.  Each generator draws its ordering in full before
+        the next is taken, so a KeyedGenerator's streams pass as
+        (rng.at(key) for key in keys).  The orderings are checked stacked,
+        in one network pass."""
+        subsets = sorted_subsets(m, k)
+        drawn = [rng.permuted(subsets, axis=1) for rng in rngs]
+        stack = np.stack(drawn) if drawn else np.empty((0,) + subsets.shape, np.intp)
+        stack = _checked_orders(m, k, stack, len(drawn))
+        return [cls._of_checked(m, k, rows) for rows in stack]
 
 
 def canonical_order_choice(m: int, k: int) -> OrderChoice:

@@ -40,10 +40,10 @@ from .indexing import (
     LabeledSample,
     Sample,
     ascending_columns,
+    canonical_cells,
     check_cell_budget,
     grid_columns,
     injective_mask,
-    orientation_cells,
     side_count,
     sorted_subsets,
 )
@@ -542,11 +542,10 @@ def label_sample(F: Hypothesis, x: Sample, alphabet: tuple = BINARY_ALPHABET) ->
         codes = encode_labels(F.label_grid(x.axes), tuple(alphabet))
     injective = None
     if x.mode == NONPARTITE and m > 0:
-        # built once per sample: the tensor validates against it and
+        # read once per sample: the tensor validates against it and
         # subsamples pull it back
         injective = injective_mask(m, k)
-        codes = codes.copy()
-        codes[~injective] = SENTINEL
+        codes = np.where(injective, codes, SENTINEL)
     tensor = LabelTensor(x.mode, k, m, tuple(alphabet), codes, injective)
     return LabeledSample(x, tensor)
 
@@ -642,8 +641,7 @@ def _subset_label_masks(labeled: LabeledSample):
     subsets = sorted_subsets(labeled.m, labeled.k)
     pos_code = _positive_code(labeled.labels.alphabet)
     # subsets are injective, so no gathered cell holds SENTINEL
-    cells = orientation_cells(subsets, labeled.m)
-    pos = labeled.labels.codes.ravel()[cells] == pos_code
+    pos = labeled.labels.codes.ravel()[canonical_cells(labeled.m, labeled.k)] == pos_code
     any_pos, any_neg = pos.any(axis=0), (~pos).any(axis=0)
     return subsets, any_pos & ~any_neg, any_neg & ~any_pos, any_pos & any_neg
 

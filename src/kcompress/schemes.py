@@ -34,7 +34,6 @@ from .samples import (
     _subset_label_masks,
     _subset_sums,
     coordinate_sum,
-    derive_seed,
     draw_sample,
     erm_realizability_check,
     label_sample,
@@ -268,7 +267,7 @@ def _realizable_trial_losses(
     else:
         m, k = labeled.m, labeled.k
         orders = [OrderChoice.canonical(m, k)]
-        orders += [OrderChoice.random(m, k, rng.at(key)) for key in order_keys]
+        orders += OrderChoice.random(m, k, (rng.at(key) for key in order_keys))
         worst = max(empirical_losses_nonpartite(labeled, H, loss, orders))
     return worst, inj, hdr, H
 
@@ -326,11 +325,13 @@ def check_approximate_validity(
     if klass.mode != scheme.mode or klass.k != scheme.k:
         raise ValueError("hypothesis class does not match the scheme")
     mu = measure if measure is not None else ProductMeasure.uniform(scheme.mode, scheme.k)
-    mis, ts = np.arange(len(m_values))[:, None], np.arange(trials)
-    target_keys = stream_keys(seed, mis, ts, 0).tolist()
-    sample_keys = side_keys(mu, derive_seed(seed, mis, ts, 1))
-    order_seeds = derive_seed(seed, mis, ts, 2)
-    order_keys = stream_keys(order_seeds[..., None], np.arange(n_order_choices)).tolist()
+    mis, ts = np.arange(len(m_values)), np.arange(trials)
+    # the keys of the streams (seed, i, t, 0), (seed, i, t, 1) and (seed, i, t, 2);
+    # the first word of a key is derive_seed's value for its path
+    keys = stream_keys(seed, mis[:, None, None], ts[:, None], np.arange(3))
+    target_keys = keys[:, :, 0].tolist()
+    sample_keys = side_keys(mu, keys[:, :, 1, 0])
+    order_keys = stream_keys(keys[:, :, 2, 0, None], np.arange(n_order_choices)).tolist()
     rng = KeyedGenerator()
     records = []
     for (mi, m), t in itertools.product(enumerate(m_values), range(trials)):

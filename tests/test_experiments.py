@@ -1259,7 +1259,7 @@ def test_nonpartite_verdicts_are_order_choice_invariant():
         H = reconstruct(scheme, sub, 1)
         assert H.describe() == rec.hypothesis
         for j in range(3):
-            oc = OrderChoice.random(rec.m, 2, spawn_rng(999, j))
+            [oc] = OrderChoice.random(rec.m, 2, [spawn_rng(999, j)])
             assert empirical_loss_nonpartite(labeled, H, loss, oc) == rec.empirical_loss
 
 

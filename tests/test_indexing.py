@@ -165,6 +165,62 @@ def test_sorted_subsets_cache_drops_least_recently_used(monkeypatch):
     assert np.array_equal(sorted_subsets(11, 2), eleven)
 
 
+def test_cached_index_arrays_are_read_only_and_shared():
+    m, k = 7, 3
+    canonical = OrderChoice.canonical(m, k)
+    assert canonical is canonical_order_choice(m, k)
+    # the canonical order choice holds the subsets array itself
+    assert canonical.orders is sorted_subsets(m, k)
+    assert injective_mask(m, k) is injective_mask(m, k)
+    assert indexing.canonical_cells(m, k) is indexing.canonical_cells(m, k)
+    assert np.array_equal(
+        indexing.canonical_cells(m, k), indexing.orientation_cells(sorted_subsets(m, k), m)
+    )
+    for a in (sorted_subsets(m, k), injective_mask(m, k), indexing.canonical_cells(m, k)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+
+
+def test_index_cache_stays_within_its_budget(monkeypatch):
+    def held():
+        return sum(indexing._entry_bytes(e) for e in indexing._subset_cache.values())
+
+    monkeypatch.setattr(indexing, "_subset_cache", type(indexing._subset_cache)())
+    monkeypatch.setattr(indexing, "SUBSET_CACHE_BYTES", 2**16)
+    for m in range(2, 41):
+        injective_mask(m, 2)
+        OrderChoice.canonical(m, 2)
+        indexing.canonical_cells(m, 2)
+        assert held() <= indexing.SUBSET_CACHE_BYTES
+    # the latest sizes are kept whole, the earliest were dropped
+    assert set(indexing._subset_cache[(40, 2)]) == {"injective", "subsets", "canonical", "cells"}
+    assert (2, 2) not in indexing._subset_cache
+    # an entry above the budget alone is not kept, and drops nothing else
+    kept = list(indexing._subset_cache)
+    assert injective_mask(300, 2).nbytes > indexing.SUBSET_CACHE_BYTES
+    assert list(indexing._subset_cache) == kept
+    # a part that would take its entry above the budget is not kept, and
+    # the entry keeps its other parts: 2415 subsets fit, with their cells not
+    subsets = sorted_subsets(70, 2)
+    cells = indexing.canonical_cells(70, 2)
+    assert subsets.nbytes + cells.nbytes > indexing.SUBSET_CACHE_BYTES
+    assert indexing.canonical_cells(70, 2) is not cells
+    assert sorted_subsets(70, 2) is subsets
+    assert held() <= indexing.SUBSET_CACHE_BYTES
+
+
+def test_validity_sweep_cache_entries_stay_small():
+    # every (m, k) entry a k = 2 validity sweep over m = 2..40 reads
+    sizes = []
+    for m in range(2, 41):
+        injective_mask(m, 2)
+        OrderChoice.canonical(m, 2)
+        indexing.canonical_cells(m, 2)
+        sizes.append(indexing._entry_bytes(indexing._subset_cache[(m, 2)]))
+    assert sum(sizes) < 2**19
+
+
 def test_mask_budget(monkeypatch):
     monkeypatch.setattr(indexing, "DEFAULT_CELL_BUDGET", 100)
     with pytest.raises(CellBudgetError):
@@ -234,6 +290,18 @@ def test_injection_validation():
         InjectionVector(PARTITE, 3, ((0, 3),))
     with pytest.raises(ValueError):
         InjectionVector.top(PARTITE, 2, 3, 4)
+
+
+def test_injection_refuses_non_integer_entries():
+    # a float entry would be truncated by subsample while the record kept it
+    with pytest.raises(TypeError, match=r"^index 0\.5 is not an integer$"):
+        InjectionVector(PARTITE, 3, ((0.5, 2.7), (1, 2)))
+    with pytest.raises(TypeError, match=r"^index 1\.0 is not an integer$"):
+        check_injection((0, 1.0), 3)
+    # numpy integers are integers
+    inj = InjectionVector(PARTITE, 3, ((np.int64(0), np.int64(2)), (np.intp(1), 2)))
+    sub = subsample(make_tensor(PARTITE, 2, 3), inj)
+    assert sub.m == 2
 
 
 def test_injection_random_is_injective():
@@ -337,7 +405,7 @@ def test_order_choice_canonical():
 
 def test_order_choice_random_valid():
     rng = np.random.default_rng(3)
-    oc = OrderChoice.random(5, 3, rng)
+    [oc] = OrderChoice.random(5, 3, [rng])
     assert oc.orders.shape == (math.comb(5, 3), 3)
     for u, val in zip(itertools.combinations(range(5), 3), oc.orders.tolist()):
         assert tuple(sorted(val)) == u
@@ -384,6 +452,52 @@ def test_order_choice_validation():
             fixed = [r if sorted(r) == list(s) else list(s)
                      for r, s in zip(rows, itertools.combinations(range(m), k))]
             assert OrderChoice(m, k, np.array(fixed)).orders.tolist() == fixed
+
+
+class _FixedPermutation:
+    """Stands in for a generator whose permutation of any subsets is rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def permuted(self, x, axis):
+        return np.array(self.rows)
+
+
+def test_stacked_order_check_names_the_bad_row_of_any_slot():
+    for k, cases in BAD_ORDERINGS.items():
+        m = k + 1
+        for rows, message in cases:
+            for slot in range(5):
+                rngs = [np.random.default_rng(j) for j in range(5)]
+                rngs[slot] = _FixedPermutation(rows)
+                with pytest.raises(ValueError) as caught:
+                    OrderChoice.random(m, k, rngs)
+                assert str(caught.value) == message
+
+
+def test_order_choice_refuses_non_integer_orderings():
+    # a float ordering would be truncated to a permutation and pass
+    with pytest.raises(ValueError, match=r"^order choice has dtype float64, expected integers$"):
+        OrderChoice(2, 2, np.array([[0.7, 1.3]]))
+    with pytest.raises(ValueError, match=r"dtype bool"):
+        OrderChoice(2, 2, np.array([[False, True]]))
+    with pytest.raises(ValueError, match=r"dtype float64"):
+        OrderChoice.random(2, 2, [np.random.default_rng(0), _FixedPermutation([[0.7, 1.3]])])
+    for dtype in (np.int32, np.uint8, np.int64):
+        assert OrderChoice(2, 2, np.array([[1, 0]], dtype=dtype)).orders.tolist() == [[1, 0]]
+
+
+def test_random_order_choices_draw_each_stream_in_full():
+    # one call over several streams gives each stream's own ordering, read-only
+    subsets = sorted_subsets(6, 3)
+    choices = OrderChoice.random(6, 3, [np.random.default_rng(j) for j in range(4)])
+    assert len(choices) == 4
+    for j, oc in enumerate(choices):
+        assert (oc.m, oc.k) == (6, 3)
+        assert np.array_equal(oc.orders, np.random.default_rng(j).permuted(subsets, axis=1))
+        assert not oc.orders.flags.writeable
+    assert OrderChoice.random(6, 3, []) == []
 
 
 def test_bundle_orientations_example():

@@ -130,7 +130,7 @@ def test_empirical_nonpartite_order_choice_invariance():
     H = Hypothesis.sum_threshold(2, 1.2)
     ref = empirical_loss_nonpartite(z, H, zero_one_nonpartite(), canonical_order_choice(7, 2))
     for j in range(3):
-        oc = OrderChoice.random(7, 2, spawn_rng(100, j))
+        [oc] = OrderChoice.random(7, 2, [spawn_rng(100, j)])
         fast = empirical_loss_nonpartite(z, H, zero_one_nonpartite(), oc)
         slow = bruteforce_nonpartite(z, H, zero_one_nonpartite(), oc)
         assert fast == ref
@@ -283,7 +283,7 @@ def test_empirical_losses_equal_bruteforce_over_tuples(mode, k, alphabet):
                 if mode == PARTITE:
                     cases = [(empirical_loss_partite(z, H, loss), bruteforce_partite(z, H, loss))]
                 else:
-                    orders = [canonical_order_choice(m, k), OrderChoice.random(m, k, rng)]
+                    orders = [canonical_order_choice(m, k), *OrderChoice.random(m, k, [rng])]
                     cases = [(empirical_loss_nonpartite(z, H, loss, o),
                               bruteforce_nonpartite(z, H, loss, o)) for o in orders]
                 for got, want in cases:
@@ -340,7 +340,7 @@ def test_no_per_tuple_labeling_remains(monkeypatch):
     F, H = Hypothesis.sum_threshold(2, 1.0), Hypothesis.sum_threshold(2, 1.3)
     x = Sample.nonpartite([0.2, 0.5, 0.9, 0.7], k=2)
     z = label_sample(F, x)
-    oc = OrderChoice.random(4, 2, spawn_rng(9))
+    [oc] = OrderChoice.random(4, 2, [spawn_rng(9)])
     assert empirical_loss_nonpartite(z, H, loss, oc) > 0.0
     mu = ProductMeasure.uniform(NONPARTITE, 2)
     assert total_loss_monte_carlo(mu, F, H, loss, 50, seed=1)[0] > 0.0
@@ -365,9 +365,7 @@ WEIGHTED = LossSpec(
 
 
 def _order_choices(m, k, rng, count):
-    return [canonical_order_choice(m, k)] + [
-        OrderChoice.random(m, k, rng) for _ in range(count - 1)
-    ]
+    return [canonical_order_choice(m, k)] + OrderChoice.random(m, k, [rng] * (count - 1))
 
 
 @pytest.mark.parametrize("block", ["default", "one order", "two orders"])

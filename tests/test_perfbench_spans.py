@@ -186,12 +186,21 @@ def test_traced_generic_engine_labels_and_rebuilds_once_per_record(
     assert numbers["indexing.subsample.calls"] == records
 
 
-def test_traced_validity_counts_what_the_benchmark_checks(tmp_path, capsys):
+def test_traced_validity_counts_what_the_benchmark_checks(tmp_path, capsys, monkeypatch):
     # the benchmark's small validity pass, both families: a refactor that
     # stops making order choices through OrderChoice, or bypasses another
     # traced layer, fails here and not only under perfbench --trace 1
+    from kcompress import schemes
     from kcompress.cli import dispatch
 
+    scored = []  # per nonpartite trial, the order choices it is scored under
+    score = schemes.empirical_losses_nonpartite
+
+    def counted(labeled, H, loss, orders):
+        scored.append(len(orders))
+        return score(labeled, H, loss, orders)
+
+    monkeypatch.setattr(schemes, "empirical_losses_nonpartite", counted)
     spans, workloads = _load_spans(), _load("workloads")
     audits = workloads.build_workloads(workloads.TINY)["validity"].audits
     assert {a.config["mode"] for a in audits} == {"partite", "nonpartite"}
@@ -207,11 +216,12 @@ def test_traced_validity_counts_what_the_benchmark_checks(tmp_path, capsys):
             taken = tracer.take()
             pass_spans += taken
             records = (out / "trials.jsonl").read_bytes().count(b"\n")
-            per_audit.append((audit, records, spans.layer_numbers(taken)))
+            per_audit.append((audit, records, spans.layer_numbers(taken), scored[:]))
+            scored.clear()
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    for audit, records, numbers in per_audit:
+    for audit, records, numbers, order_counts in per_audit:
         assert records == audit.records > 0
         assert numbers["samples.draw.calls"] == records
         assert numbers["schemes.validity.samples"] == records
@@ -219,9 +229,11 @@ def test_traced_validity_counts_what_the_benchmark_checks(tmp_path, capsys):
         assert numbers["schemes.reconstruct.calls"] == records
         assert numbers["indexing.subsample.calls"] == records
         # each nonpartite trial is scored under the canonical order choice
-        # and the 5 random ones of check_compression_validity's default
-        orders = 6 if audit.config["mode"] == "nonpartite" else 0
-        assert numbers["indexing.order_choice.calls"] == orders * records
+        # and the 5 random ones of check_compression_validity's default,
+        # made in two calls: OrderChoice.canonical and one OrderChoice.random
+        nonpartite = audit.config["mode"] == "nonpartite"
+        assert order_counts == ([1 + 5] * records if nonpartite else [])
+        assert numbers["indexing.order_choice.calls"] == (2 if nonpartite else 0) * records
     numbers = spans.layer_numbers(pass_spans)
     for name in _nonzero_counts("validity"):
         assert numbers[name] > 0, name

@@ -112,6 +112,19 @@ def test_batched_side_keys_match_seed_sequence(seeds, n_sides):
     assert derive_seed(arr).tolist() == [derive_seed(s) for s in seeds]
 
 
+@pytest.mark.parametrize("seed", [0, 3, 101, 2**40 + 7, 2**70 + 5])
+def test_first_key_word_is_the_derived_seed(seed):
+    # the validity audit reads its child seeds off the stream keys of one call
+    mis, ts = np.arange(4), np.arange(3)
+    keys = stream_keys(seed, mis[:, None, None], ts[:, None], np.arange(3))
+    assert keys.shape == (4, 3, 3, 2)
+    for purpose in range(3):
+        seeds = derive_seed(seed, mis[:, None], ts, purpose)
+        assert np.array_equal(keys[:, :, purpose, 0], seeds)
+        assert np.array_equal(keys[:, :, purpose], stream_keys(seed, mis[:, None], ts, purpose))
+    assert int(keys[2, 1, 2, 0]) == derive_seed(seed, 2, 1, 2)
+
+
 def test_batched_derivation_refuses_words_it_would_hash_differently():
     for bad in ([2**32], [-1], [0, 2**32 + 5]):
         with pytest.raises(ValueError, match="2\\*\\*32"):

@@ -28,6 +28,7 @@ from kcompress.losses import (
     zero_one_partite,
 )
 from kcompress.samples import (
+    FiniteDiscrete,
     Hypothesis,
     HypothesisClass,
     _subset_label_masks,
@@ -537,10 +538,9 @@ def validity_reference(numpy_seed, numpy_stream, scheme, klass, loss, trials, m_
             worst = empirical_loss_partite(labeled, H, loss)
         else:
             s2 = numpy_seed(seed, mi, t, 2)
-            orders = [canonical_order_choice(m, scheme.k)] + [
-                OrderChoice.random(m, scheme.k, numpy_stream(s2, j))
-                for j in range(n_order_choices)
-            ]
+            orders = [canonical_order_choice(m, scheme.k)] + OrderChoice.random(
+                m, scheme.k, [numpy_stream(s2, j) for j in range(n_order_choices)]
+            )
             worst = max(empirical_loss_nonpartite(labeled, H, loss, o) for o in orders)
         records.append(CompressionReport(
             trial=t, m=m, selection_size=inj.size, header=hdr, selected=inj.maps,
@@ -589,6 +589,45 @@ def test_batched_validity_equals_trial_by_trial(
     assert report.passed == (not broken)
     if broken and fail_fast:
         assert len(report.violations) == 1 and report.records[-1] is report.violations[0]
+
+
+@pytest.mark.parametrize("measure", ["uniform", "ties"])
+@pytest.mark.parametrize("family, k", [("boxes", 2), ("thresholds", 2), ("thresholds", 3)])
+def test_validity_records_do_not_depend_on_the_index_cache(family, k, measure, monkeypatch):
+    # the per-(m, k) cache holds only what (m, k) alone fixes: a run that
+    # builds every entry afresh for each trial gives the warm run's records
+    from kcompress import indexing
+
+    if family == "boxes":
+        scheme, klass, loss = rectangle_scheme(k), HypothesisClass.rectangles(k), zero_one_partite()
+    else:
+        scheme, klass = sum_threshold_scheme(k), HypothesisClass.sum_thresholds(k)
+        # weighted by the ordering's first point, so the records read the order choices
+        loss = LossSpec(
+            NONPARTITE, "weighted", 1.0,
+            lambda xs, guess, truth: np.where((guess == truth).all(axis=0), 0.0, xs[0]),
+        )
+    mu = None
+    if measure == "ties":
+        # three atoms: equal points, and equal sums of distinct subsets
+        atoms = FiniteDiscrete((0.25, 0.5, 0.75), (0.25, 0.5, 0.25))
+        mu = ProductMeasure(scheme.mode, k, (atoms,) * (k if scheme.mode == PARTITE else 1))
+    args = dict(trials=3, m_values=(k, 5, 9), seed=2**40 + 7, measure=mu)
+    check_compression_validity(scheme, klass, loss, **args)
+    warm = check_compression_validity(scheme, klass, loss, **args).records
+
+    draw = schemes.draw_sample
+    cleared = []
+
+    def cold_draw(*a, **kw):
+        indexing._subset_cache.clear()
+        cleared.append(1)
+        return draw(*a, **kw)
+
+    monkeypatch.setattr(schemes, "draw_sample", cold_draw)
+    cold = check_compression_validity(scheme, klass, loss, **args).records
+    assert len(cleared) == len(cold) == 9
+    assert cold == warm
 
 
 def test_validity_argument_checks():
