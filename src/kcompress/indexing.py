@@ -16,10 +16,8 @@ Conventions, fixed here once for the whole package:
   (order choices, bundles, nonpartite losses, threshold ERM) reads,
 * the orientations of a k-subset follow enumerate_permutations(k), and
   orientation_cells alone lays out the grid cells they read,
-* what depends on (m, k) alone is built once and cached in one entry per
-  (m, k), read-only: the subsets, the injective mask, the canonical
-  OrderChoice (which holds the subsets array itself) and the cells its
-  orientations read (canonical_cells), all within SUBSET_CACHE_BYTES,
+* the subsets of each (m, k) are built once and cached, read-only, as
+  the orders of the canonical OrderChoice, within SUBSET_CACHE_BYTES,
 * dense label tensors are stored row-major (last coordinate fastest),
 * nonpartite cells with a repeated index hold the sentinel code -1.
 """
@@ -151,13 +149,8 @@ def grid_columns(sides: Sequence) -> list:
 
 
 def injective_mask(m: int, k: int) -> np.ndarray:
-    """Boolean (m,)*k grid, True where all coordinates are pairwise distinct:
-    read-only, and cached with sorted_subsets(m, k)."""
+    """Boolean (m,)*k grid, True where all coordinates are pairwise distinct."""
     check_cell_budget(m, k)
-    return _cached(m, k, "injective", lambda: _read_only(_pairwise_distinct(m, k)))
-
-
-def _pairwise_distinct(m: int, k: int) -> np.ndarray:
     cols = grid_columns([np.arange(m)] * k)
     mask = np.ones((m,) * k, dtype=bool)
     for i in range(k):
@@ -399,70 +392,49 @@ def ascending_columns(cols: list) -> list:
     return cols
 
 
-# The cache keeps one entry per (m, k): the read-only arrays that depend on
-# (m, k) alone, each built on first use, up to this many bytes in all.  The
-# 39 sizes m = 2..40 a validity sweep cycles through take under 0.5 MiB at
-# k = 2, while one large dense call (4.5M rows at m = 3000, k = 2) takes
-# 69 MiB and is not kept
+# The cache keeps one canonical OrderChoice per (m, k), whose orders are
+# the subsets, up to this many bytes of them in all: the 39 sizes
+# m = 2..40 a validity sweep cycles through take 0.16 MiB at k = 2 and
+# 2.3 MiB at k = 3, while one large dense call (4.5M rows at m = 3000,
+# k = 2) takes 69 MiB and is not kept
 SUBSET_CACHE_BYTES = 2**24
 _subset_cache: OrderedDict = OrderedDict()
 
 
-def _entry_bytes(entry: dict) -> int:
-    # the canonical OrderChoice holds the subsets array itself, so only
-    # the arrays count
-    return sum(v.nbytes for v in entry.values() if isinstance(v, np.ndarray))
-
-
-def _cached(m: int, k: int, part: str, build):
-    """The part named part of the (m, k) entry, built by build() on a miss.  Entries
-    are kept, least recently used first out, while all of them hold at
-    most SUBSET_CACHE_BYTES; a part that would take its entry above that
-    is not kept, and the parts already kept stay."""
-    key = (m, k)
-    entry = _subset_cache.get(key)
-    if entry is not None and part in entry:
-        _subset_cache.move_to_end(key)
-        return entry[part]
-    value = build()
-    # build may have cached other parts of this entry
-    entry = _subset_cache.pop(key, {})
-    if _entry_bytes({**entry, part: value}) <= SUBSET_CACHE_BYTES:
-        entry[part] = value
-    if entry:
-        _subset_cache[key] = entry
-        held = sum(_entry_bytes(e) for e in _subset_cache.values())
+def _canonical(m: int, k: int) -> "OrderChoice":
+    choice = _subset_cache.get((m, k))
+    if choice is not None:
+        _subset_cache.move_to_end((m, k))
+        return choice
+    if not 1 <= k <= MAX_ARITY:
+        raise ValueError(f"arity k={k} outside [1, {MAX_ARITY}]")
+    rows = np.fromiter(
+        itertools.combinations(range(m), k),
+        dtype=np.dtype((np.intp, k)),
+        count=math.comb(m, k),
+    )
+    rows.setflags(write=False)
+    choice = OrderChoice._of_checked(m, k, rows)
+    if rows.nbytes <= SUBSET_CACHE_BYTES:
+        _subset_cache[(m, k)] = choice
+        held = sum(c.orders.nbytes for c in _subset_cache.values())
         while held > SUBSET_CACHE_BYTES:
-            held -= _entry_bytes(_subset_cache.popitem(last=False)[1])
-    return value
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+            held -= _subset_cache.popitem(last=False)[1].orders.nbytes
+    return choice
 
 
 def sorted_subsets(m: int, k: int) -> np.ndarray:
     """All k-subsets of range(m) as ascending rows, in itertools.combinations
-    order (so lexicographic): a read-only (C(m, k), k) array, cached."""
-    return _cached(m, k, "subsets", lambda: _read_only(np.fromiter(
-        itertools.combinations(range(m), k),
-        dtype=np.dtype((np.intp, k)),
-        count=math.comb(m, k),
-    )))
+    order (so lexicographic): a read-only (C(m, k), k) array, cached as the
+    orders of OrderChoice.canonical(m, k)."""
+    return _canonical(m, k).orders
 
 
-def canonical_cells(m: int, k: int) -> np.ndarray:
-    """orientation_cells(sorted_subsets(m, k), m): the cells the orientations
-    of each subset read in ascending order, read-only and cached."""
-    return _cached(m, k, "cells", lambda: _read_only(orientation_cells(sorted_subsets(m, k), m)))
-
-
-def _checked_orders(m: int, k: int, orders, count: int | None = None) -> np.ndarray:
+def _checked_orders(m: int, k: int, orders) -> np.ndarray:
     """orders as a read-only intp array, checked to be one order choice of
-    shape (C(m, k), k), or with count a stack (count, C(m, k), k) of them:
-    integers, row r a permutation of row r of sorted_subsets(m, k).  The
-    network sorts a whole stack in one pass (np.sort's rows on integers)."""
+    shape (C(m, k), k) or a stack (count, C(m, k), k) of them: integers,
+    row r a permutation of row r of sorted_subsets(m, k).  The network
+    sorts a whole stack in one pass (np.sort's rows on integers)."""
     if not 1 <= k <= MAX_ARITY:
         raise ValueError(f"arity k={k} outside [1, {MAX_ARITY}]")
     rows = np.asarray(orders)
@@ -470,11 +442,9 @@ def _checked_orders(m: int, k: int, orders, count: int | None = None) -> np.ndar
         raise ValueError(f"order choice has dtype {rows.dtype}, expected integers")
     rows = rows.astype(np.intp, copy=False)
     n = math.comb(m, k)
-    lead = () if count is None else (count,)
-    if rows.shape != lead + (n, k):
-        want = f"(C({m},{k}), {k})" if count is None else f"({count}, C({m},{k}), {k})"
+    if rows.ndim not in (2, 3) or rows.shape[-2:] != (n, k):
         raise ValueError(
-            f"order choice has shape {rows.shape}, expected {want} = {lead + (n, k)}"
+            f"order choice has shape {rows.shape}, expected (C({m},{k}), {k}) = {(n, k)}"
         )
     subsets = sorted_subsets(m, k)
     ascending = ascending_columns([rows[..., i] for i in range(k)])
@@ -489,7 +459,8 @@ def _checked_orders(m: int, k: int, orders, count: int | None = None) -> np.ndar
             f"subset {tuple(subsets[b % n].tolist())}"
         )
     if rows.flags.writeable:
-        rows = _read_only(rows.view())
+        rows = rows.view()
+        rows.setflags(write=False)
     return rows
 
 
@@ -511,7 +482,9 @@ class OrderChoice:
 
     @classmethod
     def _of_checked(cls, m: int, k: int, orders: np.ndarray) -> "OrderChoice":
-        # orders has passed _checked_orders as a slot of a stack
+        # orders are valid by construction (the subsets) or have passed
+        # _checked_orders as a slot of a stack: the constructor would check
+        # them again, about 20 us a choice at m = 40, k = 2
         choice = object.__new__(cls)
         choice.__dict__.update(m=m, k=k, orders=orders)
         return choice
@@ -520,7 +493,7 @@ class OrderChoice:
     def canonical(cls, m: int, k: int) -> "OrderChoice":
         """Ascending order on every subset: one cached object per (m, k),
         whose orders are the sorted_subsets array itself."""
-        return _cached(m, k, "canonical", lambda: cls(m, k, sorted_subsets(m, k)))
+        return _canonical(m, k)
 
     @classmethod
     def random(cls, m: int, k: int, rngs: Iterable[np.random.Generator]) -> list["OrderChoice"]:
@@ -532,7 +505,7 @@ class OrderChoice:
         subsets = sorted_subsets(m, k)
         drawn = [rng.permuted(subsets, axis=1) for rng in rngs]
         stack = np.stack(drawn) if drawn else np.empty((0,) + subsets.shape, np.intp)
-        stack = _checked_orders(m, k, stack, len(drawn))
+        stack = _checked_orders(m, k, stack)
         return [cls._of_checked(m, k, rows) for rows in stack]
 
 

@@ -40,10 +40,10 @@ from .indexing import (
     LabeledSample,
     Sample,
     ascending_columns,
-    canonical_cells,
     check_cell_budget,
     grid_columns,
     injective_mask,
+    orientation_cells,
     side_count,
     sorted_subsets,
 )
@@ -499,11 +499,15 @@ def _support_indices(points: np.ndarray, support: tuple) -> np.ndarray:
 
 
 def encode_labels(values: np.ndarray, alphabet: tuple) -> np.ndarray:
-    """Map label values to int64 codes into the alphabet."""
+    """Map label values to int64 codes into the alphabet.  Under the binary
+    alphabet an int64 array of labels is its own codes and is returned as
+    it is."""
     if alphabet == BINARY_ALPHABET:
         arr = np.asarray(values)
-        codes = arr.astype(np.int64)
-        if not np.array_equal(codes, arr) or (codes < 0).any() or (codes > 1).any():
+        codes = arr.astype(np.int64, copy=False)
+        # integers convert exactly, except that uint64 above 2**63 turns negative
+        exact = arr.dtype.kind in "biu" or np.array_equal(codes, arr)
+        if not exact or codes.size and (codes.min() < 0 or codes.max() > 1):
             raise ValueError("labels outside the binary alphabet (0, 1)")
         return codes
     lookup = {v: i for i, v in enumerate(alphabet)}
@@ -542,7 +546,7 @@ def label_sample(F: Hypothesis, x: Sample, alphabet: tuple = BINARY_ALPHABET) ->
         codes = encode_labels(F.label_grid(x.axes), tuple(alphabet))
     injective = None
     if x.mode == NONPARTITE and m > 0:
-        # read once per sample: the tensor validates against it and
+        # built once per sample: the tensor validates against it and
         # subsamples pull it back
         injective = injective_mask(m, k)
         codes = np.where(injective, codes, SENTINEL)
@@ -641,7 +645,8 @@ def _subset_label_masks(labeled: LabeledSample):
     subsets = sorted_subsets(labeled.m, labeled.k)
     pos_code = _positive_code(labeled.labels.alphabet)
     # subsets are injective, so no gathered cell holds SENTINEL
-    pos = labeled.labels.codes.ravel()[canonical_cells(labeled.m, labeled.k)] == pos_code
+    cells = orientation_cells(subsets, labeled.m)
+    pos = labeled.labels.codes.ravel()[cells] == pos_code
     any_pos, any_neg = pos.any(axis=0), (~pos).any(axis=0)
     return subsets, any_pos & ~any_neg, any_neg & ~any_pos, any_pos & any_neg
 

@@ -165,60 +165,51 @@ def test_sorted_subsets_cache_drops_least_recently_used(monkeypatch):
     assert np.array_equal(sorted_subsets(11, 2), eleven)
 
 
-def test_cached_index_arrays_are_read_only_and_shared():
+def test_canonical_order_choice_is_cached_with_its_subsets():
     m, k = 7, 3
     canonical = OrderChoice.canonical(m, k)
     assert canonical is canonical_order_choice(m, k)
     # the canonical order choice holds the subsets array itself
     assert canonical.orders is sorted_subsets(m, k)
-    assert injective_mask(m, k) is injective_mask(m, k)
-    assert indexing.canonical_cells(m, k) is indexing.canonical_cells(m, k)
-    assert np.array_equal(
-        indexing.canonical_cells(m, k), indexing.orientation_cells(sorted_subsets(m, k), m)
-    )
-    for a in (sorted_subsets(m, k), injective_mask(m, k), indexing.canonical_cells(m, k)):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[(0,) * a.ndim] = 1
+    assert not canonical.orders.flags.writeable
+    with pytest.raises(ValueError):
+        canonical.orders[0, 0] = 1
+    with pytest.raises(ValueError, match=r"arity k=9 outside"):
+        OrderChoice.canonical(12, 9)
 
 
-def test_index_cache_stays_within_its_budget(monkeypatch):
-    def held():
-        return sum(indexing._entry_bytes(e) for e in indexing._subset_cache.values())
-
+def test_canonical_order_choice_cache_stays_within_its_budget(monkeypatch):
     monkeypatch.setattr(indexing, "_subset_cache", type(indexing._subset_cache)())
     monkeypatch.setattr(indexing, "SUBSET_CACHE_BYTES", 2**16)
     for m in range(2, 41):
-        injective_mask(m, 2)
         OrderChoice.canonical(m, 2)
-        indexing.canonical_cells(m, 2)
-        assert held() <= indexing.SUBSET_CACHE_BYTES
-    # the latest sizes are kept whole, the earliest were dropped
-    assert set(indexing._subset_cache[(40, 2)]) == {"injective", "subsets", "canonical", "cells"}
-    assert (2, 2) not in indexing._subset_cache
-    # an entry above the budget alone is not kept, and drops nothing else
+        assert sum(r.nbytes for r in _cached_arrays()) <= indexing.SUBSET_CACHE_BYTES
+    assert (40, 2) in indexing._subset_cache and (2, 2) not in indexing._subset_cache
+    # at this budget the subsets of m = 100 do not fit, so neither they nor
+    # the canonical choice holding them are kept, and nothing else is dropped
     kept = list(indexing._subset_cache)
-    assert injective_mask(300, 2).nbytes > indexing.SUBSET_CACHE_BYTES
+    tracemalloc.start()
+    try:
+        for m in (100, 101, 102):
+            assert OrderChoice.canonical(m, 2).orders.nbytes > indexing.SUBSET_CACHE_BYTES
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2**14
     assert list(indexing._subset_cache) == kept
-    # a part that would take its entry above the budget is not kept, and
-    # the entry keeps its other parts: 2415 subsets fit, with their cells not
-    subsets = sorted_subsets(70, 2)
-    cells = indexing.canonical_cells(70, 2)
-    assert subsets.nbytes + cells.nbytes > indexing.SUBSET_CACHE_BYTES
-    assert indexing.canonical_cells(70, 2) is not cells
-    assert sorted_subsets(70, 2) is subsets
-    assert held() <= indexing.SUBSET_CACHE_BYTES
 
 
-def test_validity_sweep_cache_entries_stay_small():
+def _cached_arrays():
+    return [c.orders for c in indexing._subset_cache.values()]
+
+
+def test_validity_sweep_cache_entries_stay_small(monkeypatch):
+    monkeypatch.setattr(indexing, "_subset_cache", type(indexing._subset_cache)())
     # every (m, k) entry a k = 2 validity sweep over m = 2..40 reads
-    sizes = []
     for m in range(2, 41):
-        injective_mask(m, 2)
         OrderChoice.canonical(m, 2)
-        indexing.canonical_cells(m, 2)
-        sizes.append(indexing._entry_bytes(indexing._subset_cache[(m, 2)]))
-    assert sum(sizes) < 2**19
+    assert len(indexing._subset_cache) == 39
+    assert sum(r.nbytes for r in _cached_arrays()) < 2**18
 
 
 def test_mask_budget(monkeypatch):

@@ -405,6 +405,19 @@ def test_encode_labels():
         encode_labels(np.array(["c"], dtype=object), ("a", "b"))
 
 
+def test_binary_encode_labels_keeps_int64_and_refuses_what_does_not_convert():
+    labels = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    assert encode_labels(labels, (0, 1)) is labels
+    codes = encode_labels(np.array([True, False]), (0, 1))
+    assert codes.dtype == np.int64 and codes.tolist() == [1, 0]
+    assert encode_labels(np.array([1.0, 0.0]), (0, 1)).tolist() == [1, 0]
+    assert encode_labels(np.zeros((0, 3), dtype=np.int64), (0, 1)).shape == (0, 3)
+    # 0.5 truncates to 0, and 2**64 - 1 wraps to -1 as int64
+    for bad in (np.array([0.5]), np.array([2**64 - 1], dtype=np.uint64), np.array([-1])):
+        with pytest.raises(ValueError, match="outside the binary alphabet"):
+            encode_labels(bad, (0, 1))
+
+
 def sort_coordinate_sum(cols):
     """The sum of each tuple's coordinates in the order np.sort puts them."""
     cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in cols))

@@ -594,8 +594,9 @@ def test_batched_validity_equals_trial_by_trial(
 @pytest.mark.parametrize("measure", ["uniform", "ties"])
 @pytest.mark.parametrize("family, k", [("boxes", 2), ("thresholds", 2), ("thresholds", 3)])
 def test_validity_records_do_not_depend_on_the_index_cache(family, k, measure, monkeypatch):
-    # the per-(m, k) cache holds only what (m, k) alone fixes: a run that
-    # builds every entry afresh for each trial gives the warm run's records
+    # the subset cache holds only what (m, k) alone fixes: a run that builds
+    # every canonical order choice afresh for each trial gives the warm
+    # run's records
     from kcompress import indexing
 
     if family == "boxes":
