@@ -178,6 +178,10 @@ def test_canonical_order_choice_is_cached_with_its_subsets():
         OrderChoice.canonical(12, 9)
 
 
+def _cached_arrays():
+    return [c.orders for c in indexing._subset_cache.values()]
+
+
 def test_canonical_order_choice_cache_stays_within_its_budget(monkeypatch):
     monkeypatch.setattr(indexing, "_subset_cache", type(indexing._subset_cache)())
     monkeypatch.setattr(indexing, "SUBSET_CACHE_BYTES", 2**16)
@@ -197,10 +201,6 @@ def test_canonical_order_choice_cache_stays_within_its_budget(monkeypatch):
         tracemalloc.stop()
     assert held < 2**14
     assert list(indexing._subset_cache) == kept
-
-
-def _cached_arrays():
-    return [c.orders for c in indexing._subset_cache.values()]
 
 
 def test_validity_sweep_cache_entries_stay_small(monkeypatch):
