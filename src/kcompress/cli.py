@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 when an audit or assertion fails, 2 for
 usage and configuration problems (unknown command or flag, bad config
 file, unknown key, a scan limit outside [MIN_SCAN_LIMIT, MAX_SCAN_LIMIT],
 a sample too large to draw or for the dense path, an exact total loss
-asked for where none is computed in closed form).
+asked for where none is computed in closed form, an unwritable --out).
 """
 
 from __future__ import annotations
@@ -86,7 +86,12 @@ def _finish(result: ExperimentResult, args) -> int:
     summary = render_summary(result, args.format)
     sys.stdout.write(summary)
     if args.out:
-        write_outputs(result, args.out, args.format, summary=summary)
+        try:
+            write_outputs(result, args.out, args.format, summary=summary)
+        except OSError as exc:
+            print(f"{args.command}: cannot write --out {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     for note in result.notes:
         print(f"note: {note}", file=sys.stderr)
     if not result.passed:

@@ -37,7 +37,7 @@ bound-table takes its columns whole from learner.bound_columns.
 trials.jsonl and summary.json are formatted a block of rows at a time,
 column by column, to the bytes json.dumps(record, sort_keys=True) gives
 each record and json.dumps(summary, sort_keys=True, indent=2) the
-summary.
+summary, except that a non-finite float is the string of its CSV text.
 """
 
 from __future__ import annotations
@@ -939,13 +939,28 @@ def table_to_csv(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_cell(v) -> str:
-    return json.dumps(v, sort_keys=True)
+def _finite_json(v):
+    """v with each non-finite float in it, at any depth, as the CSV's text."""
+    if isinstance(v, dict):
+        return {key: _finite_json(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return list(map(_finite_json, v))
+    return repr(float(v)) if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def _json_cell(v, indent=None) -> str:
+    """json.dumps(v, sort_keys=True, indent=indent), but strict JSON: a
+    non-finite float is the JSON string of its CSV text, "inf", "-inf" or
+    "nan", instead of the bare token Infinity, -Infinity or NaN."""
+    try:
+        return json.dumps(v, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError:
+        return json.dumps(_finite_json(v), sort_keys=True, indent=indent)
 
 
 def _summary_json_cell(v) -> str:
     # a cell's value sits three levels deep in summary.json
-    return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n      ")
+    return _json_cell(v, 2).replace("\n", "\n      ")
 
 
 # json's text of a value of exactly one of these types; float.__repr__
@@ -956,7 +971,7 @@ _JSON_METHOD = {
     int: int.__repr__,
     str: json.encoder.encode_basestring_ascii,
 }
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
 def _json_objects(table: dict, start: str, sep: str, end: str, cell=_json_cell) -> list:
@@ -979,8 +994,8 @@ def _json_objects(table: dict, start: str, sep: str, end: str, cell=_json_cell) 
 
 
 def records_to_jsonl(records: Records) -> str:
-    """json.dumps(vars(r), sort_keys=True) + "\n" per record r, formatted
-    straight from the columns, as table_to_csv formats rows."""
+    """json.dumps(vars(r), sort_keys=True) + "\n" per record r, as _json_cell
+    spells it, formatted straight from the columns as table_to_csv formats rows."""
     return "".join(_json_objects(records.columns, "{", ", ", "}\n"))
 
 
@@ -990,8 +1005,8 @@ def _json_list(items: list) -> str:
 
 def table_to_json(table: dict) -> str:
     """json.dumps({"columns": names, "rows": one dict per row}, sort_keys=True,
-    indent=2) + "\n" of a table held by columns, formatted as
-    table_to_csv formats rows, with no dict per row."""
+    indent=2) + "\n" of a table held by columns, as _json_cell spells it,
+    formatted as table_to_csv formats rows, with no dict per row."""
     names = ["    " + _json_cell(name) for name in table]
     rows = _json_objects(table, "    {\n      ", ",\n      ", "\n    }", _summary_json_cell)
     return '{\n  "columns": ' + _json_list(names) + ',\n  "rows": ' + _json_list(rows) + "\n}\n"

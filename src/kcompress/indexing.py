@@ -168,7 +168,7 @@ class LabelTensor:
     SENTINEL and every injective cell a valid code.  In nonpartite mode,
     injective holds injective_mask(m, k), which the codes are validated
     against: a caller that built the mask passes it, otherwise it is built
-    here when m > 0.  Partite tensors hold None.
+    here.  Partite tensors hold None.
     """
 
     mode: str
@@ -189,22 +189,21 @@ class LabelTensor:
                 f"codes shape {self.codes.shape} does not match (m,)*k = {(self.m,) * self.k}"
             )
         n = len(self.alphabet)
-        if self.m > 0:
-            if self.mode == PARTITE:
-                if self.codes.min(initial=0) < 0 or self.codes.max(initial=0) >= n:
-                    raise ValueError("partite tensor has codes outside the alphabet")
-            else:
-                inj = self.injective
-                if inj is None:
-                    inj = injective_mask(self.m, self.k)
-                    object.__setattr__(self, "injective", inj)
-                elif inj.shape != self.codes.shape:
-                    raise ValueError("injective mask shape does not match the codes")
-                on = self.codes[inj]
-                if on.size and (on.min() < 0 or on.max() >= n):
-                    raise ValueError("nonpartite tensor has codes outside the alphabet")
-                if not np.all(self.codes[~inj] == SENTINEL):
-                    raise ValueError("non-injective cells must hold the sentinel")
+        if self.mode == PARTITE:
+            if self.codes.min(initial=0) < 0 or self.codes.max(initial=0) >= n:
+                raise ValueError("partite tensor has codes outside the alphabet")
+        else:
+            inj = self.injective
+            if inj is None:
+                inj = injective_mask(self.m, self.k)
+                object.__setattr__(self, "injective", inj)
+            elif inj.shape != self.codes.shape:
+                raise ValueError("injective mask shape does not match the codes")
+            on = self.codes[inj]
+            if on.size and (on.min() < 0 or on.max() >= n):
+                raise ValueError("nonpartite tensor has codes outside the alphabet")
+            if not np.all(self.codes[~inj] == SENTINEL):
+                raise ValueError("non-injective cells must hold the sentinel")
 
     @classmethod
     def from_codes(

@@ -7,7 +7,7 @@ the stream (seed, path) is np.random.SeedSequence(seed, spawn_key=path)
 .generate_state(2, np.uint64); numpy's SeedSequence is the tests'
 reference, and no code here builds one.
 
-_mirror_state is the one derivation of seeds and keys.  SeedSequence is
+stream_keys is the one derivation of seeds and keys.  SeedSequence is
 a fixed sequence of uint32 operations on the words of its entropy, and
 the mirror runs them elementwise on uint32 arrays, so a batch of trials
 derives its seeds and keys in one call: the entropy is assembled exactly
@@ -57,25 +57,15 @@ def spawn_rng(seed: int, *path: int) -> np.random.Generator:
 
 
 def derive_seed(seed, *path):
-    """A 64-bit child seed derived from (seed, path).
+    """A 64-bit child seed: the first word of stream_keys(seed, *path).
 
     Scalar arguments give a Python int.  With ndarray arguments (seeds
     below 2**64, path elements below 2**32) the derivation is elementwise
     over their broadcast shape and returns a uint64 array equal, element
     by element, to the scalar result.
     """
-    state = _mirror_state(seed, path, 1)[..., 0]
+    state = stream_keys(seed, *path)[..., 0]
     return int(state) if state.ndim == 0 else state
-
-
-def stream_keys(seed, *path) -> np.ndarray:
-    """The Philox key of the stream (seed, path), a (2,) uint64 array.
-
-    spawn_rng(seed, *path) and KeyedGenerator().at(key) both draw the
-    stream with this key.  ndarray arguments are elementwise, as in
-    derive_seed, and give shape (..., 2).
-    """
-    return _mirror_state(seed, path, 2)
 
 
 class KeyedGenerator:
@@ -167,13 +157,14 @@ def _mix(x, y):
     return r ^ (r >> _XSHIFT)
 
 
-def _mirror_state(seed, path, n_words: int) -> np.ndarray:
-    """SeedSequence(seed, spawn_key=path).generate_state(n_words, np.uint64),
-    elementwise over the ndarray arguments: shape (..., n_words).
+def stream_keys(seed, *path) -> np.ndarray:
+    """The Philox key of the stream (seed, path), a (2,) uint64 array:
+    SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64).
 
-    Every word is a np.uint32 or a uint32 array, so the words shared by
-    the whole batch (the seed, a scalar path prefix) are hashed once, and
-    uint32 arithmetic wraps as SeedSequence's does.
+    spawn_rng(seed, *path) and KeyedGenerator().at(key) both draw the
+    stream with this key.  ndarray arguments are elementwise, as in
+    derive_seed, and give shape (..., 2); the words the whole batch
+    shares (the seed, a scalar path prefix) are hashed once.
     """
     words = _entropy_words(seed, path)
     with np.errstate(over="ignore"):
@@ -193,8 +184,8 @@ def _mirror_state(seed, path, n_words: int) -> np.ndarray:
                 pool[dst] = _mix(pool[dst], v)
         h = _INIT_B
         state = []
-        for i in range(2 * n_words):
-            v = pool[i % _POOL_SIZE] ^ h
+        for word in pool:
+            v = word ^ h
             h = h * _MULT_B
             v = v * h
             state.append(np.asarray(v ^ (v >> _XSHIFT), dtype=np.uint64))
@@ -413,8 +404,6 @@ class Hypothesis:
 
     def label_grid(self, sides: Sequence[np.ndarray]) -> np.ndarray:
         """Labels on the full product grid of the given sides, shape (m1,...,mk)."""
-        if len(sides) != self.k:
-            raise ValueError(f"expected {self.k} sides, got {len(sides)}")
         return self.eval_columns(grid_columns(sides))
 
     def describe(self) -> str:
@@ -536,16 +525,11 @@ def label_sample(F: Hypothesis, x: Sample, alphabet: tuple = BINARY_ALPHABET) ->
 
     Nonpartite samples with m < k get an all-sentinel tensor.
     """
-    if F.k != x.k:
-        raise ValueError(f"hypothesis arity {F.k} does not match sample arity {x.k}")
     m, k = x.m, x.k
     check_cell_budget(m, k)
-    if m == 0:
-        codes = np.zeros((m,) * k, dtype=np.int64)
-    else:
-        codes = encode_labels(F.label_grid(x.axes), tuple(alphabet))
+    codes = encode_labels(F.label_grid(x.axes), tuple(alphabet))
     injective = None
-    if x.mode == NONPARTITE and m > 0:
+    if x.mode == NONPARTITE:
         # built once per sample: the tensor validates against it and
         # subsamples pull it back
         injective = injective_mask(m, k)

@@ -224,6 +224,9 @@ def sum_threshold_scheme(k: int) -> SelectionScheme:
 # ---------------------------------------------------------------------------
 # Validity checking
 
+#: Random order choices a nonpartite validity trial checks besides the canonical one.
+RANDOM_ORDER_CHOICES = 5
+
 
 @dataclass(frozen=True)
 class CompressionReport:
@@ -253,25 +256,6 @@ class ValidityReport:
         return not self.violations
 
 
-def _realizable_trial_losses(
-    scheme: SelectionScheme,
-    labeled: LabeledSample,
-    loss: LossSpec,
-    order_keys: Sequence,
-    rng: KeyedGenerator,
-) -> tuple[float, InjectionVector, int, Hypothesis]:
-    inj, sub, hdr = _kappa_full(scheme, labeled)
-    H = reconstruct(scheme, sub, hdr)
-    if scheme.mode == PARTITE:
-        worst = empirical_loss_partite(labeled, H, loss)
-    else:
-        m, k = labeled.m, labeled.k
-        orders = [OrderChoice.canonical(m, k)]
-        orders += OrderChoice.random(m, k, (rng.at(key) for key in order_keys))
-        worst = max(empirical_losses_nonpartite(labeled, H, loss, orders))
-    return worst, inj, hdr, H
-
-
 def check_compression_validity(
     scheme: SelectionScheme,
     klass: HypothesisClass,
@@ -280,7 +264,6 @@ def check_compression_validity(
     m_values: Sequence[int],
     seed: int,
     measure: ProductMeasure | None = None,
-    n_order_choices: int = 5,
     fail_fast: bool = False,
 ) -> ValidityReport:
     """Exact-zero empirical loss audit over freshly generated realizable samples.
@@ -294,7 +277,7 @@ def check_compression_validity(
     """
     return check_approximate_validity(
         scheme, klass, loss, lambda m: 0.0, trials, m_values, seed,
-        measure=measure, n_order_choices=n_order_choices, fail_fast=fail_fast,
+        measure=measure, fail_fast=fail_fast,
     )
 
 
@@ -307,18 +290,18 @@ def check_approximate_validity(
     m_values: Sequence[int],
     seed: int,
     measure: ProductMeasure | None = None,
-    n_order_choices: int = 5,
     fail_fast: bool = False,
 ) -> ValidityReport:
     """Like check_compression_validity but tolerating loss up to eps_sequence(m).
 
     Trial t at the i-th sample size draws its target from the stream
     (seed, i, t, 0), its sample from the side streams of the seed
-    derive_seed(seed, i, t, 1), and its j-th random order choice from the
-    stream (derive_seed(seed, i, t, 2), j).  The keys of every trial are
-    derived up front in one batch, and every stream is drawn through one
-    KeyedGenerator.  fail_fast stops at the first violation.  It audits
-    the paper's schemes of non-trivial quality (loss up to eps_m).
+    derive_seed(seed, i, t, 1), and its j-th random order choice, j <
+    RANDOM_ORDER_CHOICES, from the stream (derive_seed(seed, i, t, 2), j).
+    The keys of every trial are derived up front in one batch, and every
+    stream is drawn through one KeyedGenerator.  fail_fast stops at the
+    first violation.  It audits the paper's schemes of non-trivial quality
+    (loss up to eps_m).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -331,16 +314,21 @@ def check_approximate_validity(
     keys = stream_keys(seed, mis[:, None, None], ts[:, None], np.arange(3))
     target_keys = keys[:, :, 0].tolist()
     sample_keys = side_keys(mu, keys[:, :, 1, 0])
-    order_keys = stream_keys(keys[:, :, 2, 0, None], np.arange(n_order_choices)).tolist()
+    order_keys = stream_keys(keys[:, :, 2, 0, None], np.arange(RANDOM_ORDER_CHOICES)).tolist()
     rng = KeyedGenerator()
     records = []
     for (mi, m), t in itertools.product(enumerate(m_values), range(trials)):
         F = klass.sample_hypothesis(rng.at(target_keys[mi][t]))
         x = draw_sample(mu, m, keys=sample_keys[mi][t], rng=rng)
         labeled = label_sample(F, x)
-        worst, inj, hdr, H = _realizable_trial_losses(
-            scheme, labeled, loss, order_keys[mi][t], rng
-        )
+        inj, sub, hdr = _kappa_full(scheme, labeled)
+        H = reconstruct(scheme, sub, hdr)
+        if scheme.mode == PARTITE:
+            worst = empirical_loss_partite(labeled, H, loss)
+        else:
+            orders = [OrderChoice.canonical(m, scheme.k)]
+            orders += OrderChoice.random(m, scheme.k, (rng.at(key) for key in order_keys[mi][t]))
+            worst = max(empirical_losses_nonpartite(labeled, H, loss, orders))
         bound = float(eps_sequence(m))
         rec = CompressionReport(
             trial=t,

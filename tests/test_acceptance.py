@@ -96,7 +96,7 @@ def test_criterion_2_schemes_achieve_exact_zero_loss(capfd):
     for scheme, klass, loss, seed in sweeps:
         report = check_compression_validity(
             scheme, klass, loss, trials=200, m_values=tuple(range(2, 41)),
-            seed=seed, n_order_choices=5,
+            seed=seed,
         )
         worst = max(r.empirical_loss for r in report.records)
         ok = ok and not report.violations and worst == 0.0

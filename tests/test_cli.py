@@ -330,6 +330,43 @@ def test_out_is_a_flag_not_a_config_key(tmp_path, capsys):
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("command", ["validate-scheme", "concentration", "pac", "bound-table"])
+def test_out_naming_an_existing_file_exits_2(cfg_file, tmp_path, capsys, command):
+    # exit 1 means only that an audit failed; an --out that cannot be
+    # written is a usage problem, reported on one line
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    argv = [command, "--config", cfg_file, "--trials", "2", "--out", str(taken)]
+    if command in ("pac", "bound-table"):
+        argv += ["--scan-limit", "4000"]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"{command}: cannot write --out {taken}: File exists"]
+    assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("edit", [
+    ("scheme_id = rectangle", "scheme_id = trivial"),  # (m)_m squared overflows
+    ("epsilon = 0.1", "epsilon = 1e-300"),  # epsilon squared underflows
+])
+def test_non_finite_values_are_strict_json(tmp_path, capsys, edit):
+    def refuse(token):
+        raise ValueError(f"bare non-finite token {token}")
+
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    p = tmp_path / "run.cfg"
+    p.write_text((configs / "rectangle_concentration.cfg").read_text().replace(*edit))
+    out_dir = tmp_path / "res"
+    argv = ["bound-table", "--config", str(p), "--scan-limit", "1000", "--format", "json"]
+    assert dispatch(argv + ["--out", str(out_dir)]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert "inf" in [cell for row in doc["rows"] for cell in row.values()]
+    assert json.loads((out_dir / "summary.json").read_text(), parse_constant=refuse) == doc
+    for line in (out_dir / "trials.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=refuse)
+
+
 def test_seed_and_trials_overrides_reach_manifest(cfg_file, tmp_path, capsys):
     out_dir = tmp_path / "res"
     code = dispatch([

@@ -1435,9 +1435,21 @@ def test_table_to_csv_pins_mixed_cells():
     )
 
 
+def csv_text_for_non_finite(v):
+    """v with each non-finite float in it, at any depth, replaced by its CSV
+    text, "inf", "-inf" or "nan": the strict JSON writers' spelling."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(float(v))
+    if isinstance(v, dict):
+        return {key: csv_text_for_non_finite(x) for key, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [csv_text_for_non_finite(x) for x in v]
+    return v
+
+
 def json_dumps_of_table(table: dict) -> str:
     """summary.json's text of a table held by columns, through one dict per row."""
-    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    rows = [csv_text_for_non_finite(dict(zip(table, row))) for row in zip(*table.values())]
     return json.dumps({"columns": list(table), "rows": rows}, sort_keys=True, indent=2) + "\n"
 
 
@@ -1565,7 +1577,9 @@ def test_records_to_jsonl_is_json_dumps_per_record(tmp_path):
     # the same object in a whole column is formatted once
     shared = [dataclasses.replace(trials[1], gap=nan, total_loss=-0.0)] * 3
     for records in (trials, reports, mixed_column, shared, trials * 13, []):
-        want = "".join(json.dumps(vars(r), sort_keys=True) + "\n" for r in records)
+        want = "".join(
+            json.dumps(csv_text_for_non_finite(vars(r)), sort_keys=True) + "\n" for r in records
+        )
         kind = type(records[0]) if records else TrialRecord
         held = Records.of(kind, records)
         assert len(held) == len(records)
@@ -1577,6 +1591,6 @@ def test_records_to_jsonl_is_json_dumps_per_record(tmp_path):
     )
     write_outputs(result, str(tmp_path))
     lines = (tmp_path / "trials.jsonl").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == json.dumps(vars(reports[0]), sort_keys=True)
+    assert lines[0] == json.dumps(csv_text_for_non_finite(vars(reports[0])), sort_keys=True)
     assert json.loads(lines[0])["selected"] == [[1, 2], [3, 4]]
     assert len(lines) == len(reports)

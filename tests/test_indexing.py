@@ -246,6 +246,19 @@ def test_label_tensor_sentinel_enforced():
     assert t.alphabet[t.codes[0, 1]] == 0
 
 
+@pytest.mark.parametrize("mode", [PARTITE, NONPARTITE])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_label_tensor_at_m_zero(mode, k):
+    # the general validation holds for an empty tensor; nonpartite tensors
+    # hold their (empty) injective mask at m = 0 as at every other m
+    t = LabelTensor(mode, k, 0, (0, 1), np.zeros((0,) * k, dtype=np.int64))
+    assert t.codes.shape == (0,) * k
+    if mode == NONPARTITE:
+        assert t.injective.shape == (0,) * k
+    else:
+        assert t.injective is None
+
+
 def test_label_tensor_budget(monkeypatch):
     monkeypatch.setattr(indexing, "DEFAULT_CELL_BUDGET", 10**6)
     with pytest.raises(CellBudgetError):

@@ -23,6 +23,7 @@ from kcompress.indexing import (
 )
 from kcompress.losses import zero_one_nonpartite, zero_one_partite
 from kcompress.samples import (
+    BINARY_ALPHABET,
     FiniteDiscrete,
     Hypothesis,
     HypothesisClass,
@@ -508,9 +509,31 @@ def test_label_sample_small_nonpartite_all_sentinel():
 
 def test_label_sample_arity_mismatch():
     F = Hypothesis.sum_threshold(3, 1.0)
-    x = Sample.partite([[0.1], [0.2]])
-    with pytest.raises(ValueError):
-        label_sample(F, x)
+    for m in (0, 1, 3):
+        points = np.linspace(0.1, 0.9, m)
+        for x in (Sample.partite([points, points]), Sample.nonpartite(points, 2)):
+            with pytest.raises(ValueError):
+                label_sample(F, x)
+
+
+@pytest.mark.parametrize("mode", [PARTITE, NONPARTITE])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_label_sample_at_m_zero(mode, k):
+    # every hypothesis kind labels the empty sample through the general path
+    cases = [
+        (Hypothesis.rectangle([(0.0, 1.0)] * k), BINARY_ALPHABET),
+        (Hypothesis.sum_threshold(k, 0.5), BINARY_ALPHABET),
+        (Hypothesis.constant(k, "b"), ("a", "b")),
+        (Hypothesis.table(k, [(0.0, 1.0)], [1] * 2**k), BINARY_ALPHABET),
+    ]
+    empty = np.zeros(0)
+    x = Sample.partite([empty] * k) if mode == PARTITE else Sample.nonpartite(empty, k)
+    for F, alphabet in cases:
+        z = label_sample(F, x, alphabet)
+        assert z.labels.codes.dtype == np.int64, F.describe()
+        assert z.labels.codes.shape == (0,) * k, F.describe()
+        if mode == NONPARTITE:
+            assert z.labels.injective.shape == (0,) * k, F.describe()
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from kcompress.samples import (
 from kcompress import schemes
 from kcompress.experiments import FAMILIES
 from kcompress.schemes import (
+    RANDOM_ORDER_CHOICES,
     CompressionReport,
     check_approximate_validity,
     check_compression_validity,
@@ -462,7 +463,6 @@ def test_validity_threshold_scheme_small():
         trials=10,
         m_values=(2, 4, 6),
         seed=0,
-        n_order_choices=3,
     )
     assert report.passed
     assert all(r.empirical_loss == 0.0 for r in report.records)
@@ -517,11 +517,11 @@ def test_approximate_validity_tolerates_bounded_error():
 
 
 def validity_reference(numpy_seed, numpy_stream, scheme, klass, loss, trials, m_values,
-                       seed, n_order_choices, fail_fast):
+                       seed, fail_fast):
     """check_compression_validity's records, built trial by trial on numpy's
     own streams: target (seed, i, t, 0), sample side j (s1, j) with
-    s1 = seed (seed, i, t, 1), order choice j (s2, j) with s2 = seed
-    (seed, i, t, 2)."""
+    s1 = seed (seed, i, t, 1), order choice j < RANDOM_ORDER_CHOICES
+    (s2, j) with s2 = seed (seed, i, t, 2)."""
     mu = ProductMeasure.uniform(scheme.mode, scheme.k)
     records = []
     for (mi, m), t in itertools.product(enumerate(m_values), range(trials)):
@@ -539,7 +539,7 @@ def validity_reference(numpy_seed, numpy_stream, scheme, klass, loss, trials, m_
         else:
             s2 = numpy_seed(seed, mi, t, 2)
             orders = [canonical_order_choice(m, scheme.k)] + OrderChoice.random(
-                m, scheme.k, [numpy_stream(s2, j) for j in range(n_order_choices)]
+                m, scheme.k, [numpy_stream(s2, j) for j in range(RANDOM_ORDER_CHOICES)]
             )
             worst = max(empirical_loss_nonpartite(labeled, H, loss, o) for o in orders)
         records.append(CompressionReport(
@@ -579,7 +579,7 @@ def test_batched_validity_equals_trial_by_trial(
     if broken:
         # a reconstructor that ignores its input fails on most samples
         scheme = dataclasses.replace(scheme, rebuild=lambda sub, hdr: wrong)
-    args = dict(trials=3, m_values=(k, 4, 6), seed=2**33 + 17, n_order_choices=2)
+    args = dict(trials=3, m_values=(k, 4, 6), seed=2**33 + 17)
     report = check_compression_validity(scheme, klass, loss, fail_fast=fail_fast, **args)
     want = validity_reference(
         numpy_seed, numpy_stream, scheme, klass, loss, fail_fast=fail_fast, **args
