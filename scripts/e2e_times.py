@@ -8,9 +8,9 @@ scripts/run_audits.py --quick, scripts/run_audits.py in full (both into a
 temporary directory) and the tier-1 test command with --junitxml.  It
 runs PAIRS pairs, alternating which checkout goes first, and prints one
 JSON document: per run the wall seconds, exit code and passed count, and
-for tier-1 the seconds pytest reports, per test file and for criterion 2
-(from the JUnit XML); per metric both medians and in how many pairs the
-change took less time.  The standard library only: it times any
+for tier-1 the seconds pytest reports, per test file and per acceptance
+criterion (from the JUnit XML); per metric both medians and in how many
+pairs the change took less time.  The standard library only: it times any
 checkout, whatever it holds.
 """
 
@@ -25,7 +25,8 @@ import xml.etree.ElementTree as ET
 
 PAIRS = 2
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-CRITERION_2 = "test_criterion_2_"
+# an acceptance criterion's test is test_criterion_<n>_<what>
+CRITERION = "test_criterion_"
 
 
 def _run(checkout: str, args: list) -> tuple:
@@ -53,7 +54,7 @@ def _tier1(checkout: str, tmp: str) -> dict:
     xml = os.path.join(tmp, "junit.xml")
     wall, rc, _, _ = _run(checkout, TIER1 + [f"--junitxml={xml}"])
     run = {"wall_s": wall, "rc": rc, "passed": 0, "pytest_s": None,
-           "criterion2_s": None, "files": {}}
+           "criteria": {}, "files": {}}
     if not os.path.exists(xml):
         return run
     suite = ET.parse(xml).getroot()
@@ -67,8 +68,9 @@ def _tier1(checkout: str, tmp: str) -> dict:
         # the classname of a test outside a class is its file's module
         name = case.get("classname", "")
         files[name] = files.get(name, 0.0) + seconds
-        if case.get("name", "").startswith(CRITERION_2):
-            run["criterion2_s"] = seconds
+        name = case.get("name", "")
+        if name.startswith(CRITERION):
+            run["criteria"][name[len(CRITERION):].split("_")[0]] = seconds
     return run
 
 
@@ -110,12 +112,12 @@ def main() -> int:
             pairs.append(pair)
         block = {"pairs": pairs, "wall_s": _compare(pairs, lambda r: r["wall_s"])}
         if task == "tier1":
-            for metric in ("pytest_s", "criterion2_s"):
-                block[metric] = _compare(pairs, lambda r, m=metric: r[m])
-            names = sorted({f for p in pairs for side in checkouts for f in p[side]["files"]})
-            block["files_s"] = {
-                f: _compare(pairs, lambda r, f=f: r["files"].get(f)) for f in names
-            }
+            block["pytest_s"] = _compare(pairs, lambda r: r["pytest_s"])
+            for key in ("criteria", "files"):
+                names = sorted({n for p in pairs for side in checkouts for n in p[side][key]})
+                block[key + "_s"] = {
+                    n: _compare(pairs, lambda r, k=key, n=n: r[k].get(n)) for n in names
+                }
         doc[task] = block
     print(json.dumps(doc, sort_keys=True, indent=1))
     return 0

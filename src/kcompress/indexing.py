@@ -65,6 +65,19 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
+def _check_arity(k: int) -> None:
+    if not 1 <= k <= MAX_ARITY:
+        raise ValueError(f"arity k={k} outside [1, {MAX_ARITY}]")
+
+
+def _of_checked(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as they are,
+    without __post_init__'s checks: for values valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def side_count(mode: str, k: int) -> int:
     """Independent point lists of a k-ary sample: k partite, 1 nonpartite."""
     return k if mode == PARTITE else 1
@@ -108,8 +121,7 @@ class Sample:
 
     def __post_init__(self):
         _check_mode(self.mode)
-        if not 1 <= self.k <= MAX_ARITY:
-            raise ValueError(f"arity k={self.k} outside [1, {MAX_ARITY}]")
+        _check_arity(self.k)
         expected = side_count(self.mode, self.k)
         if len(self.sides) != expected:
             raise ValueError(
@@ -180,8 +192,7 @@ class LabelTensor:
 
     def __post_init__(self):
         _check_mode(self.mode)
-        if not 1 <= self.k <= MAX_ARITY:
-            raise ValueError(f"arity k={self.k} outside [1, {MAX_ARITY}]")
+        _check_arity(self.k)
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise ValueError("alphabet must be a nonempty tuple of distinct labels")
         if self.codes.shape != (self.m,) * self.k:
@@ -324,10 +335,11 @@ def _subsample_labels(tensor: LabelTensor, inj: InjectionVector) -> LabelTensor:
     cells = tuple(grid_columns(maps))
     # An injective map composed with an injective tuple stays injective, so
     # the mask pulls back to the subsample's own and the sentinels land
-    # exactly on its non-injective cells.
+    # exactly on its non-injective cells: valid by construction, unchecked.
     injective = None if tensor.injective is None else tensor.injective[cells]
-    return LabelTensor(
-        tensor.mode, tensor.k, inj.size, tensor.alphabet, tensor.codes[cells], injective
+    return _of_checked(
+        LabelTensor, mode=tensor.mode, k=tensor.k, m=inj.size, alphabet=tensor.alphabet,
+        codes=tensor.codes[cells], injective=injective,
     )
 
 
@@ -405,15 +417,14 @@ def _canonical(m: int, k: int) -> "OrderChoice":
     if choice is not None:
         _subset_cache.move_to_end((m, k))
         return choice
-    if not 1 <= k <= MAX_ARITY:
-        raise ValueError(f"arity k={k} outside [1, {MAX_ARITY}]")
+    _check_arity(k)
     rows = np.fromiter(
         itertools.combinations(range(m), k),
         dtype=np.dtype((np.intp, k)),
         count=math.comb(m, k),
     )
     rows.setflags(write=False)
-    choice = OrderChoice._of_checked(m, k, rows)
+    choice = _of_checked(OrderChoice, m=m, k=k, orders=rows)
     if rows.nbytes <= SUBSET_CACHE_BYTES:
         _subset_cache[(m, k)] = choice
         held = sum(c.orders.nbytes for c in _subset_cache.values())
@@ -434,8 +445,7 @@ def _checked_orders(m: int, k: int, orders) -> np.ndarray:
     shape (C(m, k), k) or a stack (count, C(m, k), k) of them: integers,
     row r a permutation of row r of sorted_subsets(m, k).  The network
     sorts a whole stack in one pass (np.sort's rows on integers)."""
-    if not 1 <= k <= MAX_ARITY:
-        raise ValueError(f"arity k={k} outside [1, {MAX_ARITY}]")
+    _check_arity(k)
     rows = np.asarray(orders)
     if rows.dtype.kind not in "iu":
         raise ValueError(f"order choice has dtype {rows.dtype}, expected integers")
@@ -480,15 +490,6 @@ class OrderChoice:
         object.__setattr__(self, "orders", _checked_orders(self.m, self.k, self.orders))
 
     @classmethod
-    def _of_checked(cls, m: int, k: int, orders: np.ndarray) -> "OrderChoice":
-        # orders are valid by construction (the subsets) or have passed
-        # _checked_orders as a slot of a stack: the constructor would check
-        # them again, about 20 us a choice at m = 40, k = 2
-        choice = object.__new__(cls)
-        choice.__dict__.update(m=m, k=k, orders=orders)
-        return choice
-
-    @classmethod
     def canonical(cls, m: int, k: int) -> "OrderChoice":
         """Ascending order on every subset: one cached object per (m, k),
         whose orders are the sorted_subsets array itself."""
@@ -504,8 +505,9 @@ class OrderChoice:
         subsets = sorted_subsets(m, k)
         drawn = [rng.permuted(subsets, axis=1) for rng in rngs]
         stack = np.stack(drawn) if drawn else np.empty((0,) + subsets.shape, np.intp)
+        # each slot has passed _checked_orders, which the constructor repeats
         stack = _checked_orders(m, k, stack)
-        return [cls._of_checked(m, k, rows) for rows in stack]
+        return [_of_checked(cls, m=m, k=k, orders=rows) for rows in stack]
 
 
 def canonical_order_choice(m: int, k: int) -> OrderChoice:

@@ -30,14 +30,18 @@ kernel searches only the rows up to the diagonal, whose self-sums fall
 below the threshold, and the diagonal's own row (_diagonal finds it by
 bisection): every other row mirrors into them, so the ordered pair count
 (_pairs_below) and the extreme pair sums (_boundary_extremes) read off
-those rows alone.  The block kernel searches every row.
+those rows alone.  The block kernel needs only the count, so it searches
+only the rows below the diagonal whose sum with the largest point is not
+below the threshold: by monotonicity, the rows before them hold every
+partner.
 
 Sorted points live in NaN-padded rows (_padded_sorted), and the searches
 read partners through take(out=) into a float scratch of the searched
 rows' size, so the m-length temporaries of a call are a few buffers
-reused in place.  The PAC threshold kernel holds one padded row, and one
-float scratch and one boundary array of the searched rows, moved in place
-from t_f to t_h.  This matters beyond the copying: glibc serves each
+reused in place; the block kernel's, but one, are as long as its searched
+rows.  The PAC threshold kernel holds one padded row, and one float
+scratch and one boundary array of the searched rows, moved in place from
+t_f to t_h.  This matters beyond the copying: glibc serves each
 array of 128 KiB or more (16384 floats) from a fresh mmap until a large
 free raises its dynamic threshold, and every fresh mapping faults its
 pages in again.
@@ -79,11 +83,11 @@ def _rect_xor_count(fmasks, hmasks) -> int:
 
 
 def _row_boundaries(
-    ends: np.ndarray, t: float, f: np.ndarray, p: np.ndarray | None = None
+    ends: np.ndarray, t: float, f: np.ndarray, p: np.ndarray | None = None, first: int = 0
 ) -> np.ndarray:
-    """p[i] = #{j : float(xs[i] + xs[j]) < t} for the first len(f) rows i of
-    the sorted row xs = ends[1:-1] of _padded_sorted (j == i included), with
-    f a float scratch of that many rows.
+    """p[i - first] = #{j : float(xs[i] + xs[j]) < t} for the len(f) rows
+    i from first of the sorted row xs = ends[1:-1] of _padded_sorted
+    (j == i included), with f a float scratch of that many rows.
 
     Rounded addition is monotone, so row i's qualifying partners are the
     prefix xs[:p[i]].  The guess p (searchsorted on t - xs[i] when None) is
@@ -94,17 +98,17 @@ def _row_boundaries(
     every row.  ends[p] = xs[p - 1] and ends[p + 1] = xs[p]; the NaN ends
     compare false, so p = 0 never moves down and p = m never moves up.
     """
-    xs, head = ends[1:-1], ends[1 : len(f) + 1]
+    xs, head = ends[1:-1], ends[first + 1 : first + len(f) + 1]
     if p is None:
         p = xs.searchsorted(np.subtract(t, head, out=f))
     rows = np.flatnonzero(np.add(head, ends.take(p, out=f, mode="clip"), out=f) >= t)
     while len(rows):
         p[rows] = np.searchsorted(xs, ends[p[rows]], side="left")
-        rows = rows[xs[rows] + ends[p[rows]] >= t]
+        rows = rows[head[rows] + ends[p[rows]] >= t]
     rows = np.flatnonzero(np.add(head, ends[1:].take(p, out=f, mode="clip"), out=f) < t)
     while len(rows):
         p[rows] = np.searchsorted(xs, ends[p[rows] + 1], side="right")
-        rows = rows[xs[rows] + ends[p[rows] + 1] < t]
+        rows = rows[head[rows] + ends[p[rows] + 1] < t]
     return p
 
 
@@ -182,16 +186,16 @@ def box_concentration(k, F, sigma, eta, m, pts):
         empty = ~smasks.any(axis=2).all(axis=1)
         lo[empty], hi[empty] = math.inf, -math.inf
     hmasks = _block_box_masks(lo, hi, pts)
-    # factorized counts, per side, of F, of H and of both; Python ints,
-    # since m**k outgrows int64
-    cf, ch, cfh = (
+    # factorized counts, per side, of F and of H; Python ints, since m**k
+    # outgrows int64.  Each side of H lies inside F's, so H's tuples are
+    # F's tuples too: count(F and H) = count(H), and the disagreement
+    # f + h - 2 * count(F and H) is f - h
+    cf, ch = (
         list(map(math.prod, side_counts))
-        for side_counts in np.count_nonzero(
-            np.stack((fmasks, hmasks, fmasks & hmasks)), axis=3
-        ).tolist()
+        for side_counts in np.count_nonzero(np.stack((fmasks, hmasks)), axis=3).tolist()
     )
     cells = m**k
-    emps = [(f + h - 2 * fh) / cells for f, h, fh in zip(cf, ch, cfh)]
+    emps = [(f - h) / cells for f, h in zip(cf, ch)]
     return np.stack((lo, hi), axis=-1), emps
 
 
@@ -211,32 +215,53 @@ def _block_pairs_below(ends: np.ndarray, t: np.ndarray) -> np.ndarray:
     the sorted rows xs = ends[:, 1:-1] of _padded_sorted, one threshold
     t[b] per row.
 
-    One searchsorted per row guesses the row's boundaries, as
-    _row_boundaries does; a row whose guess fails
-    xs[i] + xs[p - 1] < t <= xs[i] + xs[p] anywhere gets _row_boundaries'
-    fix-up from that guess.
+    The count reads off the staircase of the rows below the diagonal
+    d = #{i : xs[i] + xs[i] < t}, as _pairs_below does.  Rounded addition
+    is monotone, so the full rows r = #{i : xs[i] + xs[m - 1] < t} come
+    first (r <= d) and hold all m partners: only the rows r <= i < d are
+    searched, one searchsorted per block row guessing their boundaries as
+    _row_boundaries does, and only their guesses are checked and fixed up.
+    At t = +inf, r = d = m, and at t = -inf, d = 0: nothing is searched.
     """
-    count, m = len(ends), ends.shape[1] - 2
-    xs, t = ends[:, 1:-1], t[:, None]
-    sums = t - xs
-    p = np.empty(sums.shape, dtype=np.intp)
-    for b in range(count):
-        p[b] = xs[b].searchsorted(sums[b])
-    # flat ends[b * (m + 2) + j + 1] = xs[b, j]; the NaN ends compare
-    # false, so p = 0 is never checked below and p = m never above.  p is
-    # shifted to flat indices in place and the checks reuse the buffer
-    # sums, so a block holds two arrays of its size besides its points.
-    flat = ends.ravel()
-    offsets = np.arange(0, count * (m + 2), m + 2)[:, None]
-    p += offsets
-    np.add(xs, flat.take(p, out=sums, mode="clip"), out=sums)
-    wrong = sums >= t
-    np.add(xs, flat[1:].take(p, out=sums, mode="clip"), out=sums)
-    wrong |= sums < t
-    p -= offsets
-    for b in np.flatnonzero(wrong.any(axis=1)):
-        _row_boundaries(ends[b], t[b, 0], sums[b], p[b])
-    return p.sum(axis=1) - np.count_nonzero(np.add(xs, xs, out=sums) < t, axis=1)
+    count, w = ends.shape
+    m, flat, xs = w - 2, ends.ravel(), ends[:, 1:-1]
+    # row b of each mask is true on the first d[b] or r[b] points and
+    # false on the NaN ends, so argmin finds where its prefix ends
+    sums = np.add(ends, ends)
+    diagonal = sums < t[:, None]
+    full = np.add(ends, ends[:, -2:-1], out=sums) < t[:, None]
+    d, r = np.argmin(diagonal[:, 1:], axis=1), np.argmin(full[:, 1:], axis=1)
+    # the searched rows' points, flat in ends; the keys and checks of these
+    # points reuse the buffer sums
+    at = np.flatnonzero(np.not_equal(diagonal, full, out=diagonal))
+    head = flat[at]
+    # in place, at becomes each point's block row, then that row's start
+    rows = np.floor_divide(at, w, out=at)
+    t_at = t[rows]
+    keys = np.subtract(t_at, head, out=sums.ravel()[: len(at)])
+    # the boundaries p follow a 0 that starts their prefix sums
+    cum = np.zeros(len(at) + 1, dtype=np.intp)
+    p = cum[1:]
+    n = d - r
+    stops = np.cumsum(n)
+    for b, k, stop in zip(range(count), n.tolist(), stops.tolist()):
+        if k:
+            p[stop - k : stop] = xs[b].searchsorted(keys[stop - k : stop])
+    # flat ends[b * w + p] = xs[b, p - 1]; the NaN ends compare false, so
+    # p = 0 is never checked below and p = m never above
+    base = np.multiply(rows, w, out=rows)
+    p += base
+    np.add(head, flat.take(p, out=keys, mode="clip"), out=keys)
+    wrong = keys >= t_at
+    np.add(head, flat[1:].take(p, out=keys, mode="clip"), out=keys)
+    wrong |= keys < t_at
+    p -= base
+    for b in set((base[wrong] // w).tolist()):
+        rows_b = slice(stops[b] - n[b], stops[b])
+        _row_boundaries(ends[b], t[b], keys[rows_b], p[rows_b], r[b])
+    # _pairs_below's 2 * sum(p[i] for i < d) - d * d - d, with p[i] = m for i < r
+    np.cumsum(cum, out=cum)
+    return 2 * (r * m + cum[stops] - cum[stops - n]) - d * d - d
 
 
 def threshold_concentration(k, F, sigma, eta, m, pts):

@@ -39,6 +39,9 @@ from .indexing import (
     LabelTensor,
     LabeledSample,
     Sample,
+    _check_arity,
+    _check_mode,
+    _of_checked,
     ascending_columns,
     check_cell_budget,
     grid_columns,
@@ -235,6 +238,8 @@ class ProductMeasure:
     distributions: tuple
 
     def __post_init__(self):
+        _check_mode(self.mode)
+        _check_arity(self.k)
         expected = side_count(self.mode, self.k)
         if len(self.distributions) != expected:
             raise ValueError(
@@ -287,7 +292,8 @@ def draw_sample(
         rng = KeyedGenerator()
     # each side's stream is drawn in full before rng is re-keyed
     sides = tuple(d.draw(rng.at(key), m) for d, key in zip(mu.distributions, keys))
-    return Sample(mu.mode, mu.k, sides)
+    # valid by construction: mu checked mode, arity and sides, each of m points
+    return _of_checked(Sample, mode=mu.mode, k=mu.k, sides=sides)
 
 
 # ---------------------------------------------------------------------------

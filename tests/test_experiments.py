@@ -385,9 +385,11 @@ _ADVERSARIAL_ATOMS = (
 
 
 @st.composite
-def adversarial_points(draw):
-    """Sorted points with long runs of a few tied atoms and mixed magnitudes."""
-    n = draw(st.integers(1, 60))
+def adversarial_points(draw, n=None):
+    """Sorted points with long runs of a few tied atoms and mixed magnitudes;
+    n of them, or 1 to 60 when None."""
+    if n is None:
+        n = draw(st.integers(1, 60))
     atoms = draw(st.lists(
         st.sampled_from(_ADVERSARIAL_ATOMS), min_size=1, max_size=4, unique=True
     ))
@@ -435,6 +437,38 @@ def test_row_boundaries_match_bruteforce(data):
     assert _block_pairs_below(_padded_sorted(xs[None]), np.array([t])).tolist() == [
         brute_ordered_below(xs, t)
     ]
+
+
+@st.composite
+def adversarial_blocks(draw):
+    """(xs, t): 1 to 4 rows of adversarial points of one length, each with
+    its own threshold on a realized sum, beside one, or at +-inf, so the
+    diagonal d and the full rows r differ between the rows of a block."""
+    n = draw(st.integers(1, 60))
+    xs = np.stack([draw(adversarial_points(n)) for _ in range(draw(st.integers(1, 4)))])
+    ends = st.sampled_from([math.inf, -math.inf])
+    return xs, np.array([draw(st.one_of(boundary_thresholds(row), ends)) for row in xs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversarial_blocks())
+# per row: r = d = 1 < m; d = 0 at -inf; r = d = m at +inf; r = 0 < d = 2
+@example((
+    np.array([[0.0, 0.3, 0.3], [0.1, 0.2, 0.7], [0.1, 0.1, 0.2], [0.1, 0.2, 0.7]]),
+    np.array([0.5, -math.inf, math.inf, 0.5]),
+))
+# r = 3, d = 4, and the guess of row 3 is wrong: its fix-up starts there
+@example((np.array([[0.0, 1e-17, 1e-17, 0.1, 0.2]]), np.array([0.1 + 0.2])))
+def test_block_pairs_below_searches_rows_r_to_d(case):
+    # the block count searches only the rows r <= i < d of each block row:
+    # the full rows i < r come before the diagonal and hold every partner
+    xs, ts = case
+    for row, t in zip(xs, ts):
+        r = sum(1 for x in row if x + row[-1] < t)
+        assert r <= _diagonal(row, t)
+        assert (brute_row_boundaries(row, t)[:r] == len(row)).all()
+    below = _block_pairs_below(_padded_sorted(xs), ts)
+    assert below.tolist() == [brute_ordered_below(row, t) for row, t in zip(xs, ts)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -596,6 +630,39 @@ def test_box_block_kernel_matches_dense(data):
             F.value(tup) != want.value(tup) for tup in itertools.product(*sides)
         )
         assert emp == disagree / m**k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_box_block_losses_count_f_and_h_from_their_masks(data):
+    # the kernel counts F and H only: H's sides lie inside F's, so the
+    # count of F and H is H's, and the loss (f + h - 2 fh) / m**k is f - h
+    k = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 6))
+    count = data.draw(st.integers(1, 4))
+    n = count * k * m
+    pts = np.asarray(
+        data.draw(st.lists(st.sampled_from(_BOX_ATOMS), min_size=n, max_size=n))
+    ).reshape(count, k, m)
+    # (0.3, 0.4) holds no atom, so an F with it leaves that side empty
+    edges = st.one_of(
+        st.lists(st.sampled_from(_BOX_ATOMS), min_size=2, max_size=2).map(sorted),
+        st.just([0.3, 0.4]),
+    )
+    F = Hypothesis.rectangle(data.draw(st.lists(edges, min_size=k, max_size=k)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    sigma = InjectionVector.random(PARTITE, k, m, data.draw(st.integers(0, m)), rng)
+    eta = data.draw(st.sampled_from([1, 2]))
+    ends, emps = box_concentration(k, F, sigma, eta, m, pts)
+    fmasks = _block_box_masks(*box_ends(F).T, pts)
+    hmasks = _block_box_masks(ends[..., 0], ends[..., 1], pts)
+    for fm, hm, emp in zip(fmasks, hmasks, emps):
+        f, h, fh = (
+            math.prod(int(np.count_nonzero(side)) for side in masks)
+            for masks in (fm, hm, fm & hm)
+        )
+        assert fh == h
+        assert emp == (f + h - 2 * fh) / m**k
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,28 @@ def test_subsample_identity_and_composition(data):
     assert np.array_equal(two_step.codes, one_step.codes)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_subsample_labels_pass_the_tensor_check(data):
+    # subsample builds its tensor without LabelTensor's check, as valid by
+    # construction: the public constructor accepts its fields, and builds
+    # from them the injective mask it holds
+    mode = data.draw(st.sampled_from([PARTITE, NONPARTITE]))
+    k = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    t = make_tensor(mode, k, m, n_labels=3, rng=rng)
+    sub = subsample(t, random_injection(mode, k, m, data.draw(st.integers(0, m)), rng))
+    checked = LabelTensor(sub.mode, sub.k, sub.m, sub.alphabet, sub.codes)
+    assert (checked.mode, checked.k, checked.m, checked.alphabet) == (mode, k, sub.m, t.alphabet)
+    assert checked.codes.dtype == sub.codes.dtype == np.int64
+    assert np.array_equal(checked.codes, sub.codes)
+    if mode == PARTITE:
+        assert sub.injective is None
+    else:
+        assert np.array_equal(checked.injective, sub.injective)
+
+
 # ---------------------------------------------------------------------------
 # order choices and orientation bundles
 

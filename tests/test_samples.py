@@ -199,6 +199,8 @@ def test_draw_sample_with_batch_keys_equals_spawned_draw(mu, numpy_stream):
         ):
             assert len(got.sides) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got.sides, want))
+            # built without Sample's check, it passes that check
+            assert Sample(got.mode, got.k, got.sides).m == got.m == 12
     # a scalar seed of any size, beyond the 2**64 of a batch's seed array
     for seed in (2**64, 2**64 + 9, 2**200 + 1):
         want = [d.draw(numpy_stream(seed, i), 12) for i, d in enumerate(mu.distributions)]
@@ -276,6 +278,12 @@ def test_finite_discrete_rejects_non_finite_atoms_and_weights(values, weights, r
 def test_product_measure_shape():
     with pytest.raises(ValueError):
         ProductMeasure(PARTITE, 2, (Uniform01(),))
+    # checked here, since draw_sample builds its samples without a check
+    with pytest.raises(ValueError, match="unknown mode"):
+        ProductMeasure("tripartite", 2, (Uniform01(),))
+    for k in (0, 9):
+        with pytest.raises(ValueError, match=f"arity k={k} outside"):
+            ProductMeasure(NONPARTITE, k, (Uniform01(),))
     mu = ProductMeasure.uniform(NONPARTITE, 2)
     assert len(mu.distributions) == 1 and mu.is_uniform
     coin = FiniteDiscrete((0.25, 0.75), (0.5, 0.5))
