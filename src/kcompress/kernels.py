@@ -38,10 +38,10 @@ partner.
 Sorted points live in NaN-padded rows (_padded_sorted), and the searches
 read partners through take(out=) into a float scratch of the searched
 rows' size, so the m-length temporaries of a call are a few buffers
-reused in place; the block kernel's, but one, are as long as its searched
-rows.  The PAC threshold kernel holds one padded row, and one float
-scratch and one boundary array of the searched rows, moved in place from
-t_f to t_h.  This matters beyond the copying: glibc serves each
+reused in place; all but one of the block kernel's are as long as its
+searched rows.  The PAC threshold kernel holds one padded row, and one
+float scratch and one boundary array of the searched rows, moved in place
+from t_f to t_h.  This matters beyond the copying: glibc serves each
 array of 128 KiB or more (16384 floats) from a fresh mmap until a large
 free raises its dynamic threshold, and every fresh mapping faults its
 pages in again.

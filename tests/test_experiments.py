@@ -450,7 +450,7 @@ def adversarial_blocks(draw):
     return xs, np.array([draw(st.one_of(boundary_thresholds(row), ends)) for row in xs])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(adversarial_blocks())
 # per row: r = d = 1 < m; d = 0 at -inf; r = d = m at +inf; r = 0 < d = 2
 @example((
