@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if scan:
             p.add_argument(
                 "--scan-limit", type=int, default=None,
-                help="largest m examined when searching for the guaranteed sample size",
+                help="largest m the m_pac search examines (default: 200000 for mpac, "
+                "max(4 * largest m, 20000) for pac and bound-table)",
             )
 
     p = sub.add_parser("validate-scheme", help="exact-zero validity audit on realizable samples")

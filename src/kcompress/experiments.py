@@ -48,7 +48,7 @@ import math
 import operator
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from functools import partial
 from itertools import islice, repeat, starmap
 from typing import Callable, get_type_hints
@@ -353,19 +353,18 @@ class Records(Sequence):
 class ExperimentResult:
     """Everything one run produced, ready for the writers.  The summary
     table is held by columns: table maps each name of columns, in order,
-    to the list of its cells; rows is derived from it.  The trial records
-    are held by columns too."""
+    to the list of its cells; rows and passed are derived from it.  The
+    trial records are held by columns too."""
 
     kind: str
     config: ExperimentConfig
-    columns: list
+    columns: InitVar[list]
     records: Records = field(default_factory=lambda: Records(TrialRecord))
-    passed: bool = True
     notes: list = field(default_factory=list)
     table: dict = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.table = {c: [] for c in self.columns}
+    def __post_init__(self, columns):
+        self.table = {c: [] for c in columns}
 
     def add_row(self, **cells) -> None:
         self.extend({c: [v] for c, v in cells.items()})
@@ -379,6 +378,11 @@ class ExperimentResult:
     def rows(self) -> list:
         """The summary table as new dicts, one per row."""
         return [dict(zip(self.table, row)) for row in zip(*self.table.values())]
+
+    @property
+    def passed(self) -> bool:
+        """Every summary row passed; a table with no passed column passes."""
+        return all(self.table.get("passed", ()))
 
 
 def _ci_half_width(p_hat: float, n: int) -> float:
@@ -404,8 +408,8 @@ class Family:
     The kernel contracts, which the generic engine's kernels keep too:
     concentration_kernel(k, F, sigma, eta, m, pts) -> (rows, empirical
     losses) runs on a block of trials: pts is their drawn points stacked
-    as a (count, sides, m) array of at most _BLOCK_POINTS points (count
-    may be 0); rows has shape (count, *params(F).shape), one row per
+    as a (count, sides, m) array of at most _BLOCK_POINTS points, count
+    >= 1; rows has shape (count, *params(F).shape), one row per
     trial, and the list one loss.  The runner keeps no other reference to
     pts.  pac_kernel(k, F, m, x) -> (row, header, empirical loss,
     realizable) runs per trial, on one sample x, and returns the learned
@@ -483,8 +487,7 @@ def _generic_concentration(family, scheme, loss, k, F, sigma, eta, m, pts):
         H = reconstruct(scheme, subsample(labeled, sigma), eta)
         rows.append(family.params(H))
         emps.append(family.empirical_loss(labeled, H, loss))
-    # an empty block gives rows of the block's shape, (0, *row shape)
-    return np.reshape(rows, (len(rows), *np.shape(family.params(F)))), emps
+    return np.array(rows), emps
 
 
 def _generic_pac(family, klass, scheme, loss, k, F, m, x):
@@ -629,29 +632,26 @@ def _scan_m_pac(cfg: ExperimentConfig, inputs, scan_limit: int | None, notes: li
         return None
 
 
-def _concentration_fits(cfg, kernel, F, sigma, eta, m, samples):
-    """(parameter rows, empirical losses) of the samples, one row and one
-    loss each, in order: the samples are stacked into blocks of at most
-    _BLOCK_POINTS drawn points, and the concentration kernel runs once per
-    block."""
+def _concentration_fits(cfg, kernel, F, sigma, eta, m, samples, count: int):
+    """(parameter rows, empirical losses) of the count samples, one row and
+    one loss each, in order: one concentration kernel call per block of at
+    most _BLOCK_POINTS drawn points, ceil(count / per_block) calls."""
     samples = iter(samples)
     sides = side_count(cfg.mode, cfg.k)
     per_block = max(1, _BLOCK_POINTS // (sides * m))
     points = np.dtype((float, (sides, m)))
     rows, emps = [], []
-    while True:
+    for _ in range(0, count, per_block):
         # each sample's points are copied into the block as it is drawn, and
         # the block goes to the kernel with no other reference, so a kernel
-        # done with the points may free them; the block after the last
-        # sample is empty
+        # done with the points may free them
         block_rows, block_emps = kernel(
             cfg.k, F, sigma, eta, m,
             np.fromiter((x.sides for x in islice(samples, per_block)), points),
         )
         rows.append(block_rows)
         emps.extend(block_emps)
-        if not block_emps:
-            return np.concatenate(rows), emps
+    return np.concatenate(rows), emps
 
 
 CONCENTRATION_COLUMNS = [
@@ -665,7 +665,7 @@ def _run_concentration(cfg: ExperimentConfig, engine: str, variants) -> Experime
     """One concentration result holding, in order, the rows and records of
     each audit variant (sigma, eta, F, variant) of variants(class, scheme)."""
     mu, klass, loss, scheme, inputs, (kernel, _) = _audit_setup(cfg, engine)
-    result = ExperimentResult("concentration", cfg, list(CONCENTRATION_COLUMNS))
+    result = ExperimentResult("concentration", cfg, CONCENTRATION_COLUMNS)
     bounds = [azuma_bound(inputs, m) for m in cfg.m_values]
     rng = KeyedGenerator()
 
@@ -674,7 +674,7 @@ def _run_concentration(cfg: ExperimentConfig, engine: str, variants) -> Experime
         vsalt = _VARIANT_SALT[variant]
         keys = side_keys(mu, derive_seed(cfg.seed, vsalt, mi, ts))
         samples = (draw_sample(mu, m, keys=trial_keys, rng=rng) for trial_keys in keys)
-        rows, emps = _concentration_fits(cfg, kernel, F, sigma, eta, m, samples)
+        rows, emps = _concentration_fits(cfg, kernel, F, sigma, eta, m, samples, count)
         columns = _cell_columns(
             cfg, mu, loss, variant, m, ts, FAMILIES[cfg.class_id].params(F), rows, emps,
             [eta] * count, _mc_seeds(cfg, (vsalt, mi), ts),
@@ -704,7 +704,6 @@ def _run_concentration(cfg: ExperimentConfig, engine: str, variants) -> Experime
                 margin=bd.single_event_bound - (p_hat - ci), condition_ok=True,
                 rerun=rerun, passed=ok, note="",
             )
-            result.passed = result.passed and ok
     return result
 
 
@@ -793,7 +792,7 @@ def run_pac_experiment(
     {total loss > epsilon} must satisfy q_hat - CI99 <= delta.
     """
     mu, klass, loss, scheme, inputs, (_, kernel) = _audit_setup(cfg, engine)
-    result = ExperimentResult("pac", cfg, list(PAC_COLUMNS))
+    result = ExperimentResult("pac", cfg, PAC_COLUMNS)
     m0 = _scan_m_pac(cfg, inputs, scan_limit, result.notes)
 
     rng = KeyedGenerator()
@@ -825,7 +824,6 @@ def run_pac_experiment(
             m_pac=m0 if m0 is not None else "", applies=applies,
             rerun=rerun, passed=ok, note="",
         )
-        result.passed = result.passed and ok
     return result
 
 
@@ -841,7 +839,7 @@ def run_bound_table(cfg: ExperimentConfig, scan_limit: int | None = None) -> Exp
     cfg.validate()
     mu, klass, loss, scheme = build_all(cfg)
     inputs = GuaranteeInputs.from_scheme(scheme, loss, cfg.epsilon, cfg.delta)
-    result = ExperimentResult("bound-table", cfg, list(BOUND_TABLE_COLUMNS))
+    result = ExperimentResult("bound-table", cfg, BOUND_TABLE_COLUMNS)
     m0 = _scan_m_pac(cfg, inputs, scan_limit, result.notes)
     ref = asymptotic_guarantee_reference(inputs)
     # a constant column repeats one object, which the writers format once
@@ -871,8 +869,8 @@ def run_validity_experiment(
         measure=mu, fail_fast=fail_fast,
     )
     result = ExperimentResult(
-        "validate-scheme", cfg, list(VALIDITY_COLUMNS),
-        Records.of(CompressionReport, report.records), report.passed,
+        "validate-scheme", cfg, VALIDITY_COLUMNS,
+        Records.of(CompressionReport, report.records),
     )
     # one row per m_values entry: its trials records in a row, or fewer
     # where fail_fast stopped

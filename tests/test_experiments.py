@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcompress import experiments
+from kcompress.cli import dispatch
 from kcompress.experiments import (
     BOUND_TABLE_COLUMNS,
     CONCENTRATION_COLUMNS,
@@ -692,7 +693,7 @@ def kernels(cfg, engine):
 def concentration_columns(cfg, mu, loss, F, sigma, eta, variant, m, ts, xs, mc_seeds, kernel):
     """The record columns of the trials ts on the samples xs, as the runner
     builds them: the kernel's fits, then the columns of the cell."""
-    rows, emps = _concentration_fits(cfg, kernel, F, sigma, eta, m, xs)
+    rows, emps = _concentration_fits(cfg, kernel, F, sigma, eta, m, xs, len(xs))
     return _cell_columns(
         cfg, mu, loss, variant, m, ts, FAMILIES[cfg.class_id].params(F), rows, emps,
         [eta] * len(ts), mc_seeds,
@@ -935,7 +936,7 @@ def test_block_kernels_equal_generic_on_tied_blocks(cfg, data):
     sigma = InjectionVector.random(cfg.mode, cfg.k, m, int(scheme.selection_size(m)), rng)
     for eta in (1, 2):
         fits = {
-            engine: _concentration_fits(cfg, kernel, F, sigma, eta, m, xs)
+            engine: _concentration_fits(cfg, kernel, F, sigma, eta, m, xs, len(xs))
             for engine, kernel in conc.items()
         }
         # the same parameter rows, bit for bit, and empirical losses
@@ -1106,11 +1107,11 @@ def test_engines_agree_on_a_discrete_measure(cfg):
 
 
 @pytest.mark.parametrize("cfg", [PARTITE_CFG, NONPARTITE_CFG], ids=["partite", "nonpartite"])
-@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("count", [1, 3])
 def test_concentration_kernels_keep_the_block_contract(cfg, count):
     # rows (count, *params(F).shape) and count losses from both engines'
-    # kernels, on a block stacked as the runner stacks it; the empty block
-    # that ends every cell must give rows that concatenate with the others
+    # kernels, on a block stacked as the runner stacks it, so that the
+    # blocks of a cell concatenate
     mu, klass, loss, scheme = build_all(cfg)
     family = FAMILIES[cfg.class_id]
     F = klass.sample_hypothesis(spawn_rng(cfg.seed, 11))
@@ -1125,6 +1126,51 @@ def test_concentration_kernels_keep_the_block_contract(cfg, count):
             assert len(emps) == count
         assert fits["fast"][0].tobytes() == fits["generic"][0].tobytes()
         assert fits["fast"][1] == fits["generic"][1]
+
+
+def block_sizes(n, per_block):
+    """The trial count of each block of a pass of n trials."""
+    return [min(per_block, n - start) for start in range(0, n, per_block)]
+
+
+@pytest.mark.parametrize("tiny_bound", [False, True], ids=["one-pass", "re-measured"])
+@pytest.mark.parametrize(
+    "cfg, per_block",
+    [
+        # a partite trial at m = 50 draws 100 points, so a block holds 163
+        # trials, and 163 fill one exactly; a nonpartite one draws 50
+        (dataclasses.replace(PARTITE_CFG, m_values=(50,), trials=163), 163),
+        (dataclasses.replace(PARTITE_CFG, m_values=(50,), trials=200), 163),
+        (dataclasses.replace(NONPARTITE_CFG, m_values=(50,), trials=400), 327),
+    ],
+    ids=["partite-exact-multiple", "partite", "nonpartite"],
+)
+def test_concentration_cells_run_their_exact_blocks(cfg, per_block, tiny_bound, monkeypatch):
+    # no kernel call gets an empty block: a pass of n trials makes
+    # ceil(n / per_block) calls, and a re-measured cell one more pass of
+    # RERUN_FACTOR * n trials
+    sizes = []
+    for name, family in list(experiments.FAMILIES.items()):
+
+        def counted(k, F, sigma, eta, m, pts, kernel=family.concentration_kernel):
+            sizes.append(len(pts))
+            return kernel(k, F, sigma, eta, m, pts)
+
+        monkeypatch.setitem(
+            experiments.FAMILIES, name, dataclasses.replace(family, concentration_kernel=counted)
+        )
+    if tiny_bound:
+        bound = experiments.azuma_bound
+        monkeypatch.setattr(
+            experiments, "azuma_bound",
+            lambda inputs, m: dataclasses.replace(bound(inputs, m), single_event_bound=-1.0),
+        )
+    result = run_concentration_suite(cfg, engine="fast")
+    assert [row["rerun"] for row in result.rows] == [tiny_bound] * 2
+    passes = [cfg.trials, experiments.RERUN_FACTOR * cfg.trials][: 1 + tiny_bound]
+    assert min(sizes) >= 1
+    assert len(sizes) == 2 * sum(math.ceil(n / per_block) for n in passes)
+    assert sizes == [size for _ in range(2) for n in passes for size in block_sizes(n, per_block)]
 
 
 @pytest.mark.parametrize("cfg", [PARTITE_CFG, NONPARTITE_CFG], ids=["partite", "nonpartite"])
@@ -1261,7 +1307,7 @@ def test_concentration_skips_condition_violated_sizes():
 
 def test_concentration_row_shape_and_verdict():
     result = run_concentration_suite(dataclasses.replace(PARTITE_CFG, trials=30))
-    assert result.columns == CONCENTRATION_COLUMNS
+    assert list(result.table) == CONCENTRATION_COLUMNS
     assert {row["variant"] for row in result.rows} == {"fixed", "random"}
     for row in result.rows:
         assert row["p_hat"] - row["ci_half_width"] <= row["single_event_bound"]
@@ -1291,7 +1337,7 @@ def test_pac_rows_and_applicability():
     # guaranteed size for these targets is far above the configured m,
     # so the delta assertion is vacuous at both sizes
     result = run_pac_experiment(PARTITE_CFG)
-    assert result.columns == PAC_COLUMNS
+    assert list(result.table) == PAC_COLUMNS
     assert result.passed
     assert [row["m"] for row in result.rows] == [30, 60]
     for row in result.rows:
@@ -1342,7 +1388,7 @@ def test_ci_half_width_values():
 def test_bound_table_matches_direct_bound():
     cfg = dataclasses.replace(PARTITE_CFG, m_values=(1000, 5000), epsilon=0.2)
     result = run_bound_table(cfg, scan_limit=8000)
-    assert result.columns == BOUND_TABLE_COLUMNS
+    assert list(result.table) == BOUND_TABLE_COLUMNS
     assert len(result.rows) == 2
     row = result.rows[1]
     assert row["m"] == 5000 and row["m_pac"] == 3619
@@ -1384,7 +1430,7 @@ def test_bound_table_without_guarantee():
 def test_validity_runner_rows():
     cfg = dataclasses.replace(PARTITE_CFG, m_values=(2, 6), trials=15)
     result = run_validity_experiment(cfg)
-    assert result.columns == VALIDITY_COLUMNS
+    assert list(result.table) == VALIDITY_COLUMNS
     assert result.passed
     assert [row["m"] for row in result.rows] == [2, 6]
     for row in result.rows:
@@ -1452,6 +1498,82 @@ def test_validity_builds_one_injective_mask_per_trial(monkeypatch):
     result = run_validity_experiment(cfg)
     assert result.passed and len(result.records) == 180
     assert calls == [(r.m, 3) for r in result.records]
+
+
+def break_boxes(monkeypatch):
+    """Swap in a box scheme whose rebuilds give the empty box from the
+    seventh one of each run on."""
+
+    def scheme(k):
+        real, calls = experiments.BOXES.scheme(k), itertools.count()
+        return dataclasses.replace(real, rebuild=lambda sub, hdr: (
+            Hypothesis.empty_rectangle(k) if next(calls) >= 6 else real.rebuild(sub, hdr)
+        ))
+
+    monkeypatch.setitem(
+        experiments.FAMILIES, "rectangle", dataclasses.replace(experiments.BOXES, scheme=scheme)
+    )
+
+
+def tiny_first_bound(monkeypatch):
+    """Make the single-event bound at the first m = 30 negative, so that
+    cell fails and the others keep their bounds."""
+    bound = experiments.azuma_bound
+
+    def tiny(inputs, m):
+        bd = bound(inputs, m)
+        return dataclasses.replace(bd, single_event_bound=-1.0) if m == 30 else bd
+
+    monkeypatch.setattr(experiments, "azuma_bound", tiny)
+
+
+def fail_pac_at_60(monkeypatch):
+    """Make the PAC bound apply from m = 60 on, where a confidence
+    half-width of -2 puts the failure frequency above delta."""
+    monkeypatch.setattr(experiments, "m_pac", lambda inputs, window: 60)
+    monkeypatch.setattr(experiments, "_ci_half_width", lambda p_hat, n: -2.0)
+
+
+VALIDITY_CFG = dataclasses.replace(PARTITE_CFG, m_values=(6, 6, 6), trials=4)
+
+
+@pytest.mark.parametrize(
+    "run, argv, cfg, setup, want",
+    [
+        (run_validity_experiment, ["validate-scheme"], VALIDITY_CFG, None, True),
+        (run_validity_experiment, ["validate-scheme"], VALIDITY_CFG, break_boxes, False),
+        (
+            functools.partial(run_validity_experiment, fail_fast=True),
+            ["validate-scheme", "--fail-fast"], VALIDITY_CFG, break_boxes, False,
+        ),
+        (run_concentration_suite, ["concentration"], PARTITE_CFG, None, True),
+        (run_concentration_suite, ["concentration"], PARTITE_CFG, tiny_first_bound, False),
+        (run_pac_experiment, ["pac"], PARTITE_CFG, None, True),
+        (run_pac_experiment, ["pac"], PARTITE_CFG, fail_pac_at_60, False),
+        (run_bound_table, ["bound-table"], PARTITE_CFG, None, True),
+    ],
+    ids=[
+        "validity", "validity-broken", "validity-broken-fail-fast", "concentration",
+        "concentration-tiny-bound", "pac", "pac-failing", "bound-table",
+    ],
+)
+def test_verdict_is_the_summary_passed_column(run, argv, cfg, setup, want, tmp_path, monkeypatch):
+    # the result, the manifest and the exit code read one verdict: every
+    # summary row passed (a bound-table has no passed column, and passes)
+    if setup:
+        setup(monkeypatch)
+    result = run(cfg)
+    assert result.passed is want
+    assert result.passed == all(result.table.get("passed", ()))
+    assert ("passed" in result.table) != (run is run_bound_table)
+    config = tmp_path / "run.cfg"
+    config.write_text(canonical_config_text(cfg))
+    out = tmp_path / "out"
+    code = dispatch([*argv, "--config", str(config), "--out", str(out), "--format", "json"])
+    assert code == (0 if want else 1)
+    assert json.loads((out / "manifest.json").read_text())["passed"] is want
+    rows = json.loads((out / "summary.json").read_text())["rows"]
+    assert rows == result.rows
 
 
 # ---------------------------------------------------------------------------
@@ -1654,7 +1776,7 @@ def test_records_to_jsonl_is_json_dumps_per_record(tmp_path):
     assert records_to_jsonl(Records(TrialRecord)) == ""
     result = experiments.ExperimentResult(
         kind="concentration", config=PARTITE_CFG, columns=[],
-        records=Records.of(CompressionReport, reports), passed=True,
+        records=Records.of(CompressionReport, reports),
     )
     write_outputs(result, str(tmp_path))
     lines = (tmp_path / "trials.jsonl").read_text(encoding="utf-8").splitlines()
