@@ -25,26 +25,26 @@ and a row whose guess fails is fixed up exactly (_row_boundaries, the one
 boundary search).
 
 Rounded addition is also commutative, so the pair relation is symmetric
-and the boundaries form a self-conjugate staircase.  The PAC threshold
-kernel searches only the rows up to the diagonal, whose self-sums fall
-below the threshold, and the diagonal's own row (_diagonal finds it by
-bisection): every other row mirrors into them, so the ordered pair count
-(_pairs_below) and the extreme pair sums (_boundary_extremes) read off
-those rows alone.  The block kernel needs only the count, so it searches
-only the rows below the diagonal whose sum with the largest point is not
-below the threshold: by monotonicity, the rows before them hold every
-partner.
+and the boundaries form a self-conjugate staircase.  Every other row
+mirrors into the rows up to the diagonal, whose self-sums fall below the
+threshold, and the diagonal's own row (_diagonal).  By monotonicity, the
+full rows, whose sum with the largest point falls below the threshold,
+come first and hold every partner (_full_rows).  So the sum-threshold
+kernels search only the rows from the first one not full up to the
+diagonal (the PAC kernel, which bisects for both ends, the diagonal's own
+row too): the ordered pair count (_pairs_below) and the extreme pair sums
+(_boundary_extremes) read off those rows and the full rows' count.
 
 Sorted points live in NaN-padded rows (_padded_sorted), and the searches
 read partners through take(out=) into a float scratch of the searched
 rows' size, so the m-length temporaries of a call are a few buffers
 reused in place; all but one of the block kernel's are as long as its
 searched rows.  The PAC threshold kernel holds one padded row, and one
-float scratch and one boundary array of the searched rows, moved in place
-from t_f to t_h.  This matters beyond the copying: glibc serves each
-array of 128 KiB or more (16384 floats) from a fresh mmap until a large
-free raises its dynamic threshold, and every fresh mapping faults its
-pages in again.
+float scratch and one boundary array of the searched rows (none above
+every pair sum), moved in place from t_f to t_h.  This matters beyond the
+copying: glibc serves each array of 128 KiB or more (16384 floats) from a
+fresh mmap until a large free raises its dynamic threshold, and every
+fresh mapping faults its pages in again.
 """
 
 from __future__ import annotations
@@ -118,47 +118,60 @@ def _diagonal(xs: np.ndarray, t: float) -> int:
     return bisect.bisect_left(xs, True, key=lambda x: x + x >= t)
 
 
-def _pairs_below(p: np.ndarray, d: int) -> int:
-    """#{(i, j): i != j, float(xs[i] + xs[j]) < t} from the diagonal d at t
-    (_diagonal) and the boundaries p at t of the rows i < d, or more.
+def _full_rows(xs: np.ndarray, t: float) -> int:
+    """#{i : float(xs[i] + xs[-1]) < t} for the sorted row xs: the rows
+    whose every partner sums below t, a prefix no longer than _diagonal's."""
+    return bisect.bisect_left(xs, True, key=lambda x: x + xs[-1] >= t)
+
+
+def _pairs_below(searched, r, d, m):
+    """#{(i, j): i != j, float(xs[i] + xs[j]) < t} for m points, from the
+    full rows r at t (_full_rows), the diagonal d at t (_diagonal) and the
+    sum of the boundaries p[i] at t of the rows r <= i < d; elementwise
+    over arrays of these.
 
     The relation is symmetric, so its row prefixes p form a self-conjugate
     staircase: the rows i < d hold all of [0, d), the rows i >= d none of
     [d, m), and the pairs (i >= d, j < d) mirror the pairs (j, i) that the
     rows j < d hold past d.  So the count is
-    d**2 - d + 2 * sum(p[i] - d for i < d)."""
-    return 2 * int(p[:d].sum()) - d * d - d
+    d**2 - d + 2 * sum(p[i] - d for i < d), with p[i] = m for i < r."""
+    return 2 * (r * m + searched) - d * d - d
 
 
-def _self_row(p: np.ndarray, d: int) -> int | None:
-    """The row i with p[i] == i + d, or None.  p falls along the rows while
-    i rises, so p[i] - i strictly falls and at most one row has it."""
-    i = bisect.bisect_left(range(len(p)), -d, key=lambda i: i - p[i])
-    return i if i < len(p) and p[i] == i + d else None
+def _self_row(p: np.ndarray, first: int, step: int) -> int | None:
+    """The i with p[i] == first + i + step, or None.  p falls along the rows
+    while i rises, so p[i] - i strictly falls and at most one row has it."""
+    i = bisect.bisect_left(range(len(p)), -first - step, key=lambda i: i - p[i])
+    return i if i < len(p) and p[i] == first + i + step else None
 
 
-def _boundary_extremes(ends: np.ndarray, p: np.ndarray, f: np.ndarray):
+def _boundary_extremes(ends: np.ndarray, p: np.ndarray, f: np.ndarray, first: int = 0):
     """(min pair sum >= t, max pair sum < t) over i != j from the
-    boundaries p at t of the first len(p) rows of the sorted row
-    xs = ends[1:-1], with f a float scratch of that many rows; each None
-    when no such pair.  Row i's candidates are its first partner at or
-    above the boundary, xs[p] = ends[p + 1], and its last below it,
-    xs[p - 1] = ends[p]; on the one row where either is j == i it moves a
-    step further.  A NaN end stands for "no partner".
+    boundaries p at t of the len(p) rows i from first of the sorted row
+    xs = ends[1:-1], whose rows before first are full (_full_rows), with f
+    a float scratch of that many rows; each None when no such pair.  Row i's
+    candidates are its first partner at or above the boundary,
+    xs[p] = ends[p + 1], and its last below it, xs[p - 1] = ends[p]; on
+    the one row where either is j == i it moves a step further.  A NaN end
+    stands for "no partner".
 
-    Rows up to the diagonal d at t (_diagonal) and row d itself cover every
-    pair: a pair with both points at d or above is at or above t, and the
-    least such is row d's candidate; any other pair mirrors into the row of
-    its point below d."""
-    xs = ends[1 : len(p) + 1]
+    The rows from first up to the diagonal d at t (_diagonal) and row d
+    itself cover every other pair: a pair with both points at d or above
+    is at or above t, and the least such is row d's candidate; any other
+    pair mirrors into the row of its point below d.  Of the full rows'
+    pairs, all below t, the greatest is row first - 1's with the last
+    point, or with the one before it when that row is the last."""
+    xs = ends[first + 1 : first + len(p) + 1]
     np.add(xs, ends[1:].take(p, out=f, mode="clip"), out=f)
-    if (i := _self_row(p, 0)) is not None:
-        f[i] = xs[i] + ends[i + 2]
+    if (i := _self_row(p, first, 0)) is not None:
+        f[i] = xs[i] + ends[first + i + 2]
     min_pos = float(np.fmin.reduce(f, initial=math.inf))
     np.add(xs, ends.take(p, out=f, mode="clip"), out=f)
-    if (i := _self_row(p, 1)) is not None:
-        f[i] = xs[i] + ends[i]
-    max_neg = float(np.fmax.reduce(f, initial=-math.inf))
+    if (i := _self_row(p, first, 1)) is not None:
+        f[i] = xs[i] + ends[first + i]
+    # fmax drops the NaN end that stands for no full row
+    full = np.fmax(-math.inf, ends[first] + ends[-2 if first + 2 < len(ends) else -3])
+    max_neg = float(np.fmax.reduce(f, initial=full))
     return (
         None if min_pos == math.inf else min_pos,
         None if max_neg == -math.inf else max_neg,
@@ -259,9 +272,8 @@ def _block_pairs_below(ends: np.ndarray, t: np.ndarray) -> np.ndarray:
     for b in set((base[wrong] // w).tolist()):
         rows_b = slice(stops[b] - n[b], stops[b])
         _row_boundaries(ends[b], t[b], keys[rows_b], p[rows_b], r[b])
-    # _pairs_below's 2 * sum(p[i] for i < d) - d * d - d, with p[i] = m for i < r
     np.cumsum(cum, out=cum)
-    return 2 * (r * m + cum[stops] - cum[stops - n]) - d * d - d
+    return _pairs_below(cum[stops] - cum[stops - n], r, d, m)
 
 
 def threshold_concentration(k, F, sigma, eta, m, pts):
@@ -296,21 +308,24 @@ def threshold_pac(k, F, m, x):
     ends = _padded_sorted(x.sides[0][None])[0]
     xs = ends[1:-1]
     t_f = threshold_of(F)
-    # the rows up to the diagonal and its own row hold every pair
-    d = _diagonal(xs, t_f)
-    f = np.empty(min(d + 1, m))
-    p = _row_boundaries(ends, t_f, f)
-    min_pos, max_neg = _boundary_extremes(ends, p, f)
-    below_f = _pairs_below(p, d)
+    # the full rows i < r hold every partner; the rows r..d, up to the
+    # diagonal and its own row, hold every other pair
+    r, d = _full_rows(xs, t_f), _diagonal(xs, t_f)
+    f = np.empty(min(d + 1, m) - r)
+    p = _row_boundaries(ends, t_f, f, first=r)
+    min_pos, max_neg = _boundary_extremes(ends, p, f, r)
+    below_f = _pairs_below(int(p[: d - r].sum()), r, d, m)
     # with no positive pair, H is the empty threshold, +inf; + 0.0 makes the
     # sum -0.0 + -0.0 the +0.0 that coordinate_sum gives the dense path
     t_h = math.inf if min_pos is None else min_pos + 0.0
     # no pair of distinct points sums into [t_f, t_h), so at most one
     # self-sum does (the sum of two such points would lie between them): the
     # diagonal at t_h is d or d + 1, inside the searched rows, and their
-    # boundaries at t_h are those at t_f moved past that one self-sum
-    _row_boundaries(ends, t_h, f, p)
-    count = (_pairs_below(p, _diagonal(xs, t_h)) - below_f) // 2
+    # boundaries at t_h are those at t_f moved past that one self-sum; the
+    # full rows at t_h include those at t_f
+    _row_boundaries(ends, t_h, f, p, r)
+    d_h = _diagonal(xs, t_h)
+    count = (_pairs_below(int(p[: d_h - r].sum()), r, d_h, m) - below_f) // 2
     emp = count / math.comb(m, k)
     realizable = min_pos is None or max_neg is None or max_neg < min_pos
     return t_h, 1 if min_pos is not None else 2, emp, realizable

@@ -53,6 +53,19 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert dispatch(["bound-table", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command", ["validate-scheme", "concentration", "pac", "mpac", "bound-table"]
+)
+def test_config_not_utf8_exits_2(tmp_path, capsys, command):
+    # a config file that does not decode is a usage problem, like one that
+    # cannot be opened: one line, exit 2
+    p = tmp_path / "latin1.cfg"
+    p.write_bytes(PARTITE_TEXT.encode() + b"# \xff\n")
+    assert dispatch([command, "--config", str(p)]) == 2
+    line = one_error_line(capsys)
+    assert line.startswith(f"config error: cannot read config {str(p)!r}: 'utf-8' codec")
+
+
 def test_bound_table_csv_and_json(cfg_file, capsys):
     assert dispatch(["bound-table", "--config", cfg_file, "--scan-limit", "4000"]) == 0
     out = capsys.readouterr().out

@@ -65,6 +65,7 @@ from kcompress.kernels import (
     _block_pairs_below,
     _boundary_extremes,
     _diagonal,
+    _full_rows,
     _padded_sorted,
     _pairs_below,
     _rect_masks,
@@ -342,15 +343,16 @@ def test_pairs_in_range_matches_bruteforce(data):
 def test_extreme_pair_sums_match_bruteforce(data):
     xs = data.draw(sorted_points())
     t = data.draw(thresholds(xs))
-    # from every row, and from the rows up to the diagonal and its own row
-    for n in (len(xs), diagonal_rows(xs, t)):
-        ends, f = padded_row(xs, n)
-        assert _boundary_extremes(ends, _row_boundaries(ends, t, f), f) == brute_extremes(xs, t)
+    # from every row, and from the rows threshold_pac searches
+    for rows in (range(len(xs)), diagonal_rows(xs, t)):
+        ends, f = padded_row(xs, len(rows))
+        p = _row_boundaries(ends, t, f, first=rows.start)
+        assert _boundary_extremes(ends, p, f, rows.start) == brute_extremes(xs, t)
 
 
 def test_extreme_pair_sums_tiny():
     xs = np.array([0.5])
-    assert diagonal_rows(xs, 1.0) == 1
+    assert diagonal_rows(xs, 1.0) == range(1)
     ends, f = padded_row(xs, 1)
     assert _boundary_extremes(ends, _row_boundaries(ends, 1.0, f), f) == (None, None)
 
@@ -362,16 +364,17 @@ def padded_row(xs, n=None):
 
 
 def diagonal_rows(xs, t):
-    """The rows threshold_pac searches: those up to the diagonal at t and
-    the diagonal's own row."""
-    return min(_diagonal(xs, t) + 1, len(xs))
+    """The rows threshold_pac searches: from the first row not full at t
+    up to the diagonal at t and the diagonal's own row."""
+    return range(_full_rows(xs, t), min(_diagonal(xs, t) + 1, len(xs)))
 
 
-def row_boundaries(xs, t, n=None):
-    """_row_boundaries of the first n rows (all when None) of the sorted
+def row_boundaries(xs, t, rows=None):
+    """_row_boundaries of the range rows (all when None) of the sorted
     points xs, from the cold guess."""
-    ends, f = padded_row(xs, n)
-    return _row_boundaries(ends, t, f)
+    rows = range(len(xs)) if rows is None else rows
+    ends, f = padded_row(xs, len(rows))
+    return _row_boundaries(ends, t, f, first=rows.start)
 
 
 def brute_row_boundaries(xs, t):
@@ -413,10 +416,14 @@ def test_row_boundaries_fix_wrong_guesses():
     # the plain guess is wrong on the last two rows; the fix must correct them
     assert np.searchsorted(xs, t - xs).tolist() == [5, 5, 5, 5, 4]
     assert row_boundaries(xs, t).tolist() == [5, 5, 5, 4, 3]
-    # the diagonal at t is 4 (0.2 + 0.2 is not below 0.1 + 0.2), so the
-    # half search takes every row, and a shorter prefix the same values
-    assert diagonal_rows(xs, t) == 5
-    assert [row_boundaries(xs, t, n).tolist() for n in (4, 1, 0)] == [[5, 5, 5, 4], [5], []]
+    # the diagonal at t is 4 (0.2 + 0.2 is not below 0.1 + 0.2) and the
+    # full rows 3 (0.1 + 0.2 is not), so the search takes rows 3 and 4, both
+    # fixed up, and a shorter prefix the same values
+    assert diagonal_rows(xs, t) == range(3, 5)
+    assert row_boundaries(xs, t, diagonal_rows(xs, t)).tolist() == [4, 3]
+    assert [row_boundaries(xs, t, range(n)).tolist() for n in (4, 1, 0)] == [
+        [5, 5, 5, 4], [5], []
+    ]
     assert row_boundaries(xs, math.inf).tolist() == [5] * 5
     assert row_boundaries(xs, -math.inf).tolist() == [0] * 5
     assert row_boundaries(xs, -math.inf, diagonal_rows(xs, -math.inf)).tolist() == [0]
@@ -428,12 +435,14 @@ def test_row_boundaries_fix_wrong_guesses():
 def test_row_boundaries_match_bruteforce(data):
     xs = data.draw(adversarial_points())
     t = data.draw(boundary_thresholds(xs))
-    for n in (len(xs), diagonal_rows(xs, t)):
-        ends, f = padded_row(xs, n)
-        p = _row_boundaries(ends, t, f)
-        assert np.array_equal(p, brute_row_boundaries(xs, t)[:n])
-        assert _pairs_below(p, _diagonal(xs, t)) == brute_ordered_below(xs, t)
-        assert _boundary_extremes(ends, p, f) == brute_extremes(xs, t)
+    d = _diagonal(xs, t)
+    for rows in (range(len(xs)), diagonal_rows(xs, t)):
+        ends, f = padded_row(xs, len(rows))
+        r = rows.start
+        p = _row_boundaries(ends, t, f, first=r)
+        assert np.array_equal(p, brute_row_boundaries(xs, t)[rows])
+        assert _pairs_below(int(p[: d - r].sum()), r, d, len(xs)) == brute_ordered_below(xs, t)
+        assert _boundary_extremes(ends, p, f, r) == brute_extremes(xs, t)
     # the block count's guesses go wrong here, so its fix-ups run
     assert _block_pairs_below(_padded_sorted(xs[None]), np.array([t])).tolist() == [
         brute_ordered_below(xs, t)
@@ -503,15 +512,16 @@ def diagonal_cases(draw):
 @example((np.array([0.0, 0.0, 0.1]), math.inf))  # d = m
 @example((np.array([0.0, 0.2, 0.7]), 0.4))  # 0.2 + 0.2 lies in [t_f, t_h) = [0.4, 0.7)
 def test_half_search_matches_bruteforce(case):
-    # threshold_pac's search: the rows up to the diagonal d and row d
+    # threshold_pac's search: the rows from r up to the diagonal d and row d
     xs, t_f = case
-    d, n = _diagonal(xs, t_f), diagonal_rows(xs, t_f)
+    d, rows = _diagonal(xs, t_f), diagonal_rows(xs, t_f)
+    r, n = rows.start, rows.stop
     assert d == sum(1 for x in xs if x + x < t_f)
-    ends, f = padded_row(xs, n)
-    p = _row_boundaries(ends, t_f, f)
-    assert np.array_equal(p, brute_row_boundaries(xs, t_f)[:n])
-    assert _pairs_below(p, d) == brute_ordered_below(xs, t_f)
-    min_pos, max_neg = _boundary_extremes(ends, p, f)
+    ends, f = padded_row(xs, len(rows))
+    p = _row_boundaries(ends, t_f, f, first=r)
+    assert np.array_equal(p, brute_row_boundaries(xs, t_f)[rows])
+    assert _pairs_below(int(p[: d - r].sum()), r, d, len(xs)) == brute_ordered_below(xs, t_f)
+    min_pos, max_neg = _boundary_extremes(ends, p, f, r)
     assert (min_pos, max_neg) == brute_extremes(xs, t_f)
     # the move to t_h, the least pair sum at or above t_f: no pair of
     # distinct points sums into [t_f, t_h), so at most one self-sum does,
@@ -520,9 +530,62 @@ def test_half_search_matches_bruteforce(case):
     d_h = _diagonal(xs, t_h)
     assert d_h == sum(1 for x in xs if x + x < t_h)
     assert d <= d_h <= n
-    _row_boundaries(ends, t_h, f, p)
-    assert np.array_equal(p, brute_row_boundaries(xs, t_h)[:n])
-    assert _pairs_below(p, d_h) == brute_ordered_below(xs, t_h)
+    _row_boundaries(ends, t_h, f, p, r)
+    assert np.array_equal(p, brute_row_boundaries(xs, t_h)[rows])
+    assert _pairs_below(int(p[: d_h - r].sum()), r, d_h, len(xs)) == brute_ordered_below(xs, t_h)
+
+
+@st.composite
+def full_row_cases(draw):
+    """(xs, t): 2 to 60 adversarial points and a threshold on a pair sum,
+    on a sum with the largest point, on the float neighbour of one, or
+    +-inf (r = d = m, d = 0)."""
+    xs = draw(adversarial_points(draw(st.integers(2, 60))))
+    s = xs[draw(st.integers(0, len(xs) - 1))] + xs[-1]
+    last_sums = st.sampled_from(
+        [s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf), math.inf, -math.inf]
+    )
+    return xs, float(draw(st.one_of(boundary_thresholds(xs), last_sums)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_row_cases())
+@example((np.array([0.0, 0.2, 0.7]), 2.0))  # t above every pair sum: r = d = m
+@example((np.array([0.1, 0.2, 0.7]), 0.5))  # r = 0 < d = 2
+@example((np.array([0.0, 0.1, 0.2, 0.7]), 0.75))  # 0 < r = 1 < d = 3
+@example((np.array([0.1, 0.2, 0.3]), 0.55))  # r = m - 1 = d
+# the float neighbour above xs[2] + xs[m - 1]: r = 3, and row 3's guess is wrong
+@example((np.array([0.0, 1e-17, 0.1, 0.2]), float(np.nextafter(0.1 + 0.2, np.inf))))
+@example((np.array([0.1, 0.1, 0.1, 0.2, 0.2]), float(np.nextafter(0.1 + 0.2, np.inf))))  # ties
+# the greatest pair sum below t, 0.0 + 0.5, is the full row 0's with the last point
+@example((np.array([0.0, 0.3, 0.4, 0.5]), 0.55))
+def test_cut_search_matches_bruteforce(case):
+    # threshold_pac searches only the rows r <= i <= min(d, m - 1): the full
+    # rows i < r hold every partner
+    xs, t_f = case
+    m, rows, d = len(xs), diagonal_rows(xs, t_f), _diagonal(xs, t_f)
+    r = rows.start
+    assert r == sum(1 for x in xs if x + xs[-1] < t_f) <= d
+    assert (brute_row_boundaries(xs, t_f)[:r] == m).all()
+    ends, f = padded_row(xs, len(rows))
+    p = _row_boundaries(ends, t_f, f, first=r)
+    assert np.array_equal(p, brute_row_boundaries(xs, t_f)[rows])
+    assert _pairs_below(int(p[: d - r].sum()), r, d, m) == brute_ordered_below(xs, t_f)
+    min_pos, max_neg = _boundary_extremes(ends, p, f, r)
+    assert (min_pos, max_neg) == brute_extremes(xs, t_f)
+    # the move to t_h keeps the rows: the full rows at t_h include those at t_f
+    t_h = math.inf if min_pos is None else min_pos
+    d_h = _diagonal(xs, t_h)
+    _row_boundaries(ends, t_h, f, p, r)
+    assert np.array_equal(p, brute_row_boundaries(xs, t_h)[rows])
+    assert _pairs_below(int(p[: d_h - r].sum()), r, d_h, m) == brute_ordered_below(xs, t_h)
+    cfg = NONPARTITE_CFG
+    mu, klass, loss, scheme = build_all(cfg)
+    x, F = Sample.nonpartite(xs.tolist(), 2), Hypothesis.sum_threshold(2, t_f)
+    fast, generic = (
+        pac_trial(cfg, mu, loss, m, 0, F, x, None, kernels(cfg, engine)[1]) for engine in ENGINES
+    )
+    assert fast == generic
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +897,22 @@ def test_threshold_pac_peak_memory_stays_near_its_padded_row():
     m = 36342
     x = Sample.nonpartite(np.random.default_rng(0).random(m), 2)
     F = Hypothesis.sum_threshold(2, -1.0)
+    tracemalloc.start()
+    try:
+        threshold_pac(2, F, m, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (m + 2) * 8
+
+
+@pytest.mark.parametrize("t", [1.9, 2.5])
+def test_threshold_pac_peak_memory_skips_its_full_rows(t):
+    # a target above most pair sums: the rows before r hold every partner
+    # and are not searched, so the scratch and the boundaries stay short
+    m = 36342
+    x = Sample.nonpartite(np.random.default_rng(0).random(m), 2)
+    F = Hypothesis.sum_threshold(2, t)
     tracemalloc.start()
     try:
         threshold_pac(2, F, m, x)
